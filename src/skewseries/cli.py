@@ -317,7 +317,7 @@ def build_context(spec: SpecFile) -> Context:
     else:
         raise SpecError(f"unknown ring kind '{kind}'")
 
-    sps = SPSRing(base, sd, u, D, check=False) if D is not None else None
+    sps = SPSRing(base, sd, u, D) if D is not None else None
 
     ideals = {}
     if isinstance(base, FinAlgebra):

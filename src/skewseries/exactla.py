@@ -3,6 +3,8 @@
 Vectors are tuples of scalars, matrices ("maps") are tuples of rows where
 row j is the image of the j-th basis vector.  All arithmetic is exact;
 the field is selected by the parameter ``p`` (a prime, or None for Q).
+Elimination needs a field; vector and map arithmetic (``apply_map``,
+``compose``, ``map_power``) also accepts a prime-power modulus p^k.
 """
 
 from __future__ import annotations
@@ -34,14 +36,10 @@ def fneg(a, p):
 
 
 def finv(a, p):
+    """Inverse of a; raises on zero over Q and on a non-unit modulo p."""
     if p is None:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / Fraction(a)
-    a = a % p
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero mod p")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def vec(entries, p) -> Vector:
@@ -70,14 +68,11 @@ def is_zero_vec(v) -> bool:
 
 def apply_map(m: Matrix, v: Vector, p) -> Vector:
     """Image of v under the map whose j-th row is the image of e_j."""
-    n = len(m[0]) if m else 0
-    out = list(zero_vec(n, p))
+    out = [0] * (len(m[0]) if m else 0)
     for cj, row in zip(v, m, strict=True):
-        if cj == 0:
-            continue
-        for i, ri in enumerate(row):
-            out[i] = fadd(out[i], fmul(cj, ri, p), p)
-    return tuple(out)
+        if cj != 0:
+            out = [o + cj * r for o, r in zip(out, row, strict=True)]
+    return vec(out, p)
 
 
 def identity_map(n, p) -> Matrix:
@@ -117,7 +112,9 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
     rows are ordered by pivot column, so the result is a canonical form
     for the row space.
     """
-    work = [list(vec(r, p)) for r in rows]
+    # Lists, not vec() tuples: short tuples freed at once pile up on the
+    # interpreter's tuple free lists and measurably raise peak memory.
+    work = [[fnorm(c, p) for c in r] for r in rows]
     pivots: list[int] = []
     out: list[list] = []
     ncols = len(work[0]) if work else 0
@@ -134,16 +131,10 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
         work.remove(pivot_row)
         inv = finv(pivot_row[col], p)
         pivot_row = [fmul(inv, c, p) for c in pivot_row]
-        for r in work:
-            if r[col] != 0:
-                f = r[col]
-                for i in range(ncols):
-                    r[i] = fadd(r[i], fneg(fmul(f, pivot_row[i], p), p), p)
-        for r in out:
-            if r[col] != 0:
-                f = r[col]
-                for i in range(ncols):
-                    r[i] = fadd(r[i], fneg(fmul(f, pivot_row[i], p), p), p)
+        for r in work + out:
+            f = r[col]
+            if f != 0:
+                r[:] = [fnorm(a - f * b, p) for a, b in zip(r, pivot_row, strict=True)]
         out.append(pivot_row)
         pivots.append(col)
         col += 1
@@ -161,13 +152,12 @@ def span(vectors: Iterable[Vector], p) -> tuple[Vector, ...]:
 
 def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> Vector:
     """Residue of v modulo the row space (basis must be in rref)."""
-    r = list(vec(v, p))
+    r = vec(v, p)
     for row, c in zip(basis, pivots, strict=True):
-        if r[c] != 0:
-            f = r[c]
-            for i in range(len(r)):
-                r[i] = fadd(r[i], fneg(fmul(f, row[i], p), p), p)
-    return tuple(r)
+        f = r[c]
+        if f != 0:
+            r = vec([a - f * b for a, b in zip(r, row, strict=True)], p)
+    return r
 
 
 def contains(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> bool:
@@ -179,46 +169,32 @@ def subspace_contains(basis: Sequence[Vector], v: Vector, p) -> bool:
     return contains(b, piv, v, p)
 
 
-def subspace_eq(a: Iterable[Vector], b: Iterable[Vector], p) -> bool:
-    return span(a, p) == span(b, p)
-
-
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:
-    """Basis (rref) of {x : sum_j x_j rows[j] = 0}."""
-    nrows = len(rows)
-    if nrows == 0:
+    """Basis (rref) of {x : sum_j x_j rows[j] = 0}.
+
+    Reduces [rows | I]: a reduced row whose pivot lies in the identity
+    block is [0 | x] with x in the kernel, and these tails are already
+    the canonical rref of the kernel.
+    """
+    if not rows:
         return ()
     ncols = len(rows[0])
-    # Solve by rref of the transpose-augmented system: track coordinates.
-    # Augment each row with an identity tail, reduce, read off zero rows.
-    aug = []
-    for j, r in enumerate(rows):
-        tail = [fnorm(1, p) if i == j else fnorm(0, p) for i in range(nrows)]
-        aug.append(tuple(vec(r, p)) + tuple(tail))
-    # Gaussian elimination restricted to the first ncols columns.
-    work = [list(r) for r in aug]
-    pivot_cols: list[int] = []
-    done: list[list] = []
-    for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r[col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work.remove(pivot_row)
-        inv = finv(pivot_row[col], p)
-        pivot_row = [fmul(inv, c, p) for c in pivot_row]
-        for r in work:
-            if r[col] != 0:
-                f = r[col]
-                for i in range(len(r)):
-                    r[i] = fadd(r[i], fneg(fmul(f, pivot_row[i], p), p), p)
-        done.append(pivot_row)
-        pivot_cols.append(col)
-    kernel = [tuple(r[ncols:]) for r in work]
-    return span(kernel, p) if kernel else ()
+    aug = [[*r, *e] for r, e in zip(rows, identity_map(len(rows), p), strict=True)]
+    reduced, pivots = rref(aug, p)
+    return tuple(r[ncols:] for r, c in zip(reduced, pivots, strict=True) if c >= ncols)
+
+
+def solve(rows: Sequence[Vector], v: Vector, p):
+    """Coefficients c with sum_j c_j rows[j] = v, or None if v is not in the span.
+
+    The kernel of [rows; v] holds a vector with nonzero last coordinate
+    exactly when v is in the span; the first one in rref order is used,
+    which is the only one when the rows are independent.
+    """
+    for c in left_kernel(list(rows) + [tuple(v)], p):
+        if c[-1] != 0:
+            return vscale(finv(fneg(c[-1], p), p), c[:-1], p)
+    return None
 
 
 def subspace_intersection(a: Sequence[Vector], b: Sequence[Vector], p) -> tuple[Vector, ...]:
@@ -228,15 +204,7 @@ def subspace_intersection(a: Sequence[Vector], b: Sequence[Vector], p) -> tuple[
     if not a:
         return ()
     residues = [reduce_vector(b_basis, b_piv, v, p) for v in a]
-    coeffs = left_kernel(residues, p)
-    vectors = []
-    for c in coeffs:
-        v = zero_vec(len(a[0]), p)
-        for cj, row in zip(c, a, strict=True):
-            if cj != 0:
-                v = vadd(v, vscale(cj, row, p), p)
-        vectors.append(v)
-    return span(vectors, p)
+    return span([apply_map(a, c, p) for c in left_kernel(residues, p)], p)
 
 
 def preimage(m: Matrix, target_basis: Sequence[Vector], p) -> tuple[Vector, ...]:
@@ -247,30 +215,8 @@ def preimage(m: Matrix, target_basis: Sequence[Vector], p) -> tuple[Vector, ...]
 
 
 def is_invertible(m: Matrix, p) -> bool:
-    if p is None or _is_prime_modulus(p):
-        rows, _ = rref(m, p)
-        return len(rows) == len(m)
-    # Z/p^k: invertible iff invertible modulo the prime.
-    q = _prime_of(p)
-    rows, _ = rref(tuple(tuple(c % q for c in row) for row in m), q)
-    return len(rows) == len(m)
+    """Invertibility over F_p or Q; also over Z/p^k when given the prime p.
 
-
-def _is_prime_modulus(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_of(m: int) -> int:
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 1
-    return m
+    A matrix over Z/p^k is invertible iff it is invertible modulo p.
+    """
+    return len(rref(m, p)[0]) == len(m)

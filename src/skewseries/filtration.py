@@ -86,11 +86,10 @@ class ChainFiltration:
     def symbol_coords(self, e, d: int, reps):
         """Coordinates of e's class in F_d / F_{d+1} against the reps."""
         rows = list(self.level_basis(d + 1)) + list(reps)
-        coords = _solve_combination(rows, e, self.ring.p)
+        coords = la.solve(rows, e, self.ring.p)
         if coords is None:
             raise FiltrationError("element not in the stated level")
-        tail = coords[len(self.level_basis(d + 1)):]
-        return tuple(tail)
+        return coords[len(self.level_basis(d + 1)):]
 
     def __repr__(self):
         return f"ChainFiltration(depth={self.depth} on {self.ring!r})"
@@ -125,31 +124,13 @@ class AdicFiltration:
         return f"AdicFiltration(on {self.ring!r})"
 
 
-def _solve_combination(rows, v, p):
-    """Coefficients expressing v as a combination of rows, or None."""
-    if not rows:
-        return None if not la.is_zero_vec(v) else ()
-    kern = la.left_kernel(list(rows) + [tuple(v)], p)
-    for c in kern:
-        if c[-1] != 0:
-            scale = la.finv(la.fneg(c[-1], p), p)
-            return tuple(la.fmul(scale, ci, p) for ci in c[:-1])
-    if la.is_zero_vec(v):
-        return tuple(la.fnorm(0, p) for _ in rows)
-    return None
-
-
-def value(w, e) -> ExtInt:
-    return w.value(e)
-
-
 def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
     """Verify the filtration axioms on basis pairs plus random pairs."""
     ring = w.ring
     report = AxiomReport()
     if not w.value(ring.zero()).is_infinite:
         report.add("w(0) = infinity", ring.zero())
-    pairs = list(itertools.product([v for v, _ in _tagged(w)], repeat=2))
+    pairs = list(itertools.product([v for v, _ in w.adapted_basis()], repeat=2))
     if rng is not None:
         pairs += [
             (ring.random_element(rng), ring.random_element(rng))
@@ -160,18 +141,10 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
             report.add("w(x+y) >= min(w(x), w(y))", (a, b))
         if w.value(ring.mul(a, b)) < w.value(a) + w.value(b):
             report.add("w(xy) >= w(x) + w(y)", (a, b))
-    for a, _ in _tagged(w):
-        if w.value(a).is_infinite and not la_is_zero(ring, a):
+    for a, _ in w.adapted_basis():
+        if w.value(a).is_infinite and tuple(a) != tuple(ring.zero()):
             report.add("separated", a)
     return report
-
-
-def _tagged(w):
-    return w.adapted_basis()
-
-
-def la_is_zero(ring, a) -> bool:
-    return tuple(a) == tuple(ring.zero())
 
 
 def endo_degree(w, d_matrix) -> ExtInt:

@@ -202,10 +202,6 @@ def ideal_generated(A: FinAlgebra, gens) -> IdealSubspace:
         current = closed
 
 
-def ideal_sum(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
-    return IdealSubspace(I.parent, la.span(list(I.basis) + list(J.basis), I.parent.p))
-
-
 def ideal_intersection(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
     return IdealSubspace(
         I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p)
@@ -230,8 +226,8 @@ def radical(A: FinAlgebra) -> IdealSubspace:
 
     Over Q: kernel of the trace form (x, y) -> Tr(L_x L_y).  Over F_p:
     the trace form fails in small characteristic, so we use the
-    Friedl-Ronyai chain of trace-like kernels computed on integer lifts
-    of the left regular representation.
+    Friedl-Ronyai chain of trace-like kernels, computed on the left
+    regular representation lifted to Z/p^(i+1) at step i.
     """
     if A.p is None:
         return _radical_char0(A)
@@ -251,57 +247,29 @@ def _radical_char0(A: FinAlgebra) -> IdealSubspace:
     return IdealSubspace(A, la.span(list(kernel), None))
 
 
-def _int_lift(matrix, p):
-    return [[int(c) % p for c in row] for row in matrix]
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _int_matpow(m, e):
-    n = len(m)
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = m
-    while e > 0:
-        if e & 1:
-            result = _int_matmul(result, base)
-        base = _int_matmul(base, base)
-        e >>= 1
-    return result
-
-
 def _radical_charp(A: FinAlgebra) -> IdealSubspace:
     p = A.p
     current = tuple(A.basis())  # rref basis of the current subspace
     i = 0
     while p**i <= A.dim:
         q = p**i
-        lifted = [
-            _int_lift(A.left_mult_matrix(v), p) for v in current
-        ]
+        # Tr((L_x L_y)^q) is read only through tr % q and (tr // q) % p,
+        # both fixed by tr mod p^(i+1), and matrix powers commute with
+        # reduction, so the whole product can be taken mod p^(i+1).
+        mod = q * p
+        regs = [A.left_mult_matrix(v) for v in current]
         rows = []
-        for Lx in lifted:
+        for Lx in regs:
             row = []
-            for Ly in lifted:
-                power = _int_matpow(_int_matmul(Lx, Ly), q)
+            for Ly in regs:
+                power = la.map_power(la.compose(Lx, Ly, mod), q, mod)
                 tr = sum(power[t][t] for t in range(A.dim))
                 if tr % q != 0:
                     raise AlgebraError("trace-like functional not divisible: invalid input")
                 row.append((tr // q) % p)
             rows.append(tuple(row))
         coeff_kernel = la.left_kernel(rows, p)
-        vectors = []
-        for c in coeff_kernel:
-            v = A.zero()
-            for cj, basis_vec in zip(c, current, strict=True):
-                v = A.add(v, A.smul(cj, basis_vec))
-            vectors.append(v)
-        current = la.span(vectors, p)
+        current = la.span([la.apply_map(current, c, p) for c in coeff_kernel], p)
         if not current:
             break
         i += 1
@@ -437,18 +405,9 @@ def central_idempotents(A: FinAlgebra) -> list:
 
 def _restrict_operator(A, block, z):
     """Operator of multiplication by z on the span of block, in block coords."""
-    basis, pivots = la.rref(block, A.p)
-    rows = []
-    for v in block:
-        image = A.mul(z, v)
-        coords = _coords_in_basis(basis, pivots, block, image, A.p)
-        rows.append(coords)
-    return rows
-
-
-def _coords_in_basis(basis, pivots, block, v, p):
     # block is rref, so coordinates are read off at pivot columns
-    return tuple(v[c] for c in pivots)
+    _, pivots = la.rref(block, A.p)
+    return [tuple(A.mul(z, v)[c] for c in pivots) for v in block]
 
 
 def _try_split_block(A, block, splitters):
@@ -470,13 +429,7 @@ def _try_split_block(A, block, splitters):
             fm = fac**mult
             mat = _poly_eval_on_operator(fm, op, A.p)
             coeff_kernel = la.left_kernel(mat, A.p)
-            vectors = []
-            for c in coeff_kernel:
-                v = A.zero()
-                for cj, bv in zip(c, block, strict=True):
-                    v = A.add(v, A.smul(cj, bv))
-                vectors.append(v)
-            pieces.append(la.span(vectors, A.p))
+            pieces.append(la.span([la.apply_map(block, c, A.p) for c in coeff_kernel], A.p))
         if sum(len(x) for x in pieces) == len(block):
             return pieces
     return None
@@ -492,17 +445,11 @@ def _block_unit(A, block):
             row.extend(A.mul(bv, v))
         residue_rows.append(tuple(row))
     target = tuple(itertools.chain.from_iterable(block))
-    # Any kernel vector of [rows; target] with nonzero last coordinate
-    # expresses target as a combination of the rows.
-    kern = la.left_kernel(residue_rows + [target], p)
-    for c in kern:
-        if c[-1] != 0:
-            inv = la.finv(la.fneg(c[-1], p), p)
-            e = A.zero()
-            for cj, bv in zip(c[:-1], block, strict=True):
-                e = A.add(e, A.smul(la.fmul(inv, cj, p), bv))
-            if A.mul(e, e) == e:
-                return e
+    c = la.solve(residue_rows, target, p)
+    if c is not None:
+        e = la.apply_map(block, c, p)
+        if A.mul(e, e) == e:
+            return e
     raise AlgebraError("block has no unit: center decomposition failed")
 
 

@@ -21,10 +21,6 @@ def word(*names) -> dict:
     return {tuple((name, 0, 0) for name in names): 1}
 
 
-def sigma_word(w):
-    return tuple((name, i, j + 1) for name, i, j in w)
-
-
 def symbolic_delta(expr: dict) -> dict:
     """Apply delta across each word by the twisted Leibniz rule.
 

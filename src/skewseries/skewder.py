@@ -128,7 +128,7 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
     """Verify all axioms on basis pairs; report violations with witnesses."""
     ring = sd.ring
     report = AxiomReport()
-    if not la.is_invertible(sd.sigma_matrix, ring.scalar_mod):
+    if not la.is_invertible(sd.sigma_matrix, ring.p):
         report.add("sigma bijective", "matrix is singular")
     if sd.sigma(ring.one()) != ring.one():
         report.add("sigma(1) = 1", ring.one())
@@ -278,8 +278,3 @@ def lemma31_check(sd: SkewDerivation, I: IdealSubspace) -> bool:
             if not J.contains(A.mul(e, v)) or not J.contains(A.mul(v, e)):
                 return False
     return True
-
-
-def derivation_on_truncated_poly(A: FinAlgebra, sigma_gen, delta_gen, q=None) -> SkewDerivation:
-    """Build (sigma, delta) on F[X]/(X^n) from images of X."""
-    return SkewDerivation.from_gen_images(A, sigma_gen, delta_gen, q=q)

@@ -135,8 +135,6 @@ class SPSRing:
                         out[k + j] = base.add(out[k + j], base.mul(r, c))
         return self.normalize(out)
 
-    multiply = mul
-
     def power(self, f, n: int):
         result = self.one()
         for _ in range(n):

@@ -81,3 +81,22 @@ def random_char0_instance(rng):
         for rs, ri in zip(sigma, ident)
     )
     return A, SkewDerivation(A, sigma, delta)
+
+
+def permutation_group_algebra(p, gens):
+    """F_p[G] for the group G generated by permutations of range(len(gens[0]))."""
+    identity = tuple(range(len(gens[0])))
+    elements = [identity]
+    for g in elements:  # closure: the list grows while it is walked
+        for s in gens:
+            h = tuple(g[i] for i in s)
+            if h not in elements:
+                elements.append(h)
+    index = {g: i for i, g in enumerate(elements)}
+    n = len(elements)
+
+    def basis_vec(g):
+        return tuple(int(j == index[g]) for j in range(n))
+
+    structure = [[basis_vec(tuple(g[i] for i in h)) for h in elements] for g in elements]
+    return FinAlgebra(p, n, structure, basis_vec(identity))

@@ -116,6 +116,37 @@ def test_demo_command(capsys):
     assert "sigma(t):" in out and "x*t:" in out
 
 
+INCOMPATIBLE_SERIES = """sps-spec 1
+
+[ring]
+kind = series
+p = 2
+T = 4
+{D}
+[skew]
+sigma_gen = 1*t^1
+delta_gen = 1
+
+[filtration]
+kind = adic
+
+[elements]
+f = 1*t^1
+g = 1*t^2
+"""
+
+
+def test_incompatible_pair_is_refused_not_multiplied(tmp_path, capsys):
+    # delta(t) = 1 lowers the t-adic value, so the staircase quotient is not a ring
+    spec = tmp_path / "incompatible.spec"
+    spec.write_text(INCOMPATIBLE_SERIES.format(D="D = 4\n"))
+    assert main(["mul", str(spec), "f", "g"]) == 2
+    assert "not compatible with the filtration" in capsys.readouterr().err
+    spec.write_text(INCOMPATIBLE_SERIES.format(D=""))
+    assert main(["verify", str(spec)]) == 1
+    assert "compatible: False" in capsys.readouterr().out
+
+
 def test_missing_spec_is_exit_2(capsys):
     assert main(["verify", "does_not_exist.spec"]) == 2
     assert "not found" in capsys.readouterr().err

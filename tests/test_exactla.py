@@ -1,0 +1,159 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+import skewseries.exactla as la
+
+FIELDS = [2, 5, None]
+
+
+def random_matrix(rng, nrows, ncols, p):
+    """Seeded random matrix; half the time its last row is the sum of the first two."""
+    if p is None:
+        rows = [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(ncols))
+                for _ in range(nrows)]
+    else:
+        rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        rows[-1] = la.vadd(rows[0], rows[1], p)
+    return rows
+
+
+def rank(rows, p):
+    return len(la.rref(rows, p)[0])
+
+
+def det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(n))
+
+
+def int_trace_power(L, q):
+    """Tr(L^q) with unreduced Python integers: the reference."""
+    n = len(L)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(q):
+        power = [[sum(power[i][k] * L[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return sum(power[i][i] for i in range(n))
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_rref_is_canonical(p):
+    rng = random.Random(f"rref/{p}")
+    for _ in range(40):
+        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), p)
+        reduced, pivots = la.rref(rows, p)
+        assert list(pivots) == sorted(set(pivots))
+        for r, c in zip(reduced, pivots, strict=True):
+            assert r[c] == 1
+            assert all(x == 0 for x in r[:c])
+            assert all(other[c] == 0 for other in reduced if other is not r)
+        # same row space, and the form does not depend on the spanning set
+        assert all(la.subspace_contains(reduced, r, p) for r in rows)
+        shuffled = list(rows) + [la.vscale(la.fnorm(3, p), rows[0], p)]
+        rng.shuffle(shuffled)
+        assert la.rref(shuffled, p) == (reduced, pivots)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_left_kernel(p):
+    rng = random.Random(f"kernel/{p}")
+    for _ in range(40):
+        rows = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 5), p)
+        kernel = la.left_kernel(rows, p)
+        zero = la.zero_vec(len(rows[0]), p)
+        assert all(la.apply_map(rows, x, p) == zero for x in kernel)
+        assert len(kernel) == len(rows) - rank(rows, p)
+        assert kernel == la.span(kernel, p)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_solve(p):
+    rng = random.Random(f"solve/{p}")
+    for _ in range(30):
+        rows = la.span(random_matrix(rng, rng.randint(1, 5), 6, p), p)
+        if not rows:
+            continue
+        c = tuple(la.fnorm(rng.randint(-3, 3), p) for _ in rows)
+        assert la.solve(rows, la.apply_map(rows, c, p), p) == c
+        outside = None
+        for e in la.identity_map(6, p):
+            if not la.subspace_contains(rows, e, p):
+                outside = e
+                break
+        if outside is not None:
+            assert la.solve(rows, outside, p) is None
+    assert la.solve([], la.zero_vec(3, p), p) == ()
+    assert la.solve([], la.identity_map(3, p)[0], p) is None
+
+
+@pytest.mark.parametrize("p", [2, 5, 9, None])
+def test_apply_map_matches_per_scalar_loop(p):
+    rng = random.Random(f"apply/{p}")
+    for _ in range(30):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), p)
+        v = random_matrix(rng, 1, len(m), p)[0]
+        expected = list(la.zero_vec(len(m[0]), p))
+        for cj, row in zip(v, m, strict=True):
+            for i, ri in enumerate(row):
+                expected[i] = la.fadd(expected[i], la.fmul(cj, ri, p), p)
+        assert la.apply_map(m, v, p) == tuple(expected)
+
+
+def test_finv_rejects_non_units():
+    assert la.finv(3, 4) == 3
+    assert la.finv(3, 7) * 3 % 7 == 1
+    assert la.finv(Fraction(2, 3), None) == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        la.finv(2, 4)
+    with pytest.raises(ValueError):
+        la.finv(0, 5)
+    with pytest.raises(ZeroDivisionError):
+        la.finv(0, None)
+    # elimination modulo 4 refuses a non-unit pivot instead of guessing
+    with pytest.raises(ValueError):
+        la.rref([(2, 1)], 4)
+
+
+@pytest.mark.parametrize("prime,modulus", [(2, 4), (3, 9)])
+def test_is_invertible_over_prime_powers(prime, modulus):
+    assert la.is_invertible(((1, prime), (prime, 1)), prime)
+    assert not la.is_invertible(((1, 1), (1, 1 + prime)), prime)
+    rng = random.Random(f"invertible/{modulus}")
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(n))
+        assert la.is_invertible(m, prime) == (det(m) % prime != 0)
+
+
+@pytest.mark.parametrize("p,i", [(2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_radical_traces_reduce_mod_prime_power(p, i):
+    """Tr((Lx Ly)^q) mod p^(i+1) from map_power/compose equals the integer trace."""
+    q, mod = p**i, p ** (i + 1)
+    rng = random.Random(f"trace/{p}/{i}")
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        Lx, Ly = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        product = [[sum(Lx[a][k] * Ly[k][b] for k in range(n)) for b in range(n)]
+                   for a in range(n)]
+        exact = int_trace_power(product, q)
+        power = la.map_power(la.compose(Lx, Ly, mod), q, mod)
+        tr = sum(power[t][t] for t in range(n))
+        assert tr % mod == exact % mod
+        assert tr % q == exact % q
+        assert (tr // q) % p == (exact // q) % p
+
+
+def test_map_power_matches_repeated_compose():
+    rng = random.Random("power")
+    for mod in (4, 9, 7):
+        m = tuple(tuple(rng.randrange(mod) for _ in range(3)) for _ in range(3))
+        acc = la.identity_map(3, mod)
+        for k in range(6):
+            assert la.map_power(m, k, mod) == acc
+            acc = la.compose(acc, m, mod)

@@ -25,6 +25,8 @@ from skewseries.finalg import (
     truncated_poly_algebra,
 )
 
+from helpers import permutation_group_algebra
+
 
 def swap_matrix():
     return ((0, 1), (1, 0))
@@ -62,6 +64,21 @@ def test_radical_examples():
     assert radical(product_of_fields(2, 2)).dim == 0
     assert radical(matrix_algebra(2, 2)).dim == 0
     assert radical(truncated_poly_algebra(None, 3)).dim == 2
+
+
+S3 = [(1, 0, 2), (1, 2, 0)]
+C6 = [(1, 2, 3, 4, 5, 0)]
+D4 = [(1, 2, 3, 0), (3, 2, 1, 0)]
+
+
+@pytest.mark.parametrize("p,gens,order,radical_dim", [
+    (2, S3, 6, 1), (3, S3, 6, 4), (2, C6, 6, 3), (3, C6, 6, 4), (2, D4, 8, 7),
+])
+def test_group_algebra_radical_dimensions(p, gens, order, radical_dim):
+    """Published dimensions of the Jacobson radical of modular group algebras."""
+    A = permutation_group_algebra(p, gens)
+    assert A.dim == order
+    assert radical(A).dim == radical_dim
 
 
 def test_radical_is_nilpotent_and_semisimple_quotient():
