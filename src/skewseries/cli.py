@@ -28,7 +28,7 @@ from .filtration import (
     endo_degree,
     is_compatible,
 )
-from .finalg import FinAlgebra, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
+from .finalg import FinAlgebra, OrbitCapExceeded, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
 from .series import SeriesRing
 from .skewder import SkewDerivation, check_skew_derivation
 from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_iso_check, iwasawa_demo, tpow_demo
@@ -604,6 +604,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
+    except OrbitCapExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,6 +113,8 @@ def stabilization_M(
     """
     if cap is None:
         cap = default_cap(A)
+    if cap < 0:
+        raise CoreError(f"cap must be >= 0, got {cap}")
     report = CoreReport(ideal_dim=I.dim, cap=cap)
     cores = []
     for m in range(cap + 1):
@@ -188,6 +190,8 @@ def theorem_c_procedure(
         raise CoreError("requires sigma delta = delta sigma")
     if cap is None:
         cap = default_cap(A)
+    if cap < 0:
+        raise CoreError(f"cap must be >= 0, got {cap}")
     zero = subspace(A, [])
     if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero):
         raise CoreError("I is not a minimal sigma-prime ideal")
@@ -208,6 +212,8 @@ def theorem_c_procedure(
         if I_next == I_j and M_j == M_prev:
             break
         I_j, M_prev = I_next, M_j
+    else:
+        return None, None, {"inconclusive": True, "reports": reports}
     J, M = I_j, M_prev
     sigma_M = la.map_power(sd.sigma_matrix, p**M, A.p)
     delta_M = la.map_power(sd.delta_matrix, p**M, A.p)

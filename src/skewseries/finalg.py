@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import exactla as la
 
 
@@ -344,6 +342,8 @@ def center(A: FinAlgebra) -> tuple:
 
 def _min_poly_of_operator(op_rows, p):
     """Minimal polynomial (sympy Poly) of a linear operator via Krylov."""
+    import sympy  # deferred: loading it dominates the CLI's start-up
+
     n = len(op_rows)
     ident = la.identity_map(n, p)
     powers = [ident]

@@ -1,7 +1,13 @@
 import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewseries
+from skewseries import core, finalg
 from skewseries.cli import (
     SpecError,
     build_context,
@@ -162,3 +168,75 @@ def test_selftest(capsys):
     assert "failures: 0" in out
     for name in fixture_names():
         assert name in out
+
+
+def test_core_negative_cap_is_exit_2(capsys):
+    ctx = build_context(load_spec_file("bergen_grzeszczuk_p2.spec"))
+    with pytest.raises(core.CoreError, match="cap must be >= 0"):
+        core.stabilization_M(ctx.base, ctx.sd, ctx.ideals["I"], cap=-1)
+    assert main(["core", "bergen_grzeszczuk_p2.spec", "--ideal", "I", "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: cap must be >= 0, got -1\n"
+
+
+def test_theoremc_negative_cap_is_exit_2(capsys):
+    ctx = build_context(load_spec_file("bergen_grzeszczuk_p2.spec"))
+    with pytest.raises(core.CoreError, match="cap must be >= 0"):
+        core.theorem_c_procedure(ctx.base, ctx.sd, ctx.ideals["I"], cap=-1)
+    assert main(["theoremc", "bergen_grzeszczuk_p2.spec", "--ideal", "I", "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: cap must be >= 0, got -1\n"
+
+
+def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
+    # M strictly increases from 1, so the orbit-intersection loop never settles
+    exponents = iter(range(1, 100))
+
+    def rising(A, sd, I, cap=None):
+        return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
+
+    monkeypatch.setattr(core, "stabilization_M", rising)
+    assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "2"]) == 3
+    assert capsys.readouterr().out == "inconclusive at cap\n"
+    assert next(exponents) == 5  # cap + 2 rounds ran
+
+
+def test_orbit_cap_is_exit_3(monkeypatch, capsys):
+    def capped(I, sigma, cap=64):
+        raise finalg.OrbitCapExceeded(f"orbit cap {cap} exceeded")
+
+    monkeypatch.setattr(finalg, "sigma_orbit", capped)
+    assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inconclusive: orbit cap 64 exceeded\n"
+
+
+def _fresh_interpreter(code):
+    """Run code in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skewseries.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_sympy_stays_off_the_import_path():
+    out = _fresh_interpreter(
+        "import sys, skewseries, skewseries.cli\n"
+        "from skewseries.cli import main\n"
+        "assert main(['demo', 'iwasawa']) == 0\n"
+        "assert main(['theoremc', 'bergen_grzeszczuk_p3.spec', '--ideal', 'I']) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert out.endswith("\nFalse\n")
+
+
+def test_sympy_is_imported_when_a_centre_block_splits():
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from skewseries.finalg import central_idempotents, product_of_fields\n"
+        "print(central_idempotents(product_of_fields(None, 3)))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    F0, F1 = "Fraction(0, 1)", "Fraction(1, 1)"
+    assert out == (
+        f"[({F0}, {F0}, {F1}), ({F0}, {F1}, {F0}), ({F1}, {F0}, {F0})]\nTrue\n"
+    )
