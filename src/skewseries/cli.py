@@ -136,7 +136,7 @@ def parse_base_element(ring, text, lineno=0):
         term = term.strip()
         if not term:
             raise SpecError("empty term in element", lineno)
-        coef, idx = _parse_term(term, lineno, allow_x=False)
+        coef, idx, _ = _parse_term(term, lineno, allow_x=False)
         size = len(coeffs)
         if idx >= size:
             raise SpecError(f"t^{idx} out of range", lineno)
@@ -154,7 +154,7 @@ def parse_sps_element(S: SPSRing, text, lineno=0):
     rows = [[0] * size for _ in range(S.D)]
     for term in text.split("+"):
         term = term.strip()
-        coef, idx, xdeg = _parse_term(term, lineno, allow_x=True, with_x=True)
+        coef, idx, xdeg = _parse_term(term, lineno, allow_x=True)
         if xdeg >= S.D:
             raise SpecError(f"x^{xdeg} out of range", lineno)
         if idx >= size:
@@ -169,7 +169,7 @@ def parse_sps_element(S: SPSRing, text, lineno=0):
     return S.element(coeffs)
 
 
-def _parse_term(term, lineno, allow_x, with_x=False):
+def _parse_term(term, lineno, allow_x):
     coef = None
     tdeg = 0
     xdeg = 0
@@ -190,9 +190,7 @@ def _parse_term(term, lineno, allow_x, with_x=False):
         raise SpecError(f"term '{term}' has no coefficient", lineno)
     if coef.denominator == 1:
         coef = int(coef)
-    if with_x:
-        return coef, tdeg, xdeg
-    return coef, tdeg
+    return coef, tdeg, xdeg
 
 
 def parse_matrix(text, p, lineno=0):

@@ -108,8 +108,10 @@ def stabilization_M(
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
-    M is claimed only when the tail of the chain up to the cap is
-    constant; otherwise the report is flagged inconclusive.
+    M is claimed only when the chain is constant from M up to the cap
+    and M < cap, so at least one comparison backs it; otherwise
+    (including cap 0, which compares nothing) the report is flagged
+    inconclusive.
     """
     if cap is None:
         cap = default_cap(A)
@@ -130,17 +132,16 @@ def stabilization_M(
             M = m
         else:
             break
-    if M == cap and cap > 0 and cores[cap] != cores[cap - 1]:
-        M = None  # still moving at the cap
+    if M == cap:
+        M = None  # still moving at the cap, or nothing compared at cap 0
     report.M = M
     final = cores[cap]
     report.core = final
-    e = A.char ** (M if M is not None else cap)
-    sd_M = SkewDerivation(A, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
+    sd_M = pth_power(sd, M if M is not None else cap)
     report.flags["is ideal"] = final.is_ideal()
     report.flags["sigma^(p^M)-stable"] = is_sigma_stable(final, sd_M.sigma_matrix)
     report.flags["delta^(p^M)-stable"] = all(
-        final.contains(la.apply_map(sd_M.delta_matrix, v, A.p)) for v in final.basis
+        final.contains(sd_M.delta(v)) for v in final.basis
     )
     try:
         report.flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix)
@@ -205,24 +206,18 @@ def theorem_c_procedure(
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
         M_j = max(M_prev, rep.M)
-        orbit = sigma_orbit(P, la.map_power(sd.sigma_matrix, p**M_j, A.p))
-        I_next = orbit[0]
-        for Q in orbit[1:]:
-            I_next = ideal_intersection(I_next, Q)
+        I_next = _orbit_meet(P, sd.sigma_pow(p**M_j))
         if I_next == I_j and M_j == M_prev:
             break
         I_j, M_prev = I_next, M_j
     else:
         return None, None, {"inconclusive": True, "reports": reports}
     J, M = I_j, M_prev
-    sigma_M = la.map_power(sd.sigma_matrix, p**M, A.p)
-    delta_M = la.map_power(sd.delta_matrix, p**M, A.p)
+    sd_M = pth_power(sd, M)
     flags = {
-        "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sigma_M, zero),
+        "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero),
         "I is the sigma-orbit intersection of J": _orbit_meet(J, sd.sigma_matrix) == I,
-        "delta^(p^M)(J) <= J": all(
-            J.contains(la.apply_map(delta_M, v, A.p)) for v in J.basis
-        ),
+        "delta^(p^M)(J) <= J": all(J.contains(sd_M.delta(v)) for v in J.basis),
         "inconclusive": False,
         "reports": reports,
     }

@@ -43,7 +43,11 @@ def finv(a, p):
 
 
 def vec(entries, p) -> Vector:
-    return tuple(fnorm(c, p) for c in entries)
+    # From a list, not a generator: a tuple sized from a generator never
+    # comes off the interpreter's per-length free list but goes back onto
+    # it, so hot loops of short-lived vectors would pin 2,000 dead tuples
+    # of every length they use.
+    return tuple([fnorm(c, p) for c in entries])
 
 
 def zero_vec(n, p) -> Vector:

@@ -61,7 +61,8 @@ class SeriesRing:
         return [self.monomial(1, n) for n in range(self.T)]
 
     def add(self, a, b):
-        return tuple((x + y) % self.modulus for x, y in zip(a, b, strict=True))
+        # from a list, for the reason given at exactla.vec
+        return tuple([(x + y) % self.modulus for x, y in zip(a, b, strict=True)])
 
     def sub(self, a, b):
         return tuple((x - y) % self.modulus for x, y in zip(a, b, strict=True))
@@ -87,19 +88,6 @@ class SeriesRing:
 
     def is_central(self, a):
         return True
-
-    def is_unit(self, a) -> bool:
-        return a[0] % self.p != 0
-
-    def inverse(self, a):
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit")
-        b0 = pow(a[0], -1, self.modulus)
-        out = [b0] + [0] * (self.T - 1)
-        for n in range(1, self.T):
-            acc = sum(a[i] * out[n - i] for i in range(1, n + 1))
-            out[n] = (-b0 * acc) % self.modulus
-        return tuple(out)
 
     def random_element(self, rng):
         return tuple(rng.randrange(self.modulus) for _ in range(self.T))

@@ -103,36 +103,31 @@ class SPSRing:
 
     # -- multiplication -----------------------------------------------------
 
-    def _x_power_rows(self, s, imax):
-        """rows[i][k] = coefficient of x^k in x^i * s, for i <= imax."""
-        base, sd = self.base, self.sd
-        rows = [{0: s}]
-        for i in range(1, imax + 1):
-            prev = rows[-1]
-            row = {}
-            for k, c in prev.items():
-                shifted = sd.sigma(c)
-                if shifted != base.zero():
-                    row[k + 1] = base.add(row.get(k + 1, base.zero()), shifted)
-                lowered = sd.delta(c)
-                if lowered != base.zero():
-                    row[k] = base.add(row.get(k, base.zero()), lowered)
-            rows.append(row)
-        return rows
-
     def mul(self, f, g):
-        base = self.base
-        out = [base.zero()] * self.D
-        for j, s in enumerate(g):
-            if s == base.zero():
-                continue
-            rows = self._x_power_rows(s, self.D - 1 - j)
-            for i, r in enumerate(f):
-                if r == base.zero() or i + j >= self.D:
-                    continue
-                for k, c in rows[i].items():
-                    if k + j < self.D:
-                        out[k + j] = base.add(out[k + j], base.mul(r, c))
+        """f g = sum_i r_i h_i, where h_0 = g and h_i = x h_(i-1).
+
+        Coefficient k of x (sum c_k x^k) is sigma(c_(k-1)) + delta(c_k).
+        Terms of x-degree >= D are dropped; they lie in the staircase
+        ideal, which is stable under left multiplication by x and by R.
+        """
+        base, sd, zero = self.base, self.sd, self.base.zero()
+        out = [zero] * self.D
+        n = max((i + 1 for i, r in enumerate(f) if r != zero), default=0)
+        h = g
+        for i, r in enumerate(f[:n]):
+            if i:
+                step = [zero] * self.D
+                for k, c in enumerate(h):
+                    if c == zero:
+                        continue
+                    step[k] = base.add(step[k], sd.delta(c))
+                    if k + 1 < self.D:
+                        step[k + 1] = sd.sigma(c)
+                h = step
+            if r != zero:
+                for k, c in enumerate(h):
+                    if c != zero:
+                        out[k] = base.add(out[k], base.mul(r, c))
         return self.normalize(out)
 
     def power(self, f, n: int):

@@ -100,3 +100,26 @@ def permutation_group_algebra(p, gens):
 
     structure = [[basis_vec(tuple(g[i] for i in h)) for h in elements] for g in elements]
     return FinAlgebra(p, n, structure, basis_vec(identity))
+
+
+def naive_sps_mul(S, f, g):
+    """f g in S by the literal expansion sum_(i,j) r_i (x^i s_j) x^j.
+
+    Each x^i s_j is expanded exactly (x-degree <= i, nothing dropped),
+    shifted by x^j, and the sum is truncated and normalised once at the
+    end: the reference SPSRing.mul is compared against.
+    """
+    base, sd = S.base, S.sd
+    out = [base.zero()] * (2 * S.D - 1)
+    for j, s in enumerate(g):
+        rows = [{0: s}]  # rows[i][k] = coefficient of x^k in x^i s
+        for _ in range(1, S.D):
+            row = {}
+            for k, c in rows[-1].items():
+                row[k + 1] = base.add(row.get(k + 1, base.zero()), sd.sigma(c))
+                row[k] = base.add(row.get(k, base.zero()), sd.delta(c))
+            rows.append(row)
+        for i, r in enumerate(f):
+            for k, c in rows[i].items():
+                out[k + j] = base.add(out[k + j], base.mul(r, c))
+    return S.normalize(out)

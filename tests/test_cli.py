@@ -186,6 +186,15 @@ def test_theoremc_negative_cap_is_exit_2(capsys):
     assert capsys.readouterr().err == "error: cap must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["core", "theoremc"])
+def test_cap_zero_is_exit_3(command, capsys):
+    # the true M is 1; a cap of 0 compares no two cores, so nothing is claimed
+    assert main([command, "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "0"]) == 3
+    out = capsys.readouterr().out
+    assert "M: 0" not in out and "delta^(p^M)(J) <= J" not in out
+    assert ("M: inconclusive at cap 0" if command == "core" else "inconclusive at cap") in out
+
+
 def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
     # M strictly increases from 1, so the orbit-intersection loop never settles
     exponents = iter(range(1, 100))

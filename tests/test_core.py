@@ -111,6 +111,19 @@ def test_stabilization_inconclusive_at_small_cap():
     assert "inconclusive" in report.serialize()
 
 
+def test_stabilization_cap_zero_compares_nothing():
+    # one core, no comparison: inconclusive whether the true M is 1 or 0
+    A, sd, I = bg_instance(3)
+    report = stabilization_M(A, sd, I, cap=0)
+    assert report.M is None and report.chain == [(0, 0)]
+    assert report.serialize().splitlines()[2] == "M: inconclusive at cap 0"
+    A = truncated_poly_algebra(3, 3)
+    trivial = SkewDerivation.identity(A)
+    assert stabilization_M(A, trivial, ideal_generated(A, [A.basis_vec(1)]), cap=0).M is None
+    J, M, flags = theorem_c_procedure(*bg_instance(3), cap=0)
+    assert J is None and M is None and flags["inconclusive"]
+
+
 def test_core_report_serialize_deterministic():
     A, sd, I = bg_instance(3)
     a = stabilization_M(A, sd, I).serialize()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from skewseries.coeffcore import ExtInt, INFINITY
-from skewseries.filtration import ChainFiltration
+from skewseries.filtration import AdicFiltration, ChainFiltration
 from skewseries.finalg import ideal_generated, truncated_poly_algebra
 from skewseries.series import SeriesRing
 from skewseries.skewder import SkewDerivation
@@ -21,7 +21,7 @@ from skewseries.sps import (
     tpow_demo,
 )
 
-from helpers import ddx_derivation
+from helpers import ddx_derivation, naive_sps_mul
 
 
 def x_adic_chain(A, n):
@@ -54,6 +54,63 @@ def test_commutation_rule_iwasawa():
     expected = S.add(S.constant(S.sd.delta(S.base.gen())),
                      S.mul(S.constant(S.sd.sigma(S.base.gen())), S.x()))
     assert prod == expected
+
+
+def z4_iwasawa_type(T=6, D=5):
+    """(Z/4)[t]/(t^T) with sigma(t) = (1+t)^3 - 1, delta = sigma - id."""
+    R = SeriesRing(2, T, k=2)
+    one_plus_t = R.add(R.one(), R.gen())
+    sigma_t = R.sub(R.mul(R.mul(one_plus_t, one_plus_t), one_plus_t), R.one())
+    sd = SkewDerivation.from_gen_images(R, sigma_t, R.sub(sigma_t, R.gen()))
+    return SPSRing(R, sd, AdicFiltration(R), D)
+
+
+def d1_ring():
+    S = tpow_demo(3, 4, 2)
+    return SPSRing(S.base, S.sd, S.u, 1)
+
+
+def quotient_ring():
+    S = quotient_setting()
+    return quotient_sps(S, ideal_generated(S.base, [S.base.basis_vec(1)]))[0]
+
+
+DIFFERENTIAL_RINGS = {
+    **{
+        f"{demo.__name__}-p{p}-D{D}": (lambda demo=demo, p=p, D=D: demo(p, 8, D))
+        for demo in (iwasawa_demo, tpow_demo)
+        for p in (2, 3)
+        for D in (2, 5, 12)
+    },
+    "D1": d1_ring,
+    "z4-series": z4_iwasawa_type,
+    "chain-filtered": quotient_setting,
+    "chain-filtered-quotient": quotient_ring,
+}
+
+
+def sparse_element(S, rng):
+    """Few nonzero x-coefficients, each with few nonzero base entries."""
+    coeffs = []
+    for _ in range(S.D):
+        r = S.base.random_element(rng)
+        if rng.random() < 0.6:
+            r = tuple(0 * c for c in r)
+        coeffs.append(tuple(c if rng.random() < 0.4 else 0 * c for c in r))
+    return S.element(coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_RINGS))
+def test_mul_matches_naive_expansion(name):
+    S = DIFFERENTIAL_RINGS[name]()
+    rng = random.Random(name)
+    for make in (S.random_element, lambda rng: sparse_element(S, rng)):
+        for _ in range(4):
+            f, g = make(rng), make(rng)
+            assert S.mul(f, g) == naive_sps_mul(S, f, g)
+    x = S.x() if S.D > 1 else S.one()
+    for f, g in ((S.one(), x), (x, S.one()), (S.zero(), x), (x, x)):
+        assert S.mul(f, g) == naive_sps_mul(S, f, g)
 
 
 def test_unit_laws():
