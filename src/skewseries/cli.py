@@ -217,6 +217,12 @@ def parse_vectors(text, p, lineno=0):
     return vectors
 
 
+def _check_dim(vectors, dim, key):
+    if any(len(v) != dim for v in vectors):
+        raise SpecError(f"{key} needs vectors of {dim} coordinates (the ring dimension)")
+    return vectors
+
+
 # -- context construction -------------------------------------------------------
 
 
@@ -288,13 +294,19 @@ def build_context(spec: SpecFile) -> Context:
             structure = [
                 [flat[i * dim + j] for j in range(dim)] for i in range(dim)
             ]
-            unit = parse_vectors(unit_text, p)[0]
+            units = _check_dim(parse_vectors(unit_text, p), dim, "unit")
+            if len(units) != 1:
+                raise SpecError("unit must be one vector")
+            unit = units[0]
             base = FinAlgebra(p, dim, structure, unit)
         sigma_text = spec.get("skew", "sigma")
         delta_text = spec.get("skew", "delta")
         if sigma_text is not None and delta_text is not None:
             sigma = parse_matrix(sigma_text, base.p)
             delta = parse_matrix(delta_text, base.p)
+            for key, m in (("sigma", sigma), ("delta", delta)):
+                if len(m) != base.dim:
+                    raise SpecError(f"{key} must be a {base.dim}x{base.dim} matrix")
             sd = SkewDerivation(base, sigma, delta)
         else:
             sg = spec.get("skew", "sigma_gen")
@@ -307,7 +319,8 @@ def build_context(spec: SpecFile) -> Context:
         levels_text = spec.get("filtration", "levels")
         if levels_text is not None:
             levels = [
-                parse_vectors(lvl, base.p) for lvl in levels_text.split("|")
+                _check_dim(parse_vectors(lvl, base.p), base.dim, "levels")
+                for lvl in levels_text.split("|")
             ]
             u = ChainFiltration(base, levels)
         else:
@@ -320,7 +333,7 @@ def build_context(spec: SpecFile) -> Context:
     ideals = {}
     if isinstance(base, FinAlgebra):
         for key, value in spec.items("ideals"):
-            gens = parse_vectors(value, base.p)
+            gens = _check_dim(parse_vectors(value, base.p), base.dim, f"ideal {key}")
             ideals[key] = ideal_generated(base, gens)
 
     elements = {}

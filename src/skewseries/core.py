@@ -20,8 +20,7 @@ from .finalg import (
     AlgebraError,
     FinAlgebra,
     IdealSubspace,
-    apply_to_ideal,
-    ideal_intersection,
+    ideal_meet,
     is_sigma_prime,
     is_sigma_stable,
     minimal_primes_over,
@@ -45,28 +44,36 @@ def default_cap(A: FinAlgebra) -> int:
 def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubspace:
     """Largest (sigma, delta)-ideal contained in the sigma-ideal I.
 
-    Greatest fixed point of K -> K meet sigma^{-1}K meet delta^{-1}K meet
-    the multiplication preimages, computed by exact linear algebra.
+    Computed as K, the greatest fixed point of K -> K meet sigma^{-1}K
+    meet delta^{-1}K starting from I: the largest subspace of I stable
+    under sigma and delta, i.e. the a with w(a) in I for every word w in
+    sigma and delta.  K is already an ideal.  From sigma(ab) =
+    sigma(a)sigma(b) and delta(ab) = delta(a)b + sigma(a)delta(b), every
+    word satisfies w(ab) = sum u(a)v(b) with u, v words, so if a lies in
+    K then w(ra) and w(ar) lie in the two-sided ideal I for every r.
+
+    K is returned only when it is an ideal, which makes it the answer
+    whatever I and (sigma, delta) are: every (sigma, delta)-ideal inside
+    I is a stable subspace of I, hence inside K.
     """
     if not is_sigma_stable(I, sd.sigma_matrix):
         raise CoreError("ideal is not sigma-stable")
     p = A.p
-    mult_maps = [A.left_mult_matrix(e) for e in A.basis()]
-    mult_maps += [A.right_mult_matrix(e) for e in A.basis()]
     current = I.basis
-    while True:
-        if not current:
-            break
+    while current:
         new = current
-        for m in [sd.sigma_matrix, sd.delta_matrix] + mult_maps:
-            pre = la.preimage(m, current, p)
-            new = la.subspace_intersection(new, pre, p)
-            if not new:
-                break
+        for m in (sd.sigma_matrix, sd.delta_matrix):
+            new = la.subspace_intersection(new, la.preimage(m, current, p), p)
         if new == current:
             break
         current = new
-    return IdealSubspace(A, la.span(list(current), p) if current else ())
+    K = IdealSubspace(A, current)
+    if not K.is_ideal():
+        raise CoreError(
+            "the (sigma, delta)-stable part of I is not an ideal: "
+            "I is not a two-sided ideal or (sigma, delta) is not a skew derivation"
+        )
+    return K
 
 
 def delta_pm_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int) -> IdealSubspace:
@@ -206,7 +213,7 @@ def theorem_c_procedure(
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
         M_j = max(M_prev, rep.M)
-        I_next = _orbit_meet(P, sd.sigma_pow(p**M_j))
+        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(p**M_j)))
         if I_next == I_j and M_j == M_prev:
             break
         I_j, M_prev = I_next, M_j
@@ -216,20 +223,12 @@ def theorem_c_procedure(
     sd_M = pth_power(sd, M)
     flags = {
         "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero),
-        "I is the sigma-orbit intersection of J": _orbit_meet(J, sd.sigma_matrix) == I,
+        "I is the sigma-orbit intersection of J": ideal_meet(sigma_orbit(J, sd.sigma_matrix)) == I,
         "delta^(p^M)(J) <= J": all(J.contains(sd_M.delta(v)) for v in J.basis),
         "inconclusive": False,
         "reports": reports,
     }
     return J, M, flags
-
-
-def _orbit_meet(J: IdealSubspace, sigma) -> IdealSubspace:
-    orbit = sigma_orbit(J, sigma)
-    meet = orbit[0]
-    for Q in orbit[1:]:
-        meet = ideal_intersection(meet, Q)
-    return meet
 
 
 def _rational_scalar(A: FinAlgebra, q):

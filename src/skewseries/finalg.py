@@ -9,6 +9,7 @@ sigma-prime testing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,9 +134,6 @@ class FinAlgebra:
         """Map v -> a*v in the row-is-image convention."""
         return tuple(self.mul(a, e) for e in self.basis())
 
-    def right_mult_matrix(self, a):
-        return tuple(self.mul(e, a) for e in self.basis())
-
     def __repr__(self):
         field = "Q" if self.p is None else f"F_{self.p}"
         return f"FinAlgebra(dim={self.dim}, field={field})"
@@ -152,8 +150,13 @@ class IdealSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def pivots(self) -> tuple:
+        """Pivot columns of the rref basis: each row's first nonzero entry."""
+        return tuple(next(c for c, x in enumerate(row) if x != 0) for row in self.basis)
+
     def contains(self, v) -> bool:
-        return la.subspace_contains(self.basis, v, self.parent.p)
+        return la.contains(self.basis, self.pivots, v, self.parent.p)
 
     def contains_ideal(self, other: "IdealSubspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -204,6 +207,11 @@ def ideal_intersection(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
     return IdealSubspace(
         I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p)
     )
+
+
+def ideal_meet(ideals) -> IdealSubspace:
+    """Intersection of a nonempty list of ideals."""
+    return functools.reduce(ideal_intersection, ideals)
 
 
 def ideal_product(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
@@ -281,7 +289,7 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
     coset coordinates and lift picks the canonical coset representative.
     """
     p = A.p
-    basis, pivots = la.rref(I.basis, p) if I.basis else ((), ())
+    basis, pivots = I.basis, I.pivots
     free_cols = [c for c in range(A.dim) if c not in pivots]
     qdim = len(free_cols)
     if qdim == 0:
@@ -528,17 +536,11 @@ def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64) -> bool:
         raise AlgebraError("ideal is not sigma-stable")
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
-    B, projB, _ = quotient_algebra(A, I)
-    if radical(B).dim != 0:
-        return False
     primes = minimal_primes_over(A, I)
     orbit = sigma_orbit(primes[0], sigma, cap=cap)
     if sorted(orbit, key=lambda J: J.basis) != primes:
         return False
-    meet = primes[0]
-    for P in primes[1:]:
-        meet = ideal_intersection(meet, P)
-    return meet == I
+    return ideal_meet(primes) == I
 
 
 def minimal_sigma_primes(
@@ -555,9 +557,7 @@ def minimal_sigma_primes(
             continue
         orbit = sigma_orbit(P, sigma, cap=cap)
         seen.update(orbit)
-        meet = orbit[0]
-        for Q in orbit[1:]:
-            meet = ideal_intersection(meet, Q)
+        meet = ideal_meet(orbit)
         if meet not in results:
             results.append(meet)
     # Only keep the minimal ones among the orbit intersections.

@@ -95,12 +95,6 @@ class SPSRing:
     def neg(self, f):
         return self.normalize(self.base.neg(a) for a in f)
 
-    def int_mul(self, n, f):
-        return self.normalize(self.base.int_mul(n, a) for a in f)
-
-    def is_zero(self, f) -> bool:
-        return f == self.zero()
-
     # -- multiplication -----------------------------------------------------
 
     def mul(self, f, g):

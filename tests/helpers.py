@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import skewseries.exactla as la
-from skewseries.finalg import FinAlgebra, product_of_fields, truncated_poly_algebra
+from skewseries.finalg import FinAlgebra, product_of_fields, subspace, truncated_poly_algebra
 from skewseries.skewder import SkewDerivation
 
 
@@ -123,3 +123,26 @@ def naive_sps_mul(S, f, g):
             for k, c in rows[i].items():
                 out[k + j] = base.add(out[k + j], base.mul(r, c))
     return S.normalize(out)
+
+
+def naive_delta_core(A, sd, I):
+    """Largest (sigma, delta)-ideal inside I, with no reliance on I being an ideal.
+
+    Greatest fixed point of K -> K meet sigma^{-1}K meet delta^{-1}K meet
+    the preimages of K under every left and right multiplication by a
+    basis element: the reference delta_core is compared against.
+    """
+    p = A.p
+    maps = [sd.sigma_matrix, sd.delta_matrix]
+    for e in A.basis():
+        maps.append(tuple(A.mul(e, f) for f in A.basis()))
+        maps.append(tuple(A.mul(f, e) for f in A.basis()))
+    current = I.basis
+    while current:
+        new = current
+        for m in maps:
+            new = la.subspace_intersection(new, la.preimage(m, current, p), p)
+        if new == current:
+            break
+        current = new
+    return subspace(A, current)

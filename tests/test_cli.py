@@ -153,6 +153,45 @@ def test_incompatible_pair_is_refused_not_multiplied(tmp_path, capsys):
     assert "compatible: False" in capsys.readouterr().out
 
 
+SIZED_FINALG = """sps-spec 1
+
+[ring]
+kind = finalg
+p = 2
+dim = 2
+structure = 1 0, 0 1, 0 1, 0 0
+unit = 1 0
+
+[skew]
+sigma = 1 0; 0 1
+delta = 0 0; 1 0
+
+[filtration]
+levels = 1 0, 0 1 | 0 1 | -
+
+[ideals]
+I = 0 1
+"""
+
+
+@pytest.mark.parametrize("line,bad,message", [
+    ("unit = 1 0", "unit = 1 0 0", "unit needs vectors of 2 coordinates"),
+    ("sigma = 1 0; 0 1", "sigma = 1 0 0; 0 1 0; 0 0 1", "sigma must be a 2x2 matrix"),
+    ("delta = 0 0; 1 0", "delta = 0", "delta must be a 2x2 matrix"),
+    ("levels = 1 0, 0 1 | 0 1 | -", "levels = 1 0, 0 1 | 0 1 0 | -",
+     "levels needs vectors of 2 coordinates"),
+    ("I = 0 1", "I = 0 1 0", "ideal I needs vectors of 2 coordinates"),
+])
+def test_spec_sizes_are_checked_per_key(tmp_path, capsys, line, bad, message):
+    spec = tmp_path / "sized.spec"
+    spec.write_text(SIZED_FINALG)
+    assert main(["core", str(spec), "--ideal", "I"]) == 0
+    capsys.readouterr()
+    spec.write_text(SIZED_FINALG.replace(line, bad))
+    assert main(["core", str(spec), "--ideal", "I"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_spec_is_exit_2(capsys):
     assert main(["verify", "does_not_exist.spec"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -14,14 +14,23 @@ from skewseries.core import (
     theorem_c_procedure,
 )
 from skewseries.finalg import (
+    FinAlgebra,
     ideal_generated,
+    minimal_primes_over,
     product_of_fields,
+    radical,
     subspace,
     truncated_poly_algebra,
 )
-from skewseries.skewder import SkewDerivation, check_skew_derivation
+from skewseries.skewder import SkewDerivation, check_skew_derivation, pth_power
 
-from helpers import ddx_derivation, perm_skew, random_char0_instance
+from helpers import (
+    ddx_derivation,
+    naive_delta_core,
+    perm_skew,
+    permutation_group_algebra,
+    random_char0_instance,
+)
 
 
 def bg_instance(p):
@@ -72,6 +81,93 @@ def test_delta_core_is_maximal_evidence():
         )
         if stable:
             assert all(core.contains(v) for v in K.basis)
+
+
+def conjugation_skew(A, u):
+    """(sigma, sigma - id) with sigma(a) = u a u^(-1), for a unit u of finite order."""
+    u_inv = u
+    while A.mul(u_inv, u) != A.one():
+        u_inv = A.mul(u_inv, u)
+    sigma = tuple(A.mul(A.mul(u, e), u_inv) for e in A.basis())
+    return SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(A.dim, A.p), A.p))
+
+
+def square_zero_instance():
+    """F_2 + m with m = span{Y, Z, W} and m^2 = 0; sigma swaps Y, Z and delta(Z) = W.
+
+    Every subspace of m is an ideal.  I = span{Y, Z} is sigma-stable, and
+    its largest delta-stable subspace span{Y} is not, so the core is 0.
+    """
+    structure = [[tuple(int(k == i + j) if 0 in (i, j) else 0 for k in range(4))
+                  for j in range(4)] for i in range(4)]
+    A = FinAlgebra(2, 4, structure, (1, 0, 0, 0))
+    sigma = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    delta = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+    return A, SkewDerivation(A, sigma, delta), subspace(A, [A.basis_vec(1), A.basis_vec(2)])
+
+
+S3 = [(1, 0, 2), (1, 2, 0)]
+A4 = [(1, 2, 0, 3), (1, 0, 3, 2)]
+
+
+def test_delta_core_matches_naive_on_fixed_instances():
+    A, sd, I = square_zero_instance()
+    assert check_skew_derivation(sd).valid and not sd.commuting
+    assert delta_core(A, sd, I).dim == 0 == naive_delta_core(A, sd, I).dim
+    # bg_instance is a derivation only for p = 2; the certified core needs no validity
+    cases = []
+    for p in (2, 3, 5):
+        A, sd, I = bg_instance(p)
+        cases.append((A, sd, [I, subspace(A, []), ideal_generated(A, [A.one()])]))
+    for p, gens in ((2, S3), (3, A4)):
+        A = permutation_group_algebra(p, gens)
+        sd = conjugation_skew(A, A.basis_vec(1))  # conjugation by the first generator
+        assert check_skew_derivation(sd).valid
+        zero = subspace(A, [])
+        augmentation = ideal_generated(A, [A.sub(A.basis_vec(i), A.one()) for i in (1, 2)])
+        ideals = [zero, radical(A), augmentation, ideal_generated(A, [A.one()])]
+        cases.append((A, sd, ideals + minimal_primes_over(A, zero)))
+    for A, sd, ideals in cases:
+        for pair in (sd, pth_power(sd, 1)):
+            for I in ideals:
+                assert delta_core(A, pair, I) == naive_delta_core(A, pair, I)
+
+
+def test_delta_core_matches_naive_on_noncommuting_pairs():
+    # F_p[X]/(X^n), sigma(X) = uX + ..., delta(X) random, against every (X^k)
+    rng = random.Random(5)
+    pairs = moved = 0
+    while pairs < 40:
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(3, 6)
+        A = truncated_poly_algebra(p, n)
+        X = A.basis_vec(1)
+        sg = A.element([0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)])
+        dg = A.random_element(rng)
+        sd = SkewDerivation.from_gen_images(A, sg, dg)
+        if sd.commuting or not check_skew_derivation(sd).valid:
+            continue
+        if ideal_generated(A, [A.sub(X, sg)]).contains(dg):
+            continue  # inner, delta = t(id - sigma): it fixes every sigma-stable ideal
+        pairs += 1
+        for k in range(n + 1):
+            I = ideal_generated(A, [A.basis_vec(k)] if k < n else [])
+            core = delta_core(A, sd, I)
+            assert core == naive_delta_core(A, sd, I)
+            moved += core != I
+    assert moved > 0
+
+
+def test_delta_core_refuses_a_non_ideal_answer():
+    A = truncated_poly_algebra(2, 3)
+    X = A.basis_vec(1)
+    # span{X} is stable under sigma = id and delta = 0, but X * X = X^2 escapes it
+    with pytest.raises(CoreError, match="I is not a two-sided ideal"):
+        delta_core(A, SkewDerivation.identity(A), subspace(A, [X]))
+    # (X) is an ideal, but delta(X^2) = 1, delta(X) = 0 breaks the Leibniz rule
+    not_derivation = SkewDerivation(A, la.identity_map(3, 2), ((0, 0, 0), (0, 0, 0), (1, 0, 0)))
+    with pytest.raises(CoreError, match="not a skew derivation"):
+        delta_core(A, not_derivation, ideal_generated(A, [X]))
 
 
 def test_delta_pm_core():

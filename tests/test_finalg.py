@@ -150,6 +150,9 @@ def test_is_sigma_prime():
     assert is_sigma_prime(maximal, ident)
     assert is_sigma_prime(zero, swap_matrix())
     assert not is_sigma_prime(zero, ident)
+    # A/0 has a nonzero radical: the one minimal prime (X) meets to (X), not 0
+    tpoly = truncated_poly_algebra(2, 2)
+    assert not is_sigma_prime(subspace(tpoly, []), ident)
     with pytest.raises(AlgebraError):
         I = subspace(A, [A.basis_vec(0)])
         is_sigma_prime(I, swap_matrix())  # not sigma-stable
