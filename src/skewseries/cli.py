@@ -4,7 +4,8 @@ Reads line-oriented spec files (versioned grammar ``sps-spec 1``),
 builds the described rings, skew derivations, filtrations and elements,
 and dispatches deterministic report-producing commands.  Exit codes:
 0 = success / property holds, 1 = property refuted (with witness),
-2 = usage or spec error, 3 = inconclusive (a cap was reached).
+2 = usage or spec error, 3 = inconclusive (a cap was reached),
+4 = implementation error (an internal consistency check failed).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .filtration import (
     endo_degree,
     is_compatible,
 )
-from .finalg import FinAlgebra, OrbitCapExceeded, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
+from .finalg import FinAlgebra, ImplementationError, OrbitCapExceeded, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
 from .series import SeriesRing
 from .skewder import SkewDerivation, check_skew_derivation
 from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_iso_check, iwasawa_demo, tpow_demo
@@ -40,10 +41,25 @@ SECTION_ORDER = ("ring", "skew", "filtration", "ideals", "elements")
 
 
 class SpecError(Exception):
-    def __init__(self, message, line=0, column=1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    """A spec mistake; ``line`` is None when no spec line is to blame."""
+
+    def __init__(self, message, line=None, column=1):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class SpecValue(str):
+    """A value string that remembers the spec line it was read from."""
+
+    def __new__(cls, text, line):
+        value = super().__new__(cls, text)
+        value.line = line
+        return value
+
+
+def _line(text):
+    return getattr(text, "line", None)
 
 
 @dataclass
@@ -86,7 +102,7 @@ def parse_spec(text: str) -> SpecFile:
         if "=" not in line:
             raise SpecError("expected 'key = value'", lineno, len(line))
         key, value = line.split("=", 1)
-        spec.sections[current].append((key.strip(), value.strip(), lineno))
+        spec.sections[current].append((key.strip(), SpecValue(value.strip(), lineno), lineno))
     if "ring" not in spec.sections:
         raise SpecError("missing [ring] section", len(lines))
     return spec
@@ -107,14 +123,14 @@ def serialize_spec(spec: SpecFile) -> str:
 # -- value parsers -------------------------------------------------------------
 
 
-def _int(value, lineno=0):
+def _int(value, lineno=None):
     try:
         return int(value)
     except ValueError:
-        raise SpecError(f"expected an integer, got '{value}'", lineno) from None
+        raise SpecError(f"expected an integer, got '{value}'", lineno or _line(value)) from None
 
 
-def _scalar(token, p, lineno=0):
+def _scalar(token, p, lineno):
     token = token.strip()
     try:
         if p is None:
@@ -124,8 +140,9 @@ def _scalar(token, p, lineno=0):
         raise SpecError(f"bad scalar '{token}'", lineno) from None
 
 
-def parse_base_element(ring, text, lineno=0):
+def parse_base_element(ring, text):
     """Sparse monomial list: 'coef*t^a + coef*t^a', t^a optional."""
+    lineno = _line(text)
     if hasattr(ring, "modulus"):
         coeffs = [0] * ring.T
         mod = ring.modulus
@@ -148,7 +165,8 @@ def parse_base_element(ring, text, lineno=0):
     return tuple(coeffs)
 
 
-def parse_sps_element(S: SPSRing, text, lineno=0):
+def parse_sps_element(S: SPSRing, text):
+    lineno = _line(text)
     base = S.base
     size = base.T if hasattr(base, "T") else base.dim
     rows = [[0] * size for _ in range(S.D)]
@@ -193,19 +211,20 @@ def _parse_term(term, lineno, allow_x):
     return coef, tdeg, xdeg
 
 
-def parse_matrix(text, p, lineno=0):
+def parse_matrix(text, p):
     rows = []
     for row_text in text.split(";"):
         entries = [
-            _scalar(tok, p, lineno) for tok in row_text.split() if tok.strip()
+            _scalar(tok, p, _line(text)) for tok in row_text.split() if tok.strip()
         ]
         rows.append(tuple(la.fnorm(e, p) for e in entries))
     if any(len(r) != len(rows) for r in rows):
-        raise SpecError("matrix is not square", lineno)
+        raise SpecError("matrix is not square", _line(text))
     return tuple(rows)
 
 
-def parse_vectors(text, p, lineno=0):
+def parse_vectors(text, p, lineno=None):
+    lineno = lineno or _line(text)
     vectors = []
     for vec_text in text.split(","):
         vec_text = vec_text.strip()
@@ -217,9 +236,12 @@ def parse_vectors(text, p, lineno=0):
     return vectors
 
 
-def _check_dim(vectors, dim, key):
+def _check_dim(text, p, dim, key, lineno=None):
+    """The vectors of text, each of the ring dimension."""
+    vectors = parse_vectors(text, p, lineno)
     if any(len(v) != dim for v in vectors):
-        raise SpecError(f"{key} needs vectors of {dim} coordinates (the ring dimension)")
+        raise SpecError(f"{key} needs vectors of {dim} coordinates (the ring dimension)",
+                        lineno or _line(text))
     return vectors
 
 
@@ -250,7 +272,7 @@ def build_context(spec: SpecFile) -> Context:
 
     if kind in ("series", "modp"):
         if not is_prime(p_num):
-            raise SpecError(f"p = {p_num} is not prime")
+            raise SpecError(f"p = {p_num} is not prime", _line(p_text))
         T = _int(spec.get("ring", "T", "1"))
         k = _int(spec.get("ring", "k", "1"))
         base = SeriesRing(p_num, T, k)
@@ -267,7 +289,7 @@ def build_context(spec: SpecFile) -> Context:
     elif kind == "finalg":
         p = None if p_num == 0 else p_num
         if p is not None and not is_prime(p):
-            raise SpecError(f"p = {p_num} is not prime")
+            raise SpecError(f"p = {p_num} is not prime", _line(p_text))
         preset = spec.get("ring", "preset")
         if preset:
             parts = preset.split()
@@ -278,35 +300,35 @@ def build_context(spec: SpecFile) -> Context:
                 "matrix": matrix_algebra,
             }
             if name not in builders:
-                raise SpecError(f"unknown preset '{name}'")
+                raise SpecError(f"unknown preset '{name}'", _line(preset))
             base = builders[name](p, n)
         else:
-            dim = _int(spec.get("ring", "dim", "0"))
+            dim_text = spec.get("ring", "dim", "0")
+            dim = _int(dim_text)
             if dim < 1:
-                raise SpecError("[ring] finalg needs dim or preset")
+                raise SpecError("[ring] finalg needs dim or preset", _line(dim_text))
             structure_text = spec.get("ring", "structure")
             unit_text = spec.get("ring", "unit")
             if structure_text is None or unit_text is None:
                 raise SpecError("[ring] finalg needs structure and unit")
             flat = parse_vectors(structure_text, p)
             if len(flat) != dim * dim or any(len(v) != dim for v in flat):
-                raise SpecError("structure must list dim*dim coordinate vectors")
+                raise SpecError("structure must list dim*dim coordinate vectors", _line(structure_text))
             structure = [
                 [flat[i * dim + j] for j in range(dim)] for i in range(dim)
             ]
-            units = _check_dim(parse_vectors(unit_text, p), dim, "unit")
+            units = _check_dim(unit_text, p, dim, "unit")
             if len(units) != 1:
-                raise SpecError("unit must be one vector")
+                raise SpecError("unit must be one vector", _line(unit_text))
             unit = units[0]
             base = FinAlgebra(p, dim, structure, unit)
         sigma_text = spec.get("skew", "sigma")
         delta_text = spec.get("skew", "delta")
         if sigma_text is not None and delta_text is not None:
-            sigma = parse_matrix(sigma_text, base.p)
-            delta = parse_matrix(delta_text, base.p)
-            for key, m in (("sigma", sigma), ("delta", delta)):
+            sigma, delta = parse_matrix(sigma_text, base.p), parse_matrix(delta_text, base.p)
+            for key, m, text in (("sigma", sigma, sigma_text), ("delta", delta, delta_text)):
                 if len(m) != base.dim:
-                    raise SpecError(f"{key} must be a {base.dim}x{base.dim} matrix")
+                    raise SpecError(f"{key} must be a {base.dim}x{base.dim} matrix", _line(text))
             sd = SkewDerivation(base, sigma, delta)
         else:
             sg = spec.get("skew", "sigma_gen")
@@ -319,21 +341,21 @@ def build_context(spec: SpecFile) -> Context:
         levels_text = spec.get("filtration", "levels")
         if levels_text is not None:
             levels = [
-                _check_dim(parse_vectors(lvl, base.p), base.dim, "levels")
+                _check_dim(lvl, base.p, base.dim, "levels", _line(levels_text))
                 for lvl in levels_text.split("|")
             ]
             u = ChainFiltration(base, levels)
         else:
             u = ChainFiltration(base, [[v for v in base.basis()], []])
     else:
-        raise SpecError(f"unknown ring kind '{kind}'")
+        raise SpecError(f"unknown ring kind '{kind}'", _line(kind))
 
     sps = SPSRing(base, sd, u, D) if D is not None else None
 
     ideals = {}
     if isinstance(base, FinAlgebra):
         for key, value in spec.items("ideals"):
-            gens = _check_dim(parse_vectors(value, base.p), base.dim, f"ideal {key}")
+            gens = _check_dim(value, base.p, base.dim, f"ideal {key}")
             ideals[key] = ideal_generated(base, gens)
 
     elements = {}
@@ -618,6 +640,9 @@ def main(argv=None) -> int:
     except OrbitCapExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except ImplementationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

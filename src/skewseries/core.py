@@ -20,6 +20,7 @@ from .finalg import (
     AlgebraError,
     FinAlgebra,
     IdealSubspace,
+    ImplementationError,
     ideal_meet,
     is_sigma_prime,
     is_sigma_stable,
@@ -132,7 +133,7 @@ def stabilization_M(
         report.chain.append((m, core_m.dim))
     for earlier, later in zip(cores, cores[1:]):
         if not later.contains_ideal(earlier):
-            raise CoreError("core chain is not ascending: implementation error")
+            raise ImplementationError("core chain is not ascending")
     M = None
     for m in range(cap, -1, -1):
         if cores[m] == cores[cap]:

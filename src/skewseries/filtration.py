@@ -178,7 +178,7 @@ def lemma16_check(w, sd: SkewDerivation, n: int) -> bool:
         raise FiltrationError("precondition failed: base has no prime p")
     mod = ring.scalar_mod
     ident = la.identity_map(ring.dim, mod)
-    p_times_one = ring.int_mul(p, ring.one())
+    p_times_one = ring.smul(p, ring.one())
     if w.value(p_times_one) < ExtInt(1):
         raise FiltrationError("precondition failed: w(p) < 1")
     shift = la.map_sub(sd.sigma_matrix, ident, mod)

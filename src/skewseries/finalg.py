@@ -25,6 +25,10 @@ class OrbitCapExceeded(AlgebraError):
     pass
 
 
+class ImplementationError(RuntimeError):
+    """An internal consistency check failed: a defect here, not bad input."""
+
+
 class FinAlgebra:
     """Associative unital algebra given by structure constants.
 
@@ -40,6 +44,7 @@ class FinAlgebra:
             tuple(la.vec(entry, p) for entry in row) for row in structure
         )
         self.unit = la.vec(unit, p)
+        self._zero = la.zero_vec(dim, p)
         if check:
             self._validate()
 
@@ -81,7 +86,7 @@ class FinAlgebra:
         return [self.basis_vec(i) for i in range(self.dim)]
 
     def zero(self):
-        return la.zero_vec(self.dim, self.p)
+        return self._zero
 
     def one(self):
         return self.unit
@@ -102,9 +107,6 @@ class FinAlgebra:
 
     def smul(self, c, a):
         return la.vscale(la.fnorm(c, self.p), a, self.p)
-
-    def int_mul(self, n, a):
-        return self.smul(la.fnorm(n, self.p), a)
 
     def mul(self, a, b):
         out = list(self.zero())
@@ -230,8 +232,8 @@ def apply_to_ideal(A: FinAlgebra, m, I: IdealSubspace) -> IdealSubspace:
 def radical(A: FinAlgebra) -> IdealSubspace:
     """Largest nilpotent two-sided ideal.
 
-    Over Q: kernel of the trace form (x, y) -> Tr(L_x L_y).  Over F_p:
-    the trace form fails in small characteristic, so we use the
+    Over Q: kernel of the trace form (x, y) -> Tr(L_x L_y) = Tr(L_xy).
+    Over F_p: the trace form fails in small characteristic, so we use the
     Friedl-Ronyai chain of trace-like kernels, computed on the left
     regular representation lifted to Z/p^(i+1) at step i.
     """
@@ -241,41 +243,50 @@ def radical(A: FinAlgebra) -> IdealSubspace:
 
 
 def _radical_char0(A: FinAlgebra) -> IdealSubspace:
-    reg = [A.left_mult_matrix(e) for e in A.basis()]
-    rows = []
-    for Lx in reg:
-        row = []
-        for Ly in reg:
-            prod = la.compose(Lx, Ly, None)
-            row.append(sum(prod[i][i] for i in range(A.dim)))
-        rows.append(tuple(Fraction(c) for c in row))
-    kernel = la.left_kernel(rows, None)
-    return IdealSubspace(A, la.span(list(kernel), None))
+    # L is a representation, so Tr(L_{e_a} L_{e_b}) = Tr(L_{e_a e_b}) =
+    # sum_k (e_a e_b)_k t_k with t_k = Tr(L_{e_k}) = sum_i (e_k e_i)_i.
+    n = A.dim
+    traces = [sum(A.structure[k][i][i] for i in range(n)) for k in range(n)]
+    rows = [
+        tuple(sum(c * t for c, t in zip(prod, traces)) for prod in row)
+        for row in A.structure
+    ]
+    return IdealSubspace(A, la.left_kernel(rows, None))
 
 
 def _radical_charp(A: FinAlgebra) -> IdealSubspace:
+    """Friedl-Ronyai levels I_i = {x in I_(i-1) : g_i(xy) = 0 for all y in A}.
+
+    g_i(x) = (Tr(L^_x^q) / q) mod p with q = p^i and L^_x the integer lift
+    of L_x; I_(-1) = A and the last level with q <= dim is the radical.
+    Cohen, Ivanyos and Wales (J. Pure Appl. Algebra 117, 1997) show that
+    g_i is linear on I_(i-1) (semilinear over F_(p^k); over F_p plainly
+    linear).  So g_i is computed once per rref basis vector x_k of
+    I_(i-1), and for the ideal element xy, g_i(xy) = sum_k (xy)[pivot_k]
+    g_i(x_k).  Row j of L_(x_k) is x_k e_j, the products the rows need.
+    """
     p = A.p
-    current = tuple(A.basis())  # rref basis of the current subspace
+    current, pivots = tuple(A.basis()), range(A.dim)  # rref basis of I_(i-1)
     i = 0
     while p**i <= A.dim:
         q = p**i
-        # Tr((L_x L_y)^q) is read only through tr % q and (tr // q) % p,
-        # both fixed by tr mod p^(i+1), and matrix powers commute with
-        # reduction, so the whole product can be taken mod p^(i+1).
-        mod = q * p
-        regs = [A.left_mult_matrix(v) for v in current]
-        rows = []
-        for Lx in regs:
-            row = []
-            for Ly in regs:
-                power = la.map_power(la.compose(Lx, Ly, mod), q, mod)
-                tr = sum(power[t][t] for t in range(A.dim))
-                if tr % q != 0:
-                    raise AlgebraError("trace-like functional not divisible: invalid input")
-                row.append((tr // q) % p)
-            rows.append(tuple(row))
+        # Tr(L^q) is read only through tr % q and (tr // q) % p, both
+        # fixed by tr mod p^(i+1), and matrix powers commute with
+        # reduction, so the power can be taken mod p^(i+1).
+        regs = [A.left_mult_matrix(x) for x in current]
+        g = []
+        for L in regs:
+            power = L if q == 1 else la.map_power(L, q, q * p)
+            tr = sum(power[t][t] for t in range(A.dim))
+            if tr % q != 0:
+                raise AlgebraError("trace-like functional not divisible: invalid input")
+            g.append((tr // q) % p)
+        rows = [
+            tuple(sum(xy[c] * gk for c, gk in zip(pivots, g, strict=True)) % p for xy in L)
+            for L in regs
+        ]
         coeff_kernel = la.left_kernel(rows, p)
-        current = la.span([la.apply_map(current, c, p) for c in coeff_kernel], p)
+        current, pivots = la.rref([la.apply_map(current, c, p) for c in coeff_kernel], p)
         if not current:
             break
         i += 1
@@ -458,7 +469,7 @@ def _block_unit(A, block):
         e = la.apply_map(block, c, p)
         if A.mul(e, e) == e:
             return e
-    raise AlgebraError("block has no unit: center decomposition failed")
+    raise ImplementationError("block has no unit: center decomposition failed")
 
 
 def minimal_primes_semisimple(A: FinAlgebra) -> list[IdealSubspace]:
@@ -496,17 +507,17 @@ def minimal_primes_over(A: FinAlgebra, I: IdealSubspace) -> list[IdealSubspace]:
 
 
 def is_automorphism(A: FinAlgebra, sigma) -> bool:
-    if not la.is_invertible(sigma, A.p):
+    p = A.p
+    if not la.is_invertible(sigma, p):
         return False
-    if la.apply_map(sigma, A.unit, A.p) != A.unit:
+    if la.apply_map(sigma, A.unit, p) != A.unit:
         return False
-    for e in A.basis():
-        for f in A.basis():
-            lhs = la.apply_map(sigma, A.mul(e, f), A.p)
-            rhs = A.mul(la.apply_map(sigma, e, A.p), la.apply_map(sigma, f, A.p))
-            if lhs != rhs:
-                return False
-    return True
+    images = [la.vec(row, p) for row in sigma]  # sigma(e_i)
+    return all(
+        la.apply_map(sigma, A.structure[i][j], p) == A.mul(images[i], images[j])
+        for i in range(A.dim)
+        for j in range(A.dim)
+    )
 
 
 def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64) -> list[IdealSubspace]:
@@ -573,74 +584,37 @@ def minimal_sigma_primes(
 
 def truncated_poly_algebra(p, n: int) -> FinAlgebra:
     """F_p[X]/(X^n) (or Q[X]/(X^n) for p=None) with basis 1, X, ..., X^(n-1)."""
-    structure = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = [0] * n
-            if i + j < n:
-                v[i + j] = 1
-            row.append(tuple(v))
-        structure.append(tuple(row))
-    unit = [1] + [0] * (n - 1)
-    return FinAlgebra(p, n, structure, unit)
+    structure = [[[int(k == i + j) for k in range(n)] for j in range(n)] for i in range(n)]
+    return FinAlgebra(p, n, structure, [1] + [0] * (n - 1))
 
 
 def product_of_fields(p, n: int) -> FinAlgebra:
     """F_p x ... x F_p (n factors), coordinatewise multiplication."""
-    structure = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = [0] * n
-            if i == j:
-                v[i] = 1
-            row.append(tuple(v))
-        structure.append(tuple(row))
+    structure = [[[int(k == i == j) for k in range(n)] for j in range(n)] for i in range(n)]
     return FinAlgebra(p, n, structure, [1] * n)
 
 
 def matrix_algebra(p, n: int) -> FinAlgebra:
     """Full n x n matrix algebra; basis e_{rc} ordered row-major."""
-    dim = n * n
-    idx = lambda r, c: r * n + c
-
-    structure = []
-    for a in range(dim):
-        r1, c1 = divmod(a, n)
-        row = []
-        for b in range(dim):
-            r2, c2 = divmod(b, n)
-            v = [0] * dim
-            if c1 == r2:
-                v[idx(r1, c2)] = 1
-            row.append(tuple(v))
-        structure.append(tuple(row))
-    unit = [0] * dim
-    for r in range(n):
-        unit[idx(r, r)] = 1
-    return FinAlgebra(p, dim, structure, unit)
+    cells = [divmod(a, n) for a in range(n * n)]  # (r, c) of each basis element
+    # e_{r1 c1} e_{r2 c2} is e_{r1 c2} when c1 = r2, else 0
+    structure = [[[int(c1 == r2 and k == r1 * n + c2) for k in range(n * n)] for r2, c2 in cells]
+                 for r1, c1 in cells]
+    return FinAlgebra(p, n * n, structure, [int(r == c) for r, c in cells])
 
 
 def direct_sum(A: FinAlgebra, B: FinAlgebra) -> FinAlgebra:
     if A.p != B.p:
         raise AlgebraError("field mismatch")
-    n, m = A.dim, B.dim
-    dim = n + m
-    structure = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            v = [la.fnorm(0, A.p)] * dim
-            if i < n and j < n:
-                prod = A.structure[i][j]
-                for k in range(n):
-                    v[k] = prod[k]
-            elif i >= n and j >= n:
-                prod = B.structure[i - n][j - n]
-                for k in range(m):
-                    v[n + k] = prod[k]
-            row.append(tuple(v))
-        structure.append(tuple(row))
-    unit = list(A.unit) + list(B.unit)
-    return FinAlgebra(A.p, dim, structure, unit, check=False)
+    n, dim = A.dim, A.dim + B.dim
+    zero = la.fnorm(0, A.p)
+
+    def product(i, j):  # e_i e_j in A + B
+        if i < n and j < n:
+            return A.structure[i][j] + (zero,) * B.dim
+        if i >= n and j >= n:
+            return (zero,) * n + B.structure[i - n][j - n]
+        return (zero,) * dim
+
+    structure = [[product(i, j) for j in range(dim)] for i in range(dim)]
+    return FinAlgebra(A.p, dim, structure, A.unit + B.unit, check=False)

@@ -57,7 +57,7 @@ def evaluate(expr: dict, sd, assignment: dict):
         for name, i, j in w:
             atom = sd.apply_delta_pow(sd.apply_sigma_pow(assignment[name], j), i)
             prod = ring.mul(prod, atom)
-        total = ring.add(total, ring.int_mul(c, prod))
+        total = ring.add(total, ring.smul(c, prod))
     return total
 
 

@@ -73,8 +73,6 @@ class SeriesRing:
     def smul(self, c, a):
         return tuple((c * x) % self.modulus for x in a)
 
-    int_mul = smul
-
     def mul(self, a, b):
         out = [0] * self.T
         for i, x in enumerate(a):

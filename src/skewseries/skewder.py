@@ -195,7 +195,7 @@ def delta_n_product(sd: SkewDerivation, a, b, n: int):
     for k in range(n + 1):
         left = sd.apply_delta_pow(sd.apply_sigma_pow(a, n - k), k)
         right = sd.apply_delta_pow(b, n - k)
-        term = ring.int_mul(math.comb(n, k), ring.mul(left, right))
+        term = ring.smul(math.comb(n, k), ring.mul(left, right))
         total = ring.add(total, term)
     return total
 
@@ -214,7 +214,7 @@ def trinomial_expand(sd: SkewDerivation, a, x, b, n: int):
         ta = sd.apply_delta_pow(sd.apply_sigma_pow(a, n - i), i)
         tx = sd.apply_delta_pow(sd.apply_sigma_pow(x, k), j)
         tb = sd.apply_delta_pow(b, k)
-        term = ring.int_mul(coeff, ring.mul(ring.mul(ta, tx), tb))
+        term = ring.smul(coeff, ring.mul(ring.mul(ta, tx), tb))
         total = ring.add(total, term)
     return total
 
@@ -253,7 +253,7 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
         raise SkewDerivationError("[r] and [s] share a common component")
     alpha = alpha_coeff(r, 0, s, p)
     lhs = sd.apply_delta_pow(ring.mul(ring.mul(a, x), b), r + s)
-    rhs = ring.int_mul(
+    rhs = ring.smul(
         alpha,
         ring.mul(
             ring.mul(

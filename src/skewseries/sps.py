@@ -315,7 +315,7 @@ def crossed_decompose(S: SPSRing, N: int, f):
     for k, r in enumerate(f):
         for j in range(k + 1):
             c = math.comb(k, j) * (-1) ** (k - j)
-            y_coeffs[j] = base.add(y_coeffs[j], base.int_mul(c, r))
+            y_coeffs[j] = base.add(y_coeffs[j], base.smul(c, r))
     # Split y^j = (x_N + 1)^q y^i with j = q e + i, expanding the binomial.
     width = (S.D - 1) // e + 1
     components = [[base.zero()] * width for _ in range(e)]
@@ -323,7 +323,7 @@ def crossed_decompose(S: SPSRing, N: int, f):
         q, i = divmod(j, e)
         for a in range(q + 1):
             c = math.comb(q, a)
-            components[i][a] = base.add(components[i][a], base.int_mul(c, s))
+            components[i][a] = base.add(components[i][a], base.smul(c, s))
     return components
 
 

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import skewseries.exactla as la
 from skewseries.finalg import FinAlgebra, product_of_fields, subspace, truncated_poly_algebra
-from skewseries.skewder import SkewDerivation
+from skewseries.skewder import SkewDerivation, check_skew_derivation
 
 
 def ddx_derivation(p, n):
-    """(id, d/dX) on F_p[X]/(X^n) (or Q for p=None)."""
+    """(id, d/dX) on F_p[X]/(X^n) (or Q for p=None).
+
+    A skew derivation only when p divides n, since d(X^n) = n X^(n-1);
+    some tests use the invalid pairs on purpose, so this does not check.
+    """
     A = truncated_poly_algebra(p, n)
     return A, SkewDerivation.from_gen_images(A, A.basis_vec(1), A.one())
 
@@ -39,7 +43,9 @@ def cor36_instance():
     A = exterior_square_f2()
     sigma = la.identity_map(4, 2)
     delta = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0))
-    return A, SkewDerivation(A, sigma, delta)
+    sd = SkewDerivation(A, sigma, delta)
+    assert check_skew_derivation(sd).valid
+    return A, sd
 
 
 def perm_skew(n, perm, lam):
@@ -51,7 +57,9 @@ def perm_skew(n, perm, lam):
         tuple(Fraction(lam) * (s - i) for s, i in zip(rs, ri))
         for rs, ri in zip(sigma, ident)
     )
-    return A, SkewDerivation(A, sigma, delta)
+    sd = SkewDerivation(A, sigma, delta)
+    assert check_skew_derivation(sd).valid
+    return A, sd
 
 
 def random_char0_instance(rng):
@@ -146,3 +154,100 @@ def naive_delta_core(A, sd, I):
             break
         current = new
     return subspace(A, current)
+
+
+def fr_functional(A, x, i):
+    """Friedl-Ronyai g_i(x) = (Tr(L^_x^q) / q) mod p, q = p^i, in plain integers.
+
+    L^_x is the lift of L_x with entries in 0..p-1; its q-th power is
+    taken over Z, with no reduction, so this is the definition itself.
+    """
+    p, q, n = A.p, A.p**i, A.dim
+
+    def matmul(a, b):
+        return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+    power, base = [[int(r == c) for c in range(n)] for r in range(n)], [list(r) for r in A.left_mult_matrix(x)]
+    while q:
+        if q & 1:
+            power = matmul(power, base)
+        base, q = matmul(base, base), q >> 1
+    tr = sum(power[t][t] for t in range(n))
+    assert tr % p**i == 0
+    return (tr // p**i) % p
+
+
+def upper_triangular_algebra(p, n):
+    """Upper-triangular n x n matrices; basis e_rc (r <= c) in row-major order."""
+    cells = [(r, c) for r in range(n) for c in range(r, n)]
+    index = {cell: k for k, cell in enumerate(cells)}
+
+    def basis_vec(cell):
+        return tuple(int(k == index.get(cell)) for k in range(len(cells)))
+
+    structure = [[basis_vec((r1, c2)) if c1 == r2 else basis_vec(None)
+                  for (r2, c2) in cells] for (r1, c1) in cells]
+    unit = [sum(v) for v in zip(*(basis_vec((r, r)) for r in range(n)))]
+    return FinAlgebra(p, len(cells), structure, unit)
+
+
+def relabel(A, rng):
+    """The same algebra in the basis f_m = s_m e_perm(m) with random signs s_m = +-1."""
+    n, p = A.dim, A.p
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+
+    def coords(v, s=1):
+        return tuple(s * sign[m] * v[perm[m]] for m in range(n))
+
+    structure = [[coords(A.structure[perm[i]][perm[j]], sign[i] * sign[j]) for j in range(n)]
+                 for i in range(n)]
+    return FinAlgebra(p, n, structure, coords(A.unit))
+
+
+def naive_radical_levels(A):
+    """Bases of the levels I_(-1) = A, I_0, ... of the pairwise radical over F_p.
+
+    Level i keeps the x in I_(i-1) with g_i(xy) = 0 for every y in
+    I_(i-1), computed as Tr((L_x L_y)^q) for every pair of basis vectors.
+    """
+    p = A.p
+    levels = [tuple(A.basis())]
+    i = 0
+    while p**i <= A.dim and levels[-1]:
+        q = p**i
+        mod = q * p
+        regs = [A.left_mult_matrix(v) for v in levels[-1]]
+        rows = []
+        for Lx in regs:
+            row = []
+            for Ly in regs:
+                power = la.map_power(la.compose(Lx, Ly, mod), q, mod)
+                tr = sum(power[t][t] for t in range(A.dim))
+                assert tr % q == 0
+                row.append((tr // q) % p)
+            rows.append(tuple(row))
+        coeff_kernel = la.left_kernel(rows, p)
+        levels.append(la.span([la.apply_map(levels[-1], c, p) for c in coeff_kernel], p))
+        i += 1
+    return levels
+
+
+def naive_radical(A):
+    """Radical by the pairwise trace forms: the reference radical is compared against.
+
+    Over Q the kernel of Tr(L_x L_y) over all pairs of basis vectors, each
+    product of regular matrices formed; over F_p the last pairwise level.
+    """
+    if A.p is not None:
+        return subspace(A, naive_radical_levels(A)[-1])
+    reg = [A.left_mult_matrix(e) for e in A.basis()]
+    rows = []
+    for Lx in reg:
+        row = []
+        for Ly in reg:
+            prod = la.compose(Lx, Ly, None)
+            row.append(sum(prod[i][i] for i in range(A.dim)))
+        rows.append(tuple(Fraction(c) for c in row))
+    return subspace(A, la.left_kernel(rows, None))

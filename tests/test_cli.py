@@ -189,7 +189,38 @@ def test_spec_sizes_are_checked_per_key(tmp_path, capsys, line, bad, message):
     capsys.readouterr()
     spec.write_text(SIZED_FINALG.replace(line, bad))
     assert main(["core", str(spec), "--ideal", "I"]) == 2
-    assert message in capsys.readouterr().err
+    lineno = SIZED_FINALG.splitlines().index(line) + 1
+    assert f"spec error: line {lineno}, column 1: {message}" in capsys.readouterr().err
+
+
+def test_spec_error_names_the_line_of_its_key(tmp_path, capsys):
+    text = fixture_text("bergen_grzeszczuk_p3.spec").replace(
+        "sigma = 1 0 0; 0 1 0; 0 0 1", "sigma = 1 0; 0 1")
+    spec = tmp_path / "small_sigma.spec"
+    spec.write_text(text)
+    assert main(["core", str(spec), "--ideal", "I"]) == 2
+    lineno = text.splitlines().index("sigma = 1 0; 0 1") + 1
+    assert lineno == 9
+    assert capsys.readouterr().err == "spec error: line 9, column 1: sigma must be a 3x3 matrix\n"
+    # a key that is absent has no line to name
+    spec.write_text(text.replace("preset = tpoly 3\n", ""))
+    assert main(["core", str(spec), "--ideal", "I"]) == 2
+    assert capsys.readouterr().err == "spec error: [ring] finalg needs dim or preset\n"
+
+
+@pytest.mark.parametrize("code,argv,stream,expected", [
+    (0, ["verify", "iwasawa_p2.spec"], "out", "skew axioms: valid"),
+    (1, ["verify", "bad_char0_derivation.spec"], "out", "skew axioms: Leibniz: witness (1, 1)"),
+    (2, ["verify", "does_not_exist.spec"], "err", "spec error: spec file not found: does_not_exist.spec\n"),
+    (3, ["core", "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "0"], "out", "M: inconclusive at cap 0"),
+    (4, ["core", "bergen_grzeszczuk_p3.spec", "--ideal", "I"], "err", "internal error: core chain is not ascending\n"),
+])
+def test_each_exit_code(monkeypatch, capsys, code, argv, stream, expected):
+    if code == 4:  # a core chain that shrinks, which stabilization_M must never see
+        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m: I if m == 0 else finalg.subspace(A, []))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert expected in (captured.out if stream == "out" else captured.err)
 
 
 def test_missing_spec_is_exit_2(capsys):

@@ -34,8 +34,13 @@ from helpers import (
 
 
 def bg_instance(p):
-    """F_p[X]/(X^2), sigma = id, delta = d/dX, I = (X)."""
-    A, sd = ddx_derivation(p, 2)
+    """F_p[X]/(X^p), sigma = id, delta = d/dX, I = (X).
+
+    d/dX is a derivation of F_p[X]/(X^n) only when p divides n, since
+    d(X^n) = n X^(n-1) must lie in (X^n).
+    """
+    A, sd = ddx_derivation(p, p)
+    assert check_skew_derivation(sd).valid
     I = ideal_generated(A, [A.basis_vec(1)])
     return A, sd, I
 
@@ -44,7 +49,9 @@ def swap_skew():
     B = product_of_fields(2, 2)
     swap = ((0, 1), (1, 0))
     delta = la.map_sub(swap, la.identity_map(2, 2), 2)
-    return B, SkewDerivation(B, swap, delta)
+    sd = SkewDerivation(B, swap, delta)
+    assert check_skew_derivation(sd).valid
+    return B, sd
 
 
 def test_delta_core_stable_ideal_is_itself():
@@ -89,7 +96,9 @@ def conjugation_skew(A, u):
     while A.mul(u_inv, u) != A.one():
         u_inv = A.mul(u_inv, u)
     sigma = tuple(A.mul(A.mul(u, e), u_inv) for e in A.basis())
-    return SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(A.dim, A.p), A.p))
+    sd = SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(A.dim, A.p), A.p))
+    assert check_skew_derivation(sd).valid
+    return sd
 
 
 def square_zero_instance():
@@ -103,7 +112,9 @@ def square_zero_instance():
     A = FinAlgebra(2, 4, structure, (1, 0, 0, 0))
     sigma = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
     delta = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-    return A, SkewDerivation(A, sigma, delta), subspace(A, [A.basis_vec(1), A.basis_vec(2)])
+    sd = SkewDerivation(A, sigma, delta)
+    assert check_skew_derivation(sd).valid
+    return A, sd, subspace(A, [A.basis_vec(1), A.basis_vec(2)])
 
 
 S3 = [(1, 0, 2), (1, 2, 0)]
@@ -112,17 +123,18 @@ A4 = [(1, 2, 0, 3), (1, 0, 3, 2)]
 
 def test_delta_core_matches_naive_on_fixed_instances():
     A, sd, I = square_zero_instance()
-    assert check_skew_derivation(sd).valid and not sd.commuting
+    assert not sd.commuting
     assert delta_core(A, sd, I).dim == 0 == naive_delta_core(A, sd, I).dim
-    # bg_instance is a derivation only for p = 2; the certified core needs no validity
+    # (id, d/dX) on F_p[X]/(X^2) is not a skew derivation for p = 3, 5
+    # (d(X^2) = 2X): kept on purpose, as the certified core needs no validity
     cases = []
     for p in (2, 3, 5):
-        A, sd, I = bg_instance(p)
+        A, sd = ddx_derivation(p, 2)
+        I = ideal_generated(A, [A.basis_vec(1)])
         cases.append((A, sd, [I, subspace(A, []), ideal_generated(A, [A.one()])]))
     for p, gens in ((2, S3), (3, A4)):
         A = permutation_group_algebra(p, gens)
         sd = conjugation_skew(A, A.basis_vec(1))  # conjugation by the first generator
-        assert check_skew_derivation(sd).valid
         zero = subspace(A, [])
         augmentation = ideal_generated(A, [A.sub(A.basis_vec(i), A.one()) for i in (1, 2)])
         ideals = [zero, radical(A), augmentation, ideal_generated(A, [A.one()])]
@@ -184,7 +196,7 @@ def test_stabilization_bg():
         A, sd, I = bg_instance(p)
         report = stabilization_M(A, sd, I)
         assert report.conclusive and report.M == 1
-        assert report.chain[0] == (0, 0) and report.chain[1] == (1, 1)
+        assert report.chain[0] == (0, 0) and report.chain[1] == (1, p - 1)
         assert report.core == I
         assert report.flags["is ideal"]
         assert report.flags["sigma^(p^M)-stable"]
@@ -225,7 +237,7 @@ def test_core_report_serialize_deterministic():
     a = stabilization_M(A, sd, I).serialize()
     b = stabilization_M(A, sd, I).serialize()
     assert a == b
-    assert a.splitlines()[0] == "ideal dim: 1"
+    assert a.splitlines()[0] == "ideal dim: 2"
 
 
 def test_default_cap():
@@ -245,7 +257,7 @@ def test_prop39():
 
 
 def test_theorem_c_bg():
-    for p in (2, 3):
+    for p in (2, 3, 5):
         A, sd, I = bg_instance(p)
         J, M, flags = theorem_c_procedure(A, sd, I)
         assert M == 1

@@ -25,7 +25,14 @@ from skewseries.finalg import (
     truncated_poly_algebra,
 )
 
-from helpers import permutation_group_algebra
+from helpers import (
+    fr_functional,
+    naive_radical,
+    naive_radical_levels,
+    permutation_group_algebra,
+    relabel,
+    upper_triangular_algebra,
+)
 
 
 def swap_matrix():
@@ -69,16 +76,83 @@ def test_radical_examples():
 S3 = [(1, 0, 2), (1, 2, 0)]
 C6 = [(1, 2, 3, 4, 5, 0)]
 D4 = [(1, 2, 3, 0), (3, 2, 1, 0)]
-
-
-@pytest.mark.parametrize("p,gens,order,radical_dim", [
+A4 = [(1, 2, 0, 3), (1, 0, 3, 2)]
+GROUP_RADICALS = [
     (2, S3, 6, 1), (3, S3, 6, 4), (2, C6, 6, 3), (3, C6, 6, 4), (2, D4, 8, 7),
-])
+    (2, A4, 12, 9), (3, A4, 12, 2),
+]
+
+
+@pytest.mark.parametrize("p,gens,order,radical_dim", GROUP_RADICALS)
 def test_group_algebra_radical_dimensions(p, gens, order, radical_dim):
     """Published dimensions of the Jacobson radical of modular group algebras."""
     A = permutation_group_algebra(p, gens)
     assert A.dim == order
     assert radical(A).dim == radical_dim
+
+
+def radical_cases():
+    """Algebras over F_2, F_3, F_5 and Q, each also in a signed-permutation basis."""
+    cases = []
+    for p in (2, 3, 5):
+        cases += [truncated_poly_algebra(p, n) for n in range(1, 10)]
+        cases += [upper_triangular_algebra(p, n) for n in range(1, 5)]
+        cases += [
+            matrix_algebra(p, 2),
+            direct_sum(truncated_poly_algebra(p, 3), matrix_algebra(p, 2)),
+            direct_sum(upper_triangular_algebra(p, 3), product_of_fields(p, 2)),
+        ]
+    cases += [permutation_group_algebra(p, gens) for p, gens, _, _ in GROUP_RADICALS]
+    # the characteristic-0 algebras of the primes benchmark: Q[X]/(X^n) and Q^n
+    cases += [truncated_poly_algebra(None, n) for n in (6, 8, 10, 12)]
+    cases += [product_of_fields(None, n) for n in (8, 10)]
+    cases += [matrix_algebra(None, 2), upper_triangular_algebra(None, 4)]
+    rng = random.Random(7)
+    return cases + [relabel(A, rng) for A in cases]
+
+
+def test_radical_matches_naive():
+    for A in radical_cases():
+        assert radical(A) == naive_radical(A)
+        for P in minimal_primes_over(A, subspace(A, [])):
+            B, _, _ = quotient_algebra(A, P)
+            assert radical(B) == naive_radical(B) and radical(B).dim == 0
+
+
+def test_friedl_ronyai_functional_is_linear_on_each_level():
+    # g_i(ax + by) = a g_i(x) + b g_i(y) for x, y in I_(i-1): what lets
+    # the radical take one trace power per basis vector instead of per pair
+    rng = random.Random(3)
+    pairs = 0
+    for A in radical_cases():
+        p = A.p
+        if p is None or A.dim > 10:
+            continue
+        levels = naive_radical_levels(A)
+        for i, level in enumerate(levels[:-1]):  # level = I_(i-1), the domain of g_i
+            for _ in range(4):
+                x, y = (la.apply_map(level, A.random_element(rng)[: len(level)], p) for _ in "xy")
+                a, b = rng.randrange(p), rng.randrange(p)
+                combo = A.add(A.smul(a, x), A.smul(b, y))
+                expected = (a * fr_functional(A, x, i) + b * fr_functional(A, y, i)) % p
+                assert fr_functional(A, combo, i) == expected
+                pairs += 1
+    assert pairs >= 800
+
+
+def test_radical_takes_one_trace_power_per_basis_vector(monkeypatch):
+    calls = []
+    map_power = la.map_power
+
+    def counting(m, k, mod):
+        calls.append(k)
+        return map_power(m, k, mod)
+
+    monkeypatch.setattr(la, "map_power", counting)
+    A = truncated_poly_algebra(5, 25)
+    assert radical(A) == ideal_generated(A, [A.basis_vec(1)])
+    levels = 3  # q = 1, 5, 25 <= dim
+    assert 0 < len(calls) <= A.dim * levels
 
 
 def test_radical_is_nilpotent_and_semisimple_quotient():
@@ -131,6 +205,16 @@ def test_sigma_orbit():
     orbit = sigma_orbit(I, swap_matrix())
     assert len(orbit) == 2
     assert is_automorphism(A, swap_matrix())
+
+
+def test_is_automorphism():
+    A = truncated_poly_algebra(2, 3)
+    # X -> X + X^2 is multiplicative: (X + X^2)^2 = X^2
+    assert is_automorphism(A, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+    # swapping X and X^2 is invertible and fixes 1, but sigma(X)^2 = 0 != sigma(X^2)
+    assert not is_automorphism(A, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    assert not is_automorphism(A, ((1, 0, 0), (0, 1, 0), (0, 1, 0)))  # singular
+    assert not is_automorphism(A, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))  # moves 1
 
 
 def test_sigma_orbit_cap_over_q():

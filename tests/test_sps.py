@@ -230,7 +230,7 @@ def test_substitute_xN_mixed_characteristic():
     S = SPSRing(base, sd, AdicFiltration(base), 5, check=False)
     xN, _ = substitute_xN(S, 1)
     # (x+1)^3 - 1 = x^3 + 3x^2 + 3x over Z/9
-    three = S.constant(base.int_mul(3, base.one()))
+    three = S.constant(base.smul(3, base.one()))
     expected = S.add(S.power(S.x(), 3), S.mul(three, S.add(S.power(S.x(), 2), S.x())))
     assert xN == expected
 
