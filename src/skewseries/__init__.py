@@ -51,6 +51,7 @@ from .finalg import (
     matrix_algebra,
     minimal_primes_over,
     minimal_sigma_primes,
+    prime_spectrum,
     product_of_fields,
     radical,
     sigma_orbit,

@@ -26,6 +26,7 @@ from .finalg import (
     is_sigma_stable,
     minimal_primes_over,
     minimal_sigma_primes,
+    prime_spectrum,
     radical,
     sigma_orbit,
     subspace,
@@ -77,11 +78,13 @@ def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubs
     return K
 
 
-def delta_pm_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int) -> IdealSubspace:
-    """Largest (sigma^(p^m), delta^(p^m))-ideal contained in I."""
+def delta_pm_core(
+    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int, sd_pm=None
+) -> IdealSubspace:
+    """Largest (sigma^(p^m), delta^(p^m))-ideal in I; ``sd_pm``: pth_power(sd, m), if known."""
     if A.char == 0 or not is_prime(A.char):
         raise CoreError("requires characteristic p")
-    return delta_core(A, pth_power(sd, m), I)
+    return delta_core(A, pth_power(sd, m) if sd_pm is None else sd_pm, I)
 
 
 @dataclass
@@ -112,25 +115,31 @@ class CoreReport:
 
 
 def stabilization_M(
-    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None
+    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, spectrum=None
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
     M is claimed only when the chain is constant from M up to the cap
     and M < cap, so at least one comparison backs it; otherwise
     (including cap 0, which compares nothing) the report is flagged
-    inconclusive.
+    inconclusive.  P_m = (sigma^(p^m), delta^(p^m)) is the p-th power of
+    P_(m-1), and each distinct pair gets one core (sigma = id, delta^p = 0
+    gives P_m = (id, 0) for all m >= 1).  ``spectrum``: prime_spectrum(A).
     """
     if cap is None:
         cap = default_cap(A)
     if cap < 0:
         raise CoreError(f"cap must be >= 0, got {cap}")
     report = CoreReport(ideal_dim=I.dim, cap=cap)
-    cores = []
+    pairs, cores, core_of = [pth_power(sd, 0)], [], {}
     for m in range(cap + 1):
-        core_m = delta_pm_core(A, sd, I, m)
-        cores.append(core_m)
-        report.chain.append((m, core_m.dim))
+        if m:
+            pairs.append(pth_power(pairs[-1], 1))
+        key = (pairs[m].sigma_matrix, pairs[m].delta_matrix)
+        if key not in core_of:
+            core_of[key] = delta_pm_core(A, sd, I, m, sd_pm=pairs[m])
+        cores.append(core_of[key])
+        report.chain.append((m, cores[m].dim))
     for earlier, later in zip(cores, cores[1:]):
         if not later.contains_ideal(earlier):
             raise ImplementationError("core chain is not ascending")
@@ -145,14 +154,14 @@ def stabilization_M(
     report.M = M
     final = cores[cap]
     report.core = final
-    sd_M = pth_power(sd, M if M is not None else cap)
+    sd_M = pairs[M if M is not None else cap]
     report.flags["is ideal"] = final.is_ideal()
     report.flags["sigma^(p^M)-stable"] = is_sigma_stable(final, sd_M.sigma_matrix)
     report.flags["delta^(p^M)-stable"] = all(
         final.contains(sd_M.delta(v)) for v in final.basis
     )
     try:
-        report.flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix)
+        report.flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix, spectrum=spectrum)
     except AlgebraError:
         report.flags["sigma^(p^M)-prime"] = None
     return report
@@ -202,14 +211,15 @@ def theorem_c_procedure(
     if cap < 0:
         raise CoreError(f"cap must be >= 0, got {cap}")
     zero = subspace(A, [])
-    if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero):
+    spectrum = prime_spectrum(A)
+    if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum):
         raise CoreError("I is not a minimal sigma-prime ideal")
-    P = minimal_primes_over(A, I)[0]  # deterministic: least echelon basis
+    P = minimal_primes_over(A, I, spectrum)[0]  # deterministic: least echelon basis
     reports = []
     I_j = I
     M_prev = 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, sd, I_j, cap=cap)
+        rep = stabilization_M(A, sd, I_j, cap=cap, spectrum=spectrum)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
@@ -223,7 +233,7 @@ def theorem_c_procedure(
     J, M = I_j, M_prev
     sd_M = pth_power(sd, M)
     flags = {
-        "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero),
+        "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum),
         "I is the sigma-orbit intersection of J": ideal_meet(sigma_orbit(J, sd.sigma_matrix)) == I,
         "delta^(p^M)(J) <= J": all(J.contains(sd_M.delta(v)) for v in J.basis),
         "inconclusive": False,

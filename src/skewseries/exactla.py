@@ -91,13 +91,16 @@ def compose(first: Matrix, then: Matrix, p) -> Matrix:
 
 
 def map_power(m: Matrix, k: int, p) -> Matrix:
-    result = identity_map(len(m), p)
-    base = m
-    while k > 0:
+    """m^k by squaring from the lowest set bit of k up to its top bit (k = 25: 6 compositions)."""
+    if k <= 1:
+        return identity_map(len(m), p) if k == 0 else tuple(vec(row, p) for row in m)
+    while not k & 1:
+        m, k = compose(m, m, p), k >> 1
+    result = m
+    while k > 1:
+        m, k = compose(m, m, p), k >> 1
         if k & 1:
-            result = compose(result, base, p)
-        base = compose(base, base, p)
-        k >>= 1
+            result = compose(result, m, p)
     return result
 
 

@@ -164,12 +164,12 @@ class IdealSubspace:
         return all(self.contains(v) for v in other.basis)
 
     def is_ideal(self) -> bool:
-        A = self.parent
-        for v in self.basis:
-            for e in A.basis():
-                if not self.contains(A.mul(e, v)) or not self.contains(A.mul(v, e)):
-                    return False
-        return True
+        """Closed under e_i v (map structure[i]) and v e_i (column i: row j is e_j e_i)."""
+        A, p = self.parent, self.parent.p
+        columns = [tuple(row[i] for row in A.structure) for i in range(A.dim)]
+        return all(self.contains(la.apply_map(A.structure[i], v, p))
+                   and self.contains(la.apply_map(columns[i], v, p))
+                   for v in self.basis for i in range(A.dim))
 
     def __eq__(self, other):
         return (
@@ -340,11 +340,6 @@ def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
     return tuple(rows)
 
 
-def lift_ideal(A: FinAlgebra, Ibar_basis, I: IdealSubspace, lift) -> IdealSubspace:
-    vectors = list(I.basis) + [lift(v) for v in Ibar_basis]
-    return subspace(A, vectors)
-
-
 # -- semisimple structure ---------------------------------------------------
 
 
@@ -397,9 +392,9 @@ def _poly_eval_on_operator(poly, op_rows, p):
     return acc
 
 
-def central_idempotents(A: FinAlgebra) -> list:
-    """Centrally primitive idempotents of a semisimple algebra."""
-    if radical(A).dim != 0:
+def central_idempotents(A: FinAlgebra, check=True) -> list:
+    """Centrally primitive idempotents of a semisimple algebra (tested unless not check)."""
+    if check and radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
     z_basis = center(A)
     blocks = [la.span(list(z_basis), A.p)]
@@ -472,35 +467,40 @@ def _block_unit(A, block):
     raise ImplementationError("block has no unit: center decomposition failed")
 
 
-def minimal_primes_semisimple(A: FinAlgebra) -> list[IdealSubspace]:
-    """Maximal (= minimal prime) ideals of a semisimple algebra."""
-    idems = central_idempotents(A)
-    primes = []
-    for e in idems:
-        vectors = [A.sub(v, A.mul(e, v)) for v in A.basis()]
-        primes.append(subspace(A, vectors))
-    return sorted(primes, key=lambda I: I.basis)
-
-
 def is_prime_fd(A: FinAlgebra) -> bool:
     """Prime = zero radical and a single Wedderburn block."""
-    if radical(A).dim != 0:
-        return False
-    return len(central_idempotents(A)) == 1
+    return radical(A).dim == 0 and len(central_idempotents(A, check=False)) == 1
 
 
-def minimal_primes_over(A: FinAlgebra, I: IdealSubspace) -> list[IdealSubspace]:
-    """Minimal primes containing I, through the semisimple quotient."""
-    B, projB, liftB = quotient_algebra(A, I)
-    N = radical(B)
-    C, projC, liftC = quotient_algebra(B, N)
-    primes_C = minimal_primes_semisimple(C)
-    primes = []
-    for P in primes_C:
-        in_B = lift_ideal(B, P.basis, N, liftC)
-        in_A = lift_ideal(A, in_B.basis, I, liftB)
-        primes.append(in_A)
-    return sorted(primes, key=lambda J: J.basis)
+def prime_spectrum(A: FinAlgebra) -> list[IdealSubspace]:
+    """The prime (= maximal) ideals of A, sorted by echelon basis.
+
+    Every maximal ideal contains the radical N, and C = A/N (A if N = 0) is
+    the sum of its simple blocks Ce, e centrally primitive idempotent, so
+    the maximal ideals are N + the lifts of the (1 - e)C.  A proper
+    quotient C is tested to be semisimple: a certificate that N is all of rad A.
+    """
+    N = radical(A)
+    C, _, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
+    primes = [
+        subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()])
+        for e in central_idempotents(C, check=C is not A)
+    ]
+    return sorted(primes, key=lambda P: P.basis)
+
+
+def minimal_primes_over(A: FinAlgebra, I: IdealSubspace, spectrum=None) -> list[IdealSubspace]:
+    """Minimal primes over the proper ideal I: the primes containing I.
+
+    Every prime P of a finite-dimensional algebra is maximal: in B = A/P the
+    ideal 0 is prime, so the nilpotent radical (a power of it is 0) is 0, and
+    a central idempotent e has Be * B(1 - e) = 0, so B is one simple block.
+    Maximal ideals are pairwise incomparable, so the minimal primes over I
+    are all the primes containing I.  ``spectrum``: prime_spectrum(A), if known.
+    """
+    if I.dim == A.dim:
+        raise AlgebraError("the whole algebra lies in no prime ideal")
+    return [P for P in spectrum or prime_spectrum(A) if P.contains_ideal(I)]
 
 
 # -- sigma machinery --------------------------------------------------------
@@ -540,14 +540,14 @@ def is_sigma_stable(I: IdealSubspace, sigma) -> bool:
     return all(I.contains(la.apply_map(sigma, v, A.p)) for v in I.basis)
 
 
-def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64) -> bool:
+def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64, spectrum=None) -> bool:
     """I semiprime with minimal primes forming one sigma-orbit meeting in I."""
     A = I.parent
     if not is_sigma_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
-    primes = minimal_primes_over(A, I)
+    primes = minimal_primes_over(A, I, spectrum)
     orbit = sigma_orbit(primes[0], sigma, cap=cap)
     if sorted(orbit, key=lambda J: J.basis) != primes:
         return False
@@ -555,12 +555,12 @@ def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64) -> bool:
 
 
 def minimal_sigma_primes(
-    A: FinAlgebra, sigma, I: IdealSubspace, cap: int = 64
+    A: FinAlgebra, sigma, I: IdealSubspace, cap: int = 64, spectrum=None
 ) -> list[IdealSubspace]:
-    """Minimal sigma-prime ideals containing I."""
+    """Minimal sigma-prime ideals containing I (``spectrum``: prime_spectrum(A), if known)."""
     if not is_sigma_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
-    primes = minimal_primes_over(A, I)
+    primes = minimal_primes_over(A, I, spectrum)
     seen = set()
     results = []
     for P in primes:

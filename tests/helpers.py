@@ -3,7 +3,16 @@
 from fractions import Fraction
 
 import skewseries.exactla as la
-from skewseries.finalg import FinAlgebra, product_of_fields, subspace, truncated_poly_algebra
+from skewseries.core import delta_pm_core
+from skewseries.finalg import (
+    FinAlgebra,
+    central_idempotents,
+    product_of_fields,
+    quotient_algebra,
+    radical,
+    subspace,
+    truncated_poly_algebra,
+)
 from skewseries.skewder import SkewDerivation, check_skew_derivation
 
 
@@ -251,3 +260,33 @@ def naive_radical(A):
             row.append(sum(prod[i][i] for i in range(A.dim)))
         rows.append(tuple(Fraction(c) for c in row))
     return subspace(A, la.left_kernel(rows, None))
+
+
+def naive_is_ideal(I):
+    """Closure of I under e v and v e through the generic A.mul: the
+    reference IdealSubspace.is_ideal is compared against."""
+    A = I.parent
+    return all(
+        I.contains(A.mul(e, v)) and I.contains(A.mul(v, e)) for v in I.basis for e in A.basis()
+    )
+
+
+def naive_minimal_primes_over(A, I):
+    """Minimal primes over I through B = A/I: the radical N of B, the
+    semisimple C = B/N, one maximal ideal (1 - e)C per centrally primitive
+    idempotent e of C, lifted to B and then to A.  The reference
+    minimal_primes_over is compared against."""
+    B, _, lift_B = quotient_algebra(A, I)
+    N = radical(B)
+    C, _, lift_C = quotient_algebra(B, N)
+    primes = []
+    for e in central_idempotents(C):
+        in_B = subspace(B, list(N.basis) + [lift_C(C.sub(v, C.mul(e, v))) for v in C.basis()])
+        primes.append(subspace(A, list(I.basis) + [lift_B(v) for v in in_B.basis]))
+    return sorted(primes, key=lambda J: J.basis)
+
+
+def naive_core_chain(A, sd, I, cap):
+    """The delta^(p^m)-cores of I for m = 0..cap, each from its own
+    pth_power(sd, m): the reference stabilization_M's chain is compared against."""
+    return [delta_pm_core(A, sd, I, m) for m in range(cap + 1)]

@@ -217,7 +217,7 @@ def test_spec_error_names_the_line_of_its_key(tmp_path, capsys):
 ])
 def test_each_exit_code(monkeypatch, capsys, code, argv, stream, expected):
     if code == 4:  # a core chain that shrinks, which stabilization_M must never see
-        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m: I if m == 0 else finalg.subspace(A, []))
+        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m, sd_pm=None: I if m == 0 else finalg.subspace(A, []))
     assert main(argv) == code
     captured = capsys.readouterr()
     assert expected in (captured.out if stream == "out" else captured.err)
@@ -269,7 +269,7 @@ def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
     # M strictly increases from 1, so the orbit-intersection loop never settles
     exponents = iter(range(1, 100))
 
-    def rising(A, sd, I, cap=None):
+    def rising(A, sd, I, cap=None, spectrum=None):
         return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
 
     monkeypatch.setattr(core, "stabilization_M", rising)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import skewseries.exactla as la
+from skewseries import core, finalg
 from skewseries.core import (
     CoreError,
     char0_checks,
@@ -15,8 +16,10 @@ from skewseries.core import (
 )
 from skewseries.finalg import (
     FinAlgebra,
+    direct_sum,
     ideal_generated,
     minimal_primes_over,
+    minimal_sigma_primes,
     product_of_fields,
     radical,
     subspace,
@@ -26,6 +29,7 @@ from skewseries.skewder import SkewDerivation, check_skew_derivation, pth_power
 
 from helpers import (
     ddx_derivation,
+    naive_core_chain,
     naive_delta_core,
     perm_skew,
     permutation_group_algebra,
@@ -230,6 +234,86 @@ def test_stabilization_cap_zero_compares_nothing():
     assert stabilization_M(A, trivial, ideal_generated(A, [A.basis_vec(1)]), cap=0).M is None
     J, M, flags = theorem_c_procedure(*bg_instance(3), cap=0)
     assert J is None and M is None and flags["inconclusive"]
+
+
+def cycled_blocks(p, k, m):
+    """k copies of F_p[X]/(X^m), sigma cycling the copies, delta = sigma - id.
+
+    For p prime to k the pairs (sigma^(p^j), delta^(p^j)) repeat with the
+    period of p modulo k, so the chain meets earlier pairs again.
+    """
+    block = A = truncated_poly_algebra(p, m)
+    for _ in range(k - 1):
+        A = direct_sum(A, block)
+    n = k * m
+    sigma = tuple(A.basis_vec((i + m) % n) for i in range(n))
+    sd = SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(n, p), p))
+    assert check_skew_derivation(sd).valid
+    return A, sd
+
+
+def core_chain_cases():
+    cases = [bg_instance(p) for p in (2, 3, 5)]
+    for p, gens in ((2, S3), (3, A4)):
+        A = permutation_group_algebra(p, gens)
+        cases.append((A, conjugation_skew(A, A.basis_vec(1)), radical(A)))
+    for p, k, m in ((2, 3, 2), (3, 2, 3), (2, 5, 1)):
+        A, sd = cycled_blocks(p, k, m)
+        zero = subspace(A, [])
+        cases += [(A, sd, I) for I in [zero, radical(A)] + minimal_sigma_primes(A, sd.sigma_matrix, zero)]
+    return cases
+
+
+def test_stabilization_chain_matches_naive():
+    # one p-th power per step and one core per distinct pair, against a
+    # core from its own pth_power(sd, m) at every m
+    for A, sd, I in core_chain_cases():
+        for cap in (0, 1, 5):
+            naive = naive_core_chain(A, sd, I, cap)
+            report = stabilization_M(A, sd, I, cap=cap)
+            assert report.chain == [(m, K.dim) for m, K in enumerate(naive)]
+            assert report.core == naive[cap]
+
+
+def counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends name to calls."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_stabilization_computes_one_core_per_distinct_pair(monkeypatch):
+    # sigma = id and delta^p = 0: P_0 = (id, delta), then P_m = (id, 0) for m >= 1
+    calls = []
+    counting(monkeypatch, core, "delta_core", calls)
+    for p in (2, 3, 5):
+        calls.clear()
+        report = stabilization_M(*bg_instance(p), cap=5)
+        assert report.M == 1 and len(report.chain) == 6
+        assert len(calls) <= 2
+
+
+def test_no_cache_outlives_a_verdict(monkeypatch):
+    # reuse stays inside one call: a repeated verdict repeats all its work
+    calls = []
+    counting(monkeypatch, core, "delta_core", calls)
+    counting(monkeypatch, finalg, "radical", calls)
+    for module in (finalg, core):  # every orbit goes through finalg.sigma_orbit
+        counting(monkeypatch, module, "sigma_orbit", calls)
+    A = permutation_group_algebra(2, S3)
+    sd = conjugation_skew(A, A.basis_vec(1))
+    group_case = (A, sd, minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0])
+    for case in (bg_instance(3), group_case):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert theorem_c_procedure(*case)[0] is not None
+            counts.append({name: calls.count(name) for name in ("delta_core", "radical", "sigma_orbit")})
+        assert counts[0] == counts[1] and all(counts[0].values())
 
 
 def test_core_report_serialize_deterministic():

@@ -151,9 +151,26 @@ def test_radical_traces_reduce_mod_prime_power(p, i):
 
 def test_map_power_matches_repeated_compose():
     rng = random.Random("power")
-    for mod in (4, 9, 7):
-        m = tuple(tuple(rng.randrange(mod) for _ in range(3)) for _ in range(3))
+    for mod in (4, 9, 7, 2, 5, None):
+        m = tuple(random_matrix(rng, 3, 3, mod))
         acc = la.identity_map(3, mod)
-        for k in range(6):
+        for k in range(41):
             assert la.map_power(m, k, mod) == acc
             acc = la.compose(acc, m, mod)
+
+
+def test_map_power_composes_only_where_needed(monkeypatch):
+    # start at the lowest set bit, square no further than the top bit
+    calls = []
+    compose = la.compose
+
+    def counting(first, then, p):
+        calls.append(p)
+        return compose(first, then, p)
+
+    monkeypatch.setattr(la, "compose", counting)
+    m = ((1, 1), (0, 1))
+    for k, expected in ((1, 0), (5, 3), (25, 6)):
+        calls.clear()
+        assert la.map_power(m, k, 7) == ((1, k % 7), (0, 1))
+        assert len(calls) == expected

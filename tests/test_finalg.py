@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from skewseries.finalg import (
     central_idempotents,
     direct_sum,
     ideal_generated,
+    ideal_intersection,
+    ideal_meet,
     ideal_product,
     is_automorphism,
     is_prime_fd,
@@ -17,6 +20,7 @@ from skewseries.finalg import (
     matrix_algebra,
     minimal_primes_over,
     minimal_sigma_primes,
+    prime_spectrum,
     product_of_fields,
     quotient_algebra,
     radical,
@@ -27,6 +31,8 @@ from skewseries.finalg import (
 
 from helpers import (
     fr_functional,
+    naive_is_ideal,
+    naive_minimal_primes_over,
     naive_radical,
     naive_radical_levels,
     permutation_group_algebra,
@@ -91,6 +97,7 @@ def test_group_algebra_radical_dimensions(p, gens, order, radical_dim):
     assert radical(A).dim == radical_dim
 
 
+@functools.cache  # built once, read by several tests
 def radical_cases():
     """Algebras over F_2, F_3, F_5 and Q, each also in a signed-permutation basis."""
     cases = []
@@ -117,6 +124,49 @@ def test_radical_matches_naive():
         for P in minimal_primes_over(A, subspace(A, [])):
             B, _, _ = quotient_algebra(A, P)
             assert radical(B) == naive_radical(B) and radical(B).dim == 0
+
+
+def differential_cases():
+    """radical_cases() over F_p and its Q algebras of dim <= 6, plus Q^4 and
+    upper-triangular 3 x 3 over Q: the larger Q algebras cost seconds each."""
+    return [A for A in radical_cases() if A.p is not None or A.dim <= 6] + [
+        product_of_fields(None, 4), upper_triangular_algebra(None, 3)]
+
+
+def test_is_ideal_matches_naive():
+    # ideals and non-ideal subspaces: the structure-constant closure
+    # against the loop through A.mul
+    rng = random.Random(11)
+    verdicts = set()
+    for A in differential_cases():
+        zero = subspace(A, [])
+        candidates = [zero, radical(A), ideal_generated(A, [A.one()])] + prime_spectrum(A)
+        for _ in range(3):
+            x, y = A.random_element(rng), A.random_element(rng)
+            candidates += [ideal_generated(A, [x]), subspace(A, [x]), subspace(A, [x, y])]
+        for I in candidates:
+            verdicts.add(I.is_ideal())
+            assert I.is_ideal() == naive_is_ideal(I)
+    assert verdicts == {True, False}
+
+
+def test_minimal_primes_over_matches_naive():
+    # the filter of one prime spectrum against the quotient-by-I path, for
+    # I = 0, the radical, each minimal prime and each meet of two of them
+    for A in differential_cases():
+        spectrum = prime_spectrum(A)
+        assert spectrum == minimal_primes_over(A, subspace(A, []))
+        assert ideal_meet(spectrum) == radical(A)
+        ideals = [subspace(A, []), radical(A)] + spectrum
+        ideals += [ideal_intersection(P, Q) for i, P in enumerate(spectrum) for Q in spectrum[i + 1:]]
+        for I in ideals:
+            assert minimal_primes_over(A, I, spectrum) == naive_minimal_primes_over(A, I)
+
+
+def test_minimal_primes_over_the_whole_ring_is_refused():
+    for A in (truncated_poly_algebra(2, 3), matrix_algebra(3, 2), product_of_fields(None, 2)):
+        with pytest.raises(AlgebraError, match="no prime ideal"):
+            minimal_primes_over(A, ideal_generated(A, [A.one()]))
 
 
 def test_friedl_ronyai_functional_is_linear_on_each_level():
