@@ -197,9 +197,11 @@ def theorem_c_procedure(
     Follows the inductive construction: fix the lexicographically least
     minimal prime P over I, then iterate I_{j+1} = the intersection of
     the sigma^(p^(M_j))-orbit of P, with M_j the stabilization exponent
-    of I_j (made nondecreasing).  Verifies the three conclusions from
-    scratch: J is a minimal sigma^(p^M)-prime, I is the intersection of
-    the sigma-orbit of J, and delta^(p^M)(J) <= J.
+    of I_j (made nondecreasing).  It stops at the first I_(j+1) = I_j, with
+    (J, M) = (I_j, M_j): a further round would stabilize the same I_j, so
+    give the same M_j and the same I_(j+1).  Verifies the three conclusions
+    from scratch: J is a minimal sigma^(p^M)-prime, I is the intersection
+    of the sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
     p = A.char
     if p == 0 or not is_prime(p):
@@ -225,12 +227,12 @@ def theorem_c_procedure(
             return None, None, {"inconclusive": True, "reports": reports}
         M_j = max(M_prev, rep.M)
         I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(p**M_j)))
-        if I_next == I_j and M_j == M_prev:
+        if I_next == I_j:
             break
         I_j, M_prev = I_next, M_j
     else:
         return None, None, {"inconclusive": True, "reports": reports}
-    J, M = I_j, M_prev
+    J, M = I_j, M_j
     sd_M = pth_power(sd, M)
     flags = {
         "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum),
@@ -275,7 +277,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation, cap: int = 64) -> dict:
             report["radical preserved"] = False
             report["witnesses"].append(("radical", v))
     zero = subspace(A, [])
-    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, cap=cap):
+    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, cap=cap, spectrum=prime_spectrum(A, N)):
         for v in I.basis:
             if not I.contains(sd.delta(v)):
                 report["sigma-primes preserved"] = False

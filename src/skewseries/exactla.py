@@ -104,10 +104,6 @@ def map_power(m: Matrix, k: int, p) -> Matrix:
     return result
 
 
-def map_add(a: Matrix, b: Matrix, p) -> Matrix:
-    return tuple(vadd(ra, rb, p) for ra, rb in zip(a, b, strict=True))
-
-
 def map_sub(a: Matrix, b: Matrix, p) -> Matrix:
     return tuple(vsub(ra, rb, p) for ra, rb in zip(a, b, strict=True))
 
@@ -189,6 +185,30 @@ def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:
     aug = [[*r, *e] for r, e in zip(rows, identity_map(len(rows), p), strict=True)]
     reduced, pivots = rref(aug, p)
     return tuple(r[ncols:] for r, c in zip(reduced, pivots, strict=True) if c >= ncols)
+
+
+def first_dependency(vectors: Iterable[Vector], p) -> Vector:
+    """Coefficients c, with c[-1] = 1, of the first v_j with sum_i c_i v_i = 0.
+
+    The incremental counterpart of ``left_kernel``: each vector is reduced
+    against the earlier ones as it arrives (each stored row is zero at the
+    pivots of the rows stored before it), carrying its combination along,
+    so no more vectors are drawn than the dependency needs.
+    """
+    stored = []  # (row, its combination of v_0..v_j, pivot column)
+    for j, v in enumerate(vectors):
+        row, comb = list(vec(v, p)), [fnorm(0, p)] * j + [fnorm(1, p)]
+        for srow, scomb, c in stored:
+            f = row[c]
+            if f != 0:
+                row = [fnorm(a - f * b, p) for a, b in zip(row, srow)]
+                comb[: len(scomb)] = [fnorm(a - f * b, p) for a, b in zip(comb, scomb)]
+        pivot = next((c for c, x in enumerate(row) if x != 0), None)
+        if pivot is None:
+            return tuple(comb)
+        inv = finv(row[pivot], p)
+        stored.append(([fmul(inv, a, p) for a in row], [fmul(inv, a, p) for a in comb], pivot))
+    raise ValueError("the vectors are independent")
 
 
 def solve(rows: Sequence[Vector], v: Vector, p):

@@ -78,9 +78,7 @@ class FinAlgebra:
     # -- element arithmetic ------------------------------------------------
 
     def basis_vec(self, i):
-        return tuple(
-            la.fnorm(1 if j == i else 0, self.p) for j in range(self.dim)
-        )
+        return tuple(la.fnorm(1 if j == i else 0, self.p) for j in range(self.dim))
 
     def basis(self):
         return [self.basis_vec(i) for i in range(self.dim)]
@@ -172,11 +170,8 @@ class IdealSubspace:
                    for v in self.basis for i in range(A.dim))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IdealSubspace)
-            and self.parent is other.parent
-            and self.basis == other.basis
-        )
+        return (isinstance(other, IdealSubspace) and self.parent is other.parent
+                and self.basis == other.basis)
 
     def __hash__(self):
         return hash(self.basis)
@@ -206,9 +201,7 @@ def ideal_generated(A: FinAlgebra, gens) -> IdealSubspace:
 
 
 def ideal_intersection(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
-    return IdealSubspace(
-        I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p)
-    )
+    return IdealSubspace(I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p))
 
 
 def ideal_meet(ideals) -> IdealSubspace:
@@ -316,155 +309,134 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
             v[col] = la.fnorm(c, p)
         return tuple(v)
 
-    structure = []
-    for i in range(qdim):
-        row = []
-        for j in range(qdim):
-            prod = A.mul(lift(_unit_coords(qdim, i, p)), lift(_unit_coords(qdim, j, p)))
-            row.append(project(prod))
-        structure.append(tuple(row))
+    # the free basis vectors e_a lift the quotient basis: products are structure[a][b]
+    structure = [[project(A.structure[a][b]) for b in free_cols] for a in free_cols]
     B = FinAlgebra(p, qdim, structure, project(A.unit), check=False)
     return B, project, lift
 
 
-def _unit_coords(n, i, p):
-    return tuple(la.fnorm(1 if j == i else 0, p) for j in range(n))
-
-
 def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
     """Matrix of the map induced on A/I (requires m(I) <= I)."""
-    rows = []
-    for i in range(B.dim):
-        image = la.apply_map(m, lift(_unit_coords(B.dim, i, A.p)), A.p)
-        rows.append(project(image))
-    return tuple(rows)
+    return tuple(project(la.apply_map(m, lift(v), A.p)) for v in B.basis())
 
 
 # -- semisimple structure ---------------------------------------------------
 
 
 def center(A: FinAlgebra) -> tuple:
-    """rref basis of the center."""
-    residue_rows = []
-    for e in A.basis():
-        row = []
-        for f in A.basis():
-            row.extend(A.sub(A.mul(e, f), A.mul(f, e)))
-        residue_rows.append(tuple(row))
-    return la.left_kernel(residue_rows, A.p)
-
-
-def _min_poly_of_operator(op_rows, p):
-    """Minimal polynomial (sympy Poly) of a linear operator via Krylov."""
-    import sympy  # deferred: loading it dominates the CLI's start-up
-
-    n = len(op_rows)
-    ident = la.identity_map(n, p)
-    powers = [ident]
-    while True:
-        powers.append(la.compose(powers[-1], op_rows, p))
-        flat = [tuple(itertools.chain.from_iterable(m)) for m in powers]
-        coeffs = la.left_kernel(flat, p)
-        if coeffs:
-            # Lowest-degree dependency: prefer a kernel vector whose last
-            # nonzero coordinate is earliest.
-            best = min(coeffs, key=lambda c: max(i for i, x in enumerate(c) if x != 0))
-            deg = max(i for i, x in enumerate(best) if x != 0)
-            lead_inv = la.finv(best[deg], p)
-            mono = [la.fmul(lead_inv, c, p) for c in best[: deg + 1]]
-            x = sympy.Symbol("x")
-            expr = sum(sympy.Rational(c) * x**i if p is None else int(c) * x**i
-                       for i, c in enumerate(mono))
-            if p is None:
-                return sympy.Poly(expr, x, domain="QQ")
-            return sympy.Poly(expr, x, modulus=p)
-
-
-def _poly_eval_on_operator(poly, op_rows, p):
-    coeffs = list(reversed(poly.all_coeffs()))  # ascending
-    n = len(op_rows)
-    acc = tuple(la.zero_vec(n, p) for _ in range(n))
-    power = la.identity_map(n, p)
-    for c in coeffs:
-        c = la.fnorm(Fraction(c) if p is None else int(c), p)
-        acc = la.map_add(acc, tuple(la.vscale(c, row, p) for row in power), p)
-        power = la.compose(power, op_rows, p)
-    return acc
+    """rref basis of the center: row i of its system is structure[i][j] - structure[j][i] over all j."""
+    S, p = A.structure, A.p
+    return la.left_kernel([tuple(c for j in range(A.dim) for c in la.vsub(S[i][j], S[j][i], p))
+                           for i in range(A.dim)], p)
 
 
 def central_idempotents(A: FinAlgebra, check=True) -> list:
-    """Centrally primitive idempotents of a semisimple algebra (tested unless not check)."""
+    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted.
+
+    They are the primitive idempotents of the centre Z, split in one pass:
+    over F_p by the Frobenius fixed space, over Q by a primitive element.
+    They are certified nonzero, idempotent, orthogonal and summing to 1.
+    """
     if check and radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
-    z_basis = center(A)
-    blocks = [la.span(list(z_basis), A.p)]
-    # Repeatedly split blocks of the center using minimal polynomial factors
-    # of multiplication operators restricted to the block.
-    splitters = list(z_basis)
-    progress = True
-    while progress:
-        progress = False
-        new_blocks = []
-        for block in blocks:
-            split = _try_split_block(A, block, splitters)
-            if split is not None:
-                new_blocks.extend(split)
-                progress = True
-            else:
-                new_blocks.append(block)
-        blocks = new_blocks
-    idems = [_block_unit(A, block) for block in blocks]
+    Z, zero = center(A), A.zero()
+    idems = [A.one()] if len(Z) == 1 else (_split_centre_fp if A.p else _split_centre_q)(A, Z)
+    if not (all(e != zero and A.mul(e, e) == e for e in idems)
+            and all(A.mul(a, b) == zero for a, b in itertools.combinations(idems, 2))
+            and functools.reduce(A.add, idems) == A.one()):
+        raise ImplementationError("central idempotents fail their certificate")
     return sorted(idems)
 
 
-def _restrict_operator(A, block, z):
-    """Operator of multiplication by z on the span of block, in block coords."""
-    # block is rref, so coordinates are read off at pivot columns
-    _, pivots = la.rref(block, A.p)
-    return [tuple(A.mul(z, v)[c] for c in pivots) for v in block]
+def _power(A: FinAlgebra, x, k: int):
+    """x^k for k >= 1 in O(log k) products."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else A.mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = A.mul(x, x)
 
 
-def _try_split_block(A, block, splitters):
-    if len(block) <= 1:
-        return None
-    candidates = list(splitters)
-    # Products of splitters occasionally separate blocks that single basis
-    # elements do not.
-    for a, b in itertools.combinations(splitters, 2):
-        candidates.append(A.mul(a, b))
-    for z in candidates:
-        op = _restrict_operator(A, block, z)
-        poly = _min_poly_of_operator(op, A.p)
-        factors = poly.factor_list()[1]
-        if len(factors) <= 1:
-            continue
-        pieces = []
-        for fac, mult in factors:
-            fm = fac**mult
-            mat = _poly_eval_on_operator(fm, op, A.p)
-            coeff_kernel = la.left_kernel(mat, A.p)
-            pieces.append(la.span([la.apply_map(block, c, A.p) for c in coeff_kernel], A.p))
-        if sum(len(x) for x in pieces) == len(block):
-            return pieces
-    return None
+def _split_centre_fp(A: FinAlgebra, Z) -> list:
+    """Primitive idempotents of the centre Z over F_p, from its Frobenius fixed space.
+
+    z -> z^p is F_p-linear on Z = prod F_(p^k_i), one field per block, and
+    fixes F_p in each, so its fixed space F is F_p^r, r the number of blocks,
+    with the block units as primitive idempotents.  They refine {1} by each
+    basis vector f of F: if g = ef is not in F_p e, eF = F_p^s and g has two
+    distinct coordinates.  For u = g + be, u^(p-1) is 1 on the nonzero
+    coordinates of u and u^((p-1)/2) is their quadratic character, so
+    e - u^(p-1) and (u^(p-1) +- u^((p-1)/2))/2 are orthogonal idempotents
+    summing to e (for p = 2, e - u and u), two of them nonzero once b = -g_i.
+    When eF = F_p e for every f, each e is primitive; there must be r.
+    """
+    p, half = A.p, (A.p + 1) // 2
+    F = [la.apply_map(Z, c, p) for c in la.left_kernel([A.sub(_power(A, z, p), z) for z in Z], p)]
+    idems = [A.one()]
+    for f in F:
+        todo, idems = idems, []
+        while todo:
+            e = todo.pop()
+            g, k = A.mul(e, f), next(i for i, x in enumerate(e) if x != 0)
+            if A.smul(g[k] * la.finv(e[k], p), e) == g:
+                idems.append(e)
+                continue
+            for b in range(p):
+                u = A.add(g, A.smul(b, e))
+                h = u if p == 2 else _power(A, u, (p - 1) // 2)
+                t = A.mul(h, h)  # u^(p-1); u itself when p = 2
+                halves = [t] if p == 2 else [A.smul(half, A.add(t, h)), A.smul(half, A.sub(t, h))]
+                pieces = [x for x in [A.sub(e, t), *halves] if x != A.zero()]
+                if len(pieces) > 1:
+                    todo += pieces
+                    break
+    if len(idems) != len(F):
+        raise ImplementationError(f"{len(idems)} idempotents, Frobenius fixed space of dim {len(F)}")
+    return idems
 
 
-def _block_unit(A, block):
-    """Solve for e in the block with e*v = v for all block basis vectors."""
-    p = A.p
-    residue_rows = []
-    for bv in block:
-        row = []
-        for v in block:
-            row.extend(A.mul(bv, v))
-        residue_rows.append(tuple(row))
-    target = tuple(itertools.chain.from_iterable(block))
-    c = la.solve(residue_rows, target, p)
-    if c is not None:
-        e = la.apply_map(block, c, p)
-        if A.mul(e, e) == e:
-            return e
-    raise ImplementationError("block has no unit: center decomposition failed")
+def _powers(A: FinAlgebra, z, out):
+    """Yield 1, z, z^2, ..., keeping each in out."""
+    out.append(A.one())
+    while True:
+        yield out[-1]
+        out.append(A.mul(out[-1], z))
+
+
+def _split_centre_q(A: FinAlgebra, Z) -> list:
+    """Primitive idempotents of the centre Z over Q, from one primitive element.
+
+    Z is a product of number fields with d = dim Z distinct embeddings phi_a
+    into C, and z generates Z (minimal polynomial of degree d) when the
+    phi_a(z) are distinct.  For z_k = sum_i k^i Z_i, Z_i the rref basis,
+    phi_a(z_k) - phi_b(z_k) = sum_i k^i (phi_a(Z_i) - phi_b(Z_i)) is a
+    polynomial in k of degree <= d - 1 and not zero, as the Z_i span Z and
+    phi_a != phi_b; so it has at most d - 1 roots.  The d(d - 1)/2 pairs rule
+    out at most (d - 1) d(d - 1)/2 values of k, so some k up to one more is
+    primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its
+    factors f, and the idempotent of f is e_f(z), e_f = 1 mod f, 0 mod m/f.
+    """
+    d = len(Z)
+    for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
+        z, powers = la.apply_map(Z, [Fraction(k**i) for i in range(d)], None), []
+        m = la.first_dependency(_powers(A, z, powers), None)  # m[i]: coefficient of x^i
+        if len(m) == d + 1:
+            break
+    else:
+        raise ImplementationError("no primitive element of the centre up to the bound")
+    import sympy  # deferred: loading it dominates the CLI's start-up; factoring m is its only use
+
+    m = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in m[::-1]], sympy.Symbol("x"))
+    idems = []
+    for f, _ in m.factor_list()[1]:
+        s, _, _ = m.quo(f).gcdex(f)  # s (m/f) = 1 mod f
+        e_f = (s * m.quo(f)).rem(m).all_coeffs()[::-1]
+        e_f = [Fraction(int(c.p), int(c.q)) for c in e_f]
+        idems.append(la.apply_map(powers[: len(e_f)], e_f, None))
+    return idems
 
 
 def is_prime_fd(A: FinAlgebra) -> bool:
@@ -472,15 +444,17 @@ def is_prime_fd(A: FinAlgebra) -> bool:
     return radical(A).dim == 0 and len(central_idempotents(A, check=False)) == 1
 
 
-def prime_spectrum(A: FinAlgebra) -> list[IdealSubspace]:
+def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None) -> list[IdealSubspace]:
     """The prime (= maximal) ideals of A, sorted by echelon basis.
 
     Every maximal ideal contains the radical N, and C = A/N (A if N = 0) is
     the sum of its simple blocks Ce, e centrally primitive idempotent, so
     the maximal ideals are N + the lifts of the (1 - e)C.  A proper
-    quotient C is tested to be semisimple: a certificate that N is all of rad A.
+    quotient C is tested to be semisimple: a certificate that N is all of
+    rad A.  ``N``: radical(A), if known.
     """
-    N = radical(A)
+    if N is None:
+        N = radical(A)
     C, _, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
     primes = [
         subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()])

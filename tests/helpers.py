@@ -1,15 +1,21 @@
 """Shared constructions for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 import skewseries.exactla as la
-from skewseries.core import delta_pm_core
+from skewseries.core import default_cap, delta_pm_core, stabilization_M
 from skewseries.finalg import (
+    AlgebraError,
     FinAlgebra,
+    ImplementationError,
     central_idempotents,
+    ideal_meet,
+    minimal_primes_over,
     product_of_fields,
     quotient_algebra,
     radical,
+    sigma_orbit,
     subspace,
     truncated_poly_algebra,
 )
@@ -290,3 +296,172 @@ def naive_core_chain(A, sd, I, cap):
     """The delta^(p^m)-cores of I for m = 0..cap, each from its own
     pth_power(sd, m): the reference stabilization_M's chain is compared against."""
     return [delta_pm_core(A, sd, I, m) for m in range(cap + 1)]
+
+
+def naive_theorem_c(A, sd, I, cap=None):
+    """(J, M, rounds) of the Theorem-C loop that also waits for M_j to settle:
+    it stabilizes I_j once more when I_(j+1) = I_j but M_j moved.  The
+    reference theorem_c_procedure's (J, M) is compared against."""
+    cap = default_cap(A) if cap is None else cap
+    P = minimal_primes_over(A, I)[0]
+    I_j, M_prev = I, 0
+    for rounds in range(1, cap + 3):
+        M_j = max(M_prev, stabilization_M(A, sd, I_j, cap=cap).M)
+        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(A.p**M_j)))
+        if I_next == I_j and M_j == M_prev:
+            return I_j, M_prev, rounds
+        I_j, M_prev = I_next, M_j
+    return None, None, rounds
+
+
+def naive_center(A):
+    """rref basis of the center from 2 n^2 products through A.mul: the
+    reference center is compared against."""
+    residue_rows = []
+    for e in A.basis():
+        row = []
+        for f in A.basis():
+            row.extend(A.sub(A.mul(e, f), A.mul(f, e)))
+        residue_rows.append(tuple(row))
+    return la.left_kernel(residue_rows, A.p)
+
+
+def _min_poly_of_operator(op_rows, p):
+    """Minimal polynomial (sympy Poly) of a linear operator via Krylov."""
+    import sympy
+
+    n = len(op_rows)
+    powers = [la.identity_map(n, p)]
+    while True:
+        powers.append(la.compose(powers[-1], op_rows, p))
+        flat = [tuple(itertools.chain.from_iterable(m)) for m in powers]
+        coeffs = la.left_kernel(flat, p)
+        if coeffs:
+            # lowest-degree dependency: the kernel vector whose last nonzero
+            # coordinate is earliest
+            best = min(coeffs, key=lambda c: max(i for i, x in enumerate(c) if x != 0))
+            deg = max(i for i, x in enumerate(best) if x != 0)
+            lead_inv = la.finv(best[deg], p)
+            mono = [la.fmul(lead_inv, c, p) for c in best[: deg + 1]]
+            x = sympy.Symbol("x")
+            expr = sum(sympy.Rational(c) * x**i if p is None else int(c) * x**i
+                       for i, c in enumerate(mono))
+            if p is None:
+                return sympy.Poly(expr, x, domain="QQ")
+            return sympy.Poly(expr, x, modulus=p)
+
+
+def _poly_eval_on_operator(poly, op_rows, p):
+    n = len(op_rows)
+    acc = tuple(la.zero_vec(n, p) for _ in range(n))
+    power = la.identity_map(n, p)
+    for c in reversed(poly.all_coeffs()):  # ascending
+        c = la.fnorm(Fraction(c) if p is None else int(c), p)
+        acc = tuple(la.vadd(a, la.vscale(c, row, p), p) for a, row in zip(acc, power))
+        power = la.compose(power, op_rows, p)
+    return acc
+
+
+def _try_split_block(A, block, splitters):
+    if len(block) <= 1:
+        return None
+    candidates = list(splitters)
+    # products of splitters occasionally separate blocks that single basis
+    # elements do not
+    candidates += [A.mul(a, b) for a, b in itertools.combinations(splitters, 2)]
+    _, pivots = la.rref(block, A.p)
+    for z in candidates:
+        # multiplication by z on the span of block, in block coordinates
+        op = [tuple(A.mul(z, v)[c] for c in pivots) for v in block]
+        factors = _min_poly_of_operator(op, A.p).factor_list()[1]
+        if len(factors) <= 1:
+            continue
+        pieces = []
+        for fac, mult in factors:
+            coeff_kernel = la.left_kernel(_poly_eval_on_operator(fac**mult, op, A.p), A.p)
+            pieces.append(la.span([la.apply_map(block, c, A.p) for c in coeff_kernel], A.p))
+        if sum(len(x) for x in pieces) == len(block):
+            return pieces
+    return None
+
+
+def _block_unit(A, block):
+    """Solve for e in the block with e*v = v for all block basis vectors."""
+    p = A.p
+    residue_rows = [tuple(itertools.chain.from_iterable(A.mul(bv, v) for v in block)) for bv in block]
+    c = la.solve(residue_rows, tuple(itertools.chain.from_iterable(block)), p)
+    if c is not None:
+        e = la.apply_map(block, c, p)
+        if A.mul(e, e) == e:
+            return e
+    raise ImplementationError("block has no unit: center decomposition failed")
+
+
+def naive_central_idempotents(A):
+    """Centrally primitive idempotents of a semisimple A by splitting blocks
+    of the centre with the factored minimal polynomials (sympy) of every
+    centre basis vector and pairwise product, until no block splits: the
+    reference central_idempotents is compared against."""
+    if radical(A).dim != 0:
+        raise AlgebraError("algebra not semisimple")
+    z_basis = naive_center(A)
+    blocks, progress = [la.span(list(z_basis), A.p)], True
+    while progress:
+        progress, new_blocks = False, []
+        for block in blocks:
+            split = _try_split_block(A, block, z_basis)
+            progress = progress or split is not None
+            new_blocks.extend(split or [block])
+        blocks = new_blocks
+    return sorted(_block_unit(A, block) for block in blocks)
+
+
+def poly_rem(a, f, p):
+    """a mod the monic f over F_p (Q for p=None); coefficients from the constant term."""
+    a, n = [la.fnorm(c, p) for c in a], len(f) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
+        for i, fi in enumerate(f):
+            a[top - n + i] = la.fnorm(a[top - n + i] - c * fi, p)
+    return tuple(a[:n]) + tuple(la.fnorm(0, p) for _ in range(n - len(a)))
+
+
+def poly_prod(polys, p):
+    """Product of polynomials, coefficients from the constant term."""
+    out = [1]
+    for f in polys:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+               for k in range(len(out) + len(f) - 1)]
+    return [la.fnorm(c, p) for c in out]
+
+
+def poly_quotient_algebra(p, f):
+    """F_p[X]/(f) (Q[X]/(f) for p=None), f monic; basis 1, X, ..., X^(deg f - 1)."""
+    n = len(f) - 1
+    structure = [[poly_rem([0] * (i + j) + [1], f, p) for j in range(n)] for i in range(n)]
+    return FinAlgebra(p, n, structure, [1] + [0] * (n - 1))
+
+
+def random_basis(A, rng):
+    """A random invertible matrix over A's field: row i is the new basis vector f_i."""
+    p = A.p
+    while True:
+        T = tuple(
+            tuple(rng.randrange(p) if p else Fraction(rng.randint(-2, 2)) for _ in range(A.dim))
+            for _ in range(A.dim)
+        )
+        if la.is_invertible(T, p):
+            return T
+
+
+def rebase(A, T):
+    """A in the basis f_i = row i of the invertible T; old coordinates of a new
+    vector v are apply_map(T, v, p).  Isomorphic by construction, so unchecked."""
+    p = A.p
+    inverse = [la.solve(T, e, p) for e in A.basis()]  # e_k in the new basis
+
+    def new(v):
+        return la.apply_map(inverse, v, p)
+
+    structure = [[new(A.mul(a, b)) for b in T] for a in T]
+    return FinAlgebra(p, A.dim, structure, new(A.unit), check=False)

@@ -266,13 +266,20 @@ def test_cap_zero_is_exit_3(command, capsys):
 
 
 def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
-    # M strictly increases from 1, so the orbit-intersection loop never settles
+    # M strictly increases from 1 and the orbit intersection alternates
+    # between (X^2) and (X) = I, so no round meets the ideal it started from
     exponents = iter(range(1, 100))
+    rounds = iter(range(100))
 
     def rising(A, sd, I, cap=None, spectrum=None):
         return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
 
+    def alternating(ideals):
+        I = ideals[0]
+        return I if next(rounds) % 2 else finalg.subspace(I.parent, I.basis[1:])
+
     monkeypatch.setattr(core, "stabilization_M", rising)
+    monkeypatch.setattr(core, "ideal_meet", alternating)
     assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "2"]) == 3
     assert capsys.readouterr().out == "inconclusive at cap\n"
     assert next(exponents) == 5  # cap + 2 rounds ran
@@ -306,6 +313,23 @@ def test_sympy_stays_off_the_import_path():
         "print('sympy' in sys.modules)\n"
     )
     assert out.endswith("\nFalse\n")
+
+
+def test_no_fp_path_imports_sympy():
+    # the F_p centre split is the Frobenius fixed space: no factoring
+    out = _fresh_interpreter(
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from helpers import permutation_group_algebra\n"
+        "from skewseries.cli import main\n"
+        "from skewseries.finalg import prime_spectrum\n"
+        "S3, A4 = [(1, 0, 2), (1, 2, 0)], [(1, 2, 0, 3), (1, 0, 3, 2)]\n"
+        "print(len(prime_spectrum(permutation_group_algebra(3, S3))))\n"
+        "print(len(prime_spectrum(permutation_group_algebra(2, A4))))\n"
+        "assert main(['theoremc', 'bergen_grzeszczuk_p3.spec', '--ideal', 'I']) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert out.startswith("2\n2\n") and out.endswith("\nFalse\n")
 
 
 def test_sympy_is_imported_when_a_centre_block_splits():

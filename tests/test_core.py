@@ -31,6 +31,7 @@ from helpers import (
     ddx_derivation,
     naive_core_chain,
     naive_delta_core,
+    naive_theorem_c,
     perm_skew,
     permutation_group_algebra,
     random_char0_instance,
@@ -314,6 +315,63 @@ def test_no_cache_outlives_a_verdict(monkeypatch):
             assert theorem_c_procedure(*case)[0] is not None
             counts.append({name: calls.count(name) for name in ("delta_core", "radical", "sigma_orbit")})
         assert counts[0] == counts[1] and all(counts[0].values())
+
+
+def theorem_c_cases():
+    """Minimal sigma-primes over F_p with a commuting (sigma, delta)."""
+    cases = [bg_instance(p) for p in (2, 3, 5)]
+    for p, gens in ((2, S3), (3, A4)):
+        A = permutation_group_algebra(p, gens)
+        sd = conjugation_skew(A, A.basis_vec(1))
+        cases += [(A, sd, I) for I in minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))]
+    for p, k, m in ((2, 3, 2), (3, 2, 3), (2, 5, 1)):
+        A, sd = cycled_blocks(p, k, m)
+        cases += [(A, sd, I) for I in minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))]
+    return cases
+
+
+def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
+    # the loop stops at the first I_(j+1) = I_j; the loop that also waited
+    # for M_j to settle stabilized that I_j a second time, for the same (J, M)
+    seen = []
+    stabilize = core.stabilization_M
+
+    def recording(A, sd, I, cap=None, spectrum=None):
+        seen.append(I)
+        return stabilize(A, sd, I, cap=cap, spectrum=spectrum)
+
+    monkeypatch.setattr(core, "stabilization_M", recording)
+    saved = 0
+    for A, sd, I in theorem_c_cases():
+        seen.clear()
+        J, M, flags = theorem_c_procedure(A, sd, I)
+        naive_J, naive_M, naive_rounds = naive_theorem_c(A, sd, I)
+        assert (J, M) == (naive_J, naive_M) and J is not None
+        assert len(seen) == len(set(seen))
+        assert flags["minimal sigma^(p^M)-prime"] and flags["delta^(p^M)(J) <= J"]
+        assert flags["I is the sigma-orbit intersection of J"] and not flags["inconclusive"]
+        saved += naive_rounds - len(seen)
+    assert saved > 0
+
+
+def test_char0_checks_compute_one_radical(monkeypatch):
+    # the preservation check's radical is the one the prime spectrum uses
+    seen = []
+    original = finalg.radical
+
+    def recording(A):
+        seen.append(A)
+        return original(A)
+
+    for module in (finalg, core):
+        monkeypatch.setattr(module, "radical", recording)
+    rng = random.Random(2)
+    cases = [perm_skew(4, [1, 0, 3, 2], 1), perm_skew(3, [1, 2, 0], 2)]
+    cases += [random_char0_instance(rng) for _ in range(8)]
+    for A, sd in cases:
+        seen.clear()
+        char0_checks(A, sd)
+        assert sum(B is A for B in seen) == 1
 
 
 def test_core_report_serialize_deterministic():

@@ -73,6 +73,21 @@ def test_left_kernel(p):
 
 
 @pytest.mark.parametrize("p", FIELDS)
+def test_first_dependency_matches_left_kernel(p):
+    # the first j where v_0..v_j has a kernel, and that kernel's one vector
+    rng = random.Random(f"dependency/{p}")
+    for _ in range(40):
+        rows = random_matrix(rng, rng.randint(2, 7), rng.randint(1, 5), p)
+        j = next((j for j in range(len(rows)) if la.left_kernel(rows[: j + 1], p)), None)
+        if j is None:
+            with pytest.raises(ValueError, match="independent"):
+                la.first_dependency(iter(rows), p)
+            continue
+        (kernel,) = la.left_kernel(rows[: j + 1], p)
+        assert la.first_dependency(iter(rows), p) == la.vscale(la.finv(kernel[-1], p), kernel, p)
+
+
+@pytest.mark.parametrize("p", FIELDS)
 def test_solve(p):
     rng = random.Random(f"solve/{p}")
     for _ in range(30):

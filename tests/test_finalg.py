@@ -1,13 +1,18 @@
 import functools
+import itertools
 import random
+import time
 
 import pytest
 
 import skewseries.exactla as la
+from skewseries import finalg
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
+    ImplementationError,
     OrbitCapExceeded,
+    center,
     central_idempotents,
     direct_sum,
     ideal_generated,
@@ -31,11 +36,18 @@ from skewseries.finalg import (
 
 from helpers import (
     fr_functional,
+    naive_center,
+    naive_central_idempotents,
     naive_is_ideal,
     naive_minimal_primes_over,
     naive_radical,
     naive_radical_levels,
     permutation_group_algebra,
+    poly_prod,
+    poly_quotient_algebra,
+    poly_rem,
+    random_basis,
+    rebase,
     relabel,
     upper_triangular_algebra,
 )
@@ -233,6 +245,106 @@ def test_central_idempotents():
     assert len(central_idempotents(C)) == 3
     with pytest.raises(AlgebraError, match="semisimple"):
         central_idempotents(truncated_poly_algebra(2, 2))
+
+
+def test_center_matches_naive():
+    # one row of structure-constant differences per basis vector, against
+    # 2 n^2 products through A.mul
+    for A in radical_cases():
+        assert center(A) == naive_center(A)
+
+
+def test_central_idempotents_match_naive():
+    # the one-pass split against the iterative block splitter, on A/rad(A)
+    for A in differential_cases():
+        N = radical(A)
+        C = quotient_algebra(A, N)[0] if N.dim else A
+        assert central_idempotents(C) == naive_central_idempotents(C)
+
+
+BIG_P = 2**31 - 1  # -1 is a non-square: BIG_P = 3 mod 4
+ROOT = 123456789  # roots +-ROOT of X^2 - ROOT^2 are ~10^8 shifts from 0: no search over b finds them
+
+# (p, monic irreducible factors from the constant term): F[X]/(prod f) has
+# one block F[X]/(f) per factor, whose idempotent is 1 mod f and 0 mod the rest
+POLY_CASES = [
+    (2, [[0, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1]]),  # F_2 x F_2 x F_4 x F_8
+    (2, [[1, 1], [1, 1, 0, 1], [1, 0, 1, 1]]),  # F_2[C_7] = F_2[X]/(X^7 - 1) = F_2 x F_8 x F_8
+    (3, [[0, 1], [1, 1], [1, 0, 1], [2, 1, 1]]),  # F_3 x F_3 x F_9 x F_9
+    (5, [[0, 1], [1, 1], [2, 1], [2, 0, 1], [1, 1, 0, 1]]),  # F_5^3 x F_25 x F_125
+    (BIG_P, [[-ROOT, 1], [ROOT, 1]]),  # X^2 - ROOT^2, a square: F_p x F_p
+    (BIG_P, [[1, 0, 1]]),  # X^2 + 1, -1 a non-square: F_(p^2)
+    (BIG_P, [[-1, 1], [ROOT, 1], [1, 0, 1], [-2, 1]]),  # F_p^3 x F_(p^2)
+    (None, [[1, 0, 1], [-1, 1], [-2, 0, 1]]),  # Q[X]/((X^2 + 1)(X - 1)(X^2 - 2))
+    (None, [[-1, 1], [1, 1], [1, 0, 1]]),  # Q[C_4] = Q[X]/(X^4 - 1) = Q x Q x Q(i)
+]
+
+
+def ground_truth_cases():
+    """(A, key, expected): the keys of A's centrally primitive idempotents, by construction."""
+    cases = []
+    for p, factors in POLY_CASES:
+        A = poly_quotient_algebra(p, poly_prod(factors, p))
+        units = [poly_rem([1], f, p) for f in factors]
+
+        def key(e, p=p, factors=factors):  # residues modulo every factor
+            return tuple(poly_rem(e, f, p) for f in factors)
+
+        expected = [tuple(u if i == j else la.zero_vec(len(u), p) for j, u in enumerate(units))
+                    for i in range(len(factors))]
+        cases.append((A, key, expected))
+    M = direct_sum(matrix_algebra(3, 2), product_of_fields(3, 1))  # M_2(F_3) + F_3
+    cases.append((M, tuple, [(1, 0, 0, 1, 0), (0, 0, 0, 0, 1)]))
+    Q10 = product_of_fields(None, 10)
+    cases.append((Q10, tuple, Q10.basis()))
+    return cases
+
+
+def signed_permutation(A, rng):
+    perm, p = rng.sample(range(A.dim), A.dim), A.p
+    return tuple(la.vscale(rng.choice((1, -1)), A.basis_vec(c), p) for c in perm)
+
+
+def test_central_idempotents_ground_truth(monkeypatch):
+    # each case in its own basis, a signed-permutation basis (basis vectors
+    # stay +- idempotent) and a random invertible one; idempotents are
+    # mapped back to the constructed basis before their keys are compared.
+    # A product budget keeps a search over F_p from passing as a slow success.
+    products = itertools.count()
+    mul = FinAlgebra.mul
+
+    def budgeted(self, a, b):
+        assert next(products) < 20_000, "no split needs this many products"
+        return mul(self, a, b)
+
+    rng = random.Random(5)
+    for A, key, expected in ground_truth_cases():
+        for T in (la.identity_map(A.dim, A.p), signed_permutation(A, rng), random_basis(A, rng)):
+            B = rebase(A, T)
+            monkeypatch.setattr(FinAlgebra, "mul", budgeted)
+            start, products = time.perf_counter(), itertools.count()
+            idems = central_idempotents(B)
+            elapsed = time.perf_counter() - start
+            monkeypatch.setattr(FinAlgebra, "mul", mul)
+            assert sorted(key(la.apply_map(T, e, A.p)) for e in idems) == sorted(expected)
+            if A.p == BIG_P:
+                assert elapsed < 1.0
+
+
+def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):
+    # a Frobenius image off by e_1 drops e_2 from the fixed space of F_3^3:
+    # the split still finds all three blocks, one more than the fixed space allows
+    A = product_of_fields(3, 3)
+    power = finalg._power
+
+    def wrong(B, x, k):
+        if k == 3 and x == B.basis_vec(2):
+            return B.add(power(B, x, k), B.basis_vec(1))
+        return power(B, x, k)
+
+    monkeypatch.setattr(finalg, "_power", wrong)
+    with pytest.raises(ImplementationError, match="Frobenius"):
+        central_idempotents(A)
 
 
 def test_is_prime_fd():
