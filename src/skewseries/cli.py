@@ -160,8 +160,7 @@ def parse_base_element(ring, text):
         if mod is not None:
             coeffs[idx] = (coeffs[idx] + int(coef)) % mod
         else:
-            q = ring.p
-            coeffs[idx] = la.fadd(coeffs[idx], la.fnorm(coef, q), q)
+            coeffs[idx] = la.fnorm(coeffs[idx] + coef, ring.p)
     return tuple(coeffs)
 
 

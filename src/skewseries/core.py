@@ -22,6 +22,7 @@ from .finalg import (
     IdealSubspace,
     ImplementationError,
     ideal_meet,
+    is_automorphism,
     is_sigma_prime,
     is_sigma_stable,
     minimal_primes_over,
@@ -36,6 +37,12 @@ from .skewder import SkewDerivation, pth_power
 
 class CoreError(ValueError):
     pass
+
+
+def _require_automorphism(A: FinAlgebra, sd: SkewDerivation, known: bool = False):
+    """The one sigma check of a verdict: everything below it passes automorphism=True."""
+    if not (known or is_automorphism(A, sd.sigma_matrix)):
+        raise CoreError("sigma is not an algebra automorphism")
 
 
 def default_cap(A: FinAlgebra) -> int:
@@ -115,7 +122,8 @@ class CoreReport:
 
 
 def stabilization_M(
-    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, spectrum=None
+    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, spectrum=None,
+    automorphism=False,
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
@@ -125,7 +133,10 @@ def stabilization_M(
     inconclusive.  P_m = (sigma^(p^m), delta^(p^m)) is the p-th power of
     P_(m-1), and each distinct pair gets one core (sigma = id, delta^p = 0
     gives P_m = (id, 0) for all m >= 1).  ``spectrum``: prime_spectrum(A).
+    ``automorphism``: True when sigma is known to be an automorphism (then
+    so is each sigma^(p^m)); otherwise a non-automorphism is refused.
     """
+    _require_automorphism(A, sd, automorphism)
     if cap is None:
         cap = default_cap(A)
     if cap < 0:
@@ -161,7 +172,9 @@ def stabilization_M(
         final.contains(sd_M.delta(v)) for v in final.basis
     )
     try:
-        report.flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix, spectrum=spectrum)
+        report.flags["sigma^(p^M)-prime"] = is_sigma_prime(
+            final, sd_M.sigma_matrix, spectrum=spectrum, automorphism=True
+        )
     except AlgebraError:
         report.flags["sigma^(p^M)-prime"] = None
     return report
@@ -208,25 +221,26 @@ def theorem_c_procedure(
         raise CoreError("requires characteristic p")
     if not sd.commuting:
         raise CoreError("requires sigma delta = delta sigma")
+    _require_automorphism(A, sd)
     if cap is None:
         cap = default_cap(A)
     if cap < 0:
         raise CoreError(f"cap must be >= 0, got {cap}")
     zero = subspace(A, [])
     spectrum = prime_spectrum(A)
-    if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum):
+    if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
         raise CoreError("I is not a minimal sigma-prime ideal")
     P = minimal_primes_over(A, I, spectrum)[0]  # deterministic: least echelon basis
     reports = []
     I_j = I
     M_prev = 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, sd, I_j, cap=cap, spectrum=spectrum)
+        rep = stabilization_M(A, sd, I_j, cap=cap, spectrum=spectrum, automorphism=True)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
         M_j = max(M_prev, rep.M)
-        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(p**M_j)))
+        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(p**M_j), automorphism=True))
         if I_next == I_j:
             break
         I_j, M_prev = I_next, M_j
@@ -235,8 +249,10 @@ def theorem_c_procedure(
     J, M = I_j, M_j
     sd_M = pth_power(sd, M)
     flags = {
-        "minimal sigma^(p^M)-prime": J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum),
-        "I is the sigma-orbit intersection of J": ideal_meet(sigma_orbit(J, sd.sigma_matrix)) == I,
+        "minimal sigma^(p^M)-prime":
+            J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum, automorphism=True),
+        "I is the sigma-orbit intersection of J":
+            ideal_meet(sigma_orbit(J, sd.sigma_matrix, automorphism=True)) == I,
         "delta^(p^M)(J) <= J": all(J.contains(sd_M.delta(v)) for v in J.basis),
         "inconclusive": False,
         "reports": reports,
@@ -270,6 +286,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation, cap: int = 64) -> dict:
             raise CoreError("q = -1 is a nontrivial root of unity")
         if c == 0:
             raise CoreError("q must be a unit")
+    _require_automorphism(A, sd)
     report = {"radical preserved": True, "sigma-primes preserved": True, "witnesses": []}
     N = radical(A)
     for v in N.basis:
@@ -277,7 +294,8 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation, cap: int = 64) -> dict:
             report["radical preserved"] = False
             report["witnesses"].append(("radical", v))
     zero = subspace(A, [])
-    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, cap=cap, spectrum=prime_spectrum(A, N)):
+    spectrum = prime_spectrum(A, N)
+    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, cap=cap, spectrum=spectrum, automorphism=True):
         for v in I.basis:
             if not I.contains(sd.delta(v)):
                 report["sigma-primes preserved"] = False

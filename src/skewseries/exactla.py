@@ -1,10 +1,13 @@
-"""Exact linear algebra over Q (Fraction) and prime fields F_p.
+"""Exact linear algebra over Q and prime fields F_p.
 
 Vectors are tuples of scalars, matrices ("maps") are tuples of rows where
 row j is the image of the j-th basis vector.  All arithmetic is exact;
 the field is selected by the parameter ``p`` (a prime, or None for Q).
-Elimination needs a field; vector and map arithmetic (``apply_map``,
-``compose``, ``map_power``) also accepts a prime-power modulus p^k.
+A scalar over Q is an ``int`` when it is integral and a ``Fraction``
+otherwise (``fnorm`` gives that form), so integral instances run on small
+ints; over F_p it is an int in [0, p).  Elimination needs a field; vector
+and map arithmetic (``apply_map``, ``compose``, ``map_power``) also
+accepts a prime-power modulus p^k.
 """
 
 from __future__ import annotations
@@ -18,27 +21,16 @@ Matrix = tuple
 
 
 def fnorm(c, p):
+    """c reduced mod p, or over Q an int when integral and a Fraction otherwise."""
     if p is None:
-        return c if isinstance(c, Fraction) else Fraction(c)
+        return c if type(c) is int or c.denominator != 1 else c.numerator
     return c % p
-
-
-def fadd(a, b, p):
-    return a + b if p is None else (a + b) % p
-
-
-def fmul(a, b, p):
-    return a * b if p is None else (a * b) % p
-
-
-def fneg(a, p):
-    return -a if p is None else (-a) % p
 
 
 def finv(a, p):
     """Inverse of a; raises on zero over Q and on a non-unit modulo p."""
     if p is None:
-        return Fraction(1) / Fraction(a)
+        return fnorm(1 / Fraction(a), None)
     return pow(a, -1, p)
 
 
@@ -55,15 +47,15 @@ def zero_vec(n, p) -> Vector:
 
 
 def vadd(u, v, p) -> Vector:
-    return tuple(fadd(a, b, p) for a, b in zip(u, v, strict=True))
+    return vec([a + b for a, b in zip(u, v, strict=True)], p)
 
 
 def vsub(u, v, p) -> Vector:
-    return tuple(fadd(a, fneg(b, p), p) for a, b in zip(u, v, strict=True))
+    return vec([a - b for a, b in zip(u, v, strict=True)], p)
 
 
 def vscale(c, v, p) -> Vector:
-    return tuple(fmul(c, a, p) for a in v)
+    return vec([c * a for a in v], p)
 
 
 def is_zero_vec(v) -> bool:
@@ -133,7 +125,7 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
             continue
         work.remove(pivot_row)
         inv = finv(pivot_row[col], p)
-        pivot_row = [fmul(inv, c, p) for c in pivot_row]
+        pivot_row = [fnorm(inv * c, p) for c in pivot_row]
         for r in work + out:
             f = r[col]
             if f != 0:
@@ -207,7 +199,7 @@ def first_dependency(vectors: Iterable[Vector], p) -> Vector:
         if pivot is None:
             return tuple(comb)
         inv = finv(row[pivot], p)
-        stored.append(([fmul(inv, a, p) for a in row], [fmul(inv, a, p) for a in comb], pivot))
+        stored.append(([fnorm(inv * a, p) for a in row], [fnorm(inv * a, p) for a in comb], pivot))
     raise ValueError("the vectors are independent")
 
 
@@ -220,7 +212,7 @@ def solve(rows: Sequence[Vector], v: Vector, p):
     """
     for c in left_kernel(list(rows) + [tuple(v)], p):
         if c[-1] != 0:
-            return vscale(finv(fneg(c[-1], p), p), c[:-1], p)
+            return vscale(finv(-c[-1], p), c[:-1], p)
     return None
 
 

@@ -78,7 +78,7 @@ class FinAlgebra:
     # -- element arithmetic ------------------------------------------------
 
     def basis_vec(self, i):
-        return tuple(la.fnorm(1 if j == i else 0, self.p) for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
     def basis(self):
         return [self.basis_vec(i) for i in range(self.dim)]
@@ -101,24 +101,24 @@ class FinAlgebra:
         return la.vsub(a, b, self.p)
 
     def neg(self, a):
-        return la.vscale(la.fneg(1, self.p), a, self.p)
+        return la.vscale(-1, a, self.p)
 
     def smul(self, c, a):
-        return la.vscale(la.fnorm(c, self.p), a, self.p)
+        return la.vscale(c, a, self.p)
 
     def mul(self, a, b):
-        out = list(self.zero())
+        out = [0] * self.dim
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
             for j, bj in enumerate(b):
                 if bj == 0:
                     continue
-                c = la.fmul(ai, bj, self.p)
+                c = ai * bj
                 for k, s in enumerate(self.structure[i][j]):
                     if s != 0:
-                        out[k] = la.fadd(out[k], la.fmul(c, s, self.p), self.p)
-        return tuple(out)
+                        out[k] += c * s
+        return la.vec(out, self.p)
 
     def is_central(self, z):
         return all(
@@ -128,7 +128,7 @@ class FinAlgebra:
     def random_element(self, rng):
         if self.p is not None:
             return tuple(rng.randrange(self.p) for _ in range(self.dim))
-        return tuple(Fraction(rng.randint(-3, 3)) for _ in range(self.dim))
+        return tuple(rng.randint(-3, 3) for _ in range(self.dim))
 
     def left_mult_matrix(self, a):
         """Map v -> a*v in the row-is-image convention."""
@@ -421,7 +421,7 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     """
     d = len(Z)
     for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
-        z, powers = la.apply_map(Z, [Fraction(k**i) for i in range(d)], None), []
+        z, powers = la.apply_map(Z, [k**i for i in range(d)], None), []
         m = la.first_dependency(_powers(A, z, powers), None)  # m[i]: coefficient of x^i
         if len(m) == d + 1:
             break
@@ -434,7 +434,7 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     for f, _ in m.factor_list()[1]:
         s, _, _ = m.quo(f).gcdex(f)  # s (m/f) = 1 mod f
         e_f = (s * m.quo(f)).rem(m).all_coeffs()[::-1]
-        e_f = [Fraction(int(c.p), int(c.q)) for c in e_f]
+        e_f = la.vec([Fraction(int(c.p), int(c.q)) for c in e_f], None)
         idems.append(la.apply_map(powers[: len(e_f)], e_f, None))
     return idems
 
@@ -494,11 +494,19 @@ def is_automorphism(A: FinAlgebra, sigma) -> bool:
     )
 
 
-def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64) -> list[IdealSubspace]:
-    """Distinct ideals sigma^n(I); finite over F_p, capped over Q."""
-    A = I.parent
-    if not is_automorphism(A, sigma):
+def _require_automorphism(A: FinAlgebra, sigma, known: bool):
+    if not (known or is_automorphism(A, sigma)):
         raise AlgebraError("sigma is not an algebra automorphism")
+
+
+def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64, automorphism=False) -> list[IdealSubspace]:
+    """Distinct ideals sigma^n(I); finite over F_p, capped over Q.
+
+    ``automorphism``: True when sigma is known to be an automorphism, which
+    is otherwise checked (as in is_sigma_prime and minimal_sigma_primes).
+    """
+    A = I.parent
+    _require_automorphism(A, sigma, automorphism)
     orbit = [I]
     current = I
     for _ in range(cap):
@@ -514,24 +522,26 @@ def is_sigma_stable(I: IdealSubspace, sigma) -> bool:
     return all(I.contains(la.apply_map(sigma, v, A.p)) for v in I.basis)
 
 
-def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64, spectrum=None) -> bool:
+def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64, spectrum=None, automorphism=False) -> bool:
     """I semiprime with minimal primes forming one sigma-orbit meeting in I."""
     A = I.parent
+    _require_automorphism(A, sigma, automorphism)
     if not is_sigma_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
     primes = minimal_primes_over(A, I, spectrum)
-    orbit = sigma_orbit(primes[0], sigma, cap=cap)
+    orbit = sigma_orbit(primes[0], sigma, cap=cap, automorphism=True)
     if sorted(orbit, key=lambda J: J.basis) != primes:
         return False
     return ideal_meet(primes) == I
 
 
 def minimal_sigma_primes(
-    A: FinAlgebra, sigma, I: IdealSubspace, cap: int = 64, spectrum=None
+    A: FinAlgebra, sigma, I: IdealSubspace, cap: int = 64, spectrum=None, automorphism=False
 ) -> list[IdealSubspace]:
     """Minimal sigma-prime ideals containing I (``spectrum``: prime_spectrum(A), if known)."""
+    _require_automorphism(A, sigma, automorphism)
     if not is_sigma_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     primes = minimal_primes_over(A, I, spectrum)
@@ -540,7 +550,7 @@ def minimal_sigma_primes(
     for P in primes:
         if P in seen:
             continue
-        orbit = sigma_orbit(P, sigma, cap=cap)
+        orbit = sigma_orbit(P, sigma, cap=cap, automorphism=True)
         seen.update(orbit)
         meet = ideal_meet(orbit)
         if meet not in results:

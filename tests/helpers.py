@@ -22,6 +22,20 @@ from skewseries.finalg import (
 from skewseries.skewder import SkewDerivation, check_skew_derivation
 
 
+def fraction_fnorm(c, p):
+    """``exactla.fnorm`` with every Q scalar a Fraction: the reference for the int-or-Fraction form."""
+    if p is None:
+        return c if isinstance(c, Fraction) else Fraction(c)
+    return c % p
+
+
+def fraction_finv(a, p):
+    """``exactla.finv`` returning a Fraction over Q, the partner of ``fraction_fnorm``."""
+    if p is None:
+        return Fraction(1) / Fraction(a)
+    return pow(a, -1, p)
+
+
 def ddx_derivation(p, n):
     """(id, d/dX) on F_p[X]/(X^n) (or Q for p=None).
 
@@ -342,7 +356,7 @@ def _min_poly_of_operator(op_rows, p):
             best = min(coeffs, key=lambda c: max(i for i, x in enumerate(c) if x != 0))
             deg = max(i for i, x in enumerate(best) if x != 0)
             lead_inv = la.finv(best[deg], p)
-            mono = [la.fmul(lead_inv, c, p) for c in best[: deg + 1]]
+            mono = [la.fnorm(lead_inv * c, p) for c in best[: deg + 1]]
             x = sympy.Symbol("x")
             expr = sum(sympy.Rational(c) * x**i if p is None else int(c) * x**i
                        for i, c in enumerate(mono))
@@ -465,3 +479,15 @@ def rebase(A, T):
 
     structure = [[new(A.mul(a, b)) for b in T] for a in T]
     return FinAlgebra(p, A.dim, structure, new(A.unit), check=False)
+
+
+def rebase_skew(A, sd, T):
+    """(A, sd) in the basis f_i = row i of T, as in ``rebase``."""
+    p = A.p
+    inverse = [la.solve(T, e, p) for e in A.basis()]
+
+    def conjugate(m):  # row i: the image of f_i in new coordinates
+        return tuple(la.apply_map(inverse, la.apply_map(m, f, p), p) for f in T)
+
+    B = rebase(A, T)
+    return B, SkewDerivation(B, conjugate(sd.sigma_matrix), conjugate(sd.delta_matrix))

@@ -15,13 +15,18 @@ from skewseries.core import (
     theorem_c_procedure,
 )
 from skewseries.finalg import (
+    AlgebraError,
     FinAlgebra,
     direct_sum,
     ideal_generated,
+    is_automorphism,
+    is_sigma_prime,
+    is_sigma_stable,
     minimal_primes_over,
     minimal_sigma_primes,
     product_of_fields,
     radical,
+    sigma_orbit,
     subspace,
     truncated_poly_algebra,
 )
@@ -317,6 +322,52 @@ def test_no_cache_outlives_a_verdict(monkeypatch):
         assert counts[0] == counts[1] and all(counts[0].values())
 
 
+# The non-automorphisms of test_finalg.py::test_is_automorphism, on F_p[X]/(X^3) and Q[X]/(X^3).
+NON_AUTOMORPHISMS = {
+    "not multiplicative": ((1, 0, 0), (0, 0, 1), (0, 1, 0)),  # swaps X and X^2
+    "singular": ((1, 0, 0), (0, 1, 0), (0, 1, 0)),
+    "moves 1": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("sigma", NON_AUTOMORPHISMS.values(), ids=list(NON_AUTOMORPHISMS))
+def test_a_non_automorphism_is_refused_everywhere(sigma):
+    # the check moved to the entry of each verdict; every entry point still refuses
+    for p in (2, None):
+        A = truncated_poly_algebra(p, 3)
+        sd = SkewDerivation(A, sigma, la.map_sub(sigma, sigma, p))  # delta = 0 commutes with sigma
+        X, zero = ideal_generated(A, [A.basis_vec(1)]), subspace(A, [])
+        assert not is_automorphism(A, sigma) and is_sigma_stable(X, sigma) and sd.commuting
+        refusals = [(AlgebraError, lambda: sigma_orbit(X, sigma)),
+                    (AlgebraError, lambda: is_sigma_prime(X, sigma)),
+                    (AlgebraError, lambda: is_sigma_prime(zero, sigma)),
+                    (AlgebraError, lambda: minimal_sigma_primes(A, sigma, zero))]
+        if p:
+            refusals += [(CoreError, lambda: stabilization_M(A, sd, X)),
+                         (CoreError, lambda: theorem_c_procedure(A, sd, X))]
+        else:
+            refusals.append((CoreError, lambda: char0_checks(A, sd)))
+        for error, call in refusals:
+            with pytest.raises(error, match="sigma is not an algebra automorphism"):
+                call()
+
+
+def test_one_automorphism_check_per_verdict(monkeypatch):
+    calls = []
+    for module in (finalg, core):
+        counting(monkeypatch, module, "is_automorphism", calls)
+    A = permutation_group_algebra(2, S3)
+    sd = conjugation_skew(A, A.basis_vec(1))
+    I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
+    calls.clear()
+    assert theorem_c_procedure(A, sd, I)[0] is not None
+    assert len(calls) == 1
+    A, sd = perm_skew(5, [1, 2, 0, 4, 3], 2)
+    calls.clear()
+    assert char0_checks(A, sd)["sigma-primes preserved"]
+    assert len(calls) == 1
+
+
 def theorem_c_cases():
     """Minimal sigma-primes over F_p with a commuting (sigma, delta)."""
     cases = [bg_instance(p) for p in (2, 3, 5)]
@@ -336,9 +387,9 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
     seen = []
     stabilize = core.stabilization_M
 
-    def recording(A, sd, I, cap=None, spectrum=None):
+    def recording(A, sd, I, cap=None, spectrum=None, automorphism=False):
         seen.append(I)
-        return stabilize(A, sd, I, cap=cap, spectrum=spectrum)
+        return stabilize(A, sd, I, cap=cap, spectrum=spectrum, automorphism=automorphism)
 
     monkeypatch.setattr(core, "stabilization_M", recording)
     saved = 0

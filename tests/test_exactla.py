@@ -116,7 +116,7 @@ def test_apply_map_matches_per_scalar_loop(p):
         expected = list(la.zero_vec(len(m[0]), p))
         for cj, row in zip(v, m, strict=True):
             for i, ri in enumerate(row):
-                expected[i] = la.fadd(expected[i], la.fmul(cj, ri, p), p)
+                expected[i] = la.fnorm(expected[i] + cj * ri, p)
         assert la.apply_map(m, v, p) == tuple(expected)
 
 
