@@ -65,16 +65,13 @@ def _line(text):
 @dataclass
 class SpecFile:
     version: str
-    sections: dict = field(default_factory=dict)  # name -> list of (key, value, line)
+    sections: dict = field(default_factory=dict)  # name -> list of (key, SpecValue)
 
     def get(self, section, key, default=None):
-        for k, v, _line in self.sections.get(section, []):
-            if k == key:
-                return v
-        return default
+        return next((v for k, v in self.items(section) if k == key), default)
 
     def items(self, section):
-        return [(k, v) for k, v, _line in self.sections.get(section, [])]
+        return self.sections.get(section, [])
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -102,7 +99,7 @@ def parse_spec(text: str) -> SpecFile:
         if "=" not in line:
             raise SpecError("expected 'key = value'", lineno, len(line))
         key, value = line.split("=", 1)
-        spec.sections[current].append((key.strip(), SpecValue(value.strip(), lineno), lineno))
+        spec.sections[current].append((key.strip(), SpecValue(value.strip(), lineno)))
     if "ring" not in spec.sections:
         raise SpecError("missing [ring] section", len(lines))
     return spec
@@ -114,7 +111,7 @@ def serialize_spec(spec: SpecFile) -> str:
         if name not in spec.sections:
             continue
         out.append(f"[{name}]")
-        for key, value, _line in spec.sections[name]:
+        for key, value in spec.sections[name]:
             out.append(f"{key} = {value}")
         out.append("")
     return "\n".join(out)
@@ -130,114 +127,60 @@ def _int(value, lineno=None):
         raise SpecError(f"expected an integer, got '{value}'", lineno or _line(value)) from None
 
 
-def _scalar(token, p, lineno):
+def _scalar(token, mod, lineno):
+    """A reduced rational over Q (mod None), else an integer reduced mod the modulus."""
     token = token.strip()
     try:
-        if p is None:
-            return Fraction(token)
-        return int(token) % p if isinstance(p, int) else int(token)
-    except ValueError:
+        return la.fnorm(Fraction(token), None) if mod is None else int(token) % mod
+    except (ValueError, ZeroDivisionError):
         raise SpecError(f"bad scalar '{token}'", lineno) from None
 
 
-def parse_base_element(ring, text):
-    """Sparse monomial list: 'coef*t^a + coef*t^a', t^a optional."""
+def parse_element(ring, text, D=None):
+    """Sparse 'c*t^a*x^b + ...' (t^a, x^b optional) as D or 1 ring elements, one per x^b."""
     lineno = _line(text)
-    if hasattr(ring, "modulus"):
-        coeffs = [0] * ring.T
-        mod = ring.modulus
-    else:
-        coeffs = [la.fnorm(0, ring.p)] * ring.dim
-        mod = None
+    rows = [[0] * ring.dim for _ in range(D or 1)]
     for term in text.split("+"):
         term = term.strip()
         if not term:
             raise SpecError("empty term in element", lineno)
-        coef, idx, _ = _parse_term(term, lineno, allow_x=False)
-        size = len(coeffs)
-        if idx >= size:
-            raise SpecError(f"t^{idx} out of range", lineno)
-        if mod is not None:
-            coeffs[idx] = (coeffs[idx] + int(coef)) % mod
-        else:
-            coeffs[idx] = la.fnorm(coeffs[idx] + coef, ring.p)
-    return tuple(coeffs)
+        coef, a, b = None, 0, 0
+        parts = [part.strip() for part in term.split("*")]
+        for part in parts:
+            if part.startswith("t^"):
+                a = _int(part[2:], lineno)
+            elif part.startswith("x^"):
+                b = _int(part[2:], lineno)
+            else:
+                coef = _scalar(part, ring.scalar_mod, lineno)
+        if len({part[:2] if part[:2] in ("t^", "x^") else "c" for part in parts}) < len(parts):
+            raise SpecError(f"term '{term}' repeats a factor", lineno)
+        if coef is None:
+            raise SpecError(f"term '{term}' has no coefficient", lineno)
+        for sym, n, size in (("t", a, ring.dim), ("x", b, len(rows))):
+            if not 0 <= n < size:
+                raise SpecError(f"{sym}^{n} out of range", lineno)
+        rows[b][a] += coef
+    return [ring.element(row) for row in rows]
 
 
-def parse_sps_element(S: SPSRing, text):
-    lineno = _line(text)
-    base = S.base
-    size = base.T if hasattr(base, "T") else base.dim
-    rows = [[0] * size for _ in range(S.D)]
-    for term in text.split("+"):
-        term = term.strip()
-        coef, idx, xdeg = _parse_term(term, lineno, allow_x=True)
-        if xdeg >= S.D:
-            raise SpecError(f"x^{xdeg} out of range", lineno)
-        if idx >= size:
-            raise SpecError(f"t^{idx} out of range", lineno)
-        rows[xdeg][idx] += coef
-    coeffs = []
-    for row in rows:
-        if hasattr(base, "modulus"):
-            coeffs.append(base.element(row))
-        else:
-            coeffs.append(base.element([la.fnorm(c, base.p) for c in row]))
-    return S.element(coeffs)
-
-
-def _parse_term(term, lineno, allow_x):
-    coef = None
-    tdeg = 0
-    xdeg = 0
-    for part in term.split("*"):
-        part = part.strip()
-        if part.startswith("t^"):
-            tdeg = _int(part[2:], lineno)
-        elif part.startswith("x^"):
-            if not allow_x:
-                raise SpecError("x is not allowed in a base element", lineno)
-            xdeg = _int(part[2:], lineno)
-        else:
-            try:
-                coef = Fraction(part)
-            except ValueError:
-                raise SpecError(f"bad term part '{part}'", lineno) from None
-    if coef is None:
-        raise SpecError(f"term '{term}' has no coefficient", lineno)
-    if coef.denominator == 1:
-        coef = int(coef)
-    return coef, tdeg, xdeg
-
-
-def parse_matrix(text, p):
-    rows = []
-    for row_text in text.split(";"):
-        entries = [
-            _scalar(tok, p, _line(text)) for tok in row_text.split() if tok.strip()
-        ]
-        rows.append(tuple(la.fnorm(e, p) for e in entries))
+def parse_matrix(text, mod):
+    rows = [tuple(_scalar(tok, mod, _line(text)) for tok in row_text.split())
+            for row_text in text.split(";")]
     if any(len(r) != len(rows) for r in rows):
         raise SpecError("matrix is not square", _line(text))
     return tuple(rows)
 
 
-def parse_vectors(text, p, lineno=None):
+def parse_vectors(text, mod, lineno=None):
     lineno = lineno or _line(text)
-    vectors = []
-    for vec_text in text.split(","):
-        vec_text = vec_text.strip()
-        if vec_text in ("", "-"):
-            continue
-        vectors.append(
-            tuple(la.fnorm(_scalar(tok, p, lineno), p) for tok in vec_text.split())
-        )
-    return vectors
+    return [tuple(_scalar(tok, mod, lineno) for tok in vec_text.split())
+            for vec_text in text.split(",") if vec_text.strip() not in ("", "-")]
 
 
-def _check_dim(text, p, dim, key, lineno=None):
+def _check_dim(text, mod, dim, key, lineno=None):
     """The vectors of text, each of the ring dimension."""
-    vectors = parse_vectors(text, p, lineno)
+    vectors = parse_vectors(text, mod, lineno)
     if any(len(v) != dim for v in vectors):
         raise SpecError(f"{key} needs vectors of {dim} coordinates (the ring dimension)",
                         lineno or _line(text))
@@ -249,7 +192,6 @@ def _check_dim(text, p, dim, key, lineno=None):
 
 @dataclass
 class Context:
-    spec: SpecFile
     base: object
     sd: SkewDerivation
     filtration: object
@@ -280,11 +222,11 @@ def build_context(spec: SpecFile) -> Context:
         delta_text = spec.get("skew", "delta_gen")
         if sigma_text is None or delta_text is None:
             raise SpecError("[skew] needs sigma_gen and delta_gen for series rings")
-        sigma_gen = parse_base_element(base, sigma_text)
-        delta_gen = parse_base_element(base, delta_text)
         q_text = spec.get("skew", "q")
-        q = parse_base_element(base, q_text) if q_text else None
-        sd = SkewDerivation.from_gen_images(base, sigma_gen, delta_gen, q=q)
+        q = parse_element(base, q_text)[0] if q_text else None
+        sd = SkewDerivation.from_gen_images(
+            base, parse_element(base, sigma_text)[0], parse_element(base, delta_text)[0], q=q
+        )
     elif kind == "finalg":
         p = None if p_num == 0 else p_num
         if p is not None and not is_prime(p):
@@ -335,7 +277,7 @@ def build_context(spec: SpecFile) -> Context:
             if sg is None or dg is None:
                 raise SpecError("[skew] needs sigma/delta matrices or generator images")
             sd = SkewDerivation.from_gen_images(
-                base, parse_base_element(base, sg), parse_base_element(base, dg)
+                base, parse_element(base, sg)[0], parse_element(base, dg)[0]
             )
         levels_text = spec.get("filtration", "levels")
         if levels_text is not None:
@@ -359,12 +301,10 @@ def build_context(spec: SpecFile) -> Context:
 
     elements = {}
     for key, value in spec.items("elements"):
-        if sps is not None:
-            elements[key] = parse_sps_element(sps, value)
-        else:
-            elements[key] = parse_base_element(base, value)
+        rows = parse_element(base, value, D)
+        elements[key] = sps.element(rows) if sps is not None else rows[0]
 
-    return Context(spec, base, sd, u, sps, ideals, elements)
+    return Context(base, sd, u, sps, ideals, elements)
 
 
 def load_spec_file(path: str) -> SpecFile:

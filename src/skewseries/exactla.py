@@ -82,18 +82,25 @@ def compose(first: Matrix, then: Matrix, p) -> Matrix:
     return tuple(apply_map(then, row, p) for row in first)
 
 
+def power(x, k: int, mul):
+    """x^k, k >= 1: square from the lowest set bit of k up to its top bit (k = 25: 6 products)."""
+    if k < 1:
+        raise ValueError(f"power needs k >= 1, got {k}")
+    while not k & 1:
+        x, k = mul(x, x), k >> 1
+    result = x
+    while k > 1:
+        x, k = mul(x, x), k >> 1
+        if k & 1:
+            result = mul(result, x)
+    return result
+
+
 def map_power(m: Matrix, k: int, p) -> Matrix:
-    """m^k by squaring from the lowest set bit of k up to its top bit (k = 25: 6 compositions)."""
+    """m^k; k >= 2 through ``power`` with ``compose``."""
     if k <= 1:
         return identity_map(len(m), p) if k == 0 else tuple(vec(row, p) for row in m)
-    while not k & 1:
-        m, k = compose(m, m, p), k >> 1
-    result = m
-    while k > 1:
-        m, k = compose(m, m, p), k >> 1
-        if k & 1:
-            result = compose(result, m, p)
-    return result
+    return power(m, k, lambda a, b: compose(a, b, p))
 
 
 def map_sub(a: Matrix, b: Matrix, p) -> Matrix:
@@ -146,22 +153,21 @@ def span(vectors: Iterable[Vector], p) -> tuple[Vector, ...]:
 
 
 def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> Vector:
-    """Residue of v modulo the row space (basis must be in rref)."""
-    r = vec(v, p)
+    """Residue of v modulo the row space (basis must be in rref), normalised once at the end.
+
+    Each pivot column is touched only by its own row, so the factor read
+    there is v's entry, and one pass over the rows clears every pivot.
+    """
+    r = list(v)
     for row, c in zip(basis, pivots, strict=True):
-        f = r[c]
+        f = fnorm(r[c], p)
         if f != 0:
-            r = vec([a - f * b for a, b in zip(r, row, strict=True)], p)
-    return r
+            r = [a - f * b for a, b in zip(r, row, strict=True)]
+    return vec(r, p)
 
 
 def contains(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> bool:
     return is_zero_vec(reduce_vector(basis, pivots, v, p))
-
-
-def subspace_contains(basis: Sequence[Vector], v: Vector, p) -> bool:
-    b, piv = rref(basis, p)
-    return contains(b, piv, v, p)
 
 
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:

@@ -14,7 +14,7 @@ import itertools
 
 from . import exactla as la
 from .coeffcore import ExtInt, INFINITY
-from .finalg import FinAlgebra, IdealSubspace, quotient_algebra
+from .finalg import FinAlgebra, IdealSubspace, quotient_algebra, subspace
 from .series import SeriesRing
 from .skewder import AxiomReport, SkewDerivation
 
@@ -28,16 +28,18 @@ class ChainFiltration:
 
     ``levels[j]`` is an rref basis of F_j; F_0 must be the whole algebra
     and the last level must be zero (separatedness).  Values are the
-    integers 0 .. len(levels)-1, with value(0) = infinity.
+    integers 0 .. len(levels)-1, with value(0) = infinity.  Each level is
+    also kept as a subspace with its pivots, for membership and reduction.
     """
 
     def __init__(self, ring: FinAlgebra, levels):
         self.ring = ring
-        self.levels = tuple(la.span(list(lvl), ring.p) for lvl in levels)
+        self._subspaces = tuple(subspace(ring, lvl) for lvl in levels)
+        self.levels = tuple(F.basis for F in self._subspaces)
         if not self.levels or len(self.levels[0]) != ring.dim:
             raise FiltrationError("F_0 must be the whole algebra")
-        for higher, lower in zip(self.levels[1:], self.levels, strict=False):
-            if not all(la.subspace_contains(lower, v, ring.p) for v in higher):
+        for higher, lower in zip(self._subspaces[1:], self._subspaces, strict=False):
+            if not lower.contains_ideal(higher):
                 raise FiltrationError("levels are not nested")
         if self.levels[-1]:
             raise FiltrationError("last level must be zero (separated)")
@@ -46,19 +48,18 @@ class ChainFiltration:
     def depth(self) -> int:
         return len(self.levels) - 1
 
+    def _level(self, j: int) -> IdealSubspace:
+        return self._subspaces[min(max(j, 0), len(self._subspaces) - 1)]
+
     def level_basis(self, j: int):
-        if j <= 0:
-            return self.levels[0]
-        if j >= len(self.levels):
-            return self.levels[-1]
-        return self.levels[j]
+        return self._level(j).basis
 
     def value(self, a) -> ExtInt:
         if la.is_zero_vec(a):
             return INFINITY
         best = 0
         for j in range(1, len(self.levels)):
-            if la.subspace_contains(self.levels[j], a, self.ring.p):
+            if self._subspaces[j].contains(a):
                 best = j
             else:
                 break
@@ -66,11 +67,8 @@ class ChainFiltration:
 
     def reduce(self, a, j: int):
         """Canonical representative of a modulo F_j."""
-        basis = self.level_basis(j)
-        if not basis:
-            return tuple(a)
-        rows, pivots = la.rref(basis, self.ring.p)
-        return la.reduce_vector(rows, pivots, a, self.ring.p)
+        F = self._level(j)
+        return la.reduce_vector(F.basis, F.pivots, a, self.ring.p) if F.basis else tuple(a)
 
     def adapted_basis(self):
         """Basis vectors tagged with exact values, covering every level gap."""
@@ -79,7 +77,7 @@ class ChainFiltration:
         for j in range(self.depth - 1, -1, -1):
             higher = list(self.level_basis(j + 1))
             for v in self.level_basis(j):
-                if not la.subspace_contains(higher + [c for c, _ in chosen], v, self.ring.p):
+                if not subspace(self.ring, higher + [c for c, _ in chosen]).contains(v):
                     chosen.append((v, j))
         return [(v, j) for v, j in chosen]
 

@@ -348,18 +348,6 @@ def central_idempotents(A: FinAlgebra, check=True) -> list:
     return sorted(idems)
 
 
-def _power(A: FinAlgebra, x, k: int):
-    """x^k for k >= 1 in O(log k) products."""
-    result = None
-    while True:
-        if k & 1:
-            result = x if result is None else A.mul(result, x)
-        k >>= 1
-        if not k:
-            return result
-        x = A.mul(x, x)
-
-
 def _split_centre_fp(A: FinAlgebra, Z) -> list:
     """Primitive idempotents of the centre Z over F_p, from its Frobenius fixed space.
 
@@ -374,7 +362,8 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
     When eF = F_p e for every f, each e is primitive; there must be r.
     """
     p, half = A.p, (A.p + 1) // 2
-    F = [la.apply_map(Z, c, p) for c in la.left_kernel([A.sub(_power(A, z, p), z) for z in Z], p)]
+    frobenius_minus_id = [A.sub(la.power(z, p, A.mul), z) for z in Z]
+    F = [la.apply_map(Z, c, p) for c in la.left_kernel(frobenius_minus_id, p)]
     idems = [A.one()]
     for f in F:
         todo, idems = idems, []
@@ -386,7 +375,7 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
                 continue
             for b in range(p):
                 u = A.add(g, A.smul(b, e))
-                h = u if p == 2 else _power(A, u, (p - 1) // 2)
+                h = u if p == 2 else la.power(u, (p - 1) // 2, A.mul)
                 t = A.mul(h, h)  # u^(p-1); u itself when p = 2
                 halves = [t] if p == 2 else [A.smul(half, A.add(t, h)), A.smul(half, A.sub(t, h))]
                 pieces = [x for x in [A.sub(e, t), *halves] if x != A.zero()]
@@ -517,16 +506,16 @@ def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64, automorphism=False) -> l
     raise OrbitCapExceeded(f"orbit cap {cap} exceeded")
 
 
-def is_sigma_stable(I: IdealSubspace, sigma) -> bool:
-    A = I.parent
-    return all(I.contains(la.apply_map(sigma, v, A.p)) for v in I.basis)
+def is_stable(I: IdealSubspace, m) -> bool:
+    """m(I) <= I for the map m."""
+    return all(I.contains(la.apply_map(m, v, I.parent.p)) for v in I.basis)
 
 
 def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64, spectrum=None, automorphism=False) -> bool:
     """I semiprime with minimal primes forming one sigma-orbit meeting in I."""
     A = I.parent
     _require_automorphism(A, sigma, automorphism)
-    if not is_sigma_stable(I, sigma):
+    if not is_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
@@ -542,7 +531,7 @@ def minimal_sigma_primes(
 ) -> list[IdealSubspace]:
     """Minimal sigma-prime ideals containing I (``spectrum``: prime_spectrum(A), if known)."""
     _require_automorphism(A, sigma, automorphism)
-    if not is_sigma_stable(I, sigma):
+    if not is_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     primes = minimal_primes_over(A, I, spectrum)
     seen = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import exactla as la
 from .coeffcore import alpha_coeff, digits, is_prime, no_common_component, trinomial_indices
-from .finalg import FinAlgebra, IdealSubspace, subspace
+from .finalg import FinAlgebra, IdealSubspace, is_stable, subspace
 
 
 class SkewDerivationError(ValueError):
@@ -49,25 +49,23 @@ class SkewDerivation:
 
     @classmethod
     def from_gen_images(cls, ring, sigma_gen, delta_gen, q=None):
-        """Extend generator images over a monomial basis 1, g, g^2, ...
+        """Extend generator images over a monomial basis 1, g, g^2, ... (ring.basis()).
 
         Works for SeriesRing (g = t) and for truncated polynomial
         FinAlgebras (g = the degree-1 basis vector): sigma extends
         multiplicatively, delta by the twisted Leibniz rule.
         """
-        n = ring.dim
+        n, monomials = ring.dim, ring.basis()
         sigma_rows = [ring.one()]
         for _ in range(1, n):
             sigma_rows.append(ring.mul(sigma_rows[-1], sigma_gen))
         delta_rows = [ring.zero(), delta_gen]
         for i in range(2, n):
             # delta(g^i) = delta(g) g^(i-1) + sigma(g) delta(g^(i-1))
-            prev_mono = _monomial(ring, i - 1)
-            term = ring.add(
-                ring.mul(delta_gen, prev_mono),
+            delta_rows.append(ring.add(
+                ring.mul(delta_gen, monomials[i - 1]),
                 ring.mul(sigma_gen, delta_rows[i - 1]),
-            )
-            delta_rows.append(term)
+            ))
         if n == 1:
             delta_rows = [ring.zero()]
         return cls(ring, tuple(sigma_rows), tuple(delta_rows[:n]), q=q)
@@ -116,12 +114,6 @@ class SkewDerivation:
 
     def __repr__(self):
         return f"SkewDerivation(on {self.ring!r})"
-
-
-def _monomial(ring, i):
-    if hasattr(ring, "monomial"):
-        return ring.monomial(1, i)
-    return ring.basis_vec(i)
 
 
 def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
@@ -269,7 +261,7 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
 def lemma31_check(sd: SkewDerivation, I: IdealSubspace) -> bool:
     """I + delta(I) is closed under two-sided multiplication."""
     A: FinAlgebra = sd.ring
-    if not all(I.contains(sd.sigma(v)) for v in I.basis):
+    if not is_stable(I, sd.sigma_matrix):
         raise SkewDerivationError("I is not sigma-stable")
     vectors = list(I.basis) + [sd.delta(v) for v in I.basis]
     J = subspace(A, vectors)

@@ -26,7 +26,7 @@ from .filtration import (
     is_compatible,
     quotient_filtration,
 )
-from .finalg import FinAlgebra, IdealSubspace, induced_map
+from .finalg import FinAlgebra, IdealSubspace, induced_map, is_stable
 from .series import SeriesRing
 from .skewder import SkewDerivation, sigma_shift_power
 
@@ -125,10 +125,7 @@ class SPSRing:
         return self.normalize(out)
 
     def power(self, f, n: int):
-        result = self.one()
-        for _ in range(n):
-            result = self.mul(result, f)
-        return result
+        return la.power(f, n, self.mul) if n else self.one()
 
     # -- the filtration f_u --------------------------------------------------
 
@@ -253,12 +250,10 @@ def quotient_sps(S: SPSRing, I: IdealSubspace):
     base = S.base
     if not isinstance(base, FinAlgebra) or not isinstance(S.u, ChainFiltration):
         raise SPSError("quotients are supported over chain-filtered FinAlgebra bases")
-    for v in I.basis:
-        if not I.contains(S.sd.sigma(v)):
-            raise SPSError("ideal is not stable under sigma")
-    for v in I.basis:
-        if not I.contains(S.sd.delta(v)):
-            raise SPSError("ideal is not stable under delta")
+    if not is_stable(I, S.sd.sigma_matrix):
+        raise SPSError("ideal is not stable under sigma")
+    if not is_stable(I, S.sd.delta_matrix):
+        raise SPSError("ideal is not stable under delta")
     wbar, B, project, lift = quotient_filtration(S.u, I)
     sigma_bar = induced_map(base, S.sd.sigma_matrix, I, B, project, lift)
     delta_bar = induced_map(base, S.sd.delta_matrix, I, B, project, lift)

@@ -368,3 +368,91 @@ def test_sympy_is_imported_when_a_centre_block_splits():
         "print('sympy' in sys.modules)\n"
     )
     assert out == "True\nTrue\n"
+
+
+FRACTION_SERIES = """sps-spec 1
+
+[ring]
+kind = series
+p = 3
+T = 4
+D = 4
+
+[skew]
+sigma_gen = 1*t^1
+delta_gen = 1*t^2
+q = 1
+
+[filtration]
+kind = adic
+
+[elements]
+f = 1*t^1
+g = 1*x^1
+"""
+
+FRACTION_FINALG = """sps-spec 1
+
+[ring]
+kind = finalg
+p = {p}
+preset = tpoly 3
+{D}
+[skew]
+sigma = 1 0 0; 0 1 0; 0 0 1
+delta = 0 0 0; 0 0 0; 0 0 0
+
+[filtration]
+levels = 1 0 0, 0 1 0, 0 0 1 | 0 1 0, 0 0 1 | 0 0 1 | -
+
+[elements]
+f = 1*t^1
+g = 1*t^1
+"""
+
+
+@pytest.mark.parametrize("text,line,bad", [
+    (FRACTION_SERIES, "sigma_gen = 1*t^1", "sigma_gen = 1*t^1 + 1/2*t^2"),
+    (FRACTION_SERIES, "delta_gen = 1*t^2", "delta_gen = 1/2*t^2"),
+    (FRACTION_SERIES, "q = 1", "q = 1 + 1/2*t^2"),
+    (FRACTION_SERIES, "f = 1*t^1", "f = 1/2*t^1"),
+    (FRACTION_FINALG.format(p=3, D=""), "f = 1*t^1", "f = 1/2*t^1"),
+    (FRACTION_FINALG.format(p=3, D="D = 3\n"), "f = 1*t^1", "f = 1/2*t^1"),
+], ids=["series-sigma_gen", "series-delta_gen", "series-q", "series-element",
+        "finalg-element", "sps-over-finalg-element"])
+def test_a_fraction_mod_p_is_a_spec_error(tmp_path, capsys, text, line, bad):
+    # these were read as delta(t) = 0, q = 1 or an element holding 1/2, with exit 0
+    spec = tmp_path / "fraction.spec"
+    spec.write_text(text)
+    assert main(["mul", str(spec), "f", "g"]) == 0
+    capsys.readouterr()
+    spec.write_text(text.replace(line, bad))
+    assert main(["mul", str(spec), "f", "g"]) == 2
+    lineno = text.splitlines().index(line) + 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spec error: line {lineno}, column 1: bad scalar '1/2'\n"
+
+
+def test_a_fraction_over_q_is_a_scalar(tmp_path, capsys):
+    spec = tmp_path / "fraction_q.spec"
+    spec.write_text(FRACTION_FINALG.format(p=0, D="").replace("f = 1*t^1", "f = 1/2*t^1"))
+    assert main(["mul", str(spec), "f", "g"]) == 0
+    assert capsys.readouterr().out == "1/2*t^2\n"
+
+
+@pytest.mark.parametrize("text,bad,message", [
+    (FRACTION_SERIES, "f = 1*t^-1", "t^-1 out of range"),
+    (FRACTION_SERIES, "f = 1*x^-1", "x^-1 out of range"),
+    (FRACTION_FINALG.format(p=0, D=""), "f = 1/0*t^1", "bad scalar '1/0'"),
+    (FRACTION_SERIES, "f = 2*2*t^1", "term '2*2*t^1' repeats a factor"),
+    (FRACTION_SERIES, "f = 1*t^1*t^1", "term '1*t^1*t^1' repeats a factor"),
+], ids=["negative-t", "negative-x", "zero-denominator", "two-coefficients", "two-t-powers"])
+def test_a_malformed_term_is_a_spec_error(tmp_path, capsys, text, bad, message):
+    # a negative exponent indexed from the end (t^-1 was read as t^(T-1)),
+    # and a repeated factor kept only its last value (2*2*t^1 was read as 2*t^1)
+    spec = tmp_path / "malformed.spec"
+    spec.write_text(text.replace("f = 1*t^1", bad))
+    assert main(["mul", str(spec), "f", "g"]) == 2
+    lineno = text.splitlines().index("f = 1*t^1") + 1
+    assert capsys.readouterr().err == f"spec error: line {lineno}, column 1: {message}\n"

@@ -21,7 +21,7 @@ from skewseries.finalg import (
     ideal_generated,
     is_automorphism,
     is_sigma_prime,
-    is_sigma_stable,
+    is_stable,
     minimal_primes_over,
     minimal_sigma_primes,
     product_of_fields,
@@ -337,7 +337,7 @@ def test_a_non_automorphism_is_refused_everywhere(sigma):
         A = truncated_poly_algebra(p, 3)
         sd = SkewDerivation(A, sigma, la.map_sub(sigma, sigma, p))  # delta = 0 commutes with sigma
         X, zero = ideal_generated(A, [A.basis_vec(1)]), subspace(A, [])
-        assert not is_automorphism(A, sigma) and is_sigma_stable(X, sigma) and sd.commuting
+        assert not is_automorphism(A, sigma) and is_stable(X, sigma) and sd.commuting
         refusals = [(AlgebraError, lambda: sigma_orbit(X, sigma)),
                     (AlgebraError, lambda: is_sigma_prime(X, sigma)),
                     (AlgebraError, lambda: is_sigma_prime(zero, sigma)),

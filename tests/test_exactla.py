@@ -54,7 +54,7 @@ def test_rref_is_canonical(p):
             assert all(x == 0 for x in r[:c])
             assert all(other[c] == 0 for other in reduced if other is not r)
         # same row space, and the form does not depend on the spanning set
-        assert all(la.subspace_contains(reduced, r, p) for r in rows)
+        assert all(la.contains(reduced, pivots, r, p) for r in rows)
         shuffled = list(rows) + [la.vscale(la.fnorm(3, p), rows[0], p)]
         rng.shuffle(shuffled)
         assert la.rref(shuffled, p) == (reduced, pivots)
@@ -98,7 +98,7 @@ def test_solve(p):
         assert la.solve(rows, la.apply_map(rows, c, p), p) == c
         outside = None
         for e in la.identity_map(6, p):
-            if not la.subspace_contains(rows, e, p):
+            if not la.contains(*la.rref(rows, p), e, p):
                 outside = e
                 break
         if outside is not None:
@@ -189,3 +189,46 @@ def test_map_power_composes_only_where_needed(monkeypatch):
         calls.clear()
         assert la.map_power(m, k, 7) == ((1, k % 7), (0, 1))
         assert len(calls) == expected
+
+
+def test_power_squares_from_the_lowest_set_bit():
+    # the schedule map_power, SPSRing.power and the centre split share
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for k in range(1, 65):
+        products.clear()
+        assert la.power(3, k, mul) == 3**k
+        assert len(products) == k.bit_length() - 1 + bin(k).count("1") - 1
+    products.clear()
+    assert la.power(3, 25, mul) == 3**25 and len(products) == 6
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            la.power(3, k, mul)
+
+
+def per_pivot_reduce(basis, pivots, v, p):
+    """reduce_vector renormalising the whole vector after every pivot: the reference."""
+    r = la.vec(v, p)
+    for row, c in zip(basis, pivots, strict=True):
+        if r[c] != 0:
+            r = la.vec([a - r[c] * b for a, b in zip(r, row, strict=True)], p)
+    return r
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_reduce_vector_matches_per_pivot_reduction(p):
+    rng = random.Random(f"reduce/{p}")
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        basis, pivots = la.rref(random_matrix(rng, rng.randint(0, 6), ncols, p), p)
+        # unreduced input: out-of-range residues, integral Fractions over Q
+        v = tuple(rng.randint(-20, 20) if p else Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                  for _ in range(ncols))
+        reduced = la.reduce_vector(basis, pivots, v, p)
+        assert reduced == per_pivot_reduce(basis, pivots, v, p)
+        assert all(type(c) is int or c.denominator != 1 for c in reduced)
+        assert all(reduced[c] == 0 for c in pivots)

@@ -192,3 +192,21 @@ def test_quotient_filtration_keeps_compatibility():
     sig = induced_map(A, sd.sigma_matrix, I, B, project, lift)
     dlt = induced_map(A, sd.delta_matrix, I, B, project, lift)
     assert is_compatible(wbar, SkewDerivation(B, sig, dlt))
+
+
+def test_chain_value_and_reduce_match_a_fresh_elimination():
+    # levels keep their pivots; a fresh rref of each level gives the same answers
+    rng = random.Random("chain-levels")
+    for p in (2, 3, None):
+        A = truncated_poly_algebra(p, 4)
+        w = x_adic_chain(A, 4)
+        for _ in range(30):
+            a = A.random_element(rng)
+            value = 0
+            while value + 1 < len(w.levels) and la.contains(*la.rref(w.levels[value + 1], p), a, p):
+                value += 1
+            assert w.value(a) == (INFINITY if a == A.zero() else ExtInt(value))
+            for j in range(-1, 6):
+                level = w.levels[min(max(j, 0), w.depth)]  # F_j, clamped to the chain
+                expected = la.reduce_vector(*la.rref(level, p), a, p) if level else tuple(a)
+                assert w.reduce(a, j) == expected

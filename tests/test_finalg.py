@@ -335,14 +335,14 @@ def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):
     # a Frobenius image off by e_1 drops e_2 from the fixed space of F_3^3:
     # the split still finds all three blocks, one more than the fixed space allows
     A = product_of_fields(3, 3)
-    power = finalg._power
+    power = finalg.la.power
 
-    def wrong(B, x, k):
-        if k == 3 and x == B.basis_vec(2):
-            return B.add(power(B, x, k), B.basis_vec(1))
-        return power(B, x, k)
+    def wrong(x, k, mul):
+        if k == 3 and x == A.basis_vec(2):
+            return A.add(power(x, k, mul), A.basis_vec(1))
+        return power(x, k, mul)
 
-    monkeypatch.setattr(finalg, "_power", wrong)
+    monkeypatch.setattr(finalg.la, "power", wrong)
     with pytest.raises(ImplementationError, match="Frobenius"):
         central_idempotents(A)
 

@@ -272,3 +272,14 @@ def test_serialize_deterministic():
         assert S.serialize(f) == S.serialize(S.element(list(f)))
     assert S.serialize(S.zero()) == "0"
     assert S.serialize(S.one()) == "1"
+
+
+def test_power_matches_repeated_mul():
+    # square-and-multiply gives the same staircase residue as n - 1 products
+    rng = random.Random("sps-power")
+    for S in (iwasawa_demo(2, 6, 6), tpow_demo(3, 5, 7), quotient_setting(D=5)):
+        f = S.random_element(rng)
+        expected = S.one()
+        for n in range(10):
+            assert S.power(f, n) == expected
+            expected = S.mul(expected, f)
