@@ -34,12 +34,17 @@ def finv(a, p):
     return pow(a, -1, p)
 
 
+def _normed(entries, p) -> list:
+    """The entries as a list of normal forms: an inline ``% p`` over F_p, ``fnorm`` over Q."""
+    return [c % p for c in entries] if p is not None else [fnorm(c, None) for c in entries]
+
+
 def vec(entries, p) -> Vector:
     # From a list, not a generator: a tuple sized from a generator never
     # comes off the interpreter's per-length free list but goes back onto
     # it, so hot loops of short-lived vectors would pin 2,000 dead tuples
     # of every length they use.
-    return tuple([fnorm(c, p) for c in entries])
+    return tuple(_normed(entries, p))
 
 
 def zero_vec(n, p) -> Vector:
@@ -116,7 +121,7 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
     """
     # Lists, not vec() tuples: short tuples freed at once pile up on the
     # interpreter's tuple free lists and measurably raise peak memory.
-    work = [[fnorm(c, p) for c in r] for r in rows]
+    work = [_normed(r, p) for r in rows]
     pivots: list[int] = []
     out: list[list] = []
     ncols = len(work[0]) if work else 0
@@ -132,11 +137,11 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
             continue
         work.remove(pivot_row)
         inv = finv(pivot_row[col], p)
-        pivot_row = [fnorm(inv * c, p) for c in pivot_row]
+        pivot_row = _normed([inv * c for c in pivot_row], p)
         for r in work + out:
             f = r[col]
             if f != 0:
-                r[:] = [fnorm(a - f * b, p) for a, b in zip(r, pivot_row, strict=True)]
+                r[:] = _normed([a - f * b for a, b in zip(r, pivot_row, strict=True)], p)
         out.append(pivot_row)
         pivots.append(col)
         col += 1
@@ -153,10 +158,11 @@ def span(vectors: Iterable[Vector], p) -> tuple[Vector, ...]:
 
 
 def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> Vector:
-    """Residue of v modulo the row space (basis must be in rref), normalised once at the end.
+    """Residue of v modulo the row space, normalised once at the end.
 
-    Each pivot column is touched only by its own row, so the factor read
-    there is v's entry, and one pass over the rows clears every pivot.
+    Each row must be 1 at its pivot and 0 at the pivots of the rows before
+    it (an rref basis is one).  Subtracting a row then leaves the earlier
+    pivots cleared, so one pass over the rows clears every pivot.
     """
     r = list(v)
     for row, c in zip(basis, pivots, strict=True):
@@ -164,10 +170,6 @@ def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) 
         if f != 0:
             r = [a - f * b for a, b in zip(r, row, strict=True)]
     return vec(r, p)
-
-
-def contains(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) -> bool:
-    return is_zero_vec(reduce_vector(basis, pivots, v, p))
 
 
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:

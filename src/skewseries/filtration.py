@@ -10,6 +10,7 @@ the skew power series layer consume.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import exactla as la
@@ -72,14 +73,23 @@ class ChainFiltration:
 
     def adapted_basis(self):
         """Basis vectors tagged with exact values, covering every level gap."""
-        # Work from the deepest level upward, extending the chosen set.
-        chosen = []
+        return self._adapted_basis
+
+    @functools.cached_property
+    def _adapted_basis(self):
+        # From the deepest level up, v in F_j is kept when it lies outside the
+        # span of everything kept so far (F_(j+1) when level j starts), held as
+        # one growing echelon basis: each row is zero at the earlier pivots.
+        p, rows, pivots, chosen = self.ring.p, [], [], []
         for j in range(self.depth - 1, -1, -1):
-            higher = list(self.level_basis(j + 1))
             for v in self.level_basis(j):
-                if not subspace(self.ring, higher + [c for c, _ in chosen]).contains(v):
+                r = la.reduce_vector(rows, pivots, v, p)
+                c = next((c for c, x in enumerate(r) if x != 0), None)
+                if c is not None:
+                    rows.append(la.vscale(la.finv(r[c], p), r, p))
+                    pivots.append(c)
                     chosen.append((v, j))
-        return [(v, j) for v, j in chosen]
+        return chosen
 
     def symbol_coords(self, e, d: int, reps):
         """Coordinates of e's class in F_d / F_{d+1} against the reps."""

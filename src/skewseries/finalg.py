@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,9 @@ class FinAlgebra:
 
     ``structure[i][j]`` is the coordinate vector of e_i * e_j.  ``p`` is a
     prime for F_p coefficients or None for Q.  Associativity and the unit
-    law are checked on all basis triples at construction.
+    law are checked on all basis triples at construction.  The arithmetic
+    runs on ``_pairs[i][j]``, the nonzero (k, c) of e_i * e_j, so it costs
+    O(nonzeros), not O(dim), per basis product (one pair in a group algebra).
     """
 
     def __init__(self, p, dim, structure, unit, check=True):
@@ -43,8 +46,11 @@ class FinAlgebra:
         self.structure = tuple(
             tuple(la.vec(entry, p) for entry in row) for row in structure
         )
+        self._pairs = tuple(tuple(tuple((k, c) for k, c in enumerate(entry) if c != 0)
+                                  for entry in row) for row in self.structure)
         self.unit = la.vec(unit, p)
         self._zero = la.zero_vec(dim, p)
+        self._basis = tuple(self.basis_vec(i) for i in range(dim))
         if check:
             self._validate()
 
@@ -58,22 +64,21 @@ class FinAlgebra:
         return self.p
 
     def _validate(self):
-        n = self.dim
+        n, P, p = self.dim, self._pairs, self.p
         if n < 1:
             raise AlgebraError("dim must be >= 1")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self.mul(self.structure[i][j], self.basis_vec(k))
-                    right = self.mul(self.basis_vec(i), self.structure[j][k])
-                    if left != right:
-                        raise AlgebraError(
-                            f"structure constants not associative at ({i},{j},{k})"
-                        )
-        for i in range(n):
-            e = self.basis_vec(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise AlgebraError("unit vector is not a two-sided identity")
+        for i, j, k in itertools.product(range(n), repeat=3):
+            diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
+            for a, c in P[i][j]:
+                for t, s in P[a][k]:
+                    diff[t] = diff.get(t, 0) + c * s
+            for b, c in P[j][k]:
+                for t, s in P[i][b]:
+                    diff[t] = diff.get(t, 0) - c * s
+            if any(x % p if p else x for x in diff.values()):
+                raise AlgebraError(f"structure constants not associative at ({i},{j},{k})")
+        if any(self.mul(self.unit, e) != e or self.mul(e, self.unit) != e for e in self._basis):
+            raise AlgebraError("unit vector is not a two-sided identity")
 
     # -- element arithmetic ------------------------------------------------
 
@@ -81,7 +86,7 @@ class FinAlgebra:
         return tuple(int(j == i) for j in range(self.dim))
 
     def basis(self):
-        return [self.basis_vec(i) for i in range(self.dim)]
+        return list(self._basis)
 
     def zero(self):
         return self._zero
@@ -106,19 +111,18 @@ class FinAlgebra:
     def smul(self, c, a):
         return la.vscale(c, a, self.p)
 
-    def mul(self, a, b):
+    def _combine(self, terms):
+        """sum c e_i e_j over the (c, i, j) in terms, unnormalised."""
         out = [0] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                c = ai * bj
-                for k, s in enumerate(self.structure[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return la.vec(out, self.p)
+        for c, i, j in terms:
+            for k, s in self._pairs[i][j]:
+                out[k] += c * s
+        return out
+
+    def mul(self, a, b):
+        right = [(j, bj) for j, bj in enumerate(b) if bj != 0]
+        return la.vec(self._combine((ai * bj, i, j) for i, ai in enumerate(a) if ai != 0
+                                    for j, bj in right), self.p)
 
     def is_central(self, z):
         return all(
@@ -131,8 +135,10 @@ class FinAlgebra:
         return tuple(rng.randint(-3, 3) for _ in range(self.dim))
 
     def left_mult_matrix(self, a):
-        """Map v -> a*v in the row-is-image convention."""
-        return tuple(self.mul(a, e) for e in self.basis())
+        """Map v -> a*v in the row-is-image convention: row j is sum_i a_i e_i e_j."""
+        terms = [(i, ai) for i, ai in enumerate(a) if ai != 0]
+        return tuple(la.vec(self._combine((ai, i, j) for i, ai in terms), self.p)
+                     for j in range(self.dim))
 
     def __repr__(self):
         field = "Q" if self.p is None else f"F_{self.p}"
@@ -155,19 +161,33 @@ class IdealSubspace:
         """Pivot columns of the rref basis: each row's first nonzero entry."""
         return tuple(next(c for c, x in enumerate(row) if x != 0) for row in self.basis)
 
+    @functools.cached_property
+    def functionals(self) -> tuple:
+        """(f, column f of the basis) per free column f, for the functional
+        v -> v_f - sum_m v[pivot_m] basis[m][f]; together they vanish exactly on I."""
+        free = sorted(set(range(self.parent.dim)) - set(self.pivots))
+        return tuple((f, tuple(row[f] for row in self.basis)) for f in free)
+
     def contains(self, v) -> bool:
-        return la.contains(self.basis, self.pivots, v, self.parent.p)
+        """Every functional vanishes on v, mod p over F_p (v need not be reduced), exactly over Q."""
+        p, at_pivots = self.parent.p, [v[c] for c in self.pivots]
+        sums = (v[f] - sum(map(operator.mul, at_pivots, column)) for f, column in self.functionals)
+        return not any(s % p for s in sums) if p else not any(sums)
 
     def contains_ideal(self, other: "IdealSubspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
     def is_ideal(self) -> bool:
-        """Closed under e_i v (map structure[i]) and v e_i (column i: row j is e_j e_i)."""
-        A, p = self.parent, self.parent.p
-        columns = [tuple(row[i] for row in A.structure) for i in range(A.dim)]
-        return all(self.contains(la.apply_map(A.structure[i], v, p))
-                   and self.contains(la.apply_map(columns[i], v, p))
-                   for v in self.basis for i in range(A.dim))
+        """Closed under e_i v and v e_i for every basis vector v; evaluated once, as I is frozen."""
+        return self._closed_under_products
+
+    @functools.cached_property
+    def _closed_under_products(self) -> bool:
+        A = self.parent
+        terms = [[(j, c) for j, c in enumerate(v) if c != 0] for v in self.basis]
+        return all(self.contains(A._combine((c, i, j) for j, c in t))  # e_i v
+                   and self.contains(A._combine((c, j, i) for j, c in t))  # v e_i
+                   for t in terms for i in range(A.dim))
 
     def __eq__(self, other):
         return (isinstance(other, IdealSubspace) and self.parent is other.parent

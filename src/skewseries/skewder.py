@@ -264,9 +264,4 @@ def lemma31_check(sd: SkewDerivation, I: IdealSubspace) -> bool:
     if not is_stable(I, sd.sigma_matrix):
         raise SkewDerivationError("I is not sigma-stable")
     vectors = list(I.basis) + [sd.delta(v) for v in I.basis]
-    J = subspace(A, vectors)
-    for v in J.basis:
-        for e in A.basis():
-            if not J.contains(A.mul(e, v)) or not J.contains(A.mul(v, e)):
-                return False
-    return True
+    return subspace(A, vectors).is_ideal()

@@ -120,15 +120,22 @@ def random_char0_instance(rng):
     return A, SkewDerivation(A, sigma, delta)
 
 
-def permutation_group_algebra(p, gens):
-    """F_p[G] for the group G generated by permutations of range(len(gens[0]))."""
-    identity = tuple(range(len(gens[0])))
-    elements = [identity]
+def permutation_group(gens):
+    """The elements of the group generated by permutations of range(len(gens[0])),
+    identity first, in the order of the basis of ``permutation_group_algebra``."""
+    elements = [tuple(range(len(gens[0])))]
     for g in elements:  # closure: the list grows while it is walked
         for s in gens:
             h = tuple(g[i] for i in s)
             if h not in elements:
                 elements.append(h)
+    return elements
+
+
+def permutation_group_algebra(p, gens):
+    """F_p[G] for the group G generated by permutations of range(len(gens[0]))."""
+    elements = permutation_group(gens)
+    identity = elements[0]
     index = {g: i for i, g in enumerate(elements)}
     n = len(elements)
 
@@ -282,13 +289,64 @@ def naive_radical(A):
     return subspace(A, la.left_kernel(rows, None))
 
 
+def naive_mul(A, a, b):
+    """a b by walking the dense structure vectors: the reference FinAlgebra.mul
+    (which runs on the nonzero (k, c) pairs) is compared against."""
+    out = [0] * A.dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if ai != 0 and bj != 0:
+                for k, s in enumerate(A.structure[i][j]):
+                    if s != 0:
+                        out[k] += ai * bj * s
+    return la.vec(out, A.p)
+
+
+def naive_left_mult_matrix(A, a):
+    """Rows a e_j by ``naive_mul``: the reference for FinAlgebra.left_mult_matrix."""
+    return tuple(naive_mul(A, a, e) for e in A.basis())
+
+
+def naive_contains(I, v):
+    """v in I when its residue modulo the rref basis is zero: the reference
+    for the membership by annihilating functionals."""
+    return la.is_zero_vec(la.reduce_vector(I.basis, I.pivots, v, I.parent.p))
+
+
+def naive_validation_error(A):
+    """The message of the first failure of the dense construction check on
+    A's constants (None if they pass): each (e_i e_j) e_k against
+    e_i (e_j e_k) by ``naive_mul``, in the order (i, j, k), then the unit."""
+    basis = A.basis()
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        if naive_mul(A, A.structure[i][j], basis[k]) != naive_mul(A, basis[i], A.structure[j][k]):
+            return f"structure constants not associative at ({i},{j},{k})"
+    if any(naive_mul(A, A.unit, e) != e or naive_mul(A, e, A.unit) != e for e in basis):
+        return "unit vector is not a two-sided identity"
+    return None
+
+
 def naive_is_ideal(I):
-    """Closure of I under e v and v e through the generic A.mul: the
-    reference IdealSubspace.is_ideal is compared against."""
+    """Closure of I under e v and v e through ``naive_mul`` and ``naive_contains``:
+    the reference IdealSubspace.is_ideal is compared against."""
     A = I.parent
     return all(
-        I.contains(A.mul(e, v)) and I.contains(A.mul(v, e)) for v in I.basis for e in A.basis()
+        naive_contains(I, naive_mul(A, x, y))
+        for v in I.basis for e in A.basis() for x, y in ((e, v), (v, e))
     )
+
+
+def naive_adapted_basis(w):
+    """ChainFiltration.adapted_basis by a fresh subspace per basis vector:
+    from the deepest level up, v in F_j is kept when it lies outside
+    F_(j+1) plus the vectors already kept."""
+    chosen = []
+    for j in range(w.depth - 1, -1, -1):
+        higher = list(w.level_basis(j + 1))
+        for v in w.level_basis(j):
+            if not naive_contains(subspace(w.ring, higher + [c for c, _ in chosen]), v):
+                chosen.append((v, j))
+    return chosen
 
 
 def naive_minimal_primes_over(A, I):

@@ -17,6 +17,7 @@ from skewseries.core import (
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
+    IdealSubspace,
     direct_sum,
     ideal_generated,
     is_automorphism,
@@ -320,6 +321,30 @@ def test_no_cache_outlives_a_verdict(monkeypatch):
             assert theorem_c_procedure(*case)[0] is not None
             counts.append({name: calls.count(name) for name in ("delta_core", "radical", "sigma_orbit")})
         assert counts[0] == counts[1] and all(counts[0].values())
+
+
+def test_one_ideal_certificate_per_core(monkeypatch):
+    # delta_core certifies each core it returns; the "is ideal" flag of
+    # stabilization_M reads that certificate instead of evaluating it again
+    evaluations, cores = [], []
+    certify = IdealSubspace._closed_under_products.func
+    monkeypatch.setattr(IdealSubspace._closed_under_products, "func",
+                        lambda I: evaluations.append(I) or certify(I))
+    delta_core = core.delta_core
+
+    def recording(*args, **kwargs):
+        cores.append(delta_core(*args, **kwargs))
+        return cores[-1]
+
+    monkeypatch.setattr(core, "delta_core", recording)
+    A = permutation_group_algebra(2, A4)
+    sd = conjugation_skew(A, A.basis_vec(1))
+    I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
+    evaluations.clear()
+    J, _, flags = theorem_c_procedure(A, sd, I)
+    assert J is not None and all(report.flags["is ideal"] for report in flags["reports"])
+    assert cores and len({id(K) for K in cores}) == len(cores)
+    assert sorted(map(id, evaluations)) == sorted(map(id, cores))
 
 
 # The non-automorphisms of test_finalg.py::test_is_automorphism, on F_p[X]/(X^3) and Q[X]/(X^3).

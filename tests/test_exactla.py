@@ -54,7 +54,7 @@ def test_rref_is_canonical(p):
             assert all(x == 0 for x in r[:c])
             assert all(other[c] == 0 for other in reduced if other is not r)
         # same row space, and the form does not depend on the spanning set
-        assert all(la.contains(reduced, pivots, r, p) for r in rows)
+        assert all(la.is_zero_vec(la.reduce_vector(reduced, pivots, r, p)) for r in rows)
         shuffled = list(rows) + [la.vscale(la.fnorm(3, p), rows[0], p)]
         rng.shuffle(shuffled)
         assert la.rref(shuffled, p) == (reduced, pivots)
@@ -98,7 +98,7 @@ def test_solve(p):
         assert la.solve(rows, la.apply_map(rows, c, p), p) == c
         outside = None
         for e in la.identity_map(6, p):
-            if not la.contains(*la.rref(rows, p), e, p):
+            if not la.is_zero_vec(la.reduce_vector(*la.rref(rows, p), e, p)):
                 outside = e
                 break
         if outside is not None:

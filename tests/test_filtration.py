@@ -21,7 +21,7 @@ from skewseries.finalg import ideal_generated, is_prime_fd, matrix_algebra, trun
 from skewseries.series import SeriesRing
 from skewseries.skewder import SkewDerivation
 
-from helpers import ddx_derivation
+from helpers import ddx_derivation, naive_adapted_basis
 
 
 def x_adic_chain(A, n):
@@ -194,6 +194,43 @@ def test_quotient_filtration_keeps_compatibility():
     assert is_compatible(wbar, SkewDerivation(B, sig, dlt))
 
 
+def fixture_filtrations():
+    """The chain filtration of every shipped spec on a finite algebra."""
+    from importlib import resources
+
+    from skewseries.cli import build_context, parse_spec
+
+    out = []
+    for entry in sorted(resources.files("skewseries").joinpath("fixtures").iterdir(), key=str):
+        ctx = build_context(parse_spec(entry.read_text()))
+        if isinstance(ctx.filtration, ChainFiltration):
+            out.append(ctx.filtration)
+    return out
+
+
+def test_adapted_basis_matches_a_fresh_subspace_per_vector():
+    # one growing echelon basis against a fresh subspace per basis vector,
+    # on the fixtures, X-adic chains, their quotients and chains spanned by
+    # redundant random vectors in random order
+    rng = random.Random("adapted")
+    filtrations = fixture_filtrations()
+    assert len(filtrations) >= 3
+    for p in (2, 3, 5, None):
+        A = truncated_poly_algebra(p, 5)
+        w = x_adic_chain(A, 5)
+        filtrations += [w, quotient_filtration(w, ideal_generated(A, [A.basis_vec(3)]))[0]]
+        for _ in range(3):
+            levels, vectors = [[]], []
+            for _ in range(A.dim):
+                vectors.append(A.random_element(rng))
+                levels.insert(0, rng.sample(vectors, len(vectors)) + [A.add(vectors[0], vectors[-1])])
+            levels[0] = A.basis()
+            filtrations.append(ChainFiltration(A, levels))
+    for w in filtrations:
+        assert w.adapted_basis() == naive_adapted_basis(w)
+        assert w.adapted_basis() is w.adapted_basis()  # computed once per filtration
+
+
 def test_chain_value_and_reduce_match_a_fresh_elimination():
     # levels keep their pivots; a fresh rref of each level gives the same answers
     rng = random.Random("chain-levels")
@@ -203,7 +240,8 @@ def test_chain_value_and_reduce_match_a_fresh_elimination():
         for _ in range(30):
             a = A.random_element(rng)
             value = 0
-            while value + 1 < len(w.levels) and la.contains(*la.rref(w.levels[value + 1], p), a, p):
+            while value + 1 < len(w.levels) and la.is_zero_vec(
+                    la.reduce_vector(*la.rref(w.levels[value + 1], p), a, p)):
                 value += 1
             assert w.value(a) == (INFINITY if a == A.zero() else ExtInt(value))
             for j in range(-1, 6):

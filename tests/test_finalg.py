@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -38,10 +39,15 @@ from helpers import (
     fr_functional,
     naive_center,
     naive_central_idempotents,
+    naive_contains,
     naive_is_ideal,
+    naive_left_mult_matrix,
+    naive_mul,
     naive_minimal_primes_over,
     naive_radical,
     naive_radical_levels,
+    naive_validation_error,
+    permutation_group,
     permutation_group_algebra,
     poly_prod,
     poly_quotient_algebra,
@@ -109,6 +115,34 @@ def test_group_algebra_radical_dimensions(p, gens, order, radical_dim):
     assert radical(A).dim == radical_dim
 
 
+def test_group_algebra_of_dim_56_ground_truth():
+    """F_2[G], G = P x H with P = C_2^3 and H = C_7, built with the full check.
+
+    rad F_2[G] = rad F_2[P] (x) F_2[H] (F_2[H] is semisimple) has dim
+    |G| - |H| = 49; the primes match the 3 irreducible factors of X^7 - 1
+    over F_2; inversion on C_7 swaps the two cubic ones, so the minimal
+    sigma-primes have codimension 1 and 6.
+    """
+    # transpositions (0 1), (2 3), (4 5) and the 7-cycle i -> i + 1 on 6..12
+    gens = [tuple(i ^ 1 if i // 2 == t else i for i in range(13)) for t in range(3)]
+    gens.append(tuple(range(6)) + tuple(6 + (i + 1) % 7 for i in range(7)))
+    G = permutation_group(gens)
+    A = permutation_group_algebra(2, gens)
+    assert A.dim == 56
+    N = radical(A)
+    assert N.dim == 49 and len(prime_spectrum(A, N)) == 3
+    index = {g: i for i, g in enumerate(G)}
+
+    def invert_c7(g):  # rotation by k on 6..12 becomes rotation by -k
+        k = g[6] - 6
+        return g[:6] + tuple(6 + (i - k) % 7 for i in range(7))
+
+    sigma = tuple(A.basis_vec(index[invert_c7(g)]) for g in G)
+    assert is_automorphism(A, sigma)
+    primes = minimal_sigma_primes(A, sigma, subspace(A, []))
+    assert [P.dim for P in primes] == [55, 50]
+
+
 @functools.cache  # built once, read by several tests
 def radical_cases():
     """Algebras over F_2, F_3, F_5 and Q, each also in a signed-permutation basis."""
@@ -145,21 +179,119 @@ def differential_cases():
         product_of_fields(None, 4), upper_triangular_algebra(None, 3)]
 
 
-def test_is_ideal_matches_naive():
-    # ideals and non-ideal subspaces: the structure-constant closure
-    # against the loop through A.mul
-    rng = random.Random(11)
-    verdicts = set()
-    for A in differential_cases():
-        zero = subspace(A, [])
-        candidates = [zero, radical(A), ideal_generated(A, [A.one()])] + prime_spectrum(A)
+@functools.cache
+def pair_cases():
+    """differential_cases() plus each of its shapes of dim <= 6 over F_2, F_3,
+    F_5 and Q in a random basis, where the structure constants are dense."""
+    rng = random.Random(17)
+    cases = differential_cases()
+    shapes = {(A.p, A.dim, A.structure): A for A in cases if A.dim <= 6}
+    return cases + [rebase(A, random_basis(A, rng)) for A in shapes.values()]
+
+
+def unnormalised(v, p, rng):
+    """v with the same value, mostly in no normal form: over F_p shifted by
+    multiples of p (negative or >= p) or an integral Fraction, over Q an
+    integral value as a Fraction (its normal form is an int)."""
+    if p is None:
+        return tuple(rng.choice((c, Fraction(c))) for c in v)
+    return tuple(rng.choice((c + p * rng.randint(-3, 3), Fraction(c - p), c + 2 * p)) for c in v)
+
+
+def random_elements(A, rng, count):
+    """Unnormalised random elements; over Q with proper fractions."""
+    out = []
+    for _ in range(count):
+        v = A.random_element(rng)
+        if A.p is None:
+            v = tuple(Fraction(c, rng.randint(1, 4)) for c in v)
+        out.append(unnormalised(v, A.p, rng))
+    return out
+
+
+@functools.cache
+def ideal_candidates():
+    """(A, ideals and non-ideal subspaces of A) for A in pair_cases()."""
+    rng, cases = random.Random(11), []
+    for A in pair_cases():
+        candidates = [subspace(A, []), radical(A), ideal_generated(A, [A.one()])] + prime_spectrum(A)
         for _ in range(3):
             x, y = A.random_element(rng), A.random_element(rng)
             candidates += [ideal_generated(A, [x]), subspace(A, [x]), subspace(A, [x, y])]
+        cases.append((A, candidates))
+    return cases
+
+
+def test_products_on_pairs_match_the_dense_structure():
+    # mul and left_mult_matrix run on the nonzero (k, c) pairs; the
+    # reference walks the dense structure vectors
+    rng = random.Random(19)
+    for A in pair_cases():
+        assert all(A.mul(e, f) == A.structure[i][j]
+                   for i, e in enumerate(A.basis()) for j, f in enumerate(A.basis()))
+        elements = random_elements(A, rng, 4) + [A.basis_vec(rng.randrange(A.dim))]
+        for a, b in zip(elements, elements[1:] + elements[:1]):
+            assert A.mul(a, b) == naive_mul(A, a, b)
+            assert A.left_mult_matrix(a) == naive_left_mult_matrix(A, a)
+
+
+def test_membership_by_functionals_matches_reduction():
+    # inside: combinations of the basis, also unnormalised; mostly outside:
+    # random vectors and an inside vector plus a basis vector
+    rng = random.Random(23)
+    verdicts = set()
+    for A, candidates in ideal_candidates():
+        p = A.p
+        for I in candidates:
+            inside = [la.apply_map(I.basis, A.random_element(rng)[: I.dim], p) if I.dim else A.zero()
+                      for _ in range(3)]
+            vectors = inside + random_elements(A, rng, 3)
+            vectors += [A.add(v, A.basis_vec(rng.randrange(A.dim))) for v in inside]
+            for v in vectors + [unnormalised(v, p, rng) for v in vectors]:
+                verdicts.add(I.contains(v))
+                assert I.contains(v) == naive_contains(I, v)
+            assert len(I.functionals) == A.dim - I.dim
+    assert verdicts == {True, False}
+
+
+def test_is_ideal_matches_naive():
+    # ideals and non-ideal subspaces: the closure read off the (k, c) pairs
+    # against the loop through the dense product and reduction
+    verdicts = set()
+    for _, candidates in ideal_candidates():
         for I in candidates:
             verdicts.add(I.is_ideal())
             assert I.is_ideal() == naive_is_ideal(I)
     assert verdicts == {True, False}
+
+
+def test_construction_check_matches_the_dense_check():
+    # valid constants pass both checks; one changed constant (or unit
+    # coordinate) fails both, at the same first (i, j, k); the constants
+    # are handed over unnormalised
+    rng = random.Random(29)
+    failures = set()
+    for A in pair_cases():
+        if A.dim > 5:  # the dense reference check costs dim^6
+            continue
+        p, n = A.p, A.dim
+        for trial in range(3):
+            S = [[list(unnormalised(v, p, rng)) for v in row] for row in A.structure]
+            unit = list(unnormalised(A.unit, p, rng))
+            if trial == 1:
+                S[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+            elif trial == 2:
+                unit[rng.randrange(n)] += 1
+            expected = naive_validation_error(FinAlgebra(p, n, S, unit, check=False))
+            failures.add(expected)
+            if expected is None:
+                FinAlgebra(p, n, S, unit)
+            else:
+                with pytest.raises(AlgebraError) as raised:
+                    FinAlgebra(p, n, S, unit)
+                assert str(raised.value) == expected
+    assert None in failures and "unit vector is not a two-sided identity" in failures
+    assert any(f and "associative" in f for f in failures)
 
 
 def test_minimal_primes_over_matches_naive():
