@@ -336,16 +336,8 @@ def fixture_names() -> list[str]:
 # -- elements and reporting helpers ---------------------------------------------
 
 
-def _serialize_base(base, e) -> str:
-    sym = "t"
-    terms = []
-    for a, c in enumerate(e):
-        if c == 0:
-            continue
-        if a == 0:
-            terms.append(str(c))
-        else:
-            terms.append(f"{c}*{sym}^{a}")
+def _serialize_base(e) -> str:
+    terms = [str(c) if a == 0 else f"{c}*t^{a}" for a, c in enumerate(e) if c != 0]
     return " + ".join(terms) if terms else "0"
 
 
@@ -373,12 +365,9 @@ def cmd_verify(ctx: Context, args) -> tuple[int, str]:
 
 
 def cmd_mul(ctx: Context, args) -> tuple[int, str]:
+    f, g = _require(ctx, args.f), _require(ctx, args.g)
     if ctx.sps is None:
-        f = _require(ctx, args.f)
-        g = _require(ctx, args.g)
-        return 0, _serialize_base(ctx.base, ctx.base.mul(f, g))
-    f = _require(ctx, args.f)
-    g = _require(ctx, args.g)
+        return 0, _serialize_base(ctx.base.mul(f, g))
     return 0, ctx.sps.serialize(ctx.sps.mul(f, g))
 
 
@@ -434,7 +423,7 @@ def cmd_decompose(ctx: Context, args) -> tuple[int, str]:
     comps = crossed_decompose(ctx.sps, args.N, f)
     lines = []
     for i, comp in enumerate(comps):
-        text = " | ".join(_serialize_base(ctx.base, c) for c in comp)
+        text = " | ".join(_serialize_base(c) for c in comp)
         lines.append(f"s_{i}: {text}")
     back = crossed_recompose(ctx.sps, args.N, comps)
     ok = back == f
@@ -450,8 +439,8 @@ def cmd_demo(args) -> tuple[int, str]:
     shift = la.map_sub(S.sd.sigma_matrix, ident, S.base.scalar_mod)
     lines = [
         f"ring: {S!r}",
-        f"sigma(t): {_serialize_base(S.base, S.sd.sigma(S.base.gen()))}",
-        f"delta(t): {_serialize_base(S.base, S.sd.delta(S.base.gen()))}",
+        f"sigma(t): {_serialize_base(S.sd.sigma(S.base.gen()))}",
+        f"delta(t): {_serialize_base(S.sd.delta(S.base.gen()))}",
         f"deg(sigma - id): {endo_degree(S.u, shift)}",
         f"deg(delta): {endo_degree(S.u, S.sd.delta_matrix)}",
         f"compatible: {is_compatible(S.u, S.sd)}",

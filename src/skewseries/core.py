@@ -154,18 +154,11 @@ def stabilization_M(
     for earlier, later in zip(cores, cores[1:]):
         if not later.contains_ideal(earlier):
             raise ImplementationError("core chain is not ascending")
-    M = None
-    for m in range(cap, -1, -1):
-        if cores[m] == cores[cap]:
-            M = m
-        else:
-            break
-    if M == cap:
-        M = None  # still moving at the cap, or nothing compared at cap 0
-    report.M = M
-    final = cores[cap]
-    report.core = final
-    sd_M = pairs[M if M is not None else cap]
+    # the chain ascends, so the first core equal to the last starts the stable tail
+    M = next(m for m, K in enumerate(cores) if K == cores[cap])
+    report.M = None if M == cap else M  # still moving at the cap, or nothing compared at cap 0
+    final = report.core = cores[cap]
+    sd_M = pairs[M]
     report.flags["is ideal"] = final.is_ideal()
     report.flags["sigma^(p^M)-stable"] = is_stable(final, sd_M.sigma_matrix)
     report.flags["delta^(p^M)-stable"] = is_stable(final, sd_M.delta_matrix)
@@ -193,9 +186,8 @@ def prop39_check(
         raise CoreError(
             f"hypothesis failed: delta-core is not the delta^(p^infinity)-core (M={report.M})"
         )
-    core = delta_core(A, sd, I)
-    try:
-        return is_sigma_prime(core, sd.sigma_matrix)
+    try:  # M = 0: the stabilised core is the delta-core
+        return is_sigma_prime(report.core, sd.sigma_matrix)
     except AlgebraError as exc:
         raise CoreError(f"conclusion not decidable: {exc}") from exc
 

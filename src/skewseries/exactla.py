@@ -13,7 +13,7 @@ accepts a prime-power modulus p^k.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = int | Fraction
 Vector = tuple
@@ -172,43 +172,39 @@ def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) 
     return vec(r, p)
 
 
+def dependencies(vectors: Iterable[Vector], p) -> Iterator[Vector]:
+    """For each v_j in the span of v_0..v_(j-1), the c with c[j] = 1 and sum_i c_i v_i = 0.
+
+    Each vector is drawn only as the caller asks and reduced, as [v_j | e_j]
+    so its combination is carried along, against the rows stored so far.
+    A row with a residue left is stored, scaled to 1 at its pivot (its first
+    nonzero entry); each stored row is then zero at the pivots of the rows
+    stored before it, so one pass in storage order clears every pivot.
+    """
+    stored = []  # (row with its combination as tail, pivot column)
+    for j, v in enumerate(vectors):
+        n, r = len(v), [*v, *[0] * j, 1]
+        for s, c in stored:
+            f = fnorm(r[c], p)
+            if f != 0:
+                r[: len(s)] = [a - f * b for a, b in zip(r, s)]
+        r = _normed(r, p)
+        pivot = next((c for c in range(n) if r[c] != 0), None)
+        if pivot is None:
+            yield tuple(r[n:])
+        else:
+            inv = finv(r[pivot], p)
+            stored.append((_normed([inv * a for a in r], p), pivot))
+
+
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:
     """Basis (rref) of {x : sum_j x_j rows[j] = 0}.
 
-    Reduces [rows | I]: a reduced row whose pivot lies in the identity
-    block is [0 | x] with x in the kernel, and these tails are already
-    the canonical rref of the kernel.
+    The dependencies, padded with zeros to len(rows), are independent (each
+    ends in its own 1) and as many as the kernel's dimension, so their rref
+    is the canonical basis of the kernel.
     """
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [[*r, *e] for r, e in zip(rows, identity_map(len(rows), p), strict=True)]
-    reduced, pivots = rref(aug, p)
-    return tuple(r[ncols:] for r, c in zip(reduced, pivots, strict=True) if c >= ncols)
-
-
-def first_dependency(vectors: Iterable[Vector], p) -> Vector:
-    """Coefficients c, with c[-1] = 1, of the first v_j with sum_i c_i v_i = 0.
-
-    The incremental counterpart of ``left_kernel``: each vector is reduced
-    against the earlier ones as it arrives (each stored row is zero at the
-    pivots of the rows stored before it), carrying its combination along,
-    so no more vectors are drawn than the dependency needs.
-    """
-    stored = []  # (row, its combination of v_0..v_j, pivot column)
-    for j, v in enumerate(vectors):
-        row, comb = list(vec(v, p)), [fnorm(0, p)] * j + [fnorm(1, p)]
-        for srow, scomb, c in stored:
-            f = row[c]
-            if f != 0:
-                row = [fnorm(a - f * b, p) for a, b in zip(row, srow)]
-                comb[: len(scomb)] = [fnorm(a - f * b, p) for a, b in zip(comb, scomb)]
-        pivot = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot is None:
-            return tuple(comb)
-        inv = finv(row[pivot], p)
-        stored.append(([fnorm(inv * a, p) for a in row], [fnorm(inv * a, p) for a in comb], pivot))
-    raise ValueError("the vectors are independent")
+    return span([c + (0,) * (len(rows) - len(c)) for c in dependencies(rows, p)], p)
 
 
 def solve(rows: Sequence[Vector], v: Vector, p):

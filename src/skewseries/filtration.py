@@ -78,18 +78,11 @@ class ChainFiltration:
     @functools.cached_property
     def _adapted_basis(self):
         # From the deepest level up, v in F_j is kept when it lies outside the
-        # span of everything kept so far (F_(j+1) when level j starts), held as
-        # one growing echelon basis: each row is zero at the earlier pivots.
-        p, rows, pivots, chosen = self.ring.p, [], [], []
-        for j in range(self.depth - 1, -1, -1):
-            for v in self.level_basis(j):
-                r = la.reduce_vector(rows, pivots, v, p)
-                c = next((c for c, x in enumerate(r) if x != 0), None)
-                if c is not None:
-                    rows.append(la.vscale(la.finv(r[c], p), r, p))
-                    pivots.append(c)
-                    chosen.append((v, j))
-        return chosen
+        # span of everything before it (F_(j+1) when level j starts): when
+        # ``dependencies`` yields no combination ending at v.
+        tagged = [(v, j) for j in range(self.depth - 1, -1, -1) for v in self.level_basis(j)]
+        dependent = {len(c) - 1 for c in la.dependencies([v for v, _ in tagged], self.ring.p)}
+        return [pair for i, pair in enumerate(tagged) if i not in dependent]
 
     def symbol_coords(self, e, d: int, reps):
         """Coordinates of e's class in F_d / F_{d+1} against the reps."""

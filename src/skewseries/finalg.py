@@ -243,67 +243,42 @@ def apply_to_ideal(A: FinAlgebra, m, I: IdealSubspace) -> IdealSubspace:
 
 
 def radical(A: FinAlgebra) -> IdealSubspace:
-    """Largest nilpotent two-sided ideal.
+    """Largest nilpotent two-sided ideal: the last Friedl-Ronyai level.
 
-    Over Q: kernel of the trace form (x, y) -> Tr(L_x L_y) = Tr(L_xy).
-    Over F_p: the trace form fails in small characteristic, so we use the
-    Friedl-Ronyai chain of trace-like kernels, computed on the left
-    regular representation lifted to Z/p^(i+1) at step i.
+    The levels are I_i = {x in I_(i-1) : g_i(xy) = 0 for all y in A}, with
+    I_(-1) = A and g_i(x) = (Tr(L^_x^q) / q) mod p, q = p^i, L^_x the integer
+    lift of L_x; the radical is the last level with q <= dim.  Over Q only
+    level 0 is needed: the kernel of the trace form.  Level 0 is the trace
+    form in any characteristic and is read off the structure constants:
+    g_0(e_a e_b) = sum_k (e_a e_b)_k t_k with t_k = Tr(L_(e_k)).  Cohen,
+    Ivanyos and Wales (J. Pure Appl. Algebra 117, 1997) show that g_i is
+    linear on I_(i-1) (over F_p; semilinear over F_(p^k)).  So g_i is
+    computed once per rref basis vector x_k of I_(i-1), and for the ideal
+    element xy, g_i(xy) = sum_k (xy)[pivot_k] g_i(x_k).  Row j of L_(x_k) is
+    x_k e_j, the products the rows need.
     """
-    if A.p is None:
-        return _radical_char0(A)
-    return _radical_charp(A)
-
-
-def _radical_char0(A: FinAlgebra) -> IdealSubspace:
-    # L is a representation, so Tr(L_{e_a} L_{e_b}) = Tr(L_{e_a e_b}) =
-    # sum_k (e_a e_b)_k t_k with t_k = Tr(L_{e_k}) = sum_i (e_k e_i)_i.
-    n = A.dim
-    traces = [sum(A.structure[k][i][i] for i in range(n)) for k in range(n)]
-    rows = [
-        tuple(sum(c * t for c, t in zip(prod, traces)) for prod in row)
-        for row in A.structure
-    ]
-    return IdealSubspace(A, la.left_kernel(rows, None))
-
-
-def _radical_charp(A: FinAlgebra) -> IdealSubspace:
-    """Friedl-Ronyai levels I_i = {x in I_(i-1) : g_i(xy) = 0 for all y in A}.
-
-    g_i(x) = (Tr(L^_x^q) / q) mod p with q = p^i and L^_x the integer lift
-    of L_x; I_(-1) = A and the last level with q <= dim is the radical.
-    Cohen, Ivanyos and Wales (J. Pure Appl. Algebra 117, 1997) show that
-    g_i is linear on I_(i-1) (semilinear over F_(p^k); over F_p plainly
-    linear).  So g_i is computed once per rref basis vector x_k of
-    I_(i-1), and for the ideal element xy, g_i(xy) = sum_k (xy)[pivot_k]
-    g_i(x_k).  Row j of L_(x_k) is x_k e_j, the products the rows need.
-    """
-    p = A.p
-    current, pivots = tuple(A.basis()), range(A.dim)  # rref basis of I_(i-1)
-    i = 0
-    while p**i <= A.dim:
-        q = p**i
-        # Tr(L^q) is read only through tr % q and (tr // q) % p, both
-        # fixed by tr mod p^(i+1), and matrix powers commute with
-        # reduction, so the power can be taken mod p^(i+1).
-        regs = [A.left_mult_matrix(x) for x in current]
+    p, n, S = A.p, A.dim, A.structure
+    traces = [sum(S[k][i][i] for i in range(n)) for k in range(n)]
+    trace_form = [tuple(sum(map(operator.mul, prod, traces)) for prod in row) for row in S]
+    I = IdealSubspace(A, la.left_kernel(trace_form, p))
+    q = p or n + 1  # over Q there is no level past 0
+    while q <= n and I.dim:
+        # Tr(L^q) is read only through tr % q and (tr // q) % p, both fixed by
+        # tr mod qp, and matrix powers commute with reduction, so the power
+        # can be taken mod qp.
+        regs = [A.left_mult_matrix(x) for x in I.basis]
         g = []
         for L in regs:
-            power = L if q == 1 else la.map_power(L, q, q * p)
-            tr = sum(power[t][t] for t in range(A.dim))
+            power = la.map_power(L, q, q * p)
+            tr = sum(power[t][t] for t in range(n))
             if tr % q != 0:
                 raise AlgebraError("trace-like functional not divisible: invalid input")
             g.append((tr // q) % p)
-        rows = [
-            tuple(sum(xy[c] * gk for c, gk in zip(pivots, g, strict=True)) % p for xy in L)
-            for L in regs
-        ]
-        coeff_kernel = la.left_kernel(rows, p)
-        current, pivots = la.rref([la.apply_map(current, c, p) for c in coeff_kernel], p)
-        if not current:
-            break
-        i += 1
-    return IdealSubspace(A, current)
+        rows = [tuple(sum(xy[c] * gk for c, gk in zip(I.pivots, g, strict=True)) for xy in L)
+                for L in regs]
+        I = subspace(A, [la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)])
+        q *= p
+    return I
 
 
 def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
@@ -431,7 +406,7 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     d = len(Z)
     for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
         z, powers = la.apply_map(Z, [k**i for i in range(d)], None), []
-        m = la.first_dependency(_powers(A, z, powers), None)  # m[i]: coefficient of x^i
+        m = next(la.dependencies(_powers(A, z, powers), None))  # m[i]: coefficient of x^i
         if len(m) == d + 1:
             break
     else:

@@ -143,14 +143,7 @@ class SPSRing:
 
     def boundedness_check(self, f, floor) -> bool:
         """Windowed membership in the bounded ring: all u(r_k) + k/2 >= floor."""
-        floor = floor if isinstance(floor, ExtInt) else ExtInt(floor)
-        for k, r in enumerate(f):
-            v = self.u.value(r)
-            if v.is_infinite:
-                continue
-            if ExtInt(halves=v.half + k) < floor:
-                return False
-        return True
+        return not self.f_u_value(f) < (floor if isinstance(floor, ExtInt) else ExtInt(floor))
 
     def serialize(self, f) -> str:
         """Canonical sparse text form, stable across runs."""

@@ -242,6 +242,20 @@ def relabel(A, rng):
     return FinAlgebra(p, n, structure, coords(A.unit))
 
 
+def naive_left_kernel(rows, p):
+    """Basis (rref) of {x : sum_j x_j rows[j] = 0} by one rref of [rows | I]: a
+    reduced row whose pivot lies in the identity block is [0 | x] with x in
+    the kernel.  The reference ``exactla.left_kernel`` is compared against,
+    and the kernel of the reference radicals, which so share no kernel code
+    with the radical under test."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    aug = [[*r, *e] for r, e in zip(rows, la.identity_map(len(rows), p), strict=True)]
+    reduced, pivots = la.rref(aug, p)
+    return tuple(r[ncols:] for r, c in zip(reduced, pivots, strict=True) if c >= ncols)
+
+
 def naive_radical_levels(A):
     """Bases of the levels I_(-1) = A, I_0, ... of the pairwise radical over F_p.
 
@@ -264,7 +278,7 @@ def naive_radical_levels(A):
                 assert tr % q == 0
                 row.append((tr // q) % p)
             rows.append(tuple(row))
-        coeff_kernel = la.left_kernel(rows, p)
+        coeff_kernel = naive_left_kernel(rows, p)
         levels.append(la.span([la.apply_map(levels[-1], c, p) for c in coeff_kernel], p))
         i += 1
     return levels
@@ -286,7 +300,7 @@ def naive_radical(A):
             prod = la.compose(Lx, Ly, None)
             row.append(sum(prod[i][i] for i in range(A.dim)))
         rows.append(tuple(Fraction(c) for c in row))
-    return subspace(A, la.left_kernel(rows, None))
+    return subspace(A, naive_left_kernel(rows, None))
 
 
 def naive_mul(A, a, b):

@@ -5,6 +5,8 @@ import pytest
 
 import skewseries.exactla as la
 
+from helpers import naive_left_kernel
+
 FIELDS = [2, 5, None]
 
 
@@ -69,22 +71,39 @@ def test_left_kernel(p):
         zero = la.zero_vec(len(rows[0]), p)
         assert all(la.apply_map(rows, x, p) == zero for x in kernel)
         assert len(kernel) == len(rows) - rank(rows, p)
-        assert kernel == la.span(kernel, p)
+        assert kernel == la.span(kernel, p) == naive_left_kernel(rows, p)
 
 
 @pytest.mark.parametrize("p", FIELDS)
-def test_first_dependency_matches_left_kernel(p):
-    # the first j where v_0..v_j has a kernel, and that kernel's one vector
+def test_dependencies_match_naive_left_kernel(p):
+    # each yielded c ends in 1 at its vector, kills its prefix, and the
+    # padded c span the kernel; cases with no rows, a zero row and n = 1
     rng = random.Random(f"dependency/{p}")
-    for _ in range(40):
-        rows = random_matrix(rng, rng.randint(2, 7), rng.randint(1, 5), p)
-        j = next((j for j in range(len(rows)) if la.left_kernel(rows[: j + 1], p)), None)
-        if j is None:
-            with pytest.raises(ValueError, match="independent"):
-                la.first_dependency(iter(rows), p)
-            continue
-        (kernel,) = la.left_kernel(rows[: j + 1], p)
-        assert la.first_dependency(iter(rows), p) == la.vscale(la.finv(kernel[-1], p), kernel, p)
+    zero, one = la.fnorm(0, p), la.fnorm(1, p)
+    cases = [random_matrix(rng, rng.randint(1, 7), rng.randint(1, 5), p) for _ in range(40)]
+    cases += [[], [(zero,)], [(one,), (zero,), (la.fnorm(3, p),)],
+              [(zero, zero), (one, zero), (zero, zero)]]
+    for rows in cases:
+        found = list(la.dependencies(rows, p))
+        for c in found:
+            assert c[-1] == 1 and len(c) <= len(rows)
+            assert la.is_zero_vec(la.apply_map(rows[: len(c)], c, p))
+        padded = [c + (zero,) * (len(rows) - len(c)) for c in found]
+        assert len({len(c) for c in found}) == len(found) == len(rows) - rank(rows, p)
+        assert la.span(padded, p) == naive_left_kernel(rows, p)
+
+
+def test_dependencies_draw_only_what_the_caller_asks():
+    drawn = []
+
+    def vectors():
+        for v in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+            drawn.append(v)
+            yield v
+
+    found = la.dependencies(vectors(), 3)
+    assert next(found) == (2, 2, 1) and len(drawn) == 3
+    assert next(found) == (1, 0, 0, 1) and len(drawn) == 4
 
 
 @pytest.mark.parametrize("p", FIELDS)

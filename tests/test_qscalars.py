@@ -126,7 +126,7 @@ def test_no_q_routine_returns_an_integral_fraction():
         assert_canonical(la.apply_map(rows, vector(k), None))
         assert_canonical([la.map_power(square, e, None) for e in range(5)])
         assert_canonical(la.solve(rows, la.apply_map(rows, vector(k), None), None))
-        assert_canonical(la.first_dependency(rows + [vector(n) for _ in range(n + 1)], None))
+        assert_canonical(next(la.dependencies(rows + [vector(n) for _ in range(n + 1)], None)))
     A = upper_triangular_algebra(None, 2)
     for B in (A, rebase_skew(A, SkewDerivation.identity(A), random_basis(A, rng))[0]):
         for _ in range(20):
