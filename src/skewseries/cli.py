@@ -29,10 +29,10 @@ from .filtration import (
     endo_degree,
     is_compatible,
 )
-from .finalg import FinAlgebra, ImplementationError, OrbitCapExceeded, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
+from .finalg import FinAlgebra, ImplementationError, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
 from .series import SeriesRing
 from .skewder import SkewDerivation, check_skew_derivation
-from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_iso_check, iwasawa_demo, tpow_demo
+from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_iso_check, iwasawa_demo
 
 GRAMMAR_VERSION = "sps-spec 1"
 FIXTURE_ENV = "SKEWSERIES_FIXTURES"
@@ -565,9 +565,6 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except OrbitCapExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except ImplementationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

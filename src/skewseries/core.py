@@ -198,13 +198,16 @@ def theorem_c_procedure(
     """Constructive procedure: from a minimal sigma-prime I, produce (J, M).
 
     Follows the inductive construction: fix the lexicographically least
-    minimal prime P over I, then iterate I_{j+1} = the intersection of
-    the sigma^(p^(M_j))-orbit of P, with M_j the stabilization exponent
-    of I_j (made nondecreasing).  It stops at the first I_(j+1) = I_j, with
-    (J, M) = (I_j, M_j): a further round would stabilize the same I_j, so
-    give the same M_j and the same I_(j+1).  Verifies the three conclusions
-    from scratch: J is a minimal sigma^(p^M)-prime, I is the intersection
-    of the sigma-orbit of J, and delta^(p^M)(J) <= J.
+    minimal prime P over I and walk its sigma-orbit [P, sigma P, ...] of
+    length L once; the sigma^n-orbit of P is then every gcd(n, L)-th
+    member.  Round j stabilizes I_j under (sigma, delta)^(p^(M_(j-1))), to
+    which I_j is stable (M_(-1) = 0), adds that exponent to M_j, and sets
+    I_(j+1) = the intersection of the sigma^(p^(M_j))-orbit of P.  It stops
+    at the first I_(j+1) = I_j, with (J, M) = (I_j, M_j): a further round
+    would stabilize I_j under (sigma, delta)^(p^(M_j)), whose core chain is
+    the stable tail of this round's, so it would add 0 to M_j.  Verifies
+    the three conclusions from scratch: J is a minimal sigma^(p^M)-prime,
+    I is the intersection of the sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
     p = A.char
     if p == 0 or not is_prime(p):
@@ -221,19 +224,19 @@ def theorem_c_procedure(
     if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
         raise CoreError("I is not a minimal sigma-prime ideal")
     P = minimal_primes_over(A, I, spectrum)[0]  # deterministic: least echelon basis
+    orbit = sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
     reports = []
-    I_j = I
-    M_prev = 0
+    I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, sd, I_j, cap=cap, spectrum=spectrum, automorphism=True)
+        rep = stabilization_M(A, pair, I_j, cap=cap, spectrum=spectrum, automorphism=True)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
-        M_j = max(M_prev, rep.M)
-        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(p**M_j), automorphism=True))
+        M_j += rep.M
+        I_next = ideal_meet(orbit[:: math.gcd(p**M_j, len(orbit))])
         if I_next == I_j:
             break
-        I_j, M_prev = I_next, M_j
+        I_j, pair = I_next, pth_power(pair, rep.M)
     else:
         return None, None, {"inconclusive": True, "reports": reports}
     J, M = I_j, M_j
@@ -242,7 +245,7 @@ def theorem_c_procedure(
         "minimal sigma^(p^M)-prime":
             J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum, automorphism=True),
         "I is the sigma-orbit intersection of J":
-            ideal_meet(sigma_orbit(J, sd.sigma_matrix, automorphism=True)) == I,
+            ideal_meet(sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True)) == I,
         "delta^(p^M)(J) <= J": is_stable(J, sd_M.delta_matrix),
         "inconclusive": False,
         "reports": reports,
@@ -259,7 +262,7 @@ def _rational_scalar(A: FinAlgebra, q):
     return None
 
 
-def char0_checks(A: FinAlgebra, sd: SkewDerivation, cap: int = 64) -> dict:
+def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     """Characteristic-0 preservation checks for the radical and sigma-primes.
 
     Requires q = 1 or q not a root of unity; for rational q the root-of-
@@ -285,7 +288,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation, cap: int = 64) -> dict:
             report["witnesses"].append(("radical", v))
     zero = subspace(A, [])
     spectrum = prime_spectrum(A, N)
-    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, cap=cap, spectrum=spectrum, automorphism=True):
+    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
         for v in I.basis:
             if not I.contains(sd.delta(v)):
                 report["sigma-primes preserved"] = False

@@ -484,10 +484,11 @@ def _require_automorphism(A: FinAlgebra, sigma, known: bool):
 
 
 def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64, automorphism=False) -> list[IdealSubspace]:
-    """Distinct ideals sigma^n(I); finite over F_p, capped over Q.
+    """The distinct ideals I, sigma(I), sigma^2(I), ... in order; at most ``cap`` of them.
 
     ``automorphism``: True when sigma is known to be an automorphism, which
-    is otherwise checked (as in is_sigma_prime and minimal_sigma_primes).
+    is otherwise checked.  An orbit of a prime is bounded by the prime
+    spectrum; the orbit of an arbitrary ideal over Q can be infinite.
     """
     A = I.parent
     _require_automorphism(A, sigma, automorphism)
@@ -506,45 +507,37 @@ def is_stable(I: IdealSubspace, m) -> bool:
     return all(I.contains(la.apply_map(m, v, I.parent.p)) for v in I.basis)
 
 
-def is_sigma_prime(I: IdealSubspace, sigma, cap: int = 64, spectrum=None, automorphism=False) -> bool:
-    """I semiprime with minimal primes forming one sigma-orbit meeting in I."""
+def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, automorphism=False) -> bool:
+    """I is its own one minimal sigma-prime: the primes over I form one sigma-orbit meeting in I."""
     A = I.parent
     _require_automorphism(A, sigma, automorphism)
-    if not is_stable(I, sigma):
-        raise AlgebraError("ideal is not sigma-stable")
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
-    primes = minimal_primes_over(A, I, spectrum)
-    orbit = sigma_orbit(primes[0], sigma, cap=cap, automorphism=True)
-    if sorted(orbit, key=lambda J: J.basis) != primes:
-        return False
-    return ideal_meet(primes) == I
+    return minimal_sigma_primes(A, sigma, I, spectrum, automorphism=True) == [I]
 
 
 def minimal_sigma_primes(
-    A: FinAlgebra, sigma, I: IdealSubspace, cap: int = 64, spectrum=None, automorphism=False
+    A: FinAlgebra, sigma, I: IdealSubspace, spectrum=None, automorphism=False
 ) -> list[IdealSubspace]:
-    """Minimal sigma-prime ideals containing I (``spectrum``: prime_spectrum(A), if known)."""
+    """Minimal sigma-prime ideals containing I: the meets of the sigma-orbits of the primes over I.
+
+    sigma permutes the primes over the sigma-stable I, so each orbit is
+    walked once, bounded by their number.  Distinct orbit meets are
+    incomparable: if meet(O1) <= meet(O2), each Q in O2 contains the
+    product of O1; Q is prime, so it contains some P in O1, and P is
+    maximal, so Q = P.  So O2 lies in O1, and orbits that meet are equal.
+    ``spectrum``: prime_spectrum(A), if known.
+    """
     _require_automorphism(A, sigma, automorphism)
     if not is_stable(I, sigma):
         raise AlgebraError("ideal is not sigma-stable")
     primes = minimal_primes_over(A, I, spectrum)
-    seen = set()
-    results = []
-    for P in primes:
-        if P in seen:
-            continue
-        orbit = sigma_orbit(P, sigma, cap=cap, automorphism=True)
-        seen.update(orbit)
-        meet = ideal_meet(orbit)
-        if meet not in results:
-            results.append(meet)
-    # Only keep the minimal ones among the orbit intersections.
-    minimal = [
-        J for J in results
-        if not any(K is not J and J.contains_ideal(K) for K in results)
-    ]
-    return sorted(minimal, key=lambda J: J.basis)
+    meets = []
+    while primes:
+        orbit = sigma_orbit(primes[0], sigma, cap=len(primes), automorphism=True)
+        meets.append(ideal_meet(orbit))
+        primes = [P for P in primes if P not in orbit]
+    return sorted(meets, key=lambda J: J.basis)
 
 
 # -- convenience constructors ----------------------------------------------

@@ -101,14 +101,8 @@ class SeriesRing:
                 best = v
         return INFINITY if best is None else ExtInt(best)
 
-    def reduce_mod_value(self, a, j) -> tuple:
+    def reduce_mod_value(self, a, j: int) -> tuple:
         """Canonical representative of a modulo {x : value(x) >= j}."""
-        if isinstance(j, ExtInt):
-            if j.is_infinite:
-                return a
-            if j.half % 2 != 0:
-                raise ValueError("series values are integers")
-            j = j.half // 2
         out = []
         for n, c in enumerate(a):
             keep = j - n

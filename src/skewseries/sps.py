@@ -20,9 +20,6 @@ from .coeffcore import ExtInt, INFINITY
 from .filtration import (
     AdicFiltration,
     ChainFiltration,
-    GradedAlgebra,
-    assoc_graded,
-    endo_degree,
     is_compatible,
     quotient_filtration,
 )

@@ -19,7 +19,7 @@ from skewseries.finalg import (
     subspace,
     truncated_poly_algebra,
 )
-from skewseries.skewder import SkewDerivation, check_skew_derivation
+from skewseries.skewder import SkewDerivation, check_skew_derivation, pth_power
 
 
 def fraction_fnorm(c, p):
@@ -386,18 +386,74 @@ def naive_core_chain(A, sd, I, cap):
 
 def naive_theorem_c(A, sd, I, cap=None):
     """(J, M, rounds) of the Theorem-C loop that also waits for M_j to settle:
-    it stabilizes I_j once more when I_(j+1) = I_j but M_j moved.  The
-    reference theorem_c_procedure's (J, M) is compared against."""
+    it stabilizes I_j once more when I_(j+1) = I_j but M_j moved.  Round j
+    stabilizes I_j under pth_power(sd, M_(j-1)) and walks the
+    sigma^(p^M_j)-orbit of P afresh.  The reference theorem_c_procedure's
+    (J, M) is compared against."""
     cap = default_cap(A) if cap is None else cap
     P = minimal_primes_over(A, I)[0]
     I_j, M_prev = I, 0
     for rounds in range(1, cap + 3):
-        M_j = max(M_prev, stabilization_M(A, sd, I_j, cap=cap).M)
+        M_j = M_prev + stabilization_M(A, pth_power(sd, M_prev), I_j, cap=cap).M
         I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(A.p**M_j)))
         if I_next == I_j and M_j == M_prev:
             return I_j, M_prev, rounds
         I_j, M_prev = I_next, M_j
     return None, None, rounds
+
+
+def naive_minimal_sigma_primes(A, sigma, I):
+    """The orbit meets of the primes over I, deduplicated, and of those the
+    minimal ones: the reference minimal_sigma_primes is compared against."""
+    seen, results = set(), []
+    for P in minimal_primes_over(A, I):
+        if P in seen:
+            continue
+        orbit = sigma_orbit(P, sigma)
+        seen.update(orbit)
+        meet = ideal_meet(orbit)
+        if meet not in results:
+            results.append(meet)
+    minimal = [J for J in results if not any(K is not J and J.contains_ideal(K) for K in results)]
+    return sorted(minimal, key=lambda J: J.basis)
+
+
+def cyclic_quiver_square_zero(k):
+    """The radical-square-zero path algebra of the cyclic quiver with k
+    vertices over F_2, with sigma rotating the quiver and delta(e_i) = 0,
+    delta(a_i) = e_(i+1).
+
+    Basis e_0..e_(k-1), a_0..a_(k-1) with a_i = e_i a_i e_(i+1).  The pair
+    commutes; delta(a_i a_(i+1)) = 2 a_(i+1) makes it a skew derivation
+    only in characteristic 2.  Theorem C needs a second round here.
+    """
+    n = 2 * k
+    basis = [tuple(int(m == i) for m in range(n)) for i in range(n)]
+    structure = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    for i in range(k):
+        structure[i][i] = basis[i]  # e_i e_i = e_i
+        structure[i][k + i] = structure[k + i][(i + 1) % k] = basis[k + i]  # e_i a_i = a_i e_(i+1) = a_i
+    A = FinAlgebra(2, n, structure, tuple(int(m < k) for m in range(n)))
+    sigma = tuple(basis[(i + 1) % k + (i >= k) * k] for i in range(n))
+    delta = tuple((0,) * n if i < k else basis[(i + 1) % k] for i in range(n))
+    sd = SkewDerivation(A, sigma, delta)
+    assert check_skew_derivation(sd).valid and sd.commuting
+    return A, sd
+
+
+def finalg_spec(A, sd, ideal):
+    """An sps-spec 1 text for the finite algebra A with the pair sd and the
+    ideal I generated by the vectors ``ideal``."""
+    def rows(vectors, sep):
+        return sep.join(" ".join(str(c) for c in v) for v in vectors)
+
+    return "\n".join([
+        "sps-spec 1", "", "[ring]", "kind = finalg", f"p = {A.p}", f"dim = {A.dim}",
+        "structure = " + rows([v for row in A.structure for v in row], ", "),
+        "unit = " + rows([A.unit], ""), "", "[skew]",
+        "sigma = " + rows(sd.sigma_matrix, "; "), "delta = " + rows(sd.delta_matrix, "; "),
+        "", "[ideals]", "I = " + rows(ideal, ", "), "",
+    ])
 
 
 def naive_center(A):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 
-import skewseries.exactla as la
 from skewseries.cli import fixture_names
 from skewseries.coeffcore import binom_valuation_check
 from skewseries.core import (
@@ -38,7 +37,6 @@ from skewseries.sps import (
 )
 
 from helpers import random_char0_instance
-from test_filtration import x_adic_chain
 from test_sps import quotient_setting
 
 

@@ -18,6 +18,8 @@ from skewseries.cli import (
     serialize_spec,
 )
 
+from helpers import cyclic_quiver_square_zero, finalg_spec
+
 
 def fixture_text(name):
     root = importlib.resources.files("skewseries") / "fixtures"
@@ -312,15 +314,28 @@ def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
     assert next(exponents) == 5  # cap + 2 rounds ran
 
 
-def test_orbit_cap_is_exit_3(monkeypatch, capsys):
-    def capped(I, sigma, cap=64, automorphism=False):
-        raise finalg.OrbitCapExceeded(f"orbit cap {cap} exceeded")
+def test_theoremc_walks_a_sigma_orbit_of_65_primes(tmp_path, capsys):
+    # F_2^65 with the cyclic shift and delta = sigma - id: 0 is the minimal
+    # sigma-prime, and its orbit of 65 primes is walked without a cap
+    def rows(shifts):  # row i: the image of e_i, sum of e_(i+s) for s in shifts
+        return "; ".join(" ".join(str(int((j - i) % 65 in shifts)) for j in range(65)) for i in range(65))
 
-    monkeypatch.setattr(finalg, "sigma_orbit", capped)
-    assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "inconclusive: orbit cap 64 exceeded\n"
+    spec = tmp_path / "fields65.spec"
+    spec.write_text("sps-spec 1\n\n[ring]\nkind = finalg\np = 2\npreset = fields 65\n\n[skew]\n"
+                    f"sigma = {rows({1})}\ndelta = {rows({0, 1})}\n\n[ideals]\nI = -\n")
+    assert main(["theoremc", str(spec), "--ideal", "I"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "M: 0", "J dim: 0", "I is the sigma-orbit intersection of J: True",
+        "delta^(p^M)(J) <= J: True", "minimal sigma^(p^M)-prime: True"]
+
+
+def test_theoremc_on_a_second_round_refinement(tmp_path, capsys):
+    A, sd = cyclic_quiver_square_zero(4)
+    spec = tmp_path / "quiver4.spec"
+    spec.write_text(finalg_spec(A, sd, A.basis()[4:]))  # I = (a_0, ..., a_3), the radical
+    assert main(["theoremc", str(spec), "--ideal", "I"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("M: 1\nJ dim: 6\n") and ": False" not in out
 
 
 def _fresh_interpreter(code):

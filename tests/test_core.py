@@ -31,12 +31,21 @@ from skewseries.finalg import (
     subspace,
     truncated_poly_algebra,
 )
-from skewseries.skewder import SkewDerivation, check_skew_derivation, pth_power
+from skewseries.skewder import (
+    SkewDerivation,
+    SkewDerivationError,
+    check_skew_derivation,
+    delta_n_product,
+    pth_power,
+    trinomial_expand,
+)
 
 from helpers import (
+    cyclic_quiver_square_zero,
     ddx_derivation,
     naive_core_chain,
     naive_delta_core,
+    naive_minimal_sigma_primes,
     naive_theorem_c,
     perm_skew,
     permutation_group_algebra,
@@ -403,6 +412,9 @@ def theorem_c_cases():
     for p, k, m in ((2, 3, 2), (3, 2, 3), (2, 5, 1)):
         A, sd = cycled_blocks(p, k, m)
         cases += [(A, sd, I) for I in minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))]
+    for k in (2, 4, 6):  # J is a proper refinement of I, found in a second round
+        A, sd = cyclic_quiver_square_zero(k)
+        cases += [(A, sd, I) for I in minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))]
     return cases
 
 
@@ -428,6 +440,48 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
         assert flags["I is the sigma-orbit intersection of J"] and not flags["inconclusive"]
         saved += naive_rounds - len(seen)
     assert saved > 0
+
+
+def test_theorem_c_refines_in_a_second_round():
+    # I_1 is only sigma^2-stable, so round 2 stabilizes it under (sigma, delta)^2
+    for k in (2, 4, 6):
+        A, sd = cyclic_quiver_square_zero(k)
+        I = radical(A)
+        assert minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, [])) == [I]
+        J, M, flags = theorem_c_procedure(A, sd, I)
+        assert (J.dim, M, len(flags["reports"])) == (3 * k // 2, 1, 2)
+        assert all(flags[name] for name in flags if name not in ("inconclusive", "reports"))
+        assert is_stable(J, sd.sigma_pow(2)) and not is_stable(J, sd.sigma_matrix)
+
+
+def test_minimal_sigma_primes_match_naive_on_verdict_cases():
+    rng = random.Random(3)
+    cases = [(A, sd) for A, sd, _ in theorem_c_cases()]
+    cases += [perm_skew(5, [1, 2, 0, 4, 3], 2), perm_skew(4, [1, 0, 3, 2], 1)]
+    cases += [random_char0_instance(rng) for _ in range(10)]
+    for A, sd in cases:
+        zero = subspace(A, [])
+        meets = minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        assert meets == naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        assert all(is_sigma_prime(I, sd.sigma_matrix) for I in meets)
+
+
+def test_a_noncommuting_pair_is_refused():
+    A, sd, I = square_zero_instance()
+    a, b = A.basis_vec(1), A.basis_vec(2)
+    with pytest.raises(CoreError, match="requires sigma delta = delta sigma"):
+        theorem_c_procedure(A, sd, I)
+    for call in (lambda: pth_power(sd, 1), lambda: delta_n_product(sd, a, b, 2),
+                 lambda: trinomial_expand(sd, a, A.one(), b, 2)):
+        with pytest.raises(SkewDerivationError, match="requires sigma delta = delta sigma"):
+            call()
+
+
+def test_stabilization_of_the_whole_ring_flags_no_sigma_primality():
+    A, sd, _ = bg_instance(2)
+    report = stabilization_M(A, sd, ideal_generated(A, [A.one()]))
+    assert (report.M, report.core.dim) == (0, A.dim)
+    assert report.flags["sigma^(p^M)-prime"] is None and report.flags["is ideal"]
 
 
 def test_char0_checks_compute_one_radical(monkeypatch):

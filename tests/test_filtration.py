@@ -186,7 +186,7 @@ def test_quotient_filtration_keeps_compatibility():
     w = x_adic_chain(A, 4)
     sd = SkewDerivation.identity(A)
     I = ideal_generated(A, [A.basis_vec(2)])
-    from skewseries.finalg import induced_map, quotient_algebra
+    from skewseries.finalg import induced_map
 
     wbar, B, project, lift = quotient_filtration(w, I)
     sig = induced_map(A, sd.sigma_matrix, I, B, project, lift)

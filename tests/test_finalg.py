@@ -44,6 +44,7 @@ from helpers import (
     naive_left_mult_matrix,
     naive_mul,
     naive_minimal_primes_over,
+    naive_minimal_sigma_primes,
     naive_radical,
     naive_radical_levels,
     naive_validation_error,
@@ -565,3 +566,34 @@ def test_every_minimal_sigma_prime_is_sigma_prime():
         for P in minimal_sigma_primes(A, sigma, zero):
             assert is_sigma_prime(P, sigma)
     assert rng is not None
+
+
+def swap_copies(A):
+    """A + A with sigma swapping the two copies: an automorphism pairing their primes."""
+    B, n = direct_sum(A, A), A.dim
+    return B, tuple(B.basis_vec((i + n) % (2 * n)) for i in range(2 * n))
+
+
+def test_minimal_sigma_primes_match_naive():
+    # one walk per orbit and no minimality filter, against the filtered orbit meets
+    cases = [(A, la.identity_map(A.dim, A.p)) for A in differential_cases()]
+    cases += [swap_copies(A) for A in differential_cases() if A.dim <= 6]
+    moved = 0
+    for A, sigma in cases:
+        zero, spectrum = subspace(A, []), prime_spectrum(A)
+        meets = minimal_sigma_primes(A, sigma, zero, spectrum=spectrum)
+        assert meets == naive_minimal_sigma_primes(A, sigma, zero)
+        assert is_sigma_prime(zero, sigma, spectrum=spectrum) == (meets == [zero])
+        moved += len(meets) < len(spectrum)
+    assert moved > 0
+
+
+def test_a_sigma_orbit_of_65_primes():
+    # F_2^65 with the cyclic shift: one orbit of 65 primes meeting in 0
+    A = product_of_fields(2, 65)
+    shift = tuple(A.basis_vec((i + 1) % 65) for i in range(65))
+    zero, spectrum = subspace(A, []), prime_spectrum(A)
+    assert minimal_sigma_primes(A, shift, zero, spectrum=spectrum) == [zero]
+    assert is_sigma_prime(zero, shift, spectrum=spectrum)
+    with pytest.raises(OrbitCapExceeded):
+        sigma_orbit(spectrum[0], shift)  # the default cap of 64

@@ -1,0 +1,35 @@
+"""Source checks on the package, with the standard library's ast only."""
+
+import ast
+from pathlib import Path
+
+import skewseries
+
+PACKAGE = Path(skewseries.__file__).parent
+
+
+def unused_imports(source):
+    """(line, name) of each name a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_check_sees_unused_imports():
+    source = "import os\nimport a.b\nfrom x import y as z, w\nfrom __future__ import annotations\nw(os)\n"
+    assert unused_imports(source) == [(2, "a"), (3, "z")]
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__.py re-exports the public names, so it imports what it does not read
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}
