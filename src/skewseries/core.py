@@ -131,8 +131,10 @@ def stabilization_M(
     and M < cap, so at least one comparison backs it; otherwise
     (including cap 0, which compares nothing) the report is flagged
     inconclusive.  P_m = (sigma^(p^m), delta^(p^m)) is the p-th power of
-    P_(m-1), and each distinct pair gets one core (sigma = id, delta^p = 0
-    gives P_m = (id, 0) for all m >= 1).  ``spectrum``: prime_spectrum(A).
+    P_(m-1), so from the first P_m equal to an earlier P_j the pairs, and
+    their cores, repeat with period m - j: each distinct pair gets one p-th
+    power and one core (sigma = id, delta^p = 0: P_m = (id, 0) for m >= 1).
+    ``spectrum``: prime_spectrum(A).
     ``automorphism``: True when sigma is known to be an automorphism (then
     so is each sigma^(p^m)); otherwise a non-automorphism is refused.
     """
@@ -142,14 +144,12 @@ def stabilization_M(
     if cap < 0:
         raise CoreError(f"cap must be >= 0, got {cap}")
     report = CoreReport(ideal_dim=I.dim, cap=cap)
-    pairs, cores, core_of = [pth_power(sd, 0)], [], {}
+    pairs, cores, first, period = [], [], {}, 0
     for m in range(cap + 1):
-        if m:
-            pairs.append(pth_power(pairs[-1], 1))
-        key = (pairs[m].sigma_matrix, pairs[m].delta_matrix)
-        if key not in core_of:
-            core_of[key] = delta_pm_core(A, sd, I, m, sd_pm=pairs[m])
-        cores.append(core_of[key])
+        if not period:  # P_m = P_(m-1)^p up to the first repeat P_m = P_(m - period)
+            pairs.append(pth_power(pairs[-1], 1) if m else pth_power(sd, 0))
+            period = m - first.setdefault((pairs[m].sigma_matrix, pairs[m].delta_matrix), m)
+        cores.append(cores[m - period] if period else delta_pm_core(A, sd, I, m, sd_pm=pairs[m]))
         report.chain.append((m, cores[m].dim))
     for earlier, later in zip(cores, cores[1:]):
         if not later.contains_ideal(earlier):

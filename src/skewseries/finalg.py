@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla as la
+from .coeffcore import is_prime
 
 
 class AlgebraError(ValueError):
@@ -328,8 +330,9 @@ def center(A: FinAlgebra) -> tuple:
 def central_idempotents(A: FinAlgebra, check=True) -> list:
     """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted.
 
-    They are the primitive idempotents of the centre Z, split in one pass:
-    over F_p by the Frobenius fixed space, over Q by a primitive element.
+    They are the primitive idempotents of the centre Z, split in one pass: over F_p by
+    the Frobenius fixed space, over Q by factoring the minimal polynomial of a primitive
+    element (Berlekamp, Hensel lifting past twice the Mignotte bound, Zassenhaus).
     They are certified nonzero, idempotent, orthogonal and summing to 1.
     """
     if check and radical(A).dim != 0:
@@ -382,14 +385,6 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
     return idems
 
 
-def _powers(A: FinAlgebra, z, out):
-    """Yield 1, z, z^2, ..., keeping each in out."""
-    out.append(A.one())
-    while True:
-        yield out[-1]
-        out.append(A.mul(out[-1], z))
-
-
 def _split_centre_q(A: FinAlgebra, Z) -> list:
     """Primitive idempotents of the centre Z over Q, from one primitive element.
 
@@ -400,27 +395,127 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     polynomial in k of degree <= d - 1 and not zero, as the Z_i span Z and
     phi_a != phi_b; so it has at most d - 1 roots.  The d(d - 1)/2 pairs rule
     out at most (d - 1) d(d - 1)/2 values of k, so some k up to one more is
-    primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its
-    factors f, and the idempotent of f is e_f(z), e_f = 1 mod f, 0 mod m/f.
+    primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its irreducible
+    factors f (``_factor_q``: Berlekamp, Hensel lifting past twice the Mignotte bound,
+    Zassenhaus), and e_f(z), e_f = s m/f for s m/f = 1 mod f, is the idempotent of f.
     """
     d = len(Z)
     for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
-        z, powers = la.apply_map(Z, [k**i for i in range(d)], None), []
-        m = next(la.dependencies(_powers(A, z, powers), None))  # m[i]: coefficient of x^i
-        if len(m) == d + 1:
+        z = la.apply_map(Z, [k**i for i in range(d)], None)
+        powers = list(itertools.accumulate([A.one()] + [z] * d, A.mul))
+        if len(m := next(la.dependencies(powers, None))) == d + 1:  # m[i]: coefficient of x^i
             break
     else:
         raise ImplementationError("no primitive element of the centre up to the bound")
-    import sympy  # deferred: loading it dominates the CLI's start-up; factoring m is its only use
-
-    m = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in m[::-1]], sympy.Symbol("x"))
     idems = []
-    for f, _ in m.factor_list()[1]:
-        s, _, _ = m.quo(f).gcdex(f)  # s (m/f) = 1 mod f
-        e_f = (s * m.quo(f)).rem(m).all_coeffs()[::-1]
-        e_f = la.vec([Fraction(int(c.p), int(c.q)) for c in e_f], None)
-        idems.append(la.apply_map(powers[: len(e_f)], e_f, None))
+    for f in _factor_q(m):  # e_f = s g for g = m/f, of degree < deg f + deg g = d
+        s = _pgcdex(g := _pdivmod(m, f, None)[0], f, None)[1]
+        ds, dg = (math.lcm(*(c.denominator for c in x)) for x in (s, g))
+        e = _pmul([int(c * ds) for c in s], [int(c * dg) for c in g], None)  # e_f ds dg, integral
+        idems.append(la.vscale(Fraction(1, ds * dg), la.apply_map(powers[: len(e)], e, None), None))
     return idems
+
+
+def _poly(a, p) -> list:
+    """Coefficients from x^0 to the last nonzero, mod p (over Q for p = None)."""
+    a = [c % p for c in a] if p else [la.fnorm(c, None) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _padd(a, b, p, scale=1) -> list:
+    return _poly([x + scale * y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
+
+
+def _pmul(a, b, p) -> list:
+    out, n = [0] * (len(a) + len(b)), len(b)
+    for i, x in enumerate(a):
+        out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    return _poly(out, p)
+
+
+def _pdivmod(a, b, p) -> tuple:
+    """(q, r) with a = q b + r and deg r < deg b; the leading coefficient of b is a unit."""
+    r, n, inv, q = list(a), len(b) - 1, la.finv(b[-1], p), [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = la.fnorm(r[k + n] * inv, p)
+        r[k : k + n] = [x - c * y for x, y in zip(r[k : k + n], b)]
+    return _poly(q, p), _poly(r[:n], p)
+
+
+def _pgcdex(a, b, p) -> list:
+    """[g, s]: g the monic gcd of a and b over the field F_p or Q, and s a = g mod b."""
+    r0, r1, s0, s1 = a, b, [1], []
+    while len(r1) > 1:  # a constant r1 ends it: the gcd is r1 if nonzero, else r0
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(q, s1, p), p, -1)
+    g, s = (r1, s1) if r1 else (r0, s0)
+    return [_pmul([la.finv(g[-1], p)], x, p) for x in (g, s)]
+
+
+def _factor_q(m) -> list:
+    """The monic irreducible factors over Q of the monic squarefree m, by Zassenhaus.
+
+    F(y) = D^d m(y/D), D the lcm of the denominators, is monic over Z.  It is factored mod the
+    least prime p not dividing disc F, one of the first log2 |disc F| <= log2(d^d |F|^(2d-2))
+    < 2d log2(d |F|) primes (|F| the 2-norm), and lifted to a modulus M > 2^(d+1) |F|, twice
+    the Mignotte bound on a factor.  Subsets of lifted factors, by increasing size, are kept
+    when their product in symmetric residues mod M divides F; f(x) = D^-deg g g(Dx).
+    """
+    d, D = len(m) - 1, math.lcm(*(Fraction(c).denominator for c in m))
+    F = [int(c * D ** (d - i)) for i, c in enumerate(m)]
+    norm, dF = math.isqrt(sum(c * c for c in F)) + 1, [i * c for i, c in enumerate(F)][1:]
+    primes = itertools.islice(filter(is_prime, itertools.count(2)), 2 * d * (d * norm).bit_length())
+    p = next((p for p in primes if _pgcdex(_poly(F, p), _poly(dF, p), p)[0] == [1]), None)
+    if p is None:
+        raise ImplementationError("the minimal polynomial of the centre is not squarefree")
+    M = next(p ** 2**j for j in itertools.count() if p ** 2**j > 2 ** (d + 1) * norm)
+    lifts, found, k = _lift(F, _berlekamp(_poly(F, p), p), p, M), [], 1
+    while 2 * k <= len(lifts):
+        for S in itertools.combinations(range(len(lifts)), k):
+            G = functools.reduce(lambda a, b: _pmul(a, b, M), [lifts[i] for i in S])
+            quo, rem = _pdivmod(F, G := [c - M if 2 * c > M else c for c in G], None)
+            if not rem:
+                found, F, lifts = found + [G], quo, [g for i, g in enumerate(lifts) if i not in S]
+                break
+        else:
+            k += 1
+    return [_poly([Fraction(c, D ** (len(g) - 1 - i)) for i, c in enumerate(g)], None)
+            for g in found + [F]]
+
+
+def _berlekamp(F, p) -> list:
+    """The monic irreducible factors of F, monic and squarefree mod p, by Berlekamp: the v with
+    v^p = v mod F (the left kernel of Q - I, row i of Q x^(ip) mod F) are constant mod each
+    factor and tell every two apart; v splits h into the nontrivial gcd(h, v - s), s in F_p."""
+    d, y, parts = len(F) - 1, _pdivmod([0] * p + [1], F, p)[1], [F]  # y = x^p mod F
+    xs = itertools.accumulate([[1]] + [y] * (d - 1), lambda a, b: _pdivmod(_pmul(a, b, p), F, p)[1])
+    rows = [[c - (i == j) for j, c in enumerate(x + [0] * (d - len(x)))] for i, x in enumerate(xs)]
+    for v in la.left_kernel(rows, p):  # w = v mod h
+        parts = [g for h in parts for w in [_pdivmod(v, h, p)[1]] for g in ([h] if len(w) < 2 else
+                 [_pgcdex(h, _padd(w, [-s], p), p)[0] for s in range(p)]) if len(g) > 1]
+    return parts
+
+
+def _lift(f, gs, p, M) -> list:
+    """The monic factors gs of f mod p (f monic, squarefree mod p) lifted to f mod M = p^(2^j) on a
+    factor tree by Hensel steps (von zur Gathen, Gerhard: Modern Computer Algebra, Alg. 15.10)."""
+    if len(gs) == 1:
+        return [f]
+    halves = gs[: len(gs) // 2], gs[len(gs) // 2 :]
+    g, h = (functools.reduce(lambda a, b: _pmul(a, b, p), half) for half in halves)
+    s = _pgcdex(g, h, p)[1]
+    t, m = _pdivmod(_padd([1], _pmul(s, g, p), p, -1), h, p)[0], p  # s g + t h = 1 mod p
+    while (m := m * m) <= M:  # a step from mod m to mod m^2 while m < M, both powers p^(2^i)
+        e = _padd(f, _pmul(g, h, m), m, -1)
+        q, r = _pdivmod(_pmul(s, e, m), h, m)
+        g, h = _padd(g, _padd(_pmul(t, e, m), _pmul(q, g, m), m), m), _padd(h, r, m)
+        if m < M:  # s and t for the next step
+            b = _padd(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [1], m, -1)
+            c, r = _pdivmod(_pmul(s, b, m), h, m)
+            s, t = _padd(s, r, m, -1), _padd(t, _padd(_pmul(t, b, m), _pmul(c, g, m), m), m, -1)
+    return _lift(g, halves[0], p, M) + _lift(h, halves[1], p, M)
 
 
 def is_prime_fd(A: FinAlgebra) -> bool:

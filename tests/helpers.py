@@ -468,6 +468,37 @@ def naive_center(A):
     return la.left_kernel(residue_rows, A.p)
 
 
+def sympy_factor_q(m):
+    """The monic irreducible factors over Q of m (coefficients from x^0), by sympy's
+    factor_list, as sorted tuples of Fractions: the reference ``finalg._factor_q`` is
+    compared against.  sympy is a test dependency only."""
+    import sympy
+
+    poly = sympy.Poly([sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                       for c in reversed(m)], sympy.Symbol("x"))
+    return sorted(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs()))
+                  for f, _ in poly.factor_list()[1])
+
+
+def random_squarefree_q(rng, degree):
+    """A monic squarefree polynomial over Q of the given degree (coefficients from x^0): the
+    product of random factors of degree 1 to 4 with non-monic rational coefficients, scaled
+    to be monic, drawn again until it is squarefree."""
+    import sympy
+
+    while True:
+        m, left = [Fraction(1)], degree
+        while left:
+            k = rng.randint(1, min(4, left))
+            f = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+            m, left = poly_prod([m, f + [Fraction(rng.choice((1, 2, 3, -1, -5)))]], None), left - k
+        m = [Fraction(c) / m[-1] for c in m]
+        x = sympy.Symbol("x")
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(m)], x)
+        if sympy.gcd(poly, poly.diff(x)).degree() == 0:
+            return m
+
+
 def _min_poly_of_operator(op_rows, p):
     """Minimal polynomial (sympy Poly) of a linear operator via Krylov."""
     import sympy

@@ -313,6 +313,20 @@ def test_stabilization_computes_one_core_per_distinct_pair(monkeypatch):
         assert len(calls) <= 2
 
 
+def test_stabilization_stops_raising_pairs_at_their_period(monkeypatch):
+    # three cycled copies over F_2: sigma^(2^m) alternates sigma, sigma^2, so P_2 = P_0;
+    # for bg, P_2 = P_1 = (id, 0).  Pairs are raised up to the first repeat only.
+    A, sd = cycled_blocks(2, 3, 2)
+    calls = []
+    counting(monkeypatch, core, "pth_power", calls)
+    for case in [(A, sd, I) for I in (subspace(A, []), radical(A))] + [bg_instance(2), bg_instance(3)]:
+        for cap in (1, 2, 5):
+            calls.clear()
+            report = stabilization_M(*case, cap=cap)
+            assert len(calls) == min(cap, 2) + 1
+            assert report.chain == [(m, K.dim) for m, K in enumerate(naive_core_chain(*case, cap))]
+
+
 def test_no_cache_outlives_a_verdict(monkeypatch):
     # reuse stays inside one call: a repeated verdict repeats all its work
     calls = []

@@ -54,8 +54,10 @@ from helpers import (
     poly_quotient_algebra,
     poly_rem,
     random_basis,
+    random_squarefree_q,
     rebase,
     relabel,
+    sympy_factor_q,
     upper_triangular_algebra,
 )
 
@@ -410,6 +412,8 @@ POLY_CASES = [
     (BIG_P, [[-1, 1], [ROOT, 1], [1, 0, 1], [-2, 1]]),  # F_p^3 x F_(p^2)
     (None, [[1, 0, 1], [-1, 1], [-2, 0, 1]]),  # Q[X]/((X^2 + 1)(X - 1)(X^2 - 2))
     (None, [[-1, 1], [1, 1], [1, 0, 1]]),  # Q[C_4] = Q[X]/(X^4 - 1) = Q x Q x Q(i)
+    # X^4 + 1 and X^4 - 10X^2 + 1 split modulo every prime: only recombination finds them
+    (None, [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 1]]),
 ]
 
 
@@ -428,8 +432,9 @@ def ground_truth_cases():
         cases.append((A, key, expected))
     M = direct_sum(matrix_algebra(3, 2), product_of_fields(3, 1))  # M_2(F_3) + F_3
     cases.append((M, tuple, [(1, 0, 0, 1, 0), (0, 0, 0, 0, 1)]))
-    Q10 = product_of_fields(None, 10)
-    cases.append((Q10, tuple, Q10.basis()))
+    for n in (10, 12):
+        Qn = product_of_fields(None, n)
+        cases.append((Qn, tuple, Qn.basis()))
     return cases
 
 
@@ -462,6 +467,22 @@ def test_central_idempotents_ground_truth(monkeypatch):
             assert sorted(key(la.apply_map(T, e, A.p)) for e in idems) == sorted(expected)
             if A.p == BIG_P:
                 assert elapsed < 1.0
+
+
+def test_factor_q_agrees_with_sympy():
+    # seeded squarefree products of non-monic rational factors of degree 1 to 12;
+    # products of X^4 + 1, X^4 - 10X^2 + 1 and X^2 + 3, reducible modulo every prime;
+    # and factors with a coefficient near the norm of their product, which only a
+    # lifted modulus represents in symmetric residues
+    rng = random.Random(14)
+    cases = [random_squarefree_q(rng, 1 + i % 12) for i in range(48)]
+    cases += [poly_prod(factors, None) for factors in (
+        [[1, 0, 0, 0, 1]], [[1, 0, -10, 0, 1]], [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 1]],
+        [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 0, 1], [Fraction(-5, 7), 1]],
+        [[-2_500_000_000, 1], [-1, 1]], [[-10**8, 1], [-1, 1], [3, 1]], [[7, 10**6, 1], [-2, 1]])]
+    for m in cases:
+        factors = finalg._factor_q(m)
+        assert sorted(tuple(Fraction(c) for c in f) for f in factors) == sympy_factor_q(m), m
 
 
 def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):

@@ -23,6 +23,26 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def imported_modules(source):
+    """The top-level module of every import in a module, deferred ones included."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_import_check_sees_deferred_imports():
+    source = "import os.path\ndef f():\n    import sympy\n    from numpy import array\nfrom . import x\n"
+    assert imported_modules(source) == {"os", "sympy", "numpy"}
+
+
+def test_no_module_imports_sympy():
+    # the Q centre split factors its minimal polynomial with the package's own code
+    found = [path.name for path in sorted(PACKAGE.glob("*.py")) if "sympy" in imported_modules(path.read_text())]
+    assert found == []
+
+
 def test_the_check_sees_unused_imports():
     source = "import os\nimport a.b\nfrom x import y as z, w\nfrom __future__ import annotations\nw(os)\n"
     assert unused_imports(source) == [(2, "a"), (3, "z")]
