@@ -14,7 +14,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -62,10 +61,9 @@ def _line(text):
     return getattr(text, "line", None)
 
 
-@dataclass
 class SpecFile:
-    version: str
-    sections: dict = field(default_factory=dict)  # name -> list of (key, SpecValue)
+    def __init__(self):
+        self.sections = {}  # name -> list of (key, SpecValue)
 
     def get(self, section, key, default=None):
         return next((v for k, v in self.items(section) if k == key), default)
@@ -78,7 +76,7 @@ def parse_spec(text: str) -> SpecFile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != GRAMMAR_VERSION:
         raise SpecError(f"first line must be '{GRAMMAR_VERSION}'", line=1)
-    spec = SpecFile(version=GRAMMAR_VERSION)
+    spec = SpecFile()
     current = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].rstrip()
@@ -190,14 +188,11 @@ def _check_dim(text, mod, dim, key, lineno=None):
 # -- context construction -------------------------------------------------------
 
 
-@dataclass
 class Context:
-    base: object
-    sd: SkewDerivation
-    filtration: object
-    sps: SPSRing | None
-    ideals: dict
-    elements: dict
+    def __init__(self, base, sd: SkewDerivation, filtration, sps: SPSRing | None,
+                 ideals: dict, elements: dict):
+        self.base, self.sd, self.filtration, self.sps = base, sd, filtration, sps
+        self.ideals, self.elements = ideals, elements
 
 
 def build_context(spec: SpecFile) -> Context:
@@ -371,9 +366,20 @@ def cmd_mul(ctx: Context, args) -> tuple[int, str]:
     return 0, ctx.sps.serialize(ctx.sps.mul(f, g))
 
 
+def _window(text):
+    """'LO..HI' as the doubled degrees LO, ..., HI; LO <= HI."""
+    lo, _, hi = text.partition("..")
+    try:
+        halves = range(int(lo), int(hi) + 1)
+    except ValueError:
+        halves = None
+    if not halves:
+        raise argparse.ArgumentTypeError(f"expected LO..HI with integers LO <= HI, got '{text}'")
+    return halves
+
+
 def cmd_gr(ctx: Context, args) -> tuple[int, str]:
-    lo, hi = args.window.split("..")
-    halves = range(_int(lo), _int(hi) + 1)
+    halves = args.window
     lines = []
     if ctx.sps is not None:
         rng = random.Random(args.seed)
@@ -514,7 +520,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gr = sub.add_parser("gr", help="graded component dimensions")
     p_gr.add_argument("spec")
-    p_gr.add_argument("--window", required=True, help="doubled degrees, e.g. 0..5")
+    p_gr.add_argument("--window", type=_window, required=True, help="doubled degrees, e.g. 0..5")
 
     p_core = sub.add_parser("core", help="delta-core stabilization report")
     p_core.add_argument("spec")

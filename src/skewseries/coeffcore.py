@@ -8,7 +8,6 @@ coefficients, q-factorials, and half-integer filtration values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 
 
@@ -114,20 +113,17 @@ class ExtInt:
 INFINITY = ExtInt.infinity()
 
 
-@dataclass(frozen=True)
 class Digits:
     """Little-endian base-p expansion; entries[i] is the coefficient of p^i."""
 
-    base: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.base):
-            raise ValueError(f"base {self.base} is not prime")
-        if any(not (0 <= a < self.base) for a in self.entries):
+    def __init__(self, base: int, entries: tuple[int, ...]):
+        if not is_prime(base):
+            raise ValueError(f"base {base} is not prime")
+        if any(not (0 <= a < base) for a in entries):
             raise ValueError("digit out of range")
-        if self.entries and self.entries[-1] == 0:
+        if entries and entries[-1] == 0:
             raise ValueError("trailing zero digits must be trimmed")
+        self.base, self.entries = base, entries
 
     def value(self) -> int:
         return sum(a * self.base**i for i, a in enumerate(self.entries))

@@ -11,7 +11,6 @@ delta^(p^M)(J) contained in J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla as la
@@ -94,14 +93,12 @@ def delta_pm_core(
     return delta_core(A, pth_power(sd, m) if sd_pm is None else sd_pm, I)
 
 
-@dataclass
 class CoreReport:
-    ideal_dim: int
-    chain: list = field(default_factory=list)  # (m, core dimension)
-    M: int | None = None
-    cap: int = 0
-    core: IdealSubspace | None = None
-    flags: dict = field(default_factory=dict)
+    def __init__(self, ideal_dim: int, cap: int = 0, M: int | None = None):
+        self.ideal_dim, self.cap, self.M = ideal_dim, cap, M
+        self.chain = []  # (m, core dimension)
+        self.core: IdealSubspace | None = None
+        self.flags = {}
 
     @property
     def conclusive(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Scalar = int | Fraction
 Vector = tuple
 Matrix = tuple
 

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla as la
@@ -147,12 +146,11 @@ class FinAlgebra:
         return f"FinAlgebra(dim={self.dim}, field={field})"
 
 
-@dataclass(frozen=True)
 class IdealSubspace:
-    """Two-sided ideal stored as an rref basis (canonical, hashable)."""
+    """Two-sided ideal stored as an rref basis (canonical, hashable; never mutated)."""
 
-    parent: FinAlgebra
-    basis: tuple
+    def __init__(self, parent: FinAlgebra, basis: tuple):
+        self.parent, self.basis = parent, basis
 
     @property
     def dim(self) -> int:
@@ -180,7 +178,7 @@ class IdealSubspace:
         return all(self.contains(v) for v in other.basis)
 
     def is_ideal(self) -> bool:
-        """Closed under e_i v and v e_i for every basis vector v; evaluated once, as I is frozen."""
+        """Closed under e_i v and v e_i for every basis vector v; evaluated once, as I never changes."""
         return self._closed_under_products
 
     @functools.cached_property

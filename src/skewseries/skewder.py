@@ -10,7 +10,6 @@ trinomial expansion of delta^n(axb).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import exactla as la
 from .coeffcore import alpha_coeff, digits, is_prime, no_common_component, trinomial_indices
@@ -21,9 +20,9 @@ class SkewDerivationError(ValueError):
     pass
 
 
-@dataclass
 class AxiomReport:
-    violations: list = field(default_factory=list)
+    def __init__(self):
+        self.violations = []
 
     @property
     def valid(self) -> bool:

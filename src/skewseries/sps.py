@@ -267,12 +267,18 @@ def quotient_kernel_check(S: SPSRing, I: IdealSubspace, project_elem, f) -> bool
 # -- substitution and the crossed product decomposition ------------------------
 
 
+def _x_exponent(S: SPSRing, N: int) -> int:
+    """p^N, refused for N < 0 and for p^N beyond the x-truncation degree."""
+    if N < 0:
+        raise SPSError(f"N must be >= 0, got {N}")
+    if S.base.p**N > S.D:
+        raise PrecisionError("p^N exceeds the x-truncation degree")
+    return S.base.p**N
+
+
 def substitute_xN(S: SPSRing, N: int):
     """x_N = (x+1)^(p^N) - 1 plus the descriptor of its subring."""
-    p = S.base.p
-    e = p**N
-    if e > S.D:
-        raise PrecisionError("p^N exceeds the x-truncation degree")
+    e = _x_exponent(S, N)
     x_plus_1 = S.add(S.x(), S.one()) if S.D >= 2 else S.one()
     xN = S.sub(S.power(x_plus_1, e), S.one())
     descriptor = {
@@ -290,10 +296,7 @@ def crossed_decompose(S: SPSRing, N: int, f):
     """
     if not S.sd.is_sigma_minus_id():
         raise SPSError("requires delta = sigma - id")
-    p = S.base.p
-    e = p**N
-    if e > S.D:
-        raise PrecisionError("p^N exceeds the x-truncation degree")
+    e = _x_exponent(S, N)
     base = S.base
     # Rewrite in y = x + 1: s_j = sum_k r_k binom(k, j) (-1)^(k-j).
     y_coeffs = [base.zero()] * S.D

@@ -98,6 +98,21 @@ def test_gr_command(capsys):
     assert "degree 0/2: dim 1" in out
 
 
+@pytest.mark.parametrize("window", ["4..0", "2", "0..x", "0..2..4", ".."])
+def test_gr_refuses_a_bad_window(window, capsys):
+    # an empty range used to report "graded iso: True" with no degree checked
+    with pytest.raises(SystemExit) as exc:
+        main(["gr", "iwasawa_p2.spec", "--window", window])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --window" in captured.err and "spec error" not in captured.err
+
+
+def test_gr_window_of_one_degree(capsys):
+    assert main(["gr", "iwasawa_p2.spec", "--window", "3..3"]) == 0
+    assert capsys.readouterr().out == "degree 3/2: dim 2\ngraded iso: True\n"
+
+
 def test_core_command_exit_codes(capsys):
     assert main(["core", "bergen_grzeszczuk_p2.spec", "--ideal", "I"]) == 0
     out = capsys.readouterr().out
@@ -116,6 +131,12 @@ def test_decompose_command(capsys):
     assert main(["decompose", "iwasawa_p2.spec", "--N", "1", "f"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("s_0:") and "round trip: True" in out
+
+
+def test_decompose_refuses_a_negative_N(capsys):
+    # p^N was the float 1/2 and crossed_decompose failed at range(e)
+    assert main(["decompose", "iwasawa_p2.spec", "--N", "-1", "f"]) == 2
+    assert capsys.readouterr().err == "error: N must be >= 0, got -1\n"
 
 
 def test_demo_command(capsys):
@@ -355,6 +376,12 @@ def test_sympy_stays_off_the_import_path():
         "print('sympy' in sys.modules)\n"
     )
     assert out.endswith("\nFalse\n")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each CLI command is one process, so every module its import loads is start-up time
+    out = _fresh_interpreter("import sys, skewseries.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    assert out == "[]\n"
 
 
 def test_no_fp_path_imports_sympy():

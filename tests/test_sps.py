@@ -258,6 +258,15 @@ def test_crossed_round_trip():
             assert crossed_recompose(S, N, comps) == f
 
 
+def test_crossed_refuses_a_negative_N():
+    S = iwasawa_demo(2, 8, 6)
+    comps = crossed_decompose(S, 0, S.x())
+    for call in (lambda: crossed_decompose(S, -1, S.x()), lambda: crossed_recompose(S, -1, comps),
+                 lambda: substitute_xN(S, -1)):
+        with pytest.raises(SPSError, match="N must be >= 0"):
+            call()
+
+
 def test_crossed_requires_iwasawa_type():
     S = tpow_demo(2, 6, 4)
     with pytest.raises(SPSError, match="sigma - id"):

@@ -43,6 +43,12 @@ def test_no_module_imports_sympy():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls inspect, ast and dis into every CLI process; the records are plain classes
+    found = [path.name for path in sorted(PACKAGE.glob("*.py")) if "dataclasses" in imported_modules(path.read_text())]
+    assert found == []
+
+
 def test_the_check_sees_unused_imports():
     source = "import os\nimport a.b\nfrom x import y as z, w\nfrom __future__ import annotations\nw(os)\n"
     assert unused_imports(source) == [(2, "a"), (3, "z")]
