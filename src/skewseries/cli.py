@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import exactla as la
 from .coeffcore import is_prime
-from .core import stabilization_M, theorem_c_procedure
+from .core import core_flags, stabilization_M, theorem_c_procedure
 from .filtration import (
     AdicFiltration,
     ChainFiltration,
@@ -31,12 +31,13 @@ from .filtration import (
 from .finalg import FinAlgebra, ImplementationError, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
 from .series import SeriesRing
 from .skewder import SkewDerivation, check_skew_derivation
-from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_iso_check, iwasawa_demo
+from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_dim, graded_iso_check, iwasawa_demo
 
 GRAMMAR_VERSION = "sps-spec 1"
 FIXTURE_ENV = "SKEWSERIES_FIXTURES"
 
 SECTION_ORDER = ("ring", "skew", "filtration", "ideals", "elements")
+PRESETS = {"tpoly": truncated_poly_algebra, "fields": product_of_fields, "matrix": matrix_algebra}
 
 
 class SpecError(Exception):
@@ -64,8 +65,11 @@ def _line(text):
 class SpecFile:
     def __init__(self):
         self.sections = {}  # name -> list of (key, SpecValue)
+        self.header_lines = {}  # name -> line of its first header
+        self.read = set()  # (section, key) of every lookup: build_context refuses the rest
 
     def get(self, section, key, default=None):
+        self.read.add((section, key))
         return next((v for k, v in self.items(section) if k == key), default)
 
     def items(self, section):
@@ -91,13 +95,16 @@ def parse_spec(text: str) -> SpecFile:
                 raise SpecError(f"unknown section '{name}'", lineno)
             current = name
             spec.sections.setdefault(name, [])
+            spec.header_lines.setdefault(name, lineno)
             continue
         if current is None:
             raise SpecError("content before any section header", lineno)
         if "=" not in line:
             raise SpecError("expected 'key = value'", lineno, len(line))
-        key, value = line.split("=", 1)
-        spec.sections[current].append((key.strip(), SpecValue(value.strip(), lineno)))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if any(k == key for k, _ in spec.sections[current]):
+            raise SpecError(f"repeated key '{key}' in [{current}]", lineno)
+        spec.sections[current].append((key, SpecValue(value, lineno)))
     if "ring" not in spec.sections:
         raise SpecError("missing [ring] section", len(lines))
     return spec
@@ -199,6 +206,8 @@ def build_context(spec: SpecFile) -> Context:
     kind = spec.get("ring", "kind")
     if kind is None:
         raise SpecError("[ring] needs kind = series | finalg | modp")
+    if kind not in ("series", "modp", "finalg"):
+        raise SpecError(f"unknown ring kind '{kind}'", _line(kind))
     p_text = spec.get("ring", "p")
     if p_text is None:
         raise SpecError("[ring] needs p (0 means rationals)")
@@ -212,6 +221,11 @@ def build_context(spec: SpecFile) -> Context:
         T = _int(spec.get("ring", "T", "1"))
         k = _int(spec.get("ring", "k", "1"))
         base = SeriesRing(p_num, T, k)
+        filtration = spec.get("filtration", "kind", "adic")
+        if filtration != "adic":
+            raise SpecError(f"[filtration] kind must be adic, got '{filtration}'", _line(filtration))
+        if "ideals" in spec.sections:
+            raise SpecError(f"a {kind} ring has no [ideals] section", spec.header_lines["ideals"])
         u = AdicFiltration(base)
         sigma_text = spec.get("skew", "sigma_gen")
         delta_text = spec.get("skew", "delta_gen")
@@ -222,7 +236,7 @@ def build_context(spec: SpecFile) -> Context:
         sd = SkewDerivation.from_gen_images(
             base, parse_element(base, sigma_text)[0], parse_element(base, delta_text)[0], q=q
         )
-    elif kind == "finalg":
+    else:  # finalg
         p = None if p_num == 0 else p_num
         if p is not None and not is_prime(p):
             raise SpecError(f"p = {p_num} is not prime", _line(p_text))
@@ -230,14 +244,9 @@ def build_context(spec: SpecFile) -> Context:
         if preset:
             parts = preset.split()
             name, n = parts[0], _int(parts[1]) if len(parts) > 1 else 2
-            builders = {
-                "tpoly": truncated_poly_algebra,
-                "fields": product_of_fields,
-                "matrix": matrix_algebra,
-            }
-            if name not in builders:
+            if name not in PRESETS:
                 raise SpecError(f"unknown preset '{name}'", _line(preset))
-            base = builders[name](p, n)
+            base = PRESETS[name](p, n)
         else:
             dim_text = spec.get("ring", "dim", "0")
             dim = _int(dim_text)
@@ -250,9 +259,7 @@ def build_context(spec: SpecFile) -> Context:
             flat = parse_vectors(structure_text, p)
             if len(flat) != dim * dim or any(len(v) != dim for v in flat):
                 raise SpecError("structure must list dim*dim coordinate vectors", _line(structure_text))
-            structure = [
-                [flat[i * dim + j] for j in range(dim)] for i in range(dim)
-            ]
+            structure = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
             units = _check_dim(unit_text, p, dim, "unit")
             if len(units) != 1:
                 raise SpecError("unit must be one vector", _line(unit_text))
@@ -260,7 +267,9 @@ def build_context(spec: SpecFile) -> Context:
             base = FinAlgebra(p, dim, structure, unit)
         sigma_text = spec.get("skew", "sigma")
         delta_text = spec.get("skew", "delta")
-        if sigma_text is not None and delta_text is not None:
+        if sigma_text is not None or delta_text is not None:
+            if sigma_text is None or delta_text is None:
+                raise SpecError("[skew] needs both sigma and delta matrices", _line(sigma_text or delta_text))
             sigma, delta = parse_matrix(sigma_text, base.p), parse_matrix(delta_text, base.p)
             for key, m, text in (("sigma", sigma, sigma_text), ("delta", delta, delta_text)):
                 if len(m) != base.dim:
@@ -283,16 +292,15 @@ def build_context(spec: SpecFile) -> Context:
             u = ChainFiltration(base, levels)
         else:
             u = ChainFiltration(base, [[v for v in base.basis()], []])
-    else:
-        raise SpecError(f"unknown ring kind '{kind}'", _line(kind))
 
+    for section in ("ring", "skew", "filtration"):
+        for key, value in spec.items(section):
+            if (section, key) not in spec.read:
+                raise SpecError(f"'{key}' is not a [{section}] key of a {kind} ring", _line(value))
     sps = SPSRing(base, sd, u, D) if D is not None else None
-
     ideals = {}
-    if isinstance(base, FinAlgebra):
-        for key, value in spec.items("ideals"):
-            gens = _check_dim(value, base.p, base.dim, f"ideal {key}")
-            ideals[key] = ideal_generated(base, gens)
+    for key, value in spec.items("ideals"):
+        ideals[key] = ideal_generated(base, _check_dim(value, base.p, base.dim, f"ideal {key}"))
 
     elements = {}
     for key, value in spec.items("elements"):
@@ -384,14 +392,7 @@ def cmd_gr(ctx: Context, args) -> tuple[int, str]:
     if ctx.sps is not None:
         rng = random.Random(args.seed)
         ok = graded_iso_check(ctx.sps, list(halves), rng=rng)
-        for h in halves:
-            count = sum(
-                1
-                for _m, val in ctx.filtration.adapted_basis()
-                for b in range(ctx.sps.D)
-                if 2 * val + b == h
-            )
-            lines.append(f"degree {h}/2: dim {count}")
+        lines += [f"degree {h}/2: dim {graded_dim(ctx.sps, h)}" for h in halves]
         lines.append(f"graded iso: {ok}")
         return (0 if ok else 1), "\n".join(lines)
     degrees = [h // 2 for h in halves if h % 2 == 0]
@@ -404,7 +405,9 @@ def cmd_gr(ctx: Context, args) -> tuple[int, str]:
 def cmd_core(ctx: Context, args) -> tuple[int, str]:
     I = _require(ctx, args.ideal, kind="ideals")
     report = stabilization_M(ctx.base, ctx.sd, I, cap=args.cap)
-    return (0 if report.conclusive else 3), report.serialize()
+    flags = core_flags(ctx.sd, report)
+    lines = [report.serialize()] + [f"{name}: {flags[name]}" for name in sorted(flags)]
+    return (0 if report.conclusive else 3), "\n".join(lines)
 
 
 def cmd_theoremc(ctx: Context, args) -> tuple[int, str]:

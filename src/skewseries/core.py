@@ -44,9 +44,14 @@ def _require_automorphism(A: FinAlgebra, sd: SkewDerivation, known: bool = False
         raise CoreError("sigma is not an algebra automorphism")
 
 
-def default_cap(A: FinAlgebra) -> int:
-    p = A.p if A.p is not None else 2
-    return max(4, math.ceil(math.log(max(A.dim, 2), p)) + 2)
+def default_cap(A: FinAlgebra, cap: int | None = None) -> int:
+    """``cap``, refused when negative; when None, a default from dim A and p."""
+    if cap is None:
+        p = A.p if A.p is not None else 2
+        return max(4, math.ceil(math.log(max(A.dim, 2), p)) + 2)
+    if cap < 0:
+        raise CoreError(f"cap must be >= 0, got {cap}")
+    return cap
 
 
 def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubspace:
@@ -98,7 +103,6 @@ class CoreReport:
         self.ideal_dim, self.cap, self.M = ideal_dim, cap, M
         self.chain = []  # (m, core dimension)
         self.core: IdealSubspace | None = None
-        self.flags = {}
 
     @property
     def conclusive(self) -> bool:
@@ -113,14 +117,11 @@ class CoreReport:
             lines.append(f"M: {self.M}")
         if self.core is not None:
             lines.append(f"core dim: {self.core.dim}")
-        for name in sorted(self.flags):
-            lines.append(f"{name}: {self.flags[name]}")
         return "\n".join(lines)
 
 
 def stabilization_M(
-    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, spectrum=None,
-    automorphism=False,
+    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, automorphism=False
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
@@ -131,15 +132,11 @@ def stabilization_M(
     P_(m-1), so from the first P_m equal to an earlier P_j the pairs, and
     their cores, repeat with period m - j: each distinct pair gets one p-th
     power and one core (sigma = id, delta^p = 0: P_m = (id, 0) for m >= 1).
-    ``spectrum``: prime_spectrum(A).
     ``automorphism``: True when sigma is known to be an automorphism (then
     so is each sigma^(p^m)); otherwise a non-automorphism is refused.
     """
     _require_automorphism(A, sd, automorphism)
-    if cap is None:
-        cap = default_cap(A)
-    if cap < 0:
-        raise CoreError(f"cap must be >= 0, got {cap}")
+    cap = default_cap(A, cap)
     report = CoreReport(ideal_dim=I.dim, cap=cap)
     pairs, cores, first, period = [], [], {}, 0
     for m in range(cap + 1):
@@ -154,18 +151,29 @@ def stabilization_M(
     # the chain ascends, so the first core equal to the last starts the stable tail
     M = next(m for m, K in enumerate(cores) if K == cores[cap])
     report.M = None if M == cap else M  # still moving at the cap, or nothing compared at cap 0
-    final = report.core = cores[cap]
-    sd_M = pairs[M]
-    report.flags["is ideal"] = final.is_ideal()
-    report.flags["sigma^(p^M)-stable"] = is_stable(final, sd_M.sigma_matrix)
-    report.flags["delta^(p^M)-stable"] = is_stable(final, sd_M.delta_matrix)
-    try:
-        report.flags["sigma^(p^M)-prime"] = is_sigma_prime(
-            final, sd_M.sigma_matrix, spectrum=spectrum, automorphism=True
-        )
-    except AlgebraError:
-        report.flags["sigma^(p^M)-prime"] = None
+    report.core = cores[cap]
     return report
+
+
+def core_flags(sd: SkewDerivation, report: CoreReport) -> dict:
+    """The ``core`` command's checks of report = stabilization_M(A, sd, I).
+
+    Each is taken on the final core and (sigma, delta)^(p^M), with M the
+    cap when the report is inconclusive; sigma^(p^M)-primality is None for
+    the whole ring, which is no sigma-prime.
+    """
+    final = report.core
+    sd_M = pth_power(sd, report.cap if report.M is None else report.M)
+    flags = {
+        "is ideal": final.is_ideal(),
+        "sigma^(p^M)-stable": is_stable(final, sd_M.sigma_matrix),
+        "delta^(p^M)-stable": is_stable(final, sd_M.delta_matrix),
+    }
+    try:
+        flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix, automorphism=True)
+    except AlgebraError:
+        flags["sigma^(p^M)-prime"] = None
+    return flags
 
 
 def prop39_check(
@@ -176,15 +184,17 @@ def prop39_check(
     Hypothesis failures (I not sigma-prime, or M != 0) raise CoreError;
     a False return refutes the conclusion only.
     """
-    if not is_sigma_prime(I, sd.sigma_matrix):
+    _require_automorphism(A, sd)
+    spectrum = prime_spectrum(A)
+    if not is_sigma_prime(I, sd.sigma_matrix, spectrum, automorphism=True):
         raise CoreError("hypothesis failed: I is not sigma-prime")
-    report = stabilization_M(A, sd, I, cap=cap)
+    report = stabilization_M(A, sd, I, cap=cap, automorphism=True)
     if report.M != 0:
         raise CoreError(
             f"hypothesis failed: delta-core is not the delta^(p^infinity)-core (M={report.M})"
         )
     try:  # M = 0: the stabilised core is the delta-core
-        return is_sigma_prime(report.core, sd.sigma_matrix)
+        return is_sigma_prime(report.core, sd.sigma_matrix, spectrum, automorphism=True)
     except AlgebraError as exc:
         raise CoreError(f"conclusion not decidable: {exc}") from exc
 
@@ -212,10 +222,7 @@ def theorem_c_procedure(
     if not sd.commuting:
         raise CoreError("requires sigma delta = delta sigma")
     _require_automorphism(A, sd)
-    if cap is None:
-        cap = default_cap(A)
-    if cap < 0:
-        raise CoreError(f"cap must be >= 0, got {cap}")
+    cap = default_cap(A, cap)
     zero = subspace(A, [])
     spectrum = prime_spectrum(A)
     if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
@@ -225,7 +232,7 @@ def theorem_c_procedure(
     reports = []
     I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, pair, I_j, cap=cap, spectrum=spectrum, automorphism=True)
+        rep = stabilization_M(A, pair, I_j, cap=cap, automorphism=True)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
@@ -238,9 +245,10 @@ def theorem_c_procedure(
         return None, None, {"inconclusive": True, "reports": reports}
     J, M = I_j, M_j
     sd_M = pth_power(sd, M)
-    flags = {
+    sigma_M = sd_M.sigma_matrix
+    flags = {  # a sigma^(p^M)-prime is minimal: it is the meet of an orbit of maximal ideals
         "minimal sigma^(p^M)-prime":
-            J in minimal_sigma_primes(A, sd_M.sigma_matrix, zero, spectrum=spectrum, automorphism=True),
+            is_stable(J, sigma_M) and is_sigma_prime(J, sigma_M, spectrum, automorphism=True),
         "I is the sigma-orbit intersection of J":
             ideal_meet(sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True)) == I,
         "delta^(p^M)(J) <= J": is_stable(J, sd_M.delta_matrix),

@@ -243,6 +243,42 @@ def test_spec_sizes_are_checked_per_key(tmp_path, capsys, line, bad, message):
     assert f"spec error: line {lineno}, column 1: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,line,bad,at,message", [
+    # misspelled, the filtration was the trivial one and gr exited 1 with "graded iso: False"
+    ("quotient_demo.spec", "levels =", "levles =", "levles", "'levles' is not a [filtration] key of a finalg ring"),
+    ("quotient_demo.spec", "D = 4", "D = 4\nD = 2", "D = 2", "repeated key 'D' in [ring]"),
+    ("quotient_demo.spec", "p = 2", "p = 2\nT = 4", "T = 4", "'T' is not a [ring] key of a finalg ring"),
+    ("quotient_demo.spec", "p = 2", "p = 2\nk = 2", "k = 2", "'k' is not a [ring] key of a finalg ring"),
+    ("quotient_demo.spec", "delta = 0 0; 0 0", "delta = 0 0; 0 0\nq = 1", "q = 1",
+     "'q' is not a [skew] key of a finalg ring"),
+    ("iwasawa_p2.spec", "T = 8", "T = 8\npreset = tpoly 2", "preset",
+     "'preset' is not a [ring] key of a series ring"),
+    ("iwasawa_p2.spec", "delta_gen", "sigma = 1 0; 0 1\ndelta_gen", "sigma =",
+     "'sigma' is not a [skew] key of a series ring"),
+    ("iwasawa_p2.spec", "delta_gen", "delta = 0 0; 1 0\ndelta_gen", "delta =",
+     "'delta' is not a [skew] key of a series ring"),
+    ("iwasawa_p2.spec", "[elements]", "[ideals]\nI = 0 1\n\n[elements]", "[ideals]",
+     "a series ring has no [ideals] section"),
+    ("iwasawa_p2.spec", "g = ", "g = 1\ng = ", "g = 1*t^2", "repeated key 'g' in [elements]"),
+    ("iwasawa_p2.spec", "kind = adic", "kind = chain", "kind = chain",
+     "[filtration] kind must be adic, got 'chain'"),
+    # sigma without delta: the generator images were used and the matrix ignored
+    ("bergen_grzeszczuk_p2.spec", "delta = 0 0; 1 0", "sigma_gen = 1*t^1\ndelta_gen = 1", "sigma =",
+     "[skew] needs both sigma and delta matrices"),
+])
+def test_a_spec_key_that_is_not_read_is_refused(tmp_path, capsys, name, line, bad, at, message):
+    spec = tmp_path / name
+    argv = ["gr", str(spec), "--window", "0..2"]
+    spec.write_text(fixture_text(name))
+    assert main(argv) == 0
+    capsys.readouterr()
+    text = fixture_text(name).replace(line, bad, 1)
+    spec.write_text(text)
+    assert main(argv) == 2
+    lineno = next(i for i, row in reversed(list(enumerate(text.splitlines(), 1))) if row.startswith(at))
+    assert capsys.readouterr().err == f"spec error: line {lineno}, column 1: {message}\n"
+
+
 def test_spec_error_names_the_line_of_its_key(tmp_path, capsys):
     text = fixture_text("bergen_grzeszczuk_p3.spec").replace(
         "sigma = 1 0 0; 0 1 0; 0 0 1", "sigma = 1 0; 0 1")
@@ -321,7 +357,7 @@ def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
     exponents = iter(range(1, 100))
     rounds = iter(range(100))
 
-    def rising(A, sd, I, cap=None, spectrum=None, automorphism=False):
+    def rising(A, sd, I, cap=None, automorphism=False):
         return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
 
     def alternating(ideals):

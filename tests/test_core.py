@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from skewseries import core, finalg
 from skewseries.core import (
     CoreError,
     char0_checks,
+    core_flags,
     default_cap,
     delta_core,
     delta_pm_core,
@@ -218,9 +221,10 @@ def test_stabilization_bg():
         assert report.conclusive and report.M == 1
         assert report.chain[0] == (0, 0) and report.chain[1] == (1, p - 1)
         assert report.core == I
-        assert report.flags["is ideal"]
-        assert report.flags["sigma^(p^M)-stable"]
-        assert report.flags["delta^(p^M)-stable"]
+        flags = core_flags(sd, report)
+        assert flags["is ideal"]
+        assert flags["sigma^(p^M)-stable"]
+        assert flags["delta^(p^M)-stable"]
 
 
 def test_stabilization_trivial_case():
@@ -348,7 +352,7 @@ def test_no_cache_outlives_a_verdict(monkeypatch):
 
 def test_one_ideal_certificate_per_core(monkeypatch):
     # delta_core certifies each core it returns; the "is ideal" flag of
-    # stabilization_M reads that certificate instead of evaluating it again
+    # core_flags reads that certificate instead of evaluating it again
     evaluations, cores = [], []
     certify = IdealSubspace._closed_under_products.func
     monkeypatch.setattr(IdealSubspace._closed_under_products, "func",
@@ -365,7 +369,11 @@ def test_one_ideal_certificate_per_core(monkeypatch):
     I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
     evaluations.clear()
     J, _, flags = theorem_c_procedure(A, sd, I)
-    assert J is not None and all(report.flags["is ideal"] for report in flags["reports"])
+    assert J is not None
+    M = 0
+    for report in flags["reports"]:  # round j stabilizes under (sigma, delta)^(p^(M_(j-1)))
+        assert core_flags(pth_power(sd, M), report)["is ideal"]
+        M += report.M
     assert cores and len({id(K) for K in cores}) == len(cores)
     assert sorted(map(id, evaluations)) == sorted(map(id, cores))
 
@@ -414,6 +422,11 @@ def test_one_automorphism_check_per_verdict(monkeypatch):
     calls.clear()
     assert char0_checks(A, sd)["sigma-primes preserved"]
     assert len(calls) == 1
+    B, swap = swap_skew()
+    zero_delta = SkewDerivation(B, swap.sigma_matrix, tuple(la.zero_vec(2, 2) for _ in range(2)))
+    calls.clear()
+    assert prop39_check(B, zero_delta, subspace(B, []))
+    assert len(calls) == 1
 
 
 def theorem_c_cases():
@@ -438,9 +451,9 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
     seen = []
     stabilize = core.stabilization_M
 
-    def recording(A, sd, I, cap=None, spectrum=None, automorphism=False):
+    def recording(A, sd, I, cap=None, automorphism=False):
         seen.append(I)
-        return stabilize(A, sd, I, cap=cap, spectrum=spectrum, automorphism=automorphism)
+        return stabilize(A, sd, I, cap=cap, automorphism=automorphism)
 
     monkeypatch.setattr(core, "stabilization_M", recording)
     saved = 0
@@ -454,6 +467,42 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
         assert flags["I is the sigma-orbit intersection of J"] and not flags["inconclusive"]
         saved += naive_rounds - len(seen)
     assert saved > 0
+
+
+def test_a_theorem_c_verdict_computes_no_core_flags(monkeypatch):
+    # the core command's flags are core_flags' work; the verdict's rounds only need M and the core
+    callers = []
+    for name in ("is_stable", "is_sigma_prime"):
+        original = getattr(core, name)
+
+        def recording(*args, original=original, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, recording)
+    for A, sd, I in theorem_c_cases():
+        callers.clear()
+        J, M, flags = theorem_c_procedure(A, sd, I)
+        assert J is not None and flags["minimal sigma^(p^M)-prime"]
+        assert "stabilization_M" not in callers and "theorem_c_procedure" in callers
+    assert "spectrum" not in inspect.signature(stabilization_M).parameters
+
+
+def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
+    # a J that sigma^(p^M) moves is no sigma^(p^M)-prime: the flag reads False instead of raising
+    # J of the square-zero quiver is sigma^2- but not sigma-stable, and M = 1 over F_2
+    raise_pair = core.pth_power
+
+    def unraised_for_the_flags(pair, m):
+        frame = sys._getframe(1)  # the verdict's flags are taken once J is bound
+        at_flags = frame.f_code.co_name == "theorem_c_procedure" and "J" in frame.f_locals
+        return raise_pair(pair, 0 if at_flags else m)
+
+    monkeypatch.setattr(core, "pth_power", unraised_for_the_flags)
+    A, sd = cyclic_quiver_square_zero(4)
+    J, M, flags = theorem_c_procedure(A, sd, radical(A))
+    assert M == 1 and not is_stable(J, sd.sigma_matrix)
+    assert flags["minimal sigma^(p^M)-prime"] is False
 
 
 def test_theorem_c_refines_in_a_second_round():
@@ -495,7 +544,8 @@ def test_stabilization_of_the_whole_ring_flags_no_sigma_primality():
     A, sd, _ = bg_instance(2)
     report = stabilization_M(A, sd, ideal_generated(A, [A.one()]))
     assert (report.M, report.core.dim) == (0, A.dim)
-    assert report.flags["sigma^(p^M)-prime"] is None and report.flags["is ideal"]
+    flags = core_flags(sd, report)
+    assert flags["sigma^(p^M)-prime"] is None and flags["is ideal"]
 
 
 def test_char0_checks_compute_one_radical(monkeypatch):
@@ -529,6 +579,9 @@ def test_core_report_serialize_deterministic():
 def test_default_cap():
     assert default_cap(truncated_poly_algebra(2, 2)) == 4
     assert default_cap(truncated_poly_algebra(2, 20)) == 7
+    assert default_cap(truncated_poly_algebra(2, 20), 0) == 0
+    with pytest.raises(CoreError, match="cap must be >= 0, got -1"):
+        default_cap(truncated_poly_algebra(2, 2), -1)
 
 
 def test_prop39():

@@ -13,6 +13,7 @@ from skewseries.sps import (
     SPSRing,
     crossed_decompose,
     crossed_recompose,
+    graded_dim,
     graded_iso_check,
     iwasawa_demo,
     quotient_kernel_check,
@@ -169,6 +170,15 @@ def test_graded_iso_check():
         graded_iso_check(iwasawa_demo(2, 8, 6), range(8), rng=rng)
 
 
+def test_graded_dim_counts_value_and_x_degree_pairs():
+    # the one count behind graded_iso_check and the gr command's "dim" lines
+    for S in (iwasawa_demo(2, 8, 6), tpow_demo(3, 6, 5), quotient_setting()):
+        for h in range(-1, 2 * S.D + 2):
+            pairs = [(val, b) for _, val in S.u.adapted_basis() for b in range(S.D) if 2 * val + b == h]
+            assert graded_dim(S, h) == len(pairs)
+    assert [graded_dim(quotient_setting(), h) for h in range(7)] == [1, 1, 2, 2, 1, 1, 0]
+
+
 def test_quotient_sps_multiplicative():
     S = quotient_setting()
     I = ideal_generated(S.base, [S.base.basis_vec(1)])
@@ -212,12 +222,9 @@ def test_quotient_stability_errors():
 
 def test_substitute_xN():
     S = iwasawa_demo(2, 8, 6)
-    x0, desc0 = substitute_xN(S, 0)
-    assert x0 == S.x() and desc0["exponent"] == 1
-    x1, desc1 = substitute_xN(S, 1)
+    assert substitute_xN(S, 0) == S.x()
     # char 2: (x+1)^2 - 1 = x^2
-    assert x1 == S.power(S.x(), 2)
-    assert desc1["sd"] is not None
+    assert substitute_xN(S, 1) == S.power(S.x(), 2)
     with pytest.raises(PrecisionError):
         substitute_xN(S, 5)
 
@@ -228,7 +235,7 @@ def test_substitute_xN_mixed_characteristic():
     from skewseries.filtration import AdicFiltration
 
     S = SPSRing(base, sd, AdicFiltration(base), 5, check=False)
-    xN, _ = substitute_xN(S, 1)
+    xN = substitute_xN(S, 1)
     # (x+1)^3 - 1 = x^3 + 3x^2 + 3x over Z/9
     three = S.constant(base.smul(3, base.one()))
     expected = S.add(S.power(S.x(), 3), S.mul(three, S.add(S.power(S.x(), 2), S.x())))

@@ -1,11 +1,13 @@
-"""Source checks on the package, with the standard library's ast only."""
+"""Source checks on the package, with the standard library's ast only, and a guard for the benchmark harness."""
 
 import ast
+import sys
 from pathlib import Path
 
 import skewseries
 
 PACKAGE = Path(skewseries.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -59,3 +61,29 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_the_traced_harness_sees_every_predicted_boundary(capsys):
+    # a boundary that a change leaves uncalled fails perfbench/run.py --trace 1; catch it here
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from skewseries import cli
+
+    result, detail = run.measure("primes", 1, 0, 1)  # one traced cycle
+    assert result["correct"], detail["failures"]
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.install_cli(cli)
+    try:
+        for args in workloads.criterion10_commands(cli.fixture_names()):
+            cli.main(args)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.summary()["spans"]
+    assert [b for b in run.EXERCISED["cli"] if calls.get(b, (0,))[0] == 0] == []
