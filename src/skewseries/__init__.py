@@ -67,7 +67,6 @@ from .skewder import (
     delta_n_product,
     lemma31_check,
     pth_power,
-    sigma_shift_power,
     trinomial_expand,
 )
 from .sps import (

@@ -67,20 +67,22 @@ def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubs
 
     K is returned only when it is an ideal, which makes it the answer
     whatever I and (sigma, delta) are: every (sigma, delta)-ideal inside
-    I is a stable subspace of I, hence inside K.
+    I is a stable subspace of I, hence inside K.  A delta-stable I is its
+    own core and is returned itself, with its once-per-ideal certificate.
     """
     if not is_stable(I, sd.sigma_matrix):
         raise CoreError("ideal is not sigma-stable")
-    p = A.p
-    current = I.basis
-    while current:
-        new = current
-        for m in (sd.sigma_matrix, sd.delta_matrix):
-            new = la.subspace_intersection(new, la.preimage(m, current, p), p)
-        if new == current:
-            break
-        current = new
-    K = IdealSubspace(A, current)
+    K = I
+    if not is_stable(I, sd.delta_matrix):
+        p, current = A.p, I.basis
+        while current:
+            new = current
+            for m in (sd.sigma_matrix, sd.delta_matrix):
+                new = la.subspace_intersection(new, la.preimage(m, current, p), p)
+            if new == current:
+                break
+            current = new
+        K = IdealSubspace(A, current)
     if not K.is_ideal():
         raise CoreError(
             "the (sigma, delta)-stable part of I is not an ideal: "

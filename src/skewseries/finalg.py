@@ -39,6 +39,8 @@ class FinAlgebra:
     law are checked on all basis triples at construction.  The arithmetic
     runs on ``_pairs[i][j]``, the nonzero (k, c) of e_i * e_j, so it costs
     O(nonzeros), not O(dim), per basis product (one pair in a group algebra).
+    Over F_p each c is lifted to (-p/2, p/2]; ``integral``: a checked construction
+    found these integers associative over Z (every check sum exactly 0).
     """
 
     def __init__(self, p, dim, structure, unit, check=True):
@@ -47,13 +49,13 @@ class FinAlgebra:
         self.structure = tuple(
             tuple(la.vec(entry, p) for entry in row) for row in structure
         )
-        self._pairs = tuple(tuple(tuple((k, c) for k, c in enumerate(entry) if c != 0)
+        self._pairs = tuple(tuple(tuple((k, c - p if p and 2 * c > p else c)
+                                        for k, c in enumerate(entry) if c != 0)
                                   for entry in row) for row in self.structure)
         self.unit = la.vec(unit, p)
         self._zero = la.zero_vec(dim, p)
         self._basis = tuple(self.basis_vec(i) for i in range(dim))
-        if check:
-            self._validate()
+        self.integral = check and self._validate()
 
     @property
     def char(self) -> int:
@@ -64,10 +66,12 @@ class FinAlgebra:
         """Modulus for coordinatewise scalar arithmetic (None over Q)."""
         return self.p
 
-    def _validate(self):
+    def _validate(self) -> bool:
+        """Associativity and the unit law; True when the lift is integral."""
         n, P, p = self.dim, self._pairs, self.p
         if n < 1:
             raise AlgebraError("dim must be >= 1")
+        integral = True
         for i, j, k in itertools.product(range(n), repeat=3):
             diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
             for a, c in P[i][j]:
@@ -76,10 +80,13 @@ class FinAlgebra:
             for b, c in P[j][k]:
                 for t, s in P[i][b]:
                     diff[t] = diff.get(t, 0) - c * s
-            if any(x % p if p else x for x in diff.values()):
-                raise AlgebraError(f"structure constants not associative at ({i},{j},{k})")
+            if any(diff.values()):  # not over Z: the lift is not integral
+                integral = False
+                if not p or any(x % p for x in diff.values()):
+                    raise AlgebraError(f"structure constants not associative at ({i},{j},{k})")
         if any(self.mul(self.unit, e) != e or self.mul(e, self.unit) != e for e in self._basis):
             raise AlgebraError("unit vector is not a two-sided identity")
+        return integral
 
     # -- element arithmetic ------------------------------------------------
 
@@ -120,10 +127,10 @@ class FinAlgebra:
                 out[k] += c * s
         return out
 
-    def mul(self, a, b):
+    def mul(self, a, b, mod=None):  # mod: a multiple of p to reduce by, for a product on the lift
         right = [(j, bj) for j, bj in enumerate(b) if bj != 0]
         return la.vec(self._combine((ai * bj, i, j) for i, ai in enumerate(a) if ai != 0
-                                    for j, bj in right), self.p)
+                                    for j, bj in right), mod or self.p)
 
     def is_central(self, z):
         return all(
@@ -229,12 +236,6 @@ def ideal_meet(ideals) -> IdealSubspace:
     return functools.reduce(ideal_intersection, ideals)
 
 
-def ideal_product(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
-    A = I.parent
-    prods = [A.mul(u, v) for u in I.basis for v in J.basis]
-    return IdealSubspace(A, la.span(prods, A.p)) if prods else subspace(A, [])
-
-
 def apply_to_ideal(A: FinAlgebra, m, I: IdealSubspace) -> IdealSubspace:
     return subspace(A, [la.apply_map(m, v, A.p) for v in I.basis])
 
@@ -246,36 +247,40 @@ def radical(A: FinAlgebra) -> IdealSubspace:
     """Largest nilpotent two-sided ideal: the last Friedl-Ronyai level.
 
     The levels are I_i = {x in I_(i-1) : g_i(xy) = 0 for all y in A}, with
-    I_(-1) = A and g_i(x) = (Tr(L^_x^q) / q) mod p, q = p^i, L^_x the integer
+    I_(-1) = A and g_i(x) = (Tr(L^_x^q) / q) mod p, q = p^i, L^_x an integer
     lift of L_x; the radical is the last level with q <= dim.  Over Q only
     level 0 is needed: the kernel of the trace form.  Level 0 is the trace
     form in any characteristic and is read off the structure constants:
     g_0(e_a e_b) = sum_k (e_a e_b)_k t_k with t_k = Tr(L_(e_k)).  Cohen,
     Ivanyos and Wales (J. Pure Appl. Algebra 117, 1997) show that g_i is
-    linear on I_(i-1) (over F_p; semilinear over F_(p^k)).  So g_i is
-    computed once per rref basis vector x_k of I_(i-1), and for the ideal
-    element xy, g_i(xy) = sum_k (xy)[pivot_k] g_i(x_k).  Row j of L_(x_k) is
-    x_k e_j, the products the rows need.
+    linear on I_(i-1) (over F_p; semilinear over F_(p^k)) and free of the
+    lift: q-th powers of integer matrices equal mod p have traces equal mod
+    qp.  So g_i is taken once per rref basis vector x_k of I_(i-1): on an
+    ``A.integral`` lift L^_x L^_y = L^_(xy), so Tr(L^_x^q) = sum_k (x^q)_k t_k
+    with x^q by log2 q products in A mod qp; otherwise as L^_x^q mod qp.
+    Extended to A by phi(v) = sum_k v[pivot_k] g_i(x_k), the rows g_i(x e_j)
+    = sum_m x_m Phi[m][j] come from one table Phi[m][j] = phi(e_m e_j).
     """
-    p, n, S = A.p, A.dim, A.structure
-    traces = [sum(S[k][i][i] for i in range(n)) for k in range(n)]
-    trace_form = [tuple(sum(map(operator.mul, prod, traces)) for prod in row) for row in S]
+    p, n, P = A.p, A.dim, A._pairs
+    traces = [sum(c for i in range(n) for k, c in P[t][i] if k == i) for t in range(n)]
+    trace_form = [tuple(sum(c * traces[k] for k, c in prod) for prod in row) for row in P]
     I = IdealSubspace(A, la.left_kernel(trace_form, p))
     q = p or n + 1  # over Q there is no level past 0
     while q <= n and I.dim:
         # Tr(L^q) is read only through tr % q and (tr // q) % p, both fixed by
-        # tr mod qp, and matrix powers commute with reduction, so the power
-        # can be taken mod qp.
-        regs = [A.left_mult_matrix(x) for x in I.basis]
-        g = []
-        for L in regs:
-            power = la.map_power(L, q, q * p)
-            tr = sum(power[t][t] for t in range(n))
-            if tr % q != 0:
-                raise AlgebraError("trace-like functional not divisible: invalid input")
-            g.append((tr // q) % p)
-        rows = [tuple(sum(xy[c] * gk for c, gk in zip(I.pivots, g, strict=True)) for xy in L)
-                for L in regs]
+        # tr mod qp, and powers commute with reduction, so they are taken mod qp.
+        mod = q * p
+        if A.integral:
+            trs = [sum(map(operator.mul, la.power(x, q, lambda a, b: A.mul(a, b, mod)), traces))
+                   for x in I.basis]
+        else:
+            powers = (la.map_power(A.left_mult_matrix(x), q, mod) for x in I.basis)
+            trs = [sum(L[t][t] for t in range(n)) for L in powers]
+        if any(tr % q for tr in trs):
+            raise AlgebraError("trace-like functional not divisible: invalid input")
+        phi = dict(zip(I.pivots, ((tr // q) % p for tr in trs)))
+        table = [tuple(sum(c * phi.get(k, 0) for k, c in prod) for prod in row) for row in P]
+        rows = [la.apply_map(table, x, p) for x in I.basis]
         I = subspace(A, [la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)])
         q *= p
     return I

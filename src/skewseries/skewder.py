@@ -162,16 +162,6 @@ def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     return SkewDerivation(sd.ring, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
 
 
-def sigma_shift_power(sd: SkewDerivation, n: int) -> SkewDerivation:
-    """(sigma^n, sigma^n - id) for a derivation of shape (sigma, sigma - id)."""
-    if not sd.is_sigma_minus_id():
-        raise SkewDerivationError("requires delta = sigma - id")
-    mod = sd.ring.scalar_mod
-    sig_n = sd.sigma_pow(n)
-    ident = la.identity_map(sd.ring.dim, mod)
-    return SkewDerivation(sd.ring, sig_n, la.map_sub(sig_n, ident, mod), q=sd.q)
-
-
 def delta_n_oracle(sd: SkewDerivation, e, n: int):
     """delta applied n times by direct iteration: the independent oracle."""
     return sd.apply_delta_pow(e, n)

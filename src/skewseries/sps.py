@@ -191,9 +191,9 @@ def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None
     if any(h >= S.D for h in window_halves):
         raise PrecisionError("window reaches D/2: truncation interferes")
     spanning = _spanning_symbols(S)
-    for h in window_halves:  # an infinite value has half None
-        if sum(1 for f, *_ in spanning if S.f_u_value(f).half == h) != graded_dim(S, h):
-            return False
+    values = [S.f_u_value(f).half for f, *_ in spanning]  # one per symbol; None when infinite
+    if any(values.count(h) != graded_dim(S, h) for h in window_halves):
+        return False
     # Symbol multiplicativity: x maps to Z, coefficients to their symbols.
     window_max = max(window_halves, default=0)
     candidates = [

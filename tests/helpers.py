@@ -8,6 +8,7 @@ from skewseries.core import default_cap, delta_pm_core, stabilization_M
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
+    IdealSubspace,
     ImplementationError,
     central_idempotents,
     ideal_meet,
@@ -19,7 +20,7 @@ from skewseries.finalg import (
     subspace,
     truncated_poly_algebra,
 )
-from skewseries.skewder import SkewDerivation, check_skew_derivation, pth_power
+from skewseries.skewder import SkewDerivation, SkewDerivationError, check_skew_derivation, pth_power
 
 
 def fraction_fnorm(c, p):
@@ -650,3 +651,18 @@ def rebase_skew(A, sd, T):
 
     B = rebase(A, T)
     return B, SkewDerivation(B, conjugate(sd.sigma_matrix), conjugate(sd.delta_matrix))
+
+
+def ideal_product(I, J):
+    """The ideal IJ, spanned by the products of the basis vectors of I and J."""
+    A = I.parent
+    return IdealSubspace(A, la.span([A.mul(u, v) for u in I.basis for v in J.basis], A.p))
+
+
+def sigma_shift_power(sd, n):
+    """(sigma^n, sigma^n - id) for a derivation of shape (sigma, sigma - id)."""
+    if not sd.is_sigma_minus_id():
+        raise SkewDerivationError("requires delta = sigma - id")
+    mod = sd.ring.scalar_mod
+    sig_n = sd.sigma_pow(n)
+    return SkewDerivation(sd.ring, sig_n, la.map_sub(sig_n, la.identity_map(sd.ring.dim, mod), mod), q=sd.q)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import skewseries
-from skewseries import core, finalg
+from skewseries import core, finalg, sps
 from skewseries.cli import (
     SpecError,
     build_context,
@@ -111,6 +111,21 @@ def test_gr_refuses_a_bad_window(window, capsys):
 def test_gr_window_of_one_degree(capsys):
     assert main(["gr", "iwasawa_p2.spec", "--window", "3..3"]) == 0
     assert capsys.readouterr().out == "degree 3/2: dim 2\ngraded iso: True\n"
+
+
+def test_gr_values_each_spanning_symbol_once(monkeypatch, capsys):
+    # the dimension check values each of the 64 spanning symbols once, not once
+    # per window degree as well (320 calls); every later call values a product
+    # of the multiplicativity check
+    values, products = [], []
+    f_u_value, mul = sps.SPSRing.f_u_value, sps.SPSRing.mul
+    monkeypatch.setattr(sps.SPSRing, "f_u_value", lambda S, f: values.append(len(products)) or f_u_value(S, f))
+    monkeypatch.setattr(sps.SPSRing, "mul", lambda S, f, g: products.append(g) or mul(S, f, g))
+    assert main(["gr", "iwasawa_p2.spec", "--window", "0..4"]) == 0
+    dims = [1, 1, 2, 2, 3]
+    assert capsys.readouterr().out == "".join(f"degree {h}/2: dim {d}\n" for h, d in enumerate(dims)) + \
+        "graded iso: True\n"
+    assert values.count(0) == 64 and len(values) == 64 + len(products) and products
 
 
 def test_core_command_exit_codes(capsys):

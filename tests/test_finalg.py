@@ -19,7 +19,6 @@ from skewseries.finalg import (
     ideal_generated,
     ideal_intersection,
     ideal_meet,
-    ideal_product,
     is_automorphism,
     is_prime_fd,
     is_sigma_prime,
@@ -37,6 +36,7 @@ from skewseries.finalg import (
 
 from helpers import (
     fr_functional,
+    ideal_product,
     naive_center,
     naive_central_idempotents,
     naive_contains,
@@ -118,19 +118,22 @@ def test_group_algebra_radical_dimensions(p, gens, order, radical_dim):
     assert radical(A).dim == radical_dim
 
 
-def test_group_algebra_of_dim_56_ground_truth():
-    """F_2[G], G = P x H with P = C_2^3 and H = C_7, built with the full check.
+@functools.cache
+def group_algebra_of_dim_56():
+    """(F_2[G], G) for G = P x H, P = C_2^3 and H = C_7, built with the full check:
+    transpositions (0 1), (2 3), (4 5) and the 7-cycle i -> i + 1 on 6..12."""
+    gens = [tuple(i ^ 1 if i // 2 == t else i for i in range(13)) for t in range(3)]
+    gens.append(tuple(range(6)) + tuple(6 + (i + 1) % 7 for i in range(7)))
+    return permutation_group_algebra(2, gens), permutation_group(gens)
 
-    rad F_2[G] = rad F_2[P] (x) F_2[H] (F_2[H] is semisimple) has dim
+
+def test_group_algebra_of_dim_56_ground_truth():
+    """rad F_2[G] = rad F_2[P] (x) F_2[H] (F_2[H] is semisimple) has dim
     |G| - |H| = 49; the primes match the 3 irreducible factors of X^7 - 1
     over F_2; inversion on C_7 swaps the two cubic ones, so the minimal
     sigma-primes have codimension 1 and 6.
     """
-    # transpositions (0 1), (2 3), (4 5) and the 7-cycle i -> i + 1 on 6..12
-    gens = [tuple(i ^ 1 if i // 2 == t else i for i in range(13)) for t in range(3)]
-    gens.append(tuple(range(6)) + tuple(6 + (i + 1) % 7 for i in range(7)))
-    G = permutation_group(gens)
-    A = permutation_group_algebra(2, gens)
+    A, G = group_algebra_of_dim_56()
     assert A.dim == 56
     N = radical(A)
     assert N.dim == 49 and len(prime_spectrum(A, N)) == 3
@@ -144,6 +147,19 @@ def test_group_algebra_of_dim_56_ground_truth():
     assert is_automorphism(A, sigma)
     primes = minimal_sigma_primes(A, sigma, subspace(A, []))
     assert [P.dim for P in primes] == [55, 50]
+
+
+def test_radical_of_dim_56_by_element_powers_matches_ground_truth():
+    # rad F_2[P] (x) F_2[H] is spanned by the g - h(g), h(g) the H-part of g;
+    # the matrix path, on an unchecked copy of the same constants, agrees
+    A, G = group_algebra_of_dim_56()
+    assert A.integral
+    index = {g: i for i, g in enumerate(G)}
+    truth = subspace(A, [A.sub(A.basis_vec(index[g]), A.basis_vec(index[tuple(range(6)) + g[6:]]))
+                         for g in G])
+    assert truth.dim == 49 and radical(A) == truth
+    B = FinAlgebra(2, A.dim, A.structure, A.unit, check=False)
+    assert not B.integral and radical(B).basis == truth.basis
 
 
 @functools.cache  # built once, read by several tests
@@ -165,6 +181,42 @@ def radical_cases():
     cases += [matrix_algebra(None, 2), upper_triangular_algebra(None, 4)]
     rng = random.Random(7)
     return cases + [relabel(A, rng) for A in cases]
+
+
+def test_checked_radical_cases_are_integral_under_the_symmetric_lift():
+    # the cases built unchecked (direct sums) take the matrix path; checked
+    # copies of them, and every other F_p case, take the element path
+    fp = [A for A in radical_cases() if A.p is not None]
+    assert any(A.integral for A in fp) and not all(A.integral for A in fp)
+    assert all(FinAlgebra(A.p, A.dim, A.structure, A.unit).integral for A in fp)
+
+
+def test_radical_matches_naive_on_signed_permutation_copies_over_f3():
+    # -1 lifts to -1, not to 2, so a sign change keeps the lift integral
+    rng = random.Random(11)
+    for A in (matrix_algebra(3, 2), upper_triangular_algebra(3, 3), truncated_poly_algebra(3, 7),
+              permutation_group_algebra(3, S3), permutation_group_algebra(3, C6)):
+        for _ in range(3):
+            B = relabel(A, rng)
+            assert B.integral and radical(B) == naive_radical(B)
+
+
+def test_radical_on_non_integral_lifts_matches_naive():
+    # a random basis loses the integral lift (a checked copy finds that out) and
+    # a quotient is built unchecked: both take the matrix path
+    rng = random.Random(23)
+    for A in (truncated_poly_algebra(2, 6), truncated_poly_algebra(3, 5), matrix_algebra(2, 2),
+              upper_triangular_algebra(2, 3), permutation_group_algebra(2, S3),
+              permutation_group_algebra(3, S3), permutation_group_algebra(2, C6)):
+        B = rebase(A, random_basis(A, rng))
+        checked = FinAlgebra(B.p, B.dim, B.structure, B.unit)
+        assert not B.integral and not checked.integral
+        assert radical(B) == naive_radical(B) and radical(checked).basis == radical(B).basis
+        N = radical(A)
+        if N.dim:
+            N2 = ideal_product(N, N)
+            Q = quotient_algebra(A, N2)[0]  # A / N^2, with radical N / N^2
+            assert not Q.integral and radical(Q) == naive_radical(Q) and radical(Q).dim == N.dim - N2.dim
 
 
 def test_radical_matches_naive():
@@ -338,6 +390,8 @@ def test_friedl_ronyai_functional_is_linear_on_each_level():
 
 
 def test_radical_takes_one_trace_power_per_basis_vector(monkeypatch):
+    # an integral lift takes no matrix power at all; a rebased copy, whose lift
+    # is not integral, takes at most one per basis vector of each level
     calls = []
     map_power = la.map_power
 
@@ -347,9 +401,15 @@ def test_radical_takes_one_trace_power_per_basis_vector(monkeypatch):
 
     monkeypatch.setattr(la, "map_power", counting)
     A = truncated_poly_algebra(5, 25)
+    assert A.integral
     assert radical(A) == ideal_generated(A, [A.basis_vec(1)])
+    assert calls == []
+    T = random_basis(A, random.Random(4))
+    B = rebase(A, T)
+    assert not B.integral
+    assert radical(B) == ideal_generated(B, [la.solve(T, A.basis_vec(1), 5)])
     levels = 3  # q = 1, 5, 25 <= dim
-    assert 0 < len(calls) <= A.dim * levels
+    assert 0 < len(calls) <= B.dim * levels
 
 
 def test_radical_is_nilpotent_and_semisimple_quotient():

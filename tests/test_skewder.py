@@ -14,11 +14,10 @@ from skewseries.skewder import (
     delta_n_product,
     lemma31_check,
     pth_power,
-    sigma_shift_power,
     trinomial_expand,
 )
 
-from helpers import cor36_instance, ddx_derivation
+from helpers import cor36_instance, ddx_derivation, sigma_shift_power
 
 
 def test_check_valid_examples():
