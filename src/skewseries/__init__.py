@@ -57,13 +57,11 @@ from .finalg import (
     sigma_orbit,
     truncated_poly_algebra,
 )
-from .oracle import binomial_certify, certify_alpha_table, lucas_consistency, symbolic_delta
 from .series import SeriesRing
 from .skewder import (
     SkewDerivation,
     check_skew_derivation,
     cor36_check,
-    delta_n_oracle,
     delta_n_product,
     lemma31_check,
     pth_power,

@@ -142,29 +142,34 @@ def _scalar(token, mod, lineno):
 
 
 def parse_element(ring, text, D=None):
-    """Sparse 'c*t^a*x^b + ...' (t^a, x^b optional) as D or 1 ring elements, one per x^b."""
+    """Sparse 'c*t^a*x^b + ...' (t^a, x^b optional) as D or 1 ring elements, one per x^b.
+
+    Over a FinAlgebra, e^a (as SPSRing.serialize prints it) is t^a.
+    """
     lineno = _line(text)
     rows = [[0] * ring.dim for _ in range(D or 1)]
+    coordinate = ("t^", "e^") if isinstance(ring, FinAlgebra) else ("t^",)
     for term in text.split("+"):
         term = term.strip()
         if not term:
             raise SpecError("empty term in element", lineno)
-        coef, a, b = None, 0, 0
+        coef, a, b, sym = None, 0, 0, "t"
         parts = [part.strip() for part in term.split("*")]
-        for part in parts:
-            if part.startswith("t^"):
-                a = _int(part[2:], lineno)
-            elif part.startswith("x^"):
+        kinds = ["t" if part[:2] in coordinate else "x" if part[:2] == "x^" else "c" for part in parts]
+        for part, kind in zip(parts, kinds):
+            if kind == "t":
+                a, sym = _int(part[2:], lineno), part[0]
+            elif kind == "x":
                 b = _int(part[2:], lineno)
             else:
                 coef = _scalar(part, ring.scalar_mod, lineno)
-        if len({part[:2] if part[:2] in ("t^", "x^") else "c" for part in parts}) < len(parts):
+        if len(set(kinds)) < len(kinds):
             raise SpecError(f"term '{term}' repeats a factor", lineno)
         if coef is None:
             raise SpecError(f"term '{term}' has no coefficient", lineno)
-        for sym, n, size in (("t", a, ring.dim), ("x", b, len(rows))):
+        for name, n, size in ((sym, a, ring.dim), ("x", b, len(rows))):
             if not 0 <= n < size:
-                raise SpecError(f"{sym}^{n} out of range", lineno)
+                raise SpecError(f"{name}^{n} out of range", lineno)
         rows[b][a] += coef
     return [ring.element(row) for row in rows]
 
@@ -243,6 +248,8 @@ def build_context(spec: SpecFile) -> Context:
         preset = spec.get("ring", "preset")
         if preset:
             parts = preset.split()
+            if len(parts) > 2:
+                raise SpecError(f"preset takes a name and a size, got '{preset}'", _line(preset))
             name, n = parts[0], _int(parts[1]) if len(parts) > 1 else 2
             if name not in PRESETS:
                 raise SpecError(f"unknown preset '{name}'", _line(preset))
@@ -312,24 +319,28 @@ def build_context(spec: SpecFile) -> Context:
 
 def load_spec_file(path: str) -> SpecFile:
     fixture_dir = os.environ.get(FIXTURE_ENV)
-    candidates = [path]
-    if fixture_dir:
-        candidates.append(os.path.join(fixture_dir, path))
-    for cand in candidates:
-        if os.path.exists(cand):
-            with open(cand, encoding="utf-8") as fh:
-                return parse_spec(fh.read())
+    candidates = [path, os.path.join(fixture_dir, path)] if fixture_dir else [path]
+    found = next((cand for cand in candidates if os.path.exists(cand)), None)
     try:
-        text = resources.files("skewseries").joinpath("fixtures", path).read_text()
-        return parse_spec(text)
-    except (FileNotFoundError, ModuleNotFoundError):
-        raise SpecError(f"spec file not found: {path}") from None
+        if found is None:
+            text = resources.files("skewseries").joinpath("fixtures", path).read_text()
+        else:
+            with open(found, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, ModuleNotFoundError) as exc:
+        if found is None:
+            raise SpecError(f"spec file not found: {path}") from None
+        raise SpecError(f"cannot read spec file {found}: {exc.strerror}") from None
+    return parse_spec(text)
 
 
 def fixture_names() -> list[str]:
     fixture_dir = os.environ.get(FIXTURE_ENV)
     if fixture_dir:
-        names = [n for n in os.listdir(fixture_dir) if n.endswith(".spec")]
+        try:
+            names = [n for n in os.listdir(fixture_dir) if n.endswith(".spec")]
+        except OSError as exc:
+            raise SpecError(f"cannot list fixtures in {fixture_dir}: {exc.strerror}") from None
     else:
         root = resources.files("skewseries").joinpath("fixtures")
         names = [entry.name for entry in root.iterdir() if entry.name.endswith(".spec")]

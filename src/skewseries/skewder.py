@@ -4,7 +4,10 @@ A skew derivation is an automorphism sigma together with an additive
 delta obeying the twisted Leibniz rule delta(ab) = delta(a)b +
 sigma(a)delta(b).  When sigma and delta commute we get the binomial
 expansion of delta^n(ab), and in characteristic p the carry-free
-trinomial expansion of delta^n(axb).
+trinomial expansion of delta^n(axb).  Each is written once, as a map
+from words of decorated atoms (name, i, j), each standing for
+delta^i sigma^j of an element, to coefficients (``binomial_terms``,
+``trinomial_terms``); ``evaluate`` substitutes elements into it.
 """
 
 from __future__ import annotations
@@ -162,23 +165,34 @@ def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     return SkewDerivation(sd.ring, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
 
 
-def delta_n_oracle(sd: SkewDerivation, e, n: int):
-    """delta applied n times by direct iteration: the independent oracle."""
-    return sd.apply_delta_pow(e, n)
+def binomial_terms(n: int) -> dict:
+    """delta^n(ab) for commuting sigma, delta: sum_k C(n, k) delta^k sigma^(n-k)(a) delta^(n-k)(b)."""
+    return {(("a", k, n - k), ("b", n - k, 0)): math.comb(n, k) for k in range(n + 1)}
+
+
+def trinomial_terms(n: int, p: int) -> dict:
+    """delta^n(axb) mod p for commuting sigma, delta: one term per carry-free (i, j, k)."""
+    return {(("a", i, n - i), ("x", j, k), ("b", k, 0)): alpha_coeff(i, j, k, p)
+            for i, j, k in trinomial_indices(n, p)}
+
+
+def evaluate(expr: dict, sd: SkewDerivation, assignment: dict):
+    """Substitute elements for the names of an expansion and sum it in sd.ring."""
+    ring = sd.ring
+    total = ring.zero()
+    for w, c in expr.items():
+        prod = ring.one()
+        for name, i, j in w:
+            prod = ring.mul(prod, sd.apply_delta_pow(sd.apply_sigma_pow(assignment[name], j), i))
+        total = ring.add(total, ring.smul(c, prod))
+    return total
 
 
 def delta_n_product(sd: SkewDerivation, a, b, n: int):
     """Binomial expansion of delta^n(ab) for commuting sigma, delta."""
     if not sd.commuting:
         raise SkewDerivationError("requires sigma delta = delta sigma")
-    ring = sd.ring
-    total = ring.zero()
-    for k in range(n + 1):
-        left = sd.apply_delta_pow(sd.apply_sigma_pow(a, n - k), k)
-        right = sd.apply_delta_pow(b, n - k)
-        term = ring.smul(math.comb(n, k), ring.mul(left, right))
-        total = ring.add(total, term)
-    return total
+    return evaluate(binomial_terms(n), sd, {"a": a, "b": b})
 
 
 def trinomial_expand(sd: SkewDerivation, a, x, b, n: int):
@@ -188,16 +202,7 @@ def trinomial_expand(sd: SkewDerivation, a, x, b, n: int):
         raise SkewDerivationError("requires characteristic p")
     if not sd.commuting:
         raise SkewDerivationError("requires sigma delta = delta sigma")
-    ring = sd.ring
-    total = ring.zero()
-    for i, j, k in trinomial_indices(n, p):
-        coeff = alpha_coeff(i, j, k, p)
-        ta = sd.apply_delta_pow(sd.apply_sigma_pow(a, n - i), i)
-        tx = sd.apply_delta_pow(sd.apply_sigma_pow(x, k), j)
-        tb = sd.apply_delta_pow(b, k)
-        term = ring.smul(coeff, ring.mul(ring.mul(ta, tx), tb))
-        total = ring.add(total, term)
-    return total
+    return evaluate(trinomial_terms(n, p), sd, {"a": a, "x": x, "b": b})
 
 
 def _minimal_escape(sd: SkewDerivation, I: IdealSubspace, a, bound: int):
@@ -232,18 +237,9 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
         raise SkewDerivationError(f"s is not minimal for b (found {rb})")
     if not no_common_component(digits(r, p), digits(s, p)):
         raise SkewDerivationError("[r] and [s] share a common component")
-    alpha = alpha_coeff(r, 0, s, p)
     lhs = sd.apply_delta_pow(ring.mul(ring.mul(a, x), b), r + s)
-    rhs = ring.smul(
-        alpha,
-        ring.mul(
-            ring.mul(
-                sd.apply_delta_pow(sd.apply_sigma_pow(a, s), r),
-                sd.apply_sigma_pow(x, s),
-            ),
-            sd.apply_delta_pow(b, s),
-        ),
-    )
+    term = (("a", r, s), ("x", 0, s), ("b", s, 0))
+    rhs = evaluate({term: trinomial_terms(r + s, p)[term]}, sd, {"a": a, "x": x, "b": b})
     return I.contains(ring.sub(lhs, rhs))
 
 

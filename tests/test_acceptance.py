@@ -19,11 +19,9 @@ from skewseries.core import (
     theorem_c_procedure,
 )
 from skewseries.finalg import ideal_generated, radical, truncated_poly_algebra
-from skewseries.oracle import certify_alpha_table
 from skewseries.skewder import (
     SkewDerivation,
     check_skew_derivation,
-    delta_n_oracle,
     delta_n_product,
 )
 from skewseries.sps import (
@@ -37,6 +35,7 @@ from skewseries.sps import (
 )
 
 from helpers import random_char0_instance
+from oracle import certify_alpha_table, delta_n_oracle
 from test_sps import quotient_setting
 
 

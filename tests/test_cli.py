@@ -14,9 +14,11 @@ from skewseries.cli import (
     fixture_names,
     load_spec_file,
     main,
+    parse_element,
     parse_spec,
     serialize_spec,
 )
+from skewseries.sps import crossed_decompose
 
 from helpers import cyclic_quiver_square_zero, finalg_spec
 
@@ -541,7 +543,10 @@ def test_a_fraction_over_q_is_a_scalar(tmp_path, capsys):
     (FRACTION_FINALG.format(p=0, D=""), "f = 1/0*t^1", "bad scalar '1/0'"),
     (FRACTION_SERIES, "f = 2*2*t^1", "term '2*2*t^1' repeats a factor"),
     (FRACTION_SERIES, "f = 1*t^1*t^1", "term '1*t^1*t^1' repeats a factor"),
-], ids=["negative-t", "negative-x", "zero-denominator", "two-coefficients", "two-t-powers"])
+    (FRACTION_FINALG.format(p=0, D=""), "f = 1*e^3", "e^3 out of range"),
+    (FRACTION_FINALG.format(p=0, D=""), "f = 1*t^1*e^1", "term '1*t^1*e^1' repeats a factor"),
+], ids=["negative-t", "negative-x", "zero-denominator", "two-coefficients", "two-t-powers", "e-out-of-range",
+        "t-and-e-powers"])
 def test_a_malformed_term_is_a_spec_error(tmp_path, capsys, text, bad, message):
     # a negative exponent indexed from the end (t^-1 was read as t^(T-1)),
     # and a repeated factor kept only its last value (2*2*t^1 was read as 2*t^1)
@@ -550,3 +555,57 @@ def test_a_malformed_term_is_a_spec_error(tmp_path, capsys, text, bad, message):
     assert main(["mul", str(spec), "f", "g"]) == 2
     lineno = text.splitlines().index("f = 1*t^1") + 1
     assert capsys.readouterr().err == f"spec error: line {lineno}, column 1: {message}\n"
+
+
+def test_a_spec_path_that_cannot_be_read_is_exit_2(tmp_path, capsys):
+    # a directory used to end in an IsADirectoryError traceback and exit 1, the "refuted" code
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"spec error: cannot read spec file {tmp_path}: ")
+
+
+def test_a_missing_fixture_directory_is_exit_2(monkeypatch, tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    monkeypatch.setenv("SKEWSERIES_FIXTURES", str(missing))
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"spec error: cannot list fixtures in {missing}: ")
+
+
+def test_a_preset_with_extra_tokens_is_refused(tmp_path, capsys):
+    # the third token used to be ignored, and verify exited 0
+    text = fixture_text("quotient_demo.spec").replace("preset = tpoly 2", "preset = tpoly 2 junk")
+    spec = tmp_path / "junk.spec"
+    spec.write_text(text)
+    assert main(["verify", str(spec)]) == 2
+    lineno = text.splitlines().index("preset = tpoly 2 junk") + 1
+    assert capsys.readouterr().err == (
+        f"spec error: line {lineno}, column 1: preset takes a name and a size, got 'tpoly 2 junk'\n")
+
+
+@pytest.mark.parametrize("name", ["iwasawa_p2.spec", "tpow_p2.spec", "quotient_demo.spec"])
+def test_a_printed_product_parses_back(name, capsys):
+    # mul prints e^a over a finite-algebra base; a spec element reads it back as the same coordinate
+    ctx = build_context(load_spec_file(name))
+    assert main(["mul", name, "f", "g"]) == 0
+    printed = capsys.readouterr().out.strip()
+    product = ctx.sps.mul(ctx.elements["f"], ctx.elements["g"])
+    assert ctx.sps.element(parse_element(ctx.base, printed, ctx.sps.D)) == product
+
+
+@pytest.mark.parametrize("name", ["iwasawa_p2.spec", "quotient_demo.spec"])  # delta = sigma - id
+def test_printed_components_parse_back(name, capsys):
+    ctx = build_context(load_spec_file(name))
+    assert main(["decompose", name, "--N", "1", "f"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comps = crossed_decompose(ctx.sps, 1, ctx.elements["f"])
+    assert len(lines) == len(comps) + 1
+    for line, comp in zip(lines, comps):
+        texts = line.split(": ", 1)[1].split(" | ")
+        assert [parse_element(ctx.base, text)[0] for text in texts] == list(comp)
+
+
+def test_e_powers_are_refused_over_a_series_base():
+    base = build_context(load_spec_file("iwasawa_p2.spec")).base
+    with pytest.raises(SpecError, match="bad scalar 'e\\^1'"):
+        parse_element(base, "1*e^1")

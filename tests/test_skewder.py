@@ -10,7 +10,6 @@ from skewseries.skewder import (
     SkewDerivationError,
     check_skew_derivation,
     cor36_check,
-    delta_n_oracle,
     delta_n_product,
     lemma31_check,
     pth_power,
@@ -18,6 +17,7 @@ from skewseries.skewder import (
 )
 
 from helpers import cor36_instance, ddx_derivation, sigma_shift_power
+from oracle import delta_n_oracle
 
 
 def test_check_valid_examples():

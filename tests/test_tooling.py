@@ -1,6 +1,8 @@
-"""Source checks on the package, with the standard library's ast only, and a guard for the benchmark harness."""
+"""Source checks on the package (with the standard library's ast), the CLI's import path, and a guard for the benchmark harness."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +63,17 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+# every module a command reaches; a reference that only tests read lives under tests/
+CLI_MODULES = ["cli", "coeffcore", "core", "exactla", "filtration", "finalg", "series", "skewder", "sps"]
+
+
+def test_the_cli_loads_only_the_modules_its_commands_use():
+    code = "import sys, skewseries.cli\nprint(*sorted(m for m in sys.modules if m.startswith('skewseries.')))\n"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [f"skewseries.{name}" for name in CLI_MODULES]
 
 
 def test_the_traced_harness_sees_every_predicted_boundary(capsys):
