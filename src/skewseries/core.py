@@ -31,7 +31,7 @@ from .finalg import (
     sigma_orbit,
     subspace,
 )
-from .skewder import SkewDerivation, pth_power
+from .skewder import SkewDerivation, SkewDerivationError, pth_power
 
 
 class CoreError(ValueError):
@@ -103,8 +103,12 @@ def delta_pm_core(
 class CoreReport:
     def __init__(self, ideal_dim: int, cap: int = 0, M: int | None = None):
         self.ideal_dim, self.cap, self.M = ideal_dim, cap, M
-        self.chain = []  # (m, core dimension)
+        self.dims = []  # the core dimension at m = 0, 1, ...; small ints, shared by every report
         self.core: IdealSubspace | None = None
+
+    @property
+    def chain(self) -> list:  # (m, core dimension)
+        return list(enumerate(self.dims))
 
     @property
     def conclusive(self) -> bool:
@@ -146,7 +150,7 @@ def stabilization_M(
             pairs.append(pth_power(pairs[-1], 1) if m else pth_power(sd, 0))
             period = m - first.setdefault((pairs[m].sigma_matrix, pairs[m].delta_matrix), m)
         cores.append(cores[m - period] if period else delta_pm_core(A, sd, I, m, sd_pm=pairs[m]))
-        report.chain.append((m, cores[m].dim))
+        report.dims.append(cores[m].dim)
     for earlier, later in zip(cores, cores[1:]):
         if not later.contains_ideal(earlier):
             raise ImplementationError("core chain is not ascending")
@@ -209,28 +213,32 @@ def theorem_c_procedure(
     Follows the inductive construction: fix the lexicographically least
     minimal prime P over I and walk its sigma-orbit [P, sigma P, ...] of
     length L once; the sigma^n-orbit of P is then every gcd(n, L)-th
-    member.  Round j stabilizes I_j under (sigma, delta)^(p^(M_(j-1))), to
-    which I_j is stable (M_(-1) = 0), adds that exponent to M_j, and sets
-    I_(j+1) = the intersection of the sigma^(p^(M_j))-orbit of P.  It stops
-    at the first I_(j+1) = I_j, with (J, M) = (I_j, M_j): a further round
-    would stabilize I_j under (sigma, delta)^(p^(M_j)), whose core chain is
-    the stable tail of this round's, so it would add 0 to M_j.  Verifies
-    the three conclusions from scratch: J is a minimal sigma^(p^M)-prime,
-    I is the intersection of the sigma-orbit of J, and delta^(p^M)(J) <= J.
+    member.  I is a minimal sigma-prime exactly when it is the meet of that
+    orbit: a prime over the meet contains the orbit's product, so a member,
+    which it equals, both being maximal.  Round j stabilizes I_j under
+    (sigma, delta)^(p^(M_(j-1))), to which I_j is stable (M_(-1) = 0), adds
+    that exponent to M_j, and sets I_(j+1) = the intersection of the
+    sigma^(p^(M_j))-orbit of P.  It stops at the first I_(j+1) = I_j, with
+    (J, M) = (I_j, M_j): a further round would stabilize I_j under
+    (sigma, delta)^(p^(M_j)), whose core chain is the stable tail of this
+    round's, so it would add 0 to M_j.  Verifies the three conclusions from
+    scratch: J is a minimal sigma^(p^M)-prime, I is the intersection of the
+    sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
     p = A.char
     if p == 0 or not is_prime(p):
         raise CoreError("requires characteristic p")
-    if not sd.commuting:
-        raise CoreError("requires sigma delta = delta sigma")
+    try:  # the verdict's one commutation check: the p-th powers of this copy are known to commute
+        sd = pth_power(sd, 0)
+    except SkewDerivationError as exc:
+        raise CoreError(exc) from None
     _require_automorphism(A, sd)
     cap = default_cap(A, cap)
-    zero = subspace(A, [])
     spectrum = prime_spectrum(A)
-    if I not in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
+    P = minimal_primes_over(A, I, spectrum)[0] if I.dim < A.dim else None  # least echelon basis
+    orbit = P and sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
+    if not orbit or ideal_meet(orbit) != I:  # then the primes over I are this one orbit
         raise CoreError("I is not a minimal sigma-prime ideal")
-    P = minimal_primes_over(A, I, spectrum)[0]  # deterministic: least echelon basis
-    orbit = sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
     reports = []
     I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):

@@ -227,13 +227,15 @@ def ideal_generated(A: FinAlgebra, gens) -> IdealSubspace:
         current = closed
 
 
-def ideal_intersection(I: IdealSubspace, J: IdealSubspace) -> IdealSubspace:
-    return IdealSubspace(I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p))
-
-
 def ideal_meet(ideals) -> IdealSubspace:
-    """Intersection of a nonempty list of ideals."""
-    return functools.reduce(ideal_intersection, ideals)
+    """Intersection of a nonempty list of ideals (the first itself when alone): the common kernel
+    of all their ``functionals``, each the column 1 at f and -column[m] at pivot_m of one system."""
+    if len(ideals) == 1:
+        return ideals[0]
+    A = ideals[0].parent
+    columns = [[int(c == f) - at.get(c, 0) for c in range(A.dim)]
+               for I in ideals for f, column in I.functionals for at in [dict(zip(I.pivots, column))]]
+    return IdealSubspace(A, la.left_kernel(list(zip(*columns)) if columns else [()] * A.dim, A.p))
 
 
 def apply_to_ideal(A: FinAlgebra, m, I: IdealSubspace) -> IdealSubspace:
@@ -495,7 +497,8 @@ def _berlekamp(F, p) -> list:
     d, y, parts = len(F) - 1, _pdivmod([0] * p + [1], F, p)[1], [F]  # y = x^p mod F
     xs = itertools.accumulate([[1]] + [y] * (d - 1), lambda a, b: _pdivmod(_pmul(a, b, p), F, p)[1])
     rows = [[c - (i == j) for j, c in enumerate(x + [0] * (d - len(x)))] for i, x in enumerate(xs)]
-    for v in la.left_kernel(rows, p):  # w = v mod h
+    kernel = la.left_kernel(rows, p)  # its dimension is the number of factors: stop on reaching it
+    for v in itertools.takewhile(lambda _: len(parts) < len(kernel), kernel):  # w = v mod h
         parts = [g for h in parts for w in [_pdivmod(v, h, p)[1]] for g in ([h] if len(w) < 2 else
                  [_pgcdex(h, _padd(w, [-s], p), p)[0] for s in range(p)]) if len(g) > 1]
     return parts
@@ -563,17 +566,24 @@ def minimal_primes_over(A: FinAlgebra, I: IdealSubspace, spectrum=None) -> list[
 
 
 def is_automorphism(A: FinAlgebra, sigma) -> bool:
-    p = A.p
-    if not la.is_invertible(sigma, p):
+    """sigma is invertible, fixes 1 and takes e_i e_j to sigma(e_i) sigma(e_j), both sides
+    summed over nonzero entries only: the pairs of basis products and the entries of sigma."""
+    p, n, P = A.p, A.dim, A._pairs
+    if not la.is_invertible(sigma, p) or la.apply_map(sigma, A.unit, p) != A.unit:
         return False
-    if la.apply_map(sigma, A.unit, p) != A.unit:
-        return False
-    images = [la.vec(row, p) for row in sigma]  # sigma(e_i)
-    return all(
-        la.apply_map(sigma, A.structure[i][j], p) == A.mul(images[i], images[j])
-        for i in range(A.dim)
-        for j in range(A.dim)
-    )
+    rows = [[(a, c) for a, c in enumerate(row) if c != 0] for row in sigma]  # sigma(e_i)
+    for i, j in itertools.product(range(n), repeat=2):
+        diff = {}  # sigma(e_i e_j) - sigma(e_i) sigma(e_j), coordinate by coordinate
+        for k, c in P[i][j]:
+            for t, s in rows[k]:
+                diff[t] = diff.get(t, 0) + c * s
+        for a, c in rows[i]:
+            for b, d in rows[j]:
+                for t, s in P[a][b]:
+                    diff[t] = diff.get(t, 0) - c * d * s
+        if any(x % p for x in diff.values()) if p else any(diff.values()):
+            return False
+    return True
 
 
 def _require_automorphism(A: FinAlgebra, sigma, known: bool):

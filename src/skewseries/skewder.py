@@ -155,14 +155,20 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
 
 
 def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
-    """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p."""
+    """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p; sigma delta =
+    delta sigma is checked unless sd is itself a p-th power, which is known to commute."""
     p = sd.ring.char
     if p == 0 or not is_prime(p):
         raise SkewDerivationError("requires characteristic p")
     if not sd.commuting:
         raise SkewDerivationError("requires sigma delta = delta sigma")
     e = p**m
-    return SkewDerivation(sd.ring, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
+    return _CommutingPair(sd.ring, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
+
+
+class _CommutingPair(SkewDerivation):
+    """A pair made by ``pth_power``: powers of commuting maps commute, so it is not checked again."""
+    commuting = True
 
 
 def binomial_terms(n: int) -> dict:

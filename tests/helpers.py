@@ -1,5 +1,6 @@
 """Shared constructions for the test suite."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from skewseries.finalg import (
     IdealSubspace,
     ImplementationError,
     central_idempotents,
-    ideal_meet,
     minimal_primes_over,
     product_of_fields,
     quotient_algebra,
@@ -379,6 +379,34 @@ def naive_minimal_primes_over(A, I):
     return sorted(primes, key=lambda J: J.basis)
 
 
+def ideal_intersection(I, J):
+    """I meet J by one exactla.subspace_intersection."""
+    return IdealSubspace(I.parent, la.subspace_intersection(I.basis, J.basis, I.parent.p))
+
+
+def naive_meet(ideals):
+    """The meet of a nonempty list by pairwise intersections, left to right:
+    the reference ideal_meet (one kernel of stacked functionals) is compared against."""
+    return functools.reduce(ideal_intersection, ideals)
+
+
+def naive_is_automorphism(A, sigma):
+    """Invertible, fixing 1, and sigma(e_i e_j) = sigma(e_i) sigma(e_j) on dense
+    coordinates: apply_map on each structure vector against A.mul of the images.
+    The reference the sparse is_automorphism is compared against."""
+    p = A.p
+    if not la.is_invertible(sigma, p):
+        return False
+    if la.apply_map(sigma, A.unit, p) != A.unit:
+        return False
+    images = [la.vec(row, p) for row in sigma]  # sigma(e_i)
+    return all(
+        la.apply_map(sigma, A.structure[i][j], p) == A.mul(images[i], images[j])
+        for i in range(A.dim)
+        for j in range(A.dim)
+    )
+
+
 def naive_core_chain(A, sd, I, cap):
     """The delta^(p^m)-cores of I for m = 0..cap, each from its own
     pth_power(sd, m): the reference stabilization_M's chain is compared against."""
@@ -396,7 +424,7 @@ def naive_theorem_c(A, sd, I, cap=None):
     I_j, M_prev = I, 0
     for rounds in range(1, cap + 3):
         M_j = M_prev + stabilization_M(A, pth_power(sd, M_prev), I_j, cap=cap).M
-        I_next = ideal_meet(sigma_orbit(P, sd.sigma_pow(A.p**M_j)))
+        I_next = naive_meet(sigma_orbit(P, sd.sigma_pow(A.p**M_j)))
         if I_next == I_j and M_j == M_prev:
             return I_j, M_prev, rounds
         I_j, M_prev = I_next, M_j
@@ -412,7 +440,7 @@ def naive_minimal_sigma_primes(A, sigma, I):
             continue
         orbit = sigma_orbit(P, sigma)
         seen.update(orbit)
-        meet = ideal_meet(orbit)
+        meet = naive_meet(orbit)
         if meet not in results:
             results.append(meet)
     minimal = [J for J in results if not any(K is not J and J.contains_ideal(K) for K in results)]

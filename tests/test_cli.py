@@ -370,22 +370,24 @@ def test_cap_zero_is_exit_3(command, capsys):
 
 def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
     # M strictly increases from 1 and the orbit intersection alternates
-    # between (X^2) and (X) = I, so no round meets the ideal it started from
+    # between (X^2) and (X) = I, so no round meets the ideal it started from;
+    # the first meet is the minimal-sigma-prime test, which sees I itself
     exponents = iter(range(1, 100))
-    rounds = iter(range(100))
+    meets = iter(range(100))
 
     def rising(A, sd, I, cap=None, automorphism=False):
         return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
 
     def alternating(ideals):
         I = ideals[0]
-        return I if next(rounds) % 2 else finalg.subspace(I.parent, I.basis[1:])
+        return finalg.subspace(I.parent, I.basis[1:]) if next(meets) % 2 else I
 
     monkeypatch.setattr(core, "stabilization_M", rising)
     monkeypatch.setattr(core, "ideal_meet", alternating)
     assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "2"]) == 3
     assert capsys.readouterr().out == "inconclusive at cap\n"
     assert next(exponents) == 5  # cap + 2 rounds ran
+    assert next(meets) == 5  # the minimality test and one meet per round
 
 
 def test_theoremc_walks_a_sigma_orbit_of_65_primes(tmp_path, capsys):

@@ -444,6 +444,32 @@ def test_one_automorphism_check_per_verdict(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_commutation_check_per_verdict(monkeypatch):
+    # a pair made by pth_power commutes, as powers of commuting maps do, so
+    # only the verdict's input pair is ever composed both ways
+    calls = []
+    compose_both_ways = SkewDerivation.commuting.fget
+    monkeypatch.setattr(SkewDerivation, "commuting", property(lambda sd: calls.append(sd) or compose_both_ways(sd)))
+    A = permutation_group_algebra(2, S3)
+    sd = conjugation_skew(A, A.basis_vec(1))
+    I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
+    A2, sd2 = cyclic_quiver_square_zero(4)  # J is found in a second round
+    I2 = minimal_sigma_primes(A2, sd2.sigma_matrix, subspace(A2, []))[0]
+    for B, pair, ideal in ((A, sd, I), (A2, sd2, I2)):
+        calls.clear()
+        J, M, flags = theorem_c_procedure(B, pair, ideal)
+        assert J is not None and len(flags["reports"]) == 1 + (B is A2)
+        assert calls == [pair]
+    B, swap = swap_skew()
+    calls.clear()
+    assert prop39_check(B, swap, subspace(B, []))
+    assert calls == [swap]
+    A, sd = perm_skew(5, [1, 2, 0, 4, 3], 2)
+    calls.clear()
+    assert char0_checks(A, sd)["sigma-primes preserved"]
+    assert calls == []
+
+
 def theorem_c_cases():
     """Minimal sigma-primes over F_p with a commuting (sigma, delta)."""
     cases = [bg_instance(p) for p in (2, 3, 5)]

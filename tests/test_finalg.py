@@ -1,8 +1,10 @@
 import functools
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,9 @@ from skewseries.finalg import (
     OrbitCapExceeded,
     center,
     central_idempotents,
+    induced_map,
     direct_sum,
     ideal_generated,
-    ideal_intersection,
     ideal_meet,
     is_automorphism,
     is_prime_fd,
@@ -36,14 +38,17 @@ from skewseries.finalg import (
 
 from helpers import (
     fr_functional,
+    ideal_intersection,
     ideal_product,
     naive_center,
     naive_central_idempotents,
     naive_contains,
+    naive_is_automorphism,
     naive_is_ideal,
     naive_left_mult_matrix,
     naive_mul,
     naive_minimal_primes_over,
+    naive_meet,
     naive_minimal_sigma_primes,
     naive_radical,
     naive_radical_levels,
@@ -591,6 +596,69 @@ def test_is_automorphism():
     assert not is_automorphism(A, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert not is_automorphism(A, ((1, 0, 0), (0, 1, 0), (0, 1, 0)))  # singular
     assert not is_automorphism(A, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))  # moves 1
+
+
+def primes_workload_instances():
+    """(A, sigma, I) of every instance of the benchmark's primes workload at seed 1:
+    Theorem-C verdicts over F_p (I their minimal sigma-prime) and char-0 checks over Q (I None)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [(inst.A, inst.sd.sigma_matrix, inst.I) for inst in workloads.Primes(1).instances.values()]
+
+
+def perturbations(sigma, p, entries):
+    """sigma with one entry (i, j) of entries moved by +1 or -1."""
+    for (i, j), step in itertools.product(entries, (1, -1)):
+        rows = [list(row) for row in sigma]
+        rows[i][j] = la.fnorm(rows[i][j] + step, p)
+        yield tuple(map(tuple, rows))
+
+
+def test_sparse_is_automorphism_matches_dense():
+    # every primes instance, its quotients by the radical and by I (unchecked
+    # constructions) with the induced sigma, and +-1 moves of single entries
+    rng, seen = random.Random(19), {True: 0, False: 0}
+    for A, sigma, I in primes_workload_instances():
+        cases = [(A, sigma)]
+        for K in {radical(A), I} - {None}:
+            if K.dim and K.dim < A.dim:
+                B, project, lift = quotient_algebra(A, K)
+                cases.append((B, induced_map(A, sigma, K, B, project, lift)))
+        for B, tau in cases:
+            cells = list(itertools.product(range(B.dim), repeat=2))
+            for candidate in [tau, *perturbations(tau, B.p, rng.sample(cells, min(len(cells), 12)))]:
+                expected = naive_is_automorphism(B, candidate)
+                assert is_automorphism(B, candidate) == expected
+                seen[expected] += 1
+    assert min(seen.values()) > 50
+
+
+def test_ideal_meet_matches_pairwise_intersection():
+    # the spectra of radical_cases(), and walks of sigma-orbits of random
+    # subspaces under conjugation by a random unit (the first six members)
+    rng = random.Random(23)
+    for A in radical_cases():
+        spectrum = prime_spectrum(A)
+        lists = [spectrum, spectrum[:1], [radical(A)], [radical(A), *spectrum]]
+        units = (u for u in iter(lambda: A.random_element(rng), None)
+                 if la.is_invertible(A.left_mult_matrix(u), A.p))
+        u = next(units)
+        u_inv = la.solve(A.left_mult_matrix(u), A.one(), A.p)
+        sigma = tuple(A.mul(A.mul(u, e), u_inv) for e in A.basis())
+        for rank in (1, A.dim // 2, A.dim - 1):
+            V = subspace(A, [A.random_element(rng) for _ in range(rank)])
+            walk = [V]
+            for _ in range(5):
+                walk.append(finalg.apply_to_ideal(A, sigma, walk[-1]))
+            lists += [walk, walk[:2], [V]]
+        for ideals in lists:
+            meet = ideal_meet(ideals)
+            assert meet == naive_meet(ideals)
+            assert all(meet.parent is I.parent for I in ideals)
+        assert ideal_meet([V]) is V  # one ideal is its own meet
 
 
 def test_sigma_orbit_cap_over_q():
