@@ -415,8 +415,7 @@ def cmd_gr(ctx: Context, args) -> tuple[int, str]:
 
 def cmd_core(ctx: Context, args) -> tuple[int, str]:
     I = _require(ctx, args.ideal, kind="ideals")
-    report = stabilization_M(ctx.base, ctx.sd, I, cap=args.cap)
-    flags = core_flags(ctx.sd, report)
+    report, flags = core_flags(ctx.base, ctx.sd, I, cap=args.cap)
     lines = [report.serialize()] + [f"{name}: {flags[name]}" for name in sorted(flags)]
     return (0 if report.conclusive else 3), "\n".join(lines)
 

@@ -25,11 +25,9 @@ from .finalg import (
     is_sigma_prime,
     is_stable,
     minimal_primes_over,
-    minimal_sigma_primes,
     prime_spectrum,
     radical,
     sigma_orbit,
-    subspace,
 )
 from .skewder import SkewDerivation, SkewDerivationError, pth_power
 
@@ -161,13 +159,18 @@ def stabilization_M(
     return report
 
 
-def core_flags(sd: SkewDerivation, report: CoreReport) -> dict:
-    """The ``core`` command's checks of report = stabilization_M(A, sd, I).
+def core_flags(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None) -> tuple:
+    """The ``core`` command: report = stabilization_M(A, sd, I, cap) and the flags that check it.
 
-    Each is taken on the final core and (sigma, delta)^(p^M), with M the
-    cap when the report is inconclusive; sigma^(p^M)-primality is None for
-    the whole ring, which is no sigma-prime.
+    sigma, the cap and sigma delta = delta sigma are checked once, in
+    stabilization_M's order.  Each flag is taken on the final core and
+    (sigma, delta)^(p^M), with M the cap when the report is inconclusive;
+    sigma^(p^M)-primality is None for the whole ring, which is no sigma-prime.
     """
+    _require_automorphism(A, sd)
+    default_cap(A, cap)
+    sd = pth_power(sd, 0)  # the one commutation check: its p-th powers are known to commute
+    report = stabilization_M(A, sd, I, cap=cap, automorphism=True)
     final = report.core
     sd_M = pth_power(sd, report.cap if report.M is None else report.M)
     flags = {
@@ -179,7 +182,7 @@ def core_flags(sd: SkewDerivation, report: CoreReport) -> dict:
         flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix, automorphism=True)
     except AlgebraError:
         flags["sigma^(p^M)-prime"] = None
-    return flags
+    return report, flags
 
 
 def prop39_check(
@@ -301,9 +304,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
         if not N.contains(sd.delta(v)):
             report["radical preserved"] = False
             report["witnesses"].append(("radical", v))
-    zero = subspace(A, [])
-    spectrum = prime_spectrum(A, N)
-    for I in minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum=spectrum, automorphism=True):
+    for I in prime_spectrum(A, N, sigma=sd.sigma_matrix):  # the minimal sigma-primes over 0
         for v in I.basis:
             if not I.contains(sd.delta(v)):
                 report["sigma-primes preserved"] = False

@@ -332,21 +332,27 @@ def center(A: FinAlgebra) -> tuple:
                            for i in range(A.dim)], p)
 
 
-def central_idempotents(A: FinAlgebra, check=True) -> list:
-    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted.
+def central_idempotents(A: FinAlgebra, check=True, sigma=None) -> list:
+    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted;
+    with ``sigma``, an automorphism of A, those of the sigma-fixed centre: the sums over orbits.
 
-    They are the primitive idempotents of the centre Z, split in one pass: over F_p by
-    the Frobenius fixed space, over Q by factoring the minimal polynomial of a primitive
-    element (Berlekamp, Hensel lifting past twice the Mignotte bound, Zassenhaus).
-    They are certified nonzero, idempotent, orthogonal and summing to 1.
+    They are the primitive idempotents of the centre Z, or of Z^sigma, a product of fields too
+    (one per sigma-orbit of blocks), split in one pass: over F_p by the Frobenius fixed space,
+    over Q by factoring the minimal polynomial of a primitive element (Berlekamp, Hensel lifting
+    past twice the Mignotte bound, Zassenhaus).  They are certified nonzero, idempotent,
+    orthogonal, summing to 1 and fixed by sigma.
     """
     if check and radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
-    Z, zero = center(A), A.zero()
-    idems = [A.one()] if len(Z) == 1 else (_split_centre_fp if A.p else _split_centre_q)(A, Z)
+    p, Z, zero = A.p, center(A), A.zero()
+    if sigma is not None:  # Z^sigma: the kernel of sigma - id on Z
+        moved = [A.sub(la.apply_map(sigma, z, p), z) for z in Z]
+        Z = [la.apply_map(Z, c, p) for c in la.left_kernel(moved, p)]
+    idems = [A.one()] if len(Z) == 1 else (_split_centre_fp if p else _split_centre_q)(A, Z)
     if not (all(e != zero and A.mul(e, e) == e for e in idems)
             and all(A.mul(a, b) == zero for a, b in itertools.combinations(idems, 2))
-            and functools.reduce(A.add, idems) == A.one()):
+            and functools.reduce(A.add, idems) == A.one()
+            and (sigma is None or all(la.apply_map(sigma, e, p) == e for e in idems))):
         raise ImplementationError("central idempotents fail their certificate")
     return sorted(idems)
 
@@ -354,7 +360,7 @@ def central_idempotents(A: FinAlgebra, check=True) -> list:
 def _split_centre_fp(A: FinAlgebra, Z) -> list:
     """Primitive idempotents of the centre Z over F_p, from its Frobenius fixed space.
 
-    z -> z^p is F_p-linear on Z = prod F_(p^k_i), one field per block, and
+    z -> z^p is F_p-linear on Z = prod F_(p^k_i), one field per block (Z: a basis), and
     fixes F_p in each, so its fixed space F is F_p^r, r the number of blocks,
     with the block units as primitive idempotents.  They refine {1} by each
     basis vector f of F: if g = ef is not in F_p e, eF = F_p^s and g has two
@@ -395,7 +401,7 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
 
     Z is a product of number fields with d = dim Z distinct embeddings phi_a
     into C, and z generates Z (minimal polynomial of degree d) when the
-    phi_a(z) are distinct.  For z_k = sum_i k^i Z_i, Z_i the rref basis,
+    phi_a(z) are distinct.  For z_k = sum_i k^i Z_i, Z_i a basis,
     phi_a(z_k) - phi_b(z_k) = sum_i k^i (phi_a(Z_i) - phi_b(Z_i)) is a
     polynomial in k of degree <= d - 1 and not zero, as the Z_i span Z and
     phi_a != phi_b; so it has at most d - 1 roots.  The d(d - 1)/2 pairs rule
@@ -529,21 +535,24 @@ def is_prime_fd(A: FinAlgebra) -> bool:
     return radical(A).dim == 0 and len(central_idempotents(A, check=False)) == 1
 
 
-def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None) -> list[IdealSubspace]:
-    """The prime (= maximal) ideals of A, sorted by echelon basis.
+def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None, sigma=None) -> list[IdealSubspace]:
+    """The prime (= maximal) ideals of A, sorted by echelon basis; with ``sigma``, an automorphism
+    of A, the minimal sigma-primes over 0: the meets of the sigma-orbits of primes.
 
-    Every maximal ideal contains the radical N, and C = A/N (A if N = 0) is
-    the sum of its simple blocks Ce, e centrally primitive idempotent, so
-    the maximal ideals are N + the lifts of the (1 - e)C.  A proper
-    quotient C is tested to be semisimple: a certificate that N is all of
-    rad A.  ``N``: radical(A), if known.
+    Every maximal ideal contains the radical N, and C = A/N (A if N = 0) is the sum of its
+    simple blocks Ce, e centrally primitive idempotent, so the maximal ideals are N + the lifts
+    of the (1 - e)C.  sigma induces a map on C that permutes the e, and N + the lift of
+    (1 - sum_O e)C is the meet of the primes of an orbit O.  A proper quotient C is tested to
+    be semisimple: a certificate that N is all of rad A.  ``N``: radical(A), if known.
     """
     if N is None:
         N = radical(A)
-    C, _, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
+    C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
+    if sigma is not None and N.dim:
+        sigma = induced_map(A, sigma, N, C, project, lift)
     primes = [
         subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()])
-        for e in central_idempotents(C, check=C is not A)
+        for e in central_idempotents(C, check=C is not A, sigma=sigma)
     ]
     return sorted(primes, key=lambda P: P.basis)
 

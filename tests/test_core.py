@@ -28,6 +28,7 @@ from skewseries.finalg import (
     is_stable,
     minimal_primes_over,
     minimal_sigma_primes,
+    prime_spectrum,
     product_of_fields,
     radical,
     sigma_orbit,
@@ -52,8 +53,11 @@ from helpers import (
     naive_theorem_c,
     perm_skew,
     permutation_group_algebra,
+    random_basis,
     random_char0_instance,
+    rebase_skew,
 )
+from test_qscalars import cycles, q_instances
 
 
 def bg_instance(p):
@@ -231,11 +235,10 @@ def test_delta_pm_core():
 def test_stabilization_bg():
     for p in (2, 3, 5):
         A, sd, I = bg_instance(p)
-        report = stabilization_M(A, sd, I)
+        report, flags = core_flags(A, sd, I)
         assert report.conclusive and report.M == 1
         assert report.chain[0] == (0, 0) and report.chain[1] == (1, p - 1)
         assert report.core == I
-        flags = core_flags(sd, report)
         assert flags["is ideal"]
         assert flags["sigma^(p^M)-stable"]
         assert flags["delta^(p^M)-stable"]
@@ -385,10 +388,7 @@ def test_one_ideal_certificate_per_core(monkeypatch):
     evaluations.clear()
     J, _, flags = theorem_c_procedure(A, sd, I)
     assert J is not None
-    M = 0
-    for report in flags["reports"]:  # round j stabilizes under (sigma, delta)^(p^(M_(j-1)))
-        assert core_flags(pth_power(sd, M), report)["is ideal"]
-        M += report.M
+    assert core_flags(A, sd, I)[1]["is ideal"]
     assert cores and len(cores) > len({id(K) for K in cores})  # a core reused
     assert sorted(map(id, evaluations)) == sorted({id(K) for K in cores})
 
@@ -459,6 +459,9 @@ def test_one_commutation_check_per_verdict(monkeypatch):
         calls.clear()
         J, M, flags = theorem_c_procedure(B, pair, ideal)
         assert J is not None and len(flags["reports"]) == 1 + (B is A2)
+        assert calls == [pair]
+        calls.clear()  # the core command: the chain's and the flags' pairs are powers of one checked copy
+        assert core_flags(B, pair, ideal)[0].conclusive
         assert calls == [pair]
     B, swap = swap_skew()
     calls.clear()
@@ -583,9 +586,8 @@ def test_a_noncommuting_pair_is_refused():
 
 def test_stabilization_of_the_whole_ring_flags_no_sigma_primality():
     A, sd, _ = bg_instance(2)
-    report = stabilization_M(A, sd, ideal_generated(A, [A.one()]))
+    report, flags = core_flags(A, sd, ideal_generated(A, [A.one()]))
     assert (report.M, report.core.dim) == (0, A.dim)
-    flags = core_flags(sd, report)
     assert flags["sigma^(p^M)-prime"] is None and flags["is ideal"]
 
 
@@ -607,6 +609,48 @@ def test_char0_checks_compute_one_radical(monkeypatch):
         seen.clear()
         char0_checks(A, sd)
         assert sum(B is A for B in seen) == 1
+
+
+def sigma_spectrum_cases():
+    """(A, sd): the Q instances of criterion 5 and the primes benchmark, seeded char-0 draws,
+    F_p fields with sigma cycling them, group algebras with conjugation, cycled blocks, and
+    random-basis copies of the F_p ones, whose structure constants are not integral."""
+    rng = random.Random(20)
+    fp = [cycled_blocks(p, k, m) for p, k, m in ((2, 3, 2), (3, 2, 3), (2, 5, 1))]
+    for p, t in ((2, (3, 2, 1)), (3, (2, 2)), (5, (4, 1)), (3, (1, 1, 1))):
+        A = product_of_fields(p, sum(t))
+        sigma = tuple(A.basis_vec(i) for i in cycles(t))
+        fp.append((A, SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(A.dim, p), p))))
+    for p, gens in ((2, S3), (3, S3), (3, A4)):
+        A = permutation_group_algebra(p, gens)
+        fp.append((A, conjugation_skew(A, A.basis_vec(1))))
+    return (q_instances() + [random_char0_instance(rng) for _ in range(20)]
+            + fp + [rebase_skew(A, sd, random_basis(A, rng)) for A, sd in fp])
+
+
+def test_sigma_spectrum_is_the_minimal_sigma_primes():
+    # the split of the sigma-fixed centre of A/N gives the meets of the sigma-orbits of primes
+    merged = 0
+    for A, sd in sigma_spectrum_cases():
+        zero = subspace(A, [])
+        spectrum = prime_spectrum(A, sigma=sd.sigma_matrix)
+        assert spectrum == minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        assert spectrum == naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        merged += len(spectrum) < len(prime_spectrum(A))
+    assert merged >= 20
+
+
+def test_char0_checks_split_the_sigma_fixed_centre(monkeypatch):
+    # on the primes benchmark's Q^10 and Q^8, sigma has 3 orbits of coordinates:
+    # the Q split runs on the 3-dimensional fixed centre, never the whole one
+    sizes = []
+    split = finalg._split_centre_q
+    monkeypatch.setattr(finalg, "_split_centre_q", lambda A, Z: sizes.append(len(Z)) or split(A, Z))
+    for t, lam in (((4, 3, 3), -1), ((3, 3, 2), 2)):
+        sizes.clear()
+        report = char0_checks(*perm_skew(sum(t), cycles(t), lam))
+        assert report["radical preserved"] and report["sigma-primes preserved"]
+        assert sizes == [3]
 
 
 def test_core_report_serialize_deterministic():

@@ -566,6 +566,29 @@ def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):
         central_idempotents(A)
 
 
+@pytest.mark.parametrize("lost", ["all", "one"])
+def test_sigma_certificate_catches_a_too_large_fixed_space(monkeypatch, lost):
+    # sigma - id read as 0 on all of the centre of F^4 (sigma swapping two pairs of
+    # coordinates), or on its first vector: the split finds idempotents that sigma
+    # moves, or over F_3 more than the Frobenius fixed space allows
+    left_kernel = finalg.la.left_kernel
+
+    def too_large(rows, p):
+        if sys._getframe(1).f_code.co_name == "central_idempotents":
+            rows = [la.zero_vec(len(row), p) if lost == "all" or i == 0 else row
+                    for i, row in enumerate(rows)]
+        return left_kernel(rows, p)
+
+    for p in (None, 3):
+        A = product_of_fields(p, 4)
+        sigma = tuple(A.basis_vec(i) for i in (1, 0, 3, 2))
+        assert [P.dim for P in prime_spectrum(A, sigma=sigma)] == [2, 2]
+        monkeypatch.setattr(finalg.la, "left_kernel", too_large)
+        with pytest.raises(ImplementationError):
+            prime_spectrum(A, sigma=sigma)
+        monkeypatch.undo()
+
+
 def test_is_prime_fd():
     assert is_prime_fd(matrix_algebra(2, 2))
     assert not is_prime_fd(product_of_fields(3, 2))
