@@ -10,6 +10,7 @@ delta^(p^M)(J) contained in J.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from .finalg import (
     ideal_meet,
     is_automorphism,
     is_sigma_prime,
-    is_stable,
     minimal_primes_over,
     prime_spectrum,
     radical,
@@ -68,10 +68,10 @@ def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubs
     I is a stable subspace of I, hence inside K.  A delta-stable I is its
     own core and is returned itself, with its once-per-ideal certificate.
     """
-    if not is_stable(I, sd.sigma_matrix):
+    if not sd.stable(I, sd.sigma_matrix):
         raise CoreError("ideal is not sigma-stable")
     K = I
-    if not is_stable(I, sd.delta_matrix):
+    if not sd.stable(I, sd.delta_matrix):
         p, current = A.p, I.basis
         while current:
             new = current
@@ -172,14 +172,15 @@ def core_flags(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | N
     sd = pth_power(sd, 0)  # the one commutation check: its p-th powers are known to commute
     report = stabilization_M(A, sd, I, cap=cap, automorphism=True)
     final = report.core
-    sd_M = pth_power(sd, report.cap if report.M is None else report.M)
+    sd_M = pth_power(sd, report.cap if report.M is None else report.M)  # a rung the chain built
     flags = {
         "is ideal": final.is_ideal(),
-        "sigma^(p^M)-stable": is_stable(final, sd_M.sigma_matrix),
-        "delta^(p^M)-stable": is_stable(final, sd_M.delta_matrix),
+        "sigma^(p^M)-stable": sd_M.stable(final, sd_M.sigma_matrix),
+        "delta^(p^M)-stable": sd_M.stable(final, sd_M.delta_matrix),
     }
     try:
-        flags["sigma^(p^M)-prime"] = is_sigma_prime(final, sd_M.sigma_matrix, automorphism=True)
+        flags["sigma^(p^M)-prime"] = is_sigma_prime(
+            final, sd_M.sigma_matrix, automorphism=True, stable=flags["sigma^(p^M)-stable"])
     except AlgebraError:
         flags["sigma^(p^M)-prime"] = None
     return report, flags
@@ -224,9 +225,10 @@ def theorem_c_procedure(
     sigma^(p^(M_j))-orbit of P.  It stops at the first I_(j+1) = I_j, with
     (J, M) = (I_j, M_j): a further round would stabilize I_j under
     (sigma, delta)^(p^(M_j)), whose core chain is the stable tail of this
-    round's, so it would add 0 to M_j.  Verifies the three conclusions from
-    scratch: J is a minimal sigma^(p^M)-prime, I is the intersection of the
-    sigma-orbit of J, and delta^(p^M)(J) <= J.
+    round's, so it would add 0 to M_j.  Checks, with the rounds' maps,
+    stability answers, orbit and meets, that J is a minimal sigma^(p^M)-prime
+    (the primes over J make up the sigma^(p^M)-orbit of P, whose meet J is),
+    I the meet of the sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
     p = A.char
     if p == 0 or not is_prime(p):
@@ -240,7 +242,8 @@ def theorem_c_procedure(
     spectrum = prime_spectrum(A)
     P = minimal_primes_over(A, I, spectrum)[0] if I.dim < A.dim else None  # least echelon basis
     orbit = P and sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
-    if not orbit or ideal_meet(orbit) != I:  # then the primes over I are this one orbit
+    meet = functools.cache(lambda step: ideal_meet(orbit[::step]))  # of every step-th member
+    if not orbit or meet(1) != I:  # then the primes over I are this one orbit
         raise CoreError("I is not a minimal sigma-prime ideal")
     reports = []
     I_j, pair, M_j = I, sd, 0
@@ -250,21 +253,21 @@ def theorem_c_procedure(
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
         M_j += rep.M
-        I_next = ideal_meet(orbit[:: math.gcd(p**M_j, len(orbit))])
+        I_next = meet(math.gcd(p**M_j, len(orbit)))
         if I_next == I_j:
             break
         I_j, pair = I_next, pth_power(pair, rep.M)
     else:
         return None, None, {"inconclusive": True, "reports": reports}
     J, M = I_j, M_j
-    sd_M = pth_power(sd, M)
-    sigma_M = sd_M.sigma_matrix
+    sd_M = pth_power(sd, M)  # a rung the last round built
+    sigma_M, step = sd_M.sigma_matrix, math.gcd(p**M, len(orbit))
     flags = {  # a sigma^(p^M)-prime is minimal: it is the meet of an orbit of maximal ideals
-        "minimal sigma^(p^M)-prime":
-            is_stable(J, sigma_M) and is_sigma_prime(J, sigma_M, spectrum, automorphism=True),
-        "I is the sigma-orbit intersection of J":
-            ideal_meet(sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True)) == I,
-        "delta^(p^M)(J) <= J": is_stable(J, sd_M.delta_matrix),
+        "minimal sigma^(p^M)-prime": sd_M.stable(J, sigma_M) and is_sigma_prime(
+            J, sigma_M, spectrum, automorphism=True, stable=True, orbits=[(orbit[::step], meet(step))]),
+        "I is the sigma-orbit intersection of J": (meet(1) if J == P else ideal_meet(
+            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True))) == I,
+        "delta^(p^M)(J) <= J": sd_M.stable(J, sd_M.delta_matrix),
         "inconclusive": False,
         "reports": reports,
     }

@@ -136,11 +136,15 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
             continue
         work.remove(pivot_row)
         inv = finv(pivot_row[col], p)
-        pivot_row = _normed([inv * c for c in pivot_row], p)
+        if inv != 1:  # never over F_2
+            pivot_row = _normed([inv * c for c in pivot_row], p)
         for r in work + out:
             f = r[col]
-            if f != 0:
+            if f != 0 and p is None:
                 r[:] = _normed([a - f * b for a, b in zip(r, pivot_row, strict=True)], p)
+            elif f != 0:  # r - f pivot_row in one pass, as r + g pivot_row mod p with g = p - f
+                g = p - f
+                r[:] = [(a + g * b) % p for a, b in zip(r, pivot_row, strict=True)]
         out.append(pivot_row)
         pivots.append(col)
         col += 1
@@ -182,18 +186,20 @@ def dependencies(vectors: Iterable[Vector], p) -> Iterator[Vector]:
     """
     stored = []  # (row with its combination as tail, pivot column)
     for j, v in enumerate(vectors):
-        n, r = len(v), [*v, *[0] * j, 1]
+        n, r = len(v), _normed([*v, *[0] * j, 1], p)
         for s, c in stored:
-            f = fnorm(r[c], p)
-            if f != 0:
-                r[: len(s)] = [a - f * b for a, b in zip(r, s)]
-        r = _normed(r, p)
+            f = r[c]
+            if f != 0 and p is None:
+                r[: len(s)] = _normed([a - f * b for a, b in zip(r, s)], p)
+            elif f != 0:  # as in rref: r + g s mod p with g = p - f
+                g = p - f
+                r[: len(s)] = [(a + g * b) % p for a, b in zip(r, s)]
         pivot = next((c for c in range(n) if r[c] != 0), None)
         if pivot is None:
             yield tuple(r[n:])
         else:
             inv = finv(r[pivot], p)
-            stored.append((_normed([inv * a for a in r], p), pivot))
+            stored.append((r if inv == 1 else _normed([inv * a for a in r], p), pivot))
 
 
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:

@@ -238,10 +238,6 @@ def ideal_meet(ideals) -> IdealSubspace:
     return IdealSubspace(A, la.left_kernel(list(zip(*columns)) if columns else [()] * A.dim, A.p))
 
 
-def apply_to_ideal(A: FinAlgebra, m, I: IdealSubspace) -> IdealSubspace:
-    return subspace(A, [la.apply_map(m, v, A.p) for v in I.basis])
-
-
 # -- radicals ---------------------------------------------------------------
 
 
@@ -409,8 +405,14 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its irreducible
     factors f (``_factor_q``: Berlekamp, Hensel lifting past twice the Mignotte bound,
     Zassenhaus), and e_f(z), e_f = s m/f for s m/f = 1 mod f, is the idempotent of f.
+    First the basis itself: if its rows z (1 at their pivot k) rescale to d idempotents z / c,
+    c = (z^2)_k, summing to 1, these are the answer.  Each is the unit of a set of fields of Z, so
+    the d sets are disjoint, and nonempty, among at most d fields: one each, every field Q.
     """
     d = len(Z)
+    units = [A.smul(la.finv(c, None), z) for z in Z for c in [A.mul(z, z)[z.index(1)]] if c != 0]
+    if len(units) == d and all(A.mul(e, e) == e for e in units) and functools.reduce(A.add, units) == A.one():
+        return units
     for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
         z = la.apply_map(Z, [k**i for i in range(d)], None)
         powers = list(itertools.accumulate([A.one()] + [z] * d, A.mul))
@@ -609,10 +611,9 @@ def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64, automorphism=False) -> l
     """
     A = I.parent
     _require_automorphism(A, sigma, automorphism)
-    orbit = [I]
-    current = I
+    orbit, current = [I], I
     for _ in range(cap):
-        current = apply_to_ideal(A, sigma, current)
+        current = subspace(A, [la.apply_map(sigma, v, A.p) for v in current.basis])
         if current == I:
             return orbit
         orbit.append(current)
@@ -624,17 +625,19 @@ def is_stable(I: IdealSubspace, m) -> bool:
     return all(I.contains(la.apply_map(m, v, I.parent.p)) for v in I.basis)
 
 
-def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, automorphism=False) -> bool:
-    """I is its own one minimal sigma-prime: the primes over I form one sigma-orbit meeting in I."""
+def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, automorphism=False, stable=None,
+                   orbits=()) -> bool:
+    """I is its own one minimal sigma-prime: the primes over I form one sigma-orbit meeting in I.
+    ``stable`` and ``orbits``: as for minimal_sigma_primes."""
     A = I.parent
     _require_automorphism(A, sigma, automorphism)
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
-    return minimal_sigma_primes(A, sigma, I, spectrum, automorphism=True) == [I]
+    return minimal_sigma_primes(A, sigma, I, spectrum, automorphism=True, stable=stable, orbits=orbits) == [I]
 
 
 def minimal_sigma_primes(
-    A: FinAlgebra, sigma, I: IdealSubspace, spectrum=None, automorphism=False
+    A: FinAlgebra, sigma, I: IdealSubspace, spectrum=None, automorphism=False, stable=None, orbits=()
 ) -> list[IdealSubspace]:
     """Minimal sigma-prime ideals containing I: the meets of the sigma-orbits of the primes over I.
 
@@ -643,16 +646,20 @@ def minimal_sigma_primes(
     incomparable: if meet(O1) <= meet(O2), each Q in O2 contains the
     product of O1; Q is prime, so it contains some P in O1, and P is
     maximal, so Q = P.  So O2 lies in O1, and orbits that meet are equal.
-    ``spectrum``: prime_spectrum(A), if known.
+    ``spectrum``: prime_spectrum(A), ``stable``: is_stable(I, sigma), and ``orbits``: sigma-orbits
+    of primes (in any order) with their meets, as (orbit, meet) pairs, if known.
     """
     _require_automorphism(A, sigma, automorphism)
-    if not is_stable(I, sigma):
+    if not (is_stable(I, sigma) if stable is None else stable):
         raise AlgebraError("ideal is not sigma-stable")
-    primes = minimal_primes_over(A, I, spectrum)
-    meets = []
+    primes, meets = minimal_primes_over(A, I, spectrum), []
+    known = {P: pair for pair in orbits for P in pair[0]}  # each member's (orbit, meet)
     while primes:
-        orbit = sigma_orbit(primes[0], sigma, cap=len(primes), automorphism=True)
-        meets.append(ideal_meet(orbit))
+        if primes[0] not in known:
+            orbit = sigma_orbit(primes[0], sigma, cap=len(primes), automorphism=True)
+            known[primes[0]] = orbit, ideal_meet(orbit)
+        orbit, meet = known[primes[0]]
+        meets.append(meet)
         primes = [P for P in primes if P not in orbit]
     return sorted(meets, key=lambda J: J.basis)
 

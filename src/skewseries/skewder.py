@@ -12,6 +12,7 @@ delta^i sigma^j of an element, to coefficients (``binomial_terms``,
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import exactla as la
@@ -42,6 +43,8 @@ class AxiomReport:
 
 class SkewDerivation:
     """Pair of additive maps on a ring, stored as basis-image matrices."""
+
+    stable = staticmethod(is_stable)  # m(I) <= I, for its maps m; a verdict's pairs share a memo
 
     def __init__(self, ring, sigma, delta, q=None):
         self.ring = ring
@@ -156,19 +159,30 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
 
 def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p; sigma delta =
-    delta sigma is checked unless sd is itself a p-th power, which is known to commute."""
+    delta sigma is checked unless sd is itself a p-th power, which is known to commute.
+    A p-th power of a p-th power is read off, or added to, the ladder they share."""
     p = sd.ring.char
     if p == 0 or not is_prime(p):
         raise SkewDerivationError("requires characteristic p")
-    if not sd.commuting:
-        raise SkewDerivationError("requires sigma delta = delta sigma")
-    e = p**m
-    return _CommutingPair(sd.ring, sd.sigma_pow(e), sd.delta_pow(e), q=sd.q)
+    if not isinstance(sd, _CommutingPair):
+        if not sd.commuting:
+            raise SkewDerivationError("requires sigma delta = delta sigma")
+        sd = _CommutingPair(sd.ring, sd.q, [(sd.sigma_pow(1), sd.delta_pow(1))], 0, functools.cache(is_stable))
+    ladder, level = sd.ladder, sd.level + m
+    while len(ladder) <= level:  # each rung the p-th power of the one below
+        ladder.append(tuple(la.map_power(x, p, sd.ring.scalar_mod) for x in ladder[-1]))
+    return _CommutingPair(sd.ring, sd.q, ladder, level, sd.stable)
 
 
 class _CommutingPair(SkewDerivation):
-    """A pair made by ``pth_power``: powers of commuting maps commute, so it is not checked again."""
+    """A pair made by ``pth_power``: powers of commuting maps commute, so it is not checked again.
+    The pairs raised from one checked copy share its ladder, whose entry m holds its maps to the
+    p^m-th power, and ``stable``, which answers each (ideal, map) once."""
     commuting = True
+
+    def __init__(self, ring, q, ladder: list, level: int, stable):
+        self.ring, self.q, (self.sigma_matrix, self.delta_matrix) = ring, q, ladder[level]
+        self.ladder, self.level, self.stable = ladder, level, stable
 
 
 def binomial_terms(n: int) -> dict:

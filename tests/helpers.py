@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import skewseries.exactla as la
-from skewseries.core import default_cap, delta_pm_core, stabilization_M
+from skewseries.core import CoreError, default_cap, delta_pm_core, stabilization_M
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
@@ -423,12 +423,44 @@ def naive_theorem_c(A, sd, I, cap=None):
     P = minimal_primes_over(A, I)[0]
     I_j, M_prev = I, 0
     for rounds in range(1, cap + 3):
-        M_j = M_prev + stabilization_M(A, pth_power(sd, M_prev), I_j, cap=cap).M
+        M = stabilization_M(A, pth_power(sd, M_prev), I_j, cap=cap).M
+        if M is None:  # the chain still moves at the cap
+            return None, None, rounds
+        M_j = M_prev + M
         I_next = naive_meet(sigma_orbit(P, sd.sigma_pow(A.p**M_j)))
         if I_next == I_j and M_j == M_prev:
             return I_j, M_prev, rounds
         I_j, M_prev = I_next, M_j
     return None, None, rounds
+
+
+def naive_verdict(A, sd, I, cap=None):
+    """(J, M, flags) of a Theorem-C verdict from the references: the refusals
+    of theorem_c_procedure in its order (commutation, automorphism, cap,
+    minimality by naive_minimal_sigma_primes), (J, M) of naive_theorem_c, and
+    each flag from its definition, on sigma^(p^M) and delta^(p^M) raised
+    afresh, fresh orbit walks and pairwise meets."""
+    if not sd.commuting:
+        raise CoreError("requires sigma delta = delta sigma")
+    if not naive_is_automorphism(A, sd.sigma_matrix):
+        raise CoreError("sigma is not an algebra automorphism")
+    cap = default_cap(A, cap)
+    if I.dim == A.dim or naive_minimal_sigma_primes(A, sd.sigma_matrix, I) != [I]:
+        raise CoreError("I is not a minimal sigma-prime ideal")
+    J, M, _ = naive_theorem_c(A, sd, I, cap)
+    if J is None:
+        return None, None, {"inconclusive": True}
+
+    def stable(K, m):
+        return all(K.contains(la.apply_map(m, v, A.p)) for v in K.basis)
+
+    sigma_M = sd.sigma_pow(A.p**M)
+    return J, M, {
+        "minimal sigma^(p^M)-prime": stable(J, sigma_M) and naive_minimal_sigma_primes(A, sigma_M, J) == [J],
+        "I is the sigma-orbit intersection of J": naive_meet(sigma_orbit(J, sd.sigma_matrix)) == I,
+        "delta^(p^M)(J) <= J": stable(J, sd.delta_pow(A.p**M)),
+        "inconclusive": False,
+    }
 
 
 def naive_minimal_sigma_primes(A, sigma, I):

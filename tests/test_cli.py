@@ -368,37 +368,42 @@ def test_cap_zero_is_exit_3(command, capsys):
     assert ("M: inconclusive at cap 0" if command == "core" else "inconclusive at cap") in out
 
 
-def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys):
-    # M strictly increases from 1 and the orbit intersection alternates
-    # between (X^2) and (X) = I, so no round meets the ideal it started from;
-    # the first meet is the minimal-sigma-prime test, which sees I itself
-    exponents = iter(range(1, 100))
-    meets = iter(range(100))
+def fields_spec(n):
+    """F_2^n with sigma the cyclic shift, delta = sigma - id and the ideal I = 0."""
+    def rows(shifts):  # row i: the image of e_i, sum of e_(i+s) for s in shifts
+        return "; ".join(" ".join(str(int((j - i) % n in shifts)) for j in range(n)) for i in range(n))
 
-    def rising(A, sd, I, cap=None, automorphism=False):
-        return core.CoreReport(ideal_dim=I.dim, cap=cap, M=next(exponents))
+    return ("sps-spec 1\n\n[ring]\nkind = finalg\np = 2\npreset = fields " f"{n}\n\n[skew]\n"
+            f"sigma = {rows({1})}\ndelta = {rows({0, 1})}\n\n[ideals]\nI = -\n")
 
-    def alternating(ideals):
-        I = ideals[0]
-        return finalg.subspace(I.parent, I.basis[1:]) if next(meets) % 2 else I
 
-    monkeypatch.setattr(core, "stabilization_M", rising)
-    monkeypatch.setattr(core, "ideal_meet", alternating)
-    assert main(["theoremc", "bergen_grzeszczuk_p3.spec", "--ideal", "I", "--cap", "2"]) == 3
+def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys, tmp_path):
+    # 0 is the minimal sigma-prime of F_2^16 under the cyclic shift, the meet of
+    # an orbit of 16 primes; each round adds 1 to M, so round j meets every
+    # 2^j-th member of the orbit, a new ideal each round, and no round meets
+    # the ideal it started from; the first meet is the minimal-sigma-prime test
+    rounds, meets = [], []
+
+    def one_more(A, sd, I, cap=None, automorphism=False):
+        rounds.append(I)
+        return core.CoreReport(ideal_dim=I.dim, cap=cap, M=1)
+
+    meet = core.ideal_meet
+    monkeypatch.setattr(core, "stabilization_M", one_more)
+    monkeypatch.setattr(core, "ideal_meet", lambda ideals: meets.append(ideals) or meet(ideals))
+    spec = tmp_path / "fields16.spec"
+    spec.write_text(fields_spec(16))
+    assert main(["theoremc", str(spec), "--ideal", "I", "--cap", "2"]) == 3
     assert capsys.readouterr().out == "inconclusive at cap\n"
-    assert next(exponents) == 5  # cap + 2 rounds ran
-    assert next(meets) == 5  # the minimality test and one meet per round
+    assert len(rounds) == 4  # cap + 2 rounds ran
+    assert len(set(rounds)) == 4 and len(meets) == 5  # the minimality test and one meet per round
 
 
 def test_theoremc_walks_a_sigma_orbit_of_65_primes(tmp_path, capsys):
     # F_2^65 with the cyclic shift and delta = sigma - id: 0 is the minimal
     # sigma-prime, and its orbit of 65 primes is walked without a cap
-    def rows(shifts):  # row i: the image of e_i, sum of e_(i+s) for s in shifts
-        return "; ".join(" ".join(str(int((j - i) % 65 in shifts)) for j in range(65)) for i in range(65))
-
     spec = tmp_path / "fields65.spec"
-    spec.write_text("sps-spec 1\n\n[ring]\nkind = finalg\np = 2\npreset = fields 65\n\n[skew]\n"
-                    f"sigma = {rows({1})}\ndelta = {rows({0, 1})}\n\n[ideals]\nI = -\n")
+    spec.write_text(fields_spec(65))
     assert main(["theoremc", str(spec), "--ideal", "I"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "M: 0", "J dim: 0", "I is the sigma-orbit intersection of J: True",

@@ -1,11 +1,14 @@
+import collections
 import inspect
+import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 import skewseries.exactla as la
-from skewseries import core, finalg
+from skewseries import core, finalg, skewder
 from skewseries.core import (
     CoreError,
     char0_checks,
@@ -51,6 +54,7 @@ from helpers import (
     naive_delta_core,
     naive_minimal_sigma_primes,
     naive_theorem_c,
+    naive_verdict,
     perm_skew,
     permutation_group_algebra,
     random_basis,
@@ -58,6 +62,8 @@ from helpers import (
     rebase_skew,
 )
 from test_qscalars import cycles, q_instances
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def bg_instance(p):
@@ -367,6 +373,44 @@ def test_no_cache_outlives_a_verdict(monkeypatch):
         assert counts[0] == counts[1] and all(counts[0].values())
 
 
+def test_each_verdict_does_its_work_once(monkeypatch):
+    # per verdict: P's sigma-orbit is walked once (the flags read the
+    # sigma^(p^M)-orbit and its meet off it), sigma and delta are raised only
+    # up the ladder of the checked copy (a copy at rung 0, one p-th power per
+    # rung above), and each (ideal, map) stability test is evaluated once;
+    # a second verdict on the same objects does exactly the same work
+    walks, powers, tests, pairs = [], [], [], []
+    for module in (finalg, core):
+        walk = module.sigma_orbit
+        monkeypatch.setattr(module, "sigma_orbit", lambda I, sigma, walk=walk, **kw: (
+            walks.append((I, sigma)) or walk(I, sigma, **kw)))
+    for module in (finalg, skewder):
+        test = module.is_stable
+        monkeypatch.setattr(module, "is_stable", lambda I, m, test=test: tests.append((I, m)) or test(I, m))
+    map_power, stabilize = la.map_power, core.stabilization_M
+    monkeypatch.setattr(la, "map_power", lambda m, k, p: powers.append(
+        (sys._getframe(1).f_globals["__name__"], k)) or map_power(m, k, p))
+    monkeypatch.setattr(core, "stabilization_M", lambda A, sd, I, cap=None, automorphism=False: (
+        pairs.append(sd) or stabilize(A, sd, I, cap=cap, automorphism=automorphism)))
+    for A, sd, I in theorem_c_cases():
+        P, p = minimal_primes_over(A, I)[0], A.p
+        for verdict in (theorem_c_procedure, core_flags):
+            counts = []
+            for _ in range(2):
+                for calls in (walks, powers, tests, pairs):
+                    calls.clear()
+                verdict(A, sd, I)
+                ladder = pairs[0].ladder
+                assert all(pair.ladder is ladder for pair in pairs)
+                assert [k for name, k in powers if name == "skewseries.skewder"] == \
+                    [1, 1] + [p] * (2 * len(ladder) - 2)
+                assert len(set(walks)) == len(walks) and len(set(tests)) == len(tests)
+                if verdict is theorem_c_procedure:
+                    assert [J for J, sigma in walks].count(P) == 1
+                counts.append((len(walks), powers[:], len(tests), len(ladder)))
+            assert counts[0] == counts[1]
+
+
 def test_one_ideal_certificate_per_core(monkeypatch):
     # delta_core certifies each core it returns, once per distinct core object
     # (a core equal to I is I itself); the "is ideal" flag of core_flags reads
@@ -516,14 +560,14 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
 def test_a_theorem_c_verdict_computes_no_core_flags(monkeypatch):
     # the core command's flags are core_flags' work; the verdict's rounds only need M and the core
     callers = []
-    for name in ("is_stable", "is_sigma_prime"):
-        original = getattr(core, name)
+    for module, name in ((skewder, "is_stable"), (core, "is_sigma_prime")):
+        original = getattr(module, name)
 
         def recording(*args, original=original, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(core, name, recording)
+        monkeypatch.setattr(module, name, recording)  # a verdict's pairs test stability with skewder's
     for A, sd, I in theorem_c_cases():
         callers.clear()
         J, M, flags = theorem_c_procedure(A, sd, I)
@@ -547,6 +591,64 @@ def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
     J, M, flags = theorem_c_procedure(A, sd, radical(A))
     assert M == 1 and not is_stable(J, sd.sigma_matrix)
     assert flags["minimal sigma^(p^M)-prime"] is False
+
+
+def primes_workload_instances():
+    """The F_p Theorem-C instances of the benchmark's primes workload at seed 1."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workloads.build("primes", 1).instances.items())
+            if inst.I is not None]
+
+
+def sweep_cases():
+    """(A, pair, ideal, cap) from the primes instances and the square-zero quivers, whose J is a
+    second-round refinement: each instance's pair, its p-th power and a non-commuting pair; its
+    ideal, the zero ideal, the whole ring and its minimal sigma-primes."""
+    quivers = [cyclic_quiver_square_zero(k) for k in (2, 4)]
+    for A, sd, I in primes_workload_instances() + [(A, sd, radical(A)) for A, sd in quivers]:
+        n, p = A.dim, A.p
+        pairs = [sd, SkewDerivation(A, sd.sigma_pow(p), sd.delta_pow(p))]
+        for which, i, j in itertools.product(((1,), (0,), (0, 1)), range(n), range(n)):
+            maps = [[list(row) for row in m] for m in (sd.sigma_matrix, sd.delta_matrix)]
+            for k in which:  # sigma + 1 at (i, j), delta + 1 at (j, i)
+                row, col = (i, j) if k == 0 else (j, i)
+                maps[k][row][col] = (maps[k][row][col] + 1) % p
+            if not SkewDerivation(A, *maps).commuting:
+                pairs.append(SkewDerivation(A, *maps))
+                break
+        assert len(pairs) == 3
+        zero = subspace(A, [])
+        ideals = [I, zero, ideal_generated(A, [A.one()])] + naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        for pair in pairs:
+            for ideal in dict.fromkeys(ideals):
+                for cap in (0, 1, None) if ideal is I else (None,):
+                    yield A, pair, ideal, cap
+
+
+def outcome(verdict, *args):
+    try:
+        J, M, flags = verdict(*args)
+    except (CoreError, AlgebraError) as exc:
+        return type(exc), str(exc)
+    return J, M, {name: flag for name, flag in flags.items() if name != "reports"}
+
+
+def test_theorem_c_matches_the_references_on_the_primes_instances():
+    # every verdict, refusal and flag of theorem_c_procedure against naive_verdict
+    # (naive_theorem_c, naive_minimal_sigma_primes, naive_meet, maps raised afresh)
+    kinds = collections.Counter()
+    for A, sd, I, cap in sweep_cases():
+        expected = outcome(naive_verdict, A, sd, I, cap)
+        assert outcome(theorem_c_procedure, A, sd, I, cap) == expected, (A, I.dim, cap)
+        J, M = expected[:2]
+        kinds[M if isinstance(J, type) else "inconclusive" if J is None else
+              "M = 0" if M == 0 else "M > 0, J = I" if J == I else "M > 0, J < I"] += 1
+    assert set(kinds) == {"M = 0", "M > 0, J = I", "M > 0, J < I", "inconclusive",
+                          "requires sigma delta = delta sigma", "I is not a minimal sigma-prime ideal"}
 
 
 def test_theorem_c_refines_in_a_second_round():

@@ -534,6 +534,33 @@ def test_central_idempotents_ground_truth(monkeypatch):
                 assert elapsed < 1.0
 
 
+def test_a_centre_basis_already_split_is_not_factored(monkeypatch):
+    # when the rref rows of the centre rescale to orthogonal idempotents summing
+    # to 1 (Q^n in a signed-permutation basis, and the sigma-fixed centre of
+    # Q^10 under a permutation, as in the qperm verdicts) they are the answer,
+    # and no minimal polynomial is factored; a random basis, or rows that
+    # rescale to idempotents not summing to 1 (1 and e_1 in Q^2), or to a sum
+    # 1 of non-idempotents (-f_0/2, -f_1/2, f_2/2 in the basis f_0 = -2e_0 - 2e_1,
+    # f_1 = -2e_0, f_2 = -2e_0 + 2e_2 of Q^3), take the minimal polynomial, for
+    # the same idempotents
+    factored = []
+    factor_q = finalg._factor_q
+    monkeypatch.setattr(finalg, "_factor_q", lambda m: factored.append(m) or factor_q(m))
+    rng = random.Random(8)
+    Q3, Q10 = product_of_fields(None, 3), product_of_fields(None, 10)
+    cycled = tuple(Q10.basis_vec(i) for i in (1, 2, 3, 0, 5, 6, 4, 8, 9, 7))
+    cases = [(Q3, signed_permutation(Q3, rng), None, False), (Q10, la.identity_map(10, None), cycled, False),
+             (Q3, random_basis(Q3, rng), None, True), (product_of_fields(None, 2), ((1, 1), (0, 1)), None, True),
+             (Q3, ((-2, -2, 0), (-2, 0, 0), (-2, 0, 2)), None, True)]
+    for A, T, sigma, factors in cases:
+        B = rebase(A, T)
+        expected = sorted(la.vec(e, None) for e in naive_central_idempotents(B)) if sigma is None else \
+            sorted(la.vec([int(i in orbit) for i in range(10)], None) for orbit in ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9)))
+        factored.clear()
+        assert central_idempotents(B, sigma=sigma) == expected
+        assert bool(factored) == factors
+
+
 def test_factor_q_agrees_with_sympy():
     # seeded squarefree products of non-monic rational factors of degree 1 to 12;
     # products of X^4 + 1, X^4 - 10X^2 + 1 and X^2 + 3, reducible modulo every prime;
@@ -675,7 +702,7 @@ def test_ideal_meet_matches_pairwise_intersection():
             V = subspace(A, [A.random_element(rng) for _ in range(rank)])
             walk = [V]
             for _ in range(5):
-                walk.append(finalg.apply_to_ideal(A, sigma, walk[-1]))
+                walk.append(subspace(A, [la.apply_map(sigma, v, A.p) for v in walk[-1].basis]))
             lists += [walk, walk[:2], [V]]
         for ideals in lists:
             assert ideal_meet(ideals) == naive_meet(ideals)

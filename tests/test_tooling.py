@@ -1,9 +1,11 @@
 """Source checks on the package (with the standard library's ast), the CLI's import path, and a guard for the benchmark harness."""
 
 import ast
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import skewseries
@@ -100,3 +102,34 @@ def test_the_traced_harness_sees_every_predicted_boundary(capsys):
     capsys.readouterr()
     calls = tracer.summary()["spans"]
     assert [b for b in run.EXERCISED["cli"] if calls.get(b, (0,))[0] == 0] == []
+
+
+def retained_bytes_per_op(name, cycles, warm_ops=None):
+    """Bytes still allocated per operation after ``cycles`` seed-1 cycles of a perfbench workload
+    whose results are all kept, as its timed loop keeps them, traced after a warm-up of
+    ``warm_ops`` operations (a whole cycle when None), which settles lazy imports and first uses."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    workload = workloads.build(name, 1)
+    for key in workload.cycle(0)[:warm_ops]:
+        workload.run(key)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = [(key, workload.run(key)) for c in range(cycles) for key in workload.cycle(c)]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_results_hold_no_more_memory():
+    # the benchmark keeps every result until its run ends, so a cache hung on a
+    # returned object (a J, a core, a report) reads as peak RSS; 556 B per primes
+    # verdict over 4 cycles and 3,741 B per sps_mul product over one cycle of 52
+    # (the same per product over two) were measured when this guard was added
+    assert retained_bytes_per_op("primes", 4) <= 600
+    assert retained_bytes_per_op("sps_mul", 1, warm_ops=2) <= 3900
