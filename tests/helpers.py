@@ -243,6 +243,29 @@ def relabel(A, rng):
     return FinAlgebra(p, n, structure, coords(A.unit))
 
 
+def naive_rref(rows, p):
+    """Reduced row echelon form as (rows, pivot columns) by the plain list loop:
+    scale each pivot row, subtract f times it, then reduce every entry.  The
+    reference exactla.rref, which does a row operation over F_p in one pass
+    and skips scaling by 1, is compared against."""
+    work = [[la.fnorm(c, p) for c in r] for r in rows]
+    pivots, out, col = [], [], 0
+    while work and col < len(work[0]):
+        pivot_row = next((r for r in work if r[col] != 0), None)
+        if pivot_row is not None:
+            work.remove(pivot_row)
+            inv = la.finv(pivot_row[col], p)
+            pivot_row = [la.fnorm(inv * c, p) for c in pivot_row]
+            for r in work + out:
+                f = r[col]
+                r[:] = [la.fnorm(a - f * b, p) for a, b in zip(r, pivot_row)]
+            out.append(pivot_row)
+            pivots.append(col)
+        col += 1
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return tuple(tuple(out[i]) for i in order), tuple(pivots[i] for i in order)
+
+
 def naive_left_kernel(rows, p):
     """Basis (rref) of {x : sum_j x_j rows[j] = 0} by one rref of [rows | I]: a
     reduced row whose pivot lies in the identity block is [0 | x] with x in
@@ -253,7 +276,7 @@ def naive_left_kernel(rows, p):
         return ()
     ncols = len(rows[0])
     aug = [[*r, *e] for r, e in zip(rows, la.identity_map(len(rows), p), strict=True)]
-    reduced, pivots = la.rref(aug, p)
+    reduced, pivots = naive_rref(aug, p)
     return tuple(r[ncols:] for r, c in zip(reduced, pivots, strict=True) if c >= ncols)
 
 

@@ -5,9 +5,10 @@ import pytest
 
 import skewseries.exactla as la
 
-from helpers import naive_left_kernel
+from helpers import naive_left_kernel, naive_rref
 
 FIELDS = [2, 5, None]
+BIG_P = 2**31 - 1
 
 
 def random_matrix(rng, nrows, ncols, p):
@@ -91,6 +92,21 @@ def test_dependencies_match_naive_left_kernel(p):
         padded = [c + (zero,) * (len(rows) - len(c)) for c in found]
         assert len({len(c) for c in found}) == len(found) == len(rows) - rank(rows, p)
         assert la.span(padded, p) == naive_left_kernel(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
+def test_one_pass_row_operations_match_the_list_reference(p):
+    # over F_p rref and dependencies do r - f s as (r + (p - f) s) mod p and skip
+    # scaling by 1; against naive_rref and naive_left_kernel (which runs on
+    # naive_rref) on unreduced and negative entries, all-(p - 1) rows, no rows and n = 1
+    rng = random.Random(f"one-pass/{p}")
+    cases = [[tuple(rng.randint(-3 * p, 3 * p) for _ in range(ncols)) for _ in range(nrows)]
+             for nrows, ncols in [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]]
+    cases += [[(p - 1,) * 4] * 3 + [(p - 1, 0, p - 1, 0)], [], [(-1,)], [(p + 1,), (2 * p,), (-p - 2,)],
+              [(p - 1,)] * 3]
+    for rows in cases:
+        assert la.rref(rows, p) == naive_rref(rows, p)
+        assert la.left_kernel(rows, p) == naive_left_kernel(rows, p)
 
 
 def test_dependencies_draw_only_what_the_caller_asks():
