@@ -9,7 +9,6 @@ oracles.
 
 from .coeffcore import (
     Digits,
-    ExtInt,
     INFINITY,
     alpha_coeff,
     binom_valuation_check,

@@ -2,13 +2,12 @@
 
 Everything here is pure integer arithmetic: p-adic valuations, base-p
 expansions, carry-free digit splittings and their multinomial
-coefficients, q-factorials, and half-integer filtration values.
+coefficients, q-factorials, and the INFINITY that filtrations give 0.
 """
 
 from __future__ import annotations
 
 import math
-from functools import total_ordering
 
 
 def is_prime(n: int) -> bool:
@@ -36,81 +35,40 @@ def vp(n: int, p: int) -> int:
     return e
 
 
-@total_ordering
-class ExtInt:
-    """Exact half-integer with a distinguished infinity.
+class _Infinity:
+    """The value of 0: above every int and Fraction, absorbing under +.
 
-    Stored as a doubled integer so values in (1/2)Z never touch floats.
-    Infinity absorbs addition and dominates every finite value.
+    Finite filtration values are plain ints and Fractions; this sentinel is
+    the one value that is neither.  n - INFINITY is refused (TypeError).
     """
 
-    __slots__ = ("half",)
-
-    def __init__(self, value=0, *, halves: int | None = None):
-        if halves is not None:
-            self.half = halves
-        else:
-            doubled = 2 * value
-            if doubled != int(doubled):
-                raise ValueError("ExtInt holds half-integers only")
-            self.half = int(doubled)
-
-    @classmethod
-    def infinity(cls) -> "ExtInt":
-        obj = cls.__new__(cls)
-        obj.half = None
-        return obj
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.half is None
-
-    def __add__(self, other):
-        if not isinstance(other, ExtInt):
-            other = ExtInt(other)
-        if self.is_infinite or other.is_infinite:
-            return ExtInt.infinity()
-        return ExtInt(halves=self.half + other.half)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtInt):
-            other = ExtInt(other)
-        if self.is_infinite:
-            return ExtInt.infinity()
-        if other.is_infinite:
-            raise ValueError("cannot subtract infinity")
-        return ExtInt(halves=self.half - other.half)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtInt):
-            return self.half == other.half
-        if self.is_infinite:
-            return False
-        return self.half == 2 * other
+    __slots__ = ()
 
     def __lt__(self, other):
-        if not isinstance(other, ExtInt):
-            other = ExtInt(other)
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.half < other.half
+        return False
 
-    def __hash__(self):
-        return hash(("ExtInt", self.half))
+    def __le__(self, other):
+        return other is self
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __sub__ = __add__
+
+    def __reduce__(self):
+        return "INFINITY"
 
     def __repr__(self):
-        if self.is_infinite:
-            return "oo"
-        if self.half % 2 == 0:
-            return str(self.half // 2)
-        return f"{self.half}/2"
+        return "oo"
 
 
-INFINITY = ExtInt.infinity()
+INFINITY = _Infinity()
 
 
 class Digits:
@@ -185,7 +143,7 @@ def alpha_coeff(i: int, j: int, k: int, p: int) -> int:
         u, v, w = di.digit(t), dj.digit(t), dk.digit(t)
         if u + v + w != dn.digit(t):
             raise ValueError("carries present: digit condition violated")
-        coeff = coeff * (math.factorial(u + v + w) // (math.factorial(u) * math.factorial(v) * math.factorial(w))) % p
+        coeff = coeff * multinomial(u + v + w, u, v, w) % p
     if coeff == 0:
         raise AssertionError("digitwise multinomial vanished mod p")
     return coeff

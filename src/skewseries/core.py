@@ -46,7 +46,10 @@ def default_cap(A: FinAlgebra, cap: int | None = None) -> int:
     """``cap``, refused when negative; when None, a default from dim A and p."""
     if cap is None:
         p = A.p if A.p is not None else 2
-        return max(4, math.ceil(math.log(max(A.dim, 2), p)) + 2)
+        m = 1  # the least m with p^m >= max(dim, 2)
+        while p**m < A.dim:
+            m += 1
+        return max(4, m + 2)
     if cap < 0:
         raise CoreError(f"cap must be >= 0, got {cap}")
     return cap

@@ -14,8 +14,8 @@ import functools
 import itertools
 
 from . import exactla as la
-from .coeffcore import ExtInt, INFINITY
-from .finalg import FinAlgebra, IdealSubspace, quotient_algebra, subspace
+from .coeffcore import INFINITY, vp
+from .finalg import FinAlgebra, IdealSubspace, is_prime_fd, quotient_algebra, subspace
 from .series import SeriesRing
 from .skewder import AxiomReport, SkewDerivation
 
@@ -55,7 +55,7 @@ class ChainFiltration:
     def level_basis(self, j: int):
         return self._level(j).basis
 
-    def value(self, a) -> ExtInt:
+    def value(self, a) -> int:
         if la.is_zero_vec(a):
             return INFINITY
         best = 0
@@ -64,7 +64,7 @@ class ChainFiltration:
                 best = j
             else:
                 break
-        return ExtInt(best)
+        return best
 
     def reduce(self, a, j: int):
         """Canonical representative of a modulo F_j."""
@@ -102,14 +102,28 @@ class AdicFiltration:
     def __init__(self, ring: SeriesRing):
         self.ring = ring
 
-    def value(self, a) -> ExtInt:
-        return self.ring.value(a)
+    def value(self, a) -> int:
+        """(p, t)-adic valuation: min over terms of v_p(c_n) + n."""
+        ring = self.ring
+        return min((vp(c % ring.modulus, ring.p) + n for n, c in enumerate(a) if c % ring.modulus), default=INFINITY)
 
     def reduce(self, a, j: int):
-        return self.ring.reduce_mod_value(a, j)
+        """Canonical representative of a modulo {x : value(x) >= j}."""
+        ring, out = self.ring, []
+        for n, c in enumerate(a):
+            keep = j - n
+            if keep <= 0:
+                out.append(0)
+            elif keep >= ring.k:
+                out.append(c % ring.modulus)
+            else:
+                out.append(c % ring.p**keep)
+        return tuple(out)
 
     def adapted_basis(self):
-        return self.ring.monomials_with_valuations()
+        """Spanning set p^i t^n with exact valuations, for degree sweeps."""
+        ring = self.ring
+        return [(ring.monomial(ring.p**i, n), i + n) for n in range(ring.T) for i in range(ring.k)]
 
     def symbol_coords(self, e, d: int, reps):
         """Digit coordinates of e at total degree d (graded over F_p)."""
@@ -129,7 +143,7 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
     """Verify the filtration axioms on basis pairs plus random pairs."""
     ring = w.ring
     report = AxiomReport()
-    if not w.value(ring.zero()).is_infinite:
+    if w.value(ring.zero()) is not INFINITY:
         report.add("w(0) = infinity", ring.zero())
     pairs = list(itertools.product([v for v, _ in w.adapted_basis()], repeat=2))
     if rng is not None:
@@ -143,24 +157,15 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
         if w.value(ring.mul(a, b)) < w.value(a) + w.value(b):
             report.add("w(xy) >= w(x) + w(y)", (a, b))
     for a, _ in w.adapted_basis():
-        if w.value(a).is_infinite and tuple(a) != tuple(ring.zero()):
+        if w.value(a) is INFINITY and tuple(a) != tuple(ring.zero()):
             report.add("separated", a)
     return report
 
 
-def endo_degree(w, d_matrix) -> ExtInt:
+def endo_degree(w, d_matrix) -> int:
     """deg_w(d) = min over a filtration-adapted basis of w(d(v)) - w(v)."""
-    ring = w.ring
-    best = None
-    for v, val in w.adapted_basis():
-        image = la.apply_map(d_matrix, v, ring.scalar_mod)
-        iv = w.value(image)
-        if iv.is_infinite:
-            continue
-        gap = iv - ExtInt(val)
-        if best is None or gap < best:
-            best = gap
-    return INFINITY if best is None else best
+    mod = w.ring.scalar_mod
+    return min((w.value(la.apply_map(d_matrix, v, mod)) - val for v, val in w.adapted_basis()), default=INFINITY)
 
 
 def is_compatible(w, sd: SkewDerivation) -> bool:
@@ -168,7 +173,7 @@ def is_compatible(w, sd: SkewDerivation) -> bool:
     mod = w.ring.scalar_mod
     ident = la.identity_map(w.ring.dim, mod)
     shift = la.map_sub(sd.sigma_matrix, ident, mod)
-    return endo_degree(w, shift) > ExtInt(0) and endo_degree(w, sd.delta_matrix) > ExtInt(0)
+    return endo_degree(w, shift) > 0 and endo_degree(w, sd.delta_matrix) > 0
 
 
 def lemma16_check(w, sd: SkewDerivation, n: int) -> bool:
@@ -180,15 +185,15 @@ def lemma16_check(w, sd: SkewDerivation, n: int) -> bool:
     mod = ring.scalar_mod
     ident = la.identity_map(ring.dim, mod)
     p_times_one = ring.smul(p, ring.one())
-    if w.value(p_times_one) < ExtInt(1):
+    if w.value(p_times_one) < 1:
         raise FiltrationError("precondition failed: w(p) < 1")
     shift = la.map_sub(sd.sigma_matrix, ident, mod)
-    if endo_degree(w, shift) < ExtInt(1):
+    if endo_degree(w, shift) < 1:
         raise FiltrationError("precondition failed: deg(sigma - id) < 1")
     if not sd.is_sigma_minus_id():
         raise FiltrationError("precondition failed: delta != sigma - id")
     power_shift = la.map_sub(sd.sigma_pow(p**n), ident, mod)
-    return not endo_degree(w, power_shift) < ExtInt(n)
+    return not endo_degree(w, power_shift) < n
 
 
 class GradedAlgebra:
@@ -214,9 +219,8 @@ class GradedAlgebra:
     def symbol(self, e):
         """(degree, coords) of the principal symbol of a nonzero element."""
         d = self.filtration.value(e)
-        if d.is_infinite or d.half % 2 != 0:
+        if d is INFINITY or d.denominator != 1:
             raise FiltrationError("element has no symbol in this window")
-        d = d.half // 2
         if d not in self.components:
             raise FiltrationError("value outside the window")
         return d, self.filtration.symbol_coords(e, d, self.components[d])
@@ -235,7 +239,7 @@ class GradedAlgebra:
         d = d1 + d2
         if d not in self.components:
             raise FiltrationError("product degree outside the window")
-        if self.filtration.value(prod) > ExtInt(d):
+        if self.filtration.value(prod) > d:
             return d, tuple(0 for _ in self.components[d])
         return self.symbol(prod)
 
@@ -261,7 +265,7 @@ class GradedAlgebra:
                 d = degs[i] + degs[j]
                 out = [la.fnorm(0, p)] * n
                 prod = w.ring.mul(flat[i], flat[j])
-                if d in self.components and not w.value(prod) > ExtInt(d):
+                if d in self.components and not w.value(prod) > d:
                     _, coords = self.symbol(prod)
                     offset = sum(self.dim(e) for e in self.window if e < d)
                     for t, c in enumerate(coords):
@@ -290,8 +294,6 @@ def assoc_graded(w, window) -> GradedAlgebra:
 
 def gr_prime_implies_prime(w: ChainFiltration) -> bool:
     """If the full graded algebra is prime, so is the parent (vacuous otherwise)."""
-    from .finalg import is_prime_fd
-
     gr = assoc_graded(w, range(w.depth + 1))
     if not is_prime_fd(gr.to_algebra()):
         return True

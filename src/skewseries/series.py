@@ -8,11 +8,11 @@ modulo p^k.
 
 from __future__ import annotations
 
-from .coeffcore import ExtInt, INFINITY, is_prime, vp
+from .coeffcore import is_prime
 
 
 class SeriesRing:
-    """(Z/p^k)[t]/(t^T), commutative, with the (p, t)-adic valuation."""
+    """(Z/p^k)[t]/(t^T), commutative; its (p, t)-adic valuation is ``AdicFiltration``."""
 
     def __init__(self, p: int, T: int, k: int = 1):
         if not is_prime(p):
@@ -89,38 +89,6 @@ class SeriesRing:
 
     def random_element(self, rng):
         return tuple(rng.randrange(self.modulus) for _ in range(self.T))
-
-    def value(self, a) -> ExtInt:
-        """(p, t)-adic valuation: min over terms of v_p(c_n) + n."""
-        best = None
-        for n, c in enumerate(a):
-            if c % self.modulus == 0:
-                continue
-            v = vp(c % self.modulus, self.p) + n
-            if best is None or v < best:
-                best = v
-        return INFINITY if best is None else ExtInt(best)
-
-    def reduce_mod_value(self, a, j: int) -> tuple:
-        """Canonical representative of a modulo {x : value(x) >= j}."""
-        out = []
-        for n, c in enumerate(a):
-            keep = j - n
-            if keep <= 0:
-                out.append(0)
-            elif keep >= self.k:
-                out.append(c % self.modulus)
-            else:
-                out.append(c % self.p**keep)
-        return tuple(out)
-
-    def monomials_with_valuations(self):
-        """Spanning set p^i t^n with exact valuations, for degree sweeps."""
-        out = []
-        for n in range(self.T):
-            for i in range(self.k):
-                out.append((self.monomial(self.p**i, n), i + n))
-        return out
 
     def __repr__(self):
         if self.k == 1:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from . import exactla as la
-from .coeffcore import ExtInt, INFINITY
+from .coeffcore import INFINITY
 from .filtration import (
     AdicFiltration,
     ChainFiltration,
@@ -126,21 +127,13 @@ class SPSRing:
 
     # -- the filtration f_u --------------------------------------------------
 
-    def f_u_value(self, f) -> ExtInt:
-        """min over coefficients of u(r_k) + k/2, an exact half-integer."""
-        best = None
-        for k, r in enumerate(f):
-            v = self.u.value(r)
-            if v.is_infinite:
-                continue
-            val = ExtInt(halves=v.half + k)
-            if best is None or val < best:
-                best = val
-        return INFINITY if best is None else best
+    def f_u_value(self, f) -> Fraction:
+        """min over coefficients of u(r_k) + k/2: a Fraction, or INFINITY when f = 0."""
+        return min((self.u.value(r) + Fraction(k, 2) for k, r in enumerate(f)), default=INFINITY)
 
     def boundedness_check(self, f, floor) -> bool:
         """Windowed membership in the bounded ring: all u(r_k) + k/2 >= floor."""
-        return not self.f_u_value(f) < (floor if isinstance(floor, ExtInt) else ExtInt(floor))
+        return not self.f_u_value(f) < floor
 
     def serialize(self, f) -> str:
         """Canonical sparse text form, stable across runs."""
@@ -172,7 +165,7 @@ def _spanning_symbols(S: SPSRing):
         for b in range(S.D):
             coeffs = [S.base.zero()] * S.D
             coeffs[b] = m
-            out.append((S.element(coeffs), m, b, ExtInt(halves=2 * val + b)))
+            out.append((S.element(coeffs), m, b, val + Fraction(b, 2)))
     return out
 
 
@@ -191,22 +184,22 @@ def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None
     if any(h >= S.D for h in window_halves):
         raise PrecisionError("window reaches D/2: truncation interferes")
     spanning = _spanning_symbols(S)
-    values = [S.f_u_value(f).half for f, *_ in spanning]  # one per symbol; None when infinite
-    if any(values.count(h) != graded_dim(S, h) for h in window_halves):
+    values = [S.f_u_value(f) for f, *_ in spanning]  # one per symbol
+    if any(values.count(Fraction(h, 2)) != graded_dim(S, h) for h in window_halves):
         return False
     # Symbol multiplicativity: x maps to Z, coefficients to their symbols.
     window_max = max(window_halves, default=0)
     candidates = [
         (f, m, b, nominal)
         for f, m, b, nominal in spanning
-        if not nominal.is_infinite and nominal.half <= window_max
+        if 2 * nominal <= window_max
     ]
     pairs = list(itertools.product(candidates, repeat=2))
     if rng is not None and len(pairs) > sample_pairs:
         pairs = rng.sample(pairs, sample_pairs)
     for (f, m1, b1, v1), (g, m2, b2, v2) in pairs:
         total = v1 + v2
-        if total.is_infinite or total.half > window_max:
+        if 2 * total > window_max:
             continue
         prod = S.mul(f, g)
         if S.f_u_value(prod) != total:

@@ -162,6 +162,22 @@ def test_demo_command(capsys):
     assert "sigma(t):" in out and "x*t:" in out
 
 
+def test_demo_prints_exact_degrees(capsys):
+    # sigma = id and delta = 0 at p = 5, T = 3: both degrees are the value of 0
+    assert main(["demo", "iwasawa", "--p", "5", "--T", "3", "--D", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "ring: SPSRing(D=3 over F_5[t]/(t^3))\n"
+        "sigma(t): 1*t^1\n"
+        "delta(t): 0\n"
+        "deg(sigma - id): oo\n"
+        "deg(delta): oo\n"
+        "compatible: True\n"
+        "x*t: 1*t^1*x^1\n"
+    )
+    assert main(["demo", "iwasawa", "--p", "3", "--T", "6", "--D", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[3:5] == ["deg(sigma - id): 2", "deg(delta): 2"]
+
+
 INCOMPATIBLE_SERIES = """sps-spec 1
 
 [ring]

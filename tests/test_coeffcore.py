@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from skewseries.coeffcore import (
     Digits,
-    ExtInt,
     INFINITY,
     alpha_coeff,
     binom_valuation_check,
@@ -28,13 +30,38 @@ def test_vp_basics():
 
 
 def test_extint_ordering_and_arithmetic():
-    assert ExtInt(1) + ExtInt(halves=1) == ExtInt(halves=3)
-    assert ExtInt(0) < ExtInt(halves=1) < ExtInt(1) < INFINITY
-    assert INFINITY + 5 == INFINITY
-    assert min(INFINITY, ExtInt(2)) == ExtInt(2)
-    assert repr(ExtInt(halves=5)) == "5/2"
-    assert ExtInt(3) - ExtInt(1) == ExtInt(2)
-    assert INFINITY - ExtInt(4) == INFINITY
+    assert 1 + Fraction(1, 2) == Fraction(3, 2)
+    assert 0 < Fraction(1, 2) < 1 < INFINITY
+    assert INFINITY + 5 is INFINITY
+    assert min(INFINITY, 2) == 2
+    assert str(Fraction(5, 2)) == "5/2"
+    assert Fraction(6, 2) - 1 == 2
+    assert INFINITY - 4 is INFINITY
+
+
+@pytest.mark.parametrize("n", [-3, 0, 7, 10**30, Fraction(-1, 2), Fraction(5, 2), Fraction(10**30 + 1, 2)])
+def test_infinity_is_above_every_int_and_fraction(n):
+    assert n < INFINITY and n <= INFINITY and not n > INFINITY and not n >= INFINITY
+    assert INFINITY > n and INFINITY >= n and not INFINITY < n and not INFINITY <= n
+    assert n != INFINITY and INFINITY != n
+    assert INFINITY <= INFINITY and INFINITY >= INFINITY and not INFINITY < INFINITY and not INFINITY > INFINITY
+    assert min(n, INFINITY) == n and min(INFINITY, n) == n
+    assert max(n, INFINITY) is INFINITY and max(INFINITY, n) is INFINITY
+    assert sorted([INFINITY, n, INFINITY]) == [n, INFINITY, INFINITY]
+    assert sorted([n, INFINITY]) == sorted([INFINITY, n]) == [n, INFINITY]
+    assert n + INFINITY is INFINITY and INFINITY + n is INFINITY
+    assert INFINITY - n is INFINITY
+    with pytest.raises(TypeError):
+        n - INFINITY
+    assert not isinstance(INFINITY, float)
+
+
+def test_infinity_is_one_hashable_value_printed_oo():
+    assert repr(INFINITY) == str(INFINITY) == f"{INFINITY}" == "oo"
+    assert {INFINITY: 1}[INFINITY] == 1 and len({INFINITY, INFINITY, 0}) == 2
+    assert copy.copy(INFINITY) is INFINITY and copy.deepcopy([INFINITY])[0] is INFINITY
+    assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+    assert INFINITY + INFINITY is INFINITY
 
 
 def test_digits_examples():

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -769,6 +770,17 @@ def test_default_cap():
     assert default_cap(truncated_poly_algebra(2, 20), 0) == 0
     with pytest.raises(CoreError, match="cap must be >= 0, got -1"):
         default_cap(truncated_poly_algebra(2, 2), -1)
+
+
+def test_default_cap_is_exact_at_powers_of_p():
+    # default_cap reads only p and dim; a log in floating point gave 6 and 9 here
+    assert default_cap(types.SimpleNamespace(p=5, dim=125)) == 5
+    assert default_cap(types.SimpleNamespace(p=5, dim=15_625)) == 8
+    assert default_cap(types.SimpleNamespace(p=None, dim=1024)) == 12
+    for p in (2, 3, 5, 7):
+        for dim in range(5001):
+            least = min(m for m in range(20) if p**m >= max(dim, 2))
+            assert default_cap(types.SimpleNamespace(p=p, dim=dim)) == max(4, least + 2), (p, dim)
 
 
 def test_prop39():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from skewseries.coeffcore import ExtInt, INFINITY
+from skewseries.cli import build_context, load_spec_file
+from skewseries.coeffcore import INFINITY
 from skewseries.filtration import AdicFiltration, ChainFiltration
 from skewseries.finalg import ideal_generated, truncated_poly_algebra
 from skewseries.series import SeriesRing
@@ -138,27 +140,31 @@ def test_ring_laws_random_triples():
 def test_f_u_values():
     S = iwasawa_demo(2, 8, 6)
     assert S.f_u_value(S.zero()) == INFINITY
-    assert S.f_u_value(S.one()) == ExtInt(0)
+    assert S.f_u_value(S.one()) == 0
     t = S.base.gen()
     coeffs = [S.base.zero()] * 6
     coeffs[3] = t
-    assert S.f_u_value(S.element(coeffs)) == ExtInt(halves=5)  # u(t) + 3/2
-    assert S.f_u_value(S.x()) == ExtInt(halves=1)
+    assert S.f_u_value(S.element(coeffs)) == Fraction(5, 2)  # u(t) + 3/2
+    assert S.f_u_value(S.x()) == Fraction(1, 2)
 
 
 def test_f_u_submultiplicative():
-    for S in (iwasawa_demo(2, 10, 8), tpow_demo(2, 10, 8)):
+    # the spec's ring is chain-filtered: its f_u values come from ChainFiltration.value
+    quotient_demo = build_context(load_spec_file("quotient_demo.spec")).sps
+    assert isinstance(quotient_demo.u, ChainFiltration)
+    for S in (iwasawa_demo(2, 10, 8), tpow_demo(2, 10, 8), quotient_demo):
         rng = random.Random(2)
         for _ in range(40):
             f, g = S.random_element(rng), S.random_element(rng)
             assert not S.f_u_value(S.mul(f, g)) < S.f_u_value(f) + S.f_u_value(g)
+            assert not S.f_u_value(S.add(f, g)) < min(S.f_u_value(f), S.f_u_value(g))
 
 
 def test_boundedness_check():
     S = iwasawa_demo(2, 8, 6)
     assert S.boundedness_check(S.one(), 0)
     assert not S.boundedness_check(S.one(), 1)
-    assert S.boundedness_check(S.x(), ExtInt(halves=1))
+    assert S.boundedness_check(S.x(), Fraction(1, 2))
     assert S.boundedness_check(S.zero(), 100)
 
 

@@ -67,6 +67,49 @@ def test_no_unused_imports_in_the_package():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+EXACT_MATH = {"comb", "factorial", "gcd", "lcm", "isqrt"}
+
+
+def float_uses(source):
+    """(line, what) of each float literal, ``float`` name, inexact ``math`` name and ``/`` without a Fraction."""
+    def is_fraction(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math"
+              and node.attr not in EXACT_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name not in EXACT_MATH]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if not (is_fraction(node.left) or is_fraction(node.right)):
+                found.append((node.lineno, "/"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div) and not is_fraction(node.value):
+            found.append((node.lineno, "/="))
+    return sorted(found)
+
+
+def test_the_float_check_sees_every_kind_of_float():
+    source = (
+        "import math\nfrom math import log, gcd\nx = 0.5\ny = float(3)\nz = math.ceil(math.log(8, 2))\n"
+        "w = math.comb(4, 2) + math.isqrt(9)\nq = 1 / Fraction(3)\nr = Fraction(1) / 3\ns = 1 / 3\ns /= 2\n"
+        "u = 2 // 3\nv = '0.5'\n"
+    )
+    assert float_uses(source) == [(2, "math.log"), (3, "0.5"), (4, "float"), (5, "math.ceil"),
+                                  (5, "math.log"), (9, "/"), (10, "/=")]
+
+
+def test_no_floating_point_in_the_package():
+    # filtration values are ints, Fractions or INFINITY; every scalar is exact
+    found = {path.name: float_uses(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 # every module a command reaches; a reference that only tests read lives under tests/
 CLI_MODULES = ["cli", "coeffcore", "core", "exactla", "filtration", "finalg", "series", "skewder", "sps"]
 
