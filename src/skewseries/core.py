@@ -24,7 +24,6 @@ from .finalg import (
     ideal_meet,
     is_automorphism,
     is_sigma_prime,
-    minimal_primes_over,
     prime_spectrum,
     radical,
     sigma_orbit,
@@ -102,6 +101,8 @@ def delta_pm_core(
 
 
 class CoreReport:
+    __slots__ = ("ideal_dim", "cap", "M", "dims", "core")
+
     def __init__(self, ideal_dim: int, cap: int = 0, M: int | None = None):
         self.ideal_dim, self.cap, self.M = ideal_dim, cap, M
         self.dims = []  # the core dimension at m = 0, 1, ...; small ints, shared by every report
@@ -217,6 +218,10 @@ def theorem_c_procedure(
 ):
     """Constructive procedure: from a minimal sigma-prime I, produce (J, M).
 
+    I must be a proper, sigma-stable ideal containing rad A.  Then A/I is
+    semisimple, and its blocks give the primes over I, the only primes the
+    procedure reads (``prime_spectrum(A, I)``, certified by radical(A/I) =
+    0; rad A <= I cross-checks the two radicals against each other).
     Follows the inductive construction: fix the lexicographically least
     minimal prime P over I and walk its sigma-orbit [P, sigma P, ...] of
     length L once; the sigma^n-orbit of P is then every gcd(n, L)-th
@@ -242,12 +247,19 @@ def theorem_c_procedure(
         raise CoreError(exc) from None
     _require_automorphism(A, sd)
     cap = default_cap(A, cap)
-    spectrum = prime_spectrum(A)
-    P = minimal_primes_over(A, I, spectrum)[0] if I.dim < A.dim else None  # least echelon basis
-    orbit = P and sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
+    refusal = "I is not a minimal sigma-prime ideal"
+    if not (I.dim < A.dim and I.is_ideal() and I.contains_ideal(radical(A))
+            and sd.stable(I, sd.sigma_matrix)):
+        raise CoreError(refusal)
+    try:  # the primes over I, certified by radical(A/I) = 0
+        spectrum = prime_spectrum(A, I)
+    except AlgebraError:
+        raise CoreError(refusal) from None
+    P = spectrum[0]  # the least echelon basis
+    orbit = sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
     meet = functools.cache(lambda step: ideal_meet(orbit[::step]))  # of every step-th member
-    if not orbit or meet(1) != I:  # then the primes over I are this one orbit
-        raise CoreError("I is not a minimal sigma-prime ideal")
+    if meet(1) != I:  # then the primes over I are this one orbit
+        raise CoreError(refusal)
     reports = []
     I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):

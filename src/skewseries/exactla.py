@@ -111,6 +111,17 @@ def map_sub(a: Matrix, b: Matrix, p) -> Matrix:
     return tuple(vsub(ra, rb, p) for ra, rb in zip(a, b, strict=True))
 
 
+def _minus(r, f, s, p) -> list:
+    """The normal form of r - f s over the common length, for normal-form r, s and f != 0:
+    over F_2 (f = 1) r XOR s, over F_p one pass as (r + (p - f) s) mod p, over Q by ``fnorm``."""
+    if p == 2:
+        return [a ^ b for a, b in zip(r, s)]
+    if p is None:
+        return _normed([a - f * b for a, b in zip(r, s)], p)
+    g = p - f
+    return [(a + g * b) % p for a, b in zip(r, s)]
+
+
 def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (rows, pivot columns).
 
@@ -135,16 +146,12 @@ def rref(rows: Iterable[Vector], p) -> tuple[tuple[Vector, ...], tuple[int, ...]
             col += 1
             continue
         work.remove(pivot_row)
-        inv = finv(pivot_row[col], p)
-        if inv != 1:  # never over F_2
+        inv = 1 if p == 2 else finv(pivot_row[col], p)
+        if inv != 1:
             pivot_row = _normed([inv * c for c in pivot_row], p)
         for r in work + out:
-            f = r[col]
-            if f != 0 and p is None:
-                r[:] = _normed([a - f * b for a, b in zip(r, pivot_row, strict=True)], p)
-            elif f != 0:  # r - f pivot_row in one pass, as r + g pivot_row mod p with g = p - f
-                g = p - f
-                r[:] = [(a + g * b) % p for a, b in zip(r, pivot_row, strict=True)]
+            if r[col] != 0:
+                r[:] = _minus(r, r[col], pivot_row, p)
         out.append(pivot_row)
         pivots.append(col)
         col += 1
@@ -170,7 +177,9 @@ def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) 
     r = list(v)
     for row, c in zip(basis, pivots, strict=True):
         f = fnorm(r[c], p)
-        if f != 0:
+        if f == 1:
+            r = [a - b for a, b in zip(r, row, strict=True)]
+        elif f != 0:
             r = [a - f * b for a, b in zip(r, row, strict=True)]
     return vec(r, p)
 
@@ -188,17 +197,13 @@ def dependencies(vectors: Iterable[Vector], p) -> Iterator[Vector]:
     for j, v in enumerate(vectors):
         n, r = len(v), _normed([*v, *[0] * j, 1], p)
         for s, c in stored:
-            f = r[c]
-            if f != 0 and p is None:
-                r[: len(s)] = _normed([a - f * b for a, b in zip(r, s)], p)
-            elif f != 0:  # as in rref: r + g s mod p with g = p - f
-                g = p - f
-                r[: len(s)] = [(a + g * b) % p for a, b in zip(r, s)]
+            if r[c] != 0:
+                r[: len(s)] = _minus(r, r[c], s, p)
         pivot = next((c for c in range(n) if r[c] != 0), None)
         if pivot is None:
             yield tuple(r[n:])
         else:
-            inv = finv(r[pivot], p)
+            inv = 1 if p == 2 else finv(r[pivot], p)
             stored.append((r if inv == 1 else _normed([inv * a for a in r], p), pivot))
 
 
@@ -232,7 +237,8 @@ def subspace_intersection(a: Sequence[Vector], b: Sequence[Vector], p) -> tuple[
     if not a:
         return ()
     residues = [reduce_vector(b_basis, b_piv, v, p) for v in a]
-    return span([apply_map(a, c, p) for c in left_kernel(residues, p)], p)
+    # already rref: a kernel vector's leading 1 at j gives a 1 at pivot j and 0 at the others'
+    return tuple(apply_map(a, c, p) for c in left_kernel(residues, p))
 
 
 def preimage(m: Matrix, target_basis: Sequence[Vector], p) -> tuple[Vector, ...]:

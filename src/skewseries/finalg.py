@@ -279,7 +279,8 @@ def radical(A: FinAlgebra) -> IdealSubspace:
         phi = dict(zip(I.pivots, ((tr // q) % p for tr in trs)))
         table = [tuple(sum(c * phi.get(k, 0) for k, c in prod) for prod in row) for row in P]
         rows = [la.apply_map(table, x, p) for x in I.basis]
-        I = subspace(A, [la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)])
+        # rref, as in subspace_intersection: rref kernel vectors combining an rref basis
+        I = IdealSubspace(A, tuple(la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)))
         q *= p
     return I
 
@@ -307,9 +308,14 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
             v[col] = la.fnorm(c, p)
         return tuple(v)
 
-    # the free basis vectors e_a lift the quotient basis: products are structure[a][b]
-    structure = [[project(A.structure[a][b]) for b in free_cols] for a in free_cols]
-    B = FinAlgebra(p, qdim, structure, project(A.unit), check=False)
+    images = [project(e) for e in A._basis]  # project is linear: one reduction per basis vector
+
+    def image(pairs):  # project(sum c e_k) over the (k, c) in pairs
+        return la.vec([sum(c * images[k][t] for k, c in pairs) for t in range(qdim)], p)
+
+    # the free basis vectors e_a lift the quotient basis: products are e_a e_b
+    structure = [[image(A._pairs[a][b]) for b in free_cols] for a in free_cols]
+    B = FinAlgebra(p, qdim, structure, image(list(enumerate(A.unit))), check=False)
     return B, project, lift
 
 
@@ -322,10 +328,14 @@ def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
 
 
 def center(A: FinAlgebra) -> tuple:
-    """rref basis of the center: row i of its system is structure[i][j] - structure[j][i] over all j."""
-    S, p = A.structure, A.p
-    return la.left_kernel([tuple(c for j in range(A.dim) for c in la.vsub(S[i][j], S[j][i], p))
-                           for i in range(A.dim)], p)
+    """rref basis of the center: row i of its system is e_i e_j - e_j e_i over all j, off the pairs."""
+    n = A.dim
+    rows = [[0] * (n * n) for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        for k, c in A._pairs[i][j]:
+            rows[i][j * n + k] += c
+            rows[j][i * n + k] -= c
+    return la.left_kernel(rows, A.p)
 
 
 def central_idempotents(A: FinAlgebra, check=True, sigma=None) -> list:
@@ -538,14 +548,15 @@ def is_prime_fd(A: FinAlgebra) -> bool:
 
 
 def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None, sigma=None) -> list[IdealSubspace]:
-    """The prime (= maximal) ideals of A, sorted by echelon basis; with ``sigma``, an automorphism
-    of A, the minimal sigma-primes over 0: the meets of the sigma-orbits of primes.
+    """The prime (= maximal) ideals of A over N, sorted by echelon basis; with ``sigma``, an
+    automorphism of A stabilising N, the minimal sigma-primes over N: the meets of the
+    sigma-orbits of those primes.  ``N``: an ideal containing rad A (radical(A) when None).
 
-    Every maximal ideal contains the radical N, and C = A/N (A if N = 0) is the sum of its
-    simple blocks Ce, e centrally primitive idempotent, so the maximal ideals are N + the lifts
-    of the (1 - e)C.  sigma induces a map on C that permutes the e, and N + the lift of
+    Every maximal ideal contains rad A, and C = A/N (A if N = 0) is semisimple, the sum of its
+    simple blocks Ce, e centrally primitive idempotent, so the maximal ideals over N are N + the
+    lifts of the (1 - e)C.  sigma induces a map on C that permutes the e, and N + the lift of
     (1 - sum_O e)C is the meet of the primes of an orbit O.  A proper quotient C is tested to
-    be semisimple: a certificate that N is all of rad A.  ``N``: radical(A), if known.
+    be semisimple: a certificate that N contains rad A.
     """
     if N is None:
         N = radical(A)

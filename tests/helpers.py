@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import skewseries.exactla as la
+from skewseries.coeffcore import is_prime
 from skewseries.core import CoreError, default_cap, delta_pm_core, stabilization_M
 from skewseries.finalg import (
     AlgebraError,
@@ -12,7 +14,11 @@ from skewseries.finalg import (
     IdealSubspace,
     ImplementationError,
     central_idempotents,
+    ideal_meet,
+    is_automorphism,
+    is_sigma_prime,
     minimal_primes_over,
+    prime_spectrum,
     product_of_fields,
     quotient_algebra,
     radical,
@@ -538,6 +544,111 @@ def finalg_spec(A, sd, ideal):
         "sigma = " + rows(sd.sigma_matrix, "; "), "delta = " + rows(sd.delta_matrix, "; "),
         "", "[ideals]", "I = " + rows(ideal, ", "), "",
     ])
+
+
+def dense_center(A):
+    """rref basis of the center from the dense structure: row i of its system is
+    structure[i][j] - structure[j][i] over all j, each through vsub.  The former
+    center, kept as the reference the sparse one is compared against."""
+    S, p = A.structure, A.p
+    return la.left_kernel([tuple(c for j in range(A.dim) for c in la.vsub(S[i][j], S[j][i], p))
+                           for i in range(A.dim)], p)
+
+
+def dense_quotient_algebra(A, I):
+    """(B, project, lift) of A/I with every product e_a e_b and the unit projected
+    by its own reduce_vector: the former quotient_algebra, kept as the reference
+    the once-per-basis-vector projection is compared against."""
+    p = A.p
+    basis, pivots = I.basis, I.pivots
+    free_cols = [c for c in range(A.dim) if c not in pivots]
+    qdim = len(free_cols)
+    if qdim == 0:
+        raise AlgebraError("quotient by the whole algebra is the zero ring")
+
+    def project(v):
+        residue = la.reduce_vector(basis, pivots, v, p)
+        return tuple(residue[c] for c in free_cols)
+
+    def lift(coords):
+        v = [la.fnorm(0, p)] * A.dim
+        for c, col in zip(coords, free_cols, strict=True):
+            v[col] = la.fnorm(c, p)
+        return tuple(v)
+
+    structure = [[project(A.structure[a][b]) for b in free_cols] for a in free_cols]
+    B = FinAlgebra(p, qdim, structure, project(A.unit), check=False)
+    return B, project, lift
+
+
+def list_dependencies(vectors, p):
+    """exactla.dependencies with every row operation r - f s written as (r + (p - f) s) mod p
+    and every pivot inverted, F_2 included: the reference the XOR rows are compared against."""
+    stored = []
+    for j, v in enumerate(vectors):
+        n, r = len(v), la._normed([*v, *[0] * j, 1], p)
+        for s, c in stored:
+            f = r[c]
+            if f != 0 and p is None:
+                r[: len(s)] = la._normed([a - f * b for a, b in zip(r, s)], p)
+            elif f != 0:
+                r[: len(s)] = [(a + (p - f) * b) % p for a, b in zip(r, s)]
+        pivot = next((c for c in range(n) if r[c] != 0), None)
+        if pivot is None:
+            yield tuple(r[n:])
+        else:
+            inv = la.finv(r[pivot], p)
+            stored.append((la._normed([inv * a for a in r], p), pivot))
+
+
+def whole_spectrum_theorem_c(A, sd, I, cap=None):
+    """theorem_c_procedure as it was before it split only A/I: P the least prime over I
+    from the primes of all of A (prime_spectrum(A), through A/rad A), and I refused
+    unless it is the meet of P's sigma-orbit; an I in no prime (the former took
+    ``[0]`` of an empty list) is refused too.  The reference the A/I route is compared
+    against, result for result and refusal for refusal."""
+    p = A.char
+    if p == 0 or not is_prime(p):
+        raise CoreError("requires characteristic p")
+    try:
+        sd = pth_power(sd, 0)
+    except SkewDerivationError as exc:
+        raise CoreError(exc) from None
+    if not is_automorphism(A, sd.sigma_matrix):
+        raise CoreError("sigma is not an algebra automorphism")
+    cap = default_cap(A, cap)
+    spectrum = prime_spectrum(A)
+    over = minimal_primes_over(A, I, spectrum) if I.dim < A.dim else []
+    orbit = over and sigma_orbit(over[0], sd.sigma_matrix, cap=len(spectrum), automorphism=True)
+    meet = functools.cache(lambda step: ideal_meet(orbit[::step]))
+    if not orbit or meet(1) != I:
+        raise CoreError("I is not a minimal sigma-prime ideal")
+    P, reports = over[0], []
+    I_j, pair, M_j = I, sd, 0
+    for _ in range(cap + 2):
+        rep = stabilization_M(A, pair, I_j, cap=cap, automorphism=True)
+        reports.append(rep)
+        if rep.M is None:
+            return None, None, {"inconclusive": True, "reports": reports}
+        M_j += rep.M
+        I_next = meet(math.gcd(p**M_j, len(orbit)))
+        if I_next == I_j:
+            break
+        I_j, pair = I_next, pth_power(pair, rep.M)
+    else:
+        return None, None, {"inconclusive": True, "reports": reports}
+    J, M = I_j, M_j
+    sd_M = pth_power(sd, M)
+    sigma_M, step = sd_M.sigma_matrix, math.gcd(p**M, len(orbit))
+    return J, M, {
+        "minimal sigma^(p^M)-prime": sd_M.stable(J, sigma_M) and is_sigma_prime(
+            J, sigma_M, spectrum, automorphism=True, stable=True, orbits=[(orbit[::step], meet(step))]),
+        "I is the sigma-orbit intersection of J": (meet(1) if J == P else ideal_meet(
+            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True))) == I,
+        "delta^(p^M)(J) <= J": sd_M.stable(J, sd_M.delta_matrix),
+        "inconclusive": False,
+        "reports": reports,
+    }
 
 
 def naive_center(A):

@@ -61,6 +61,7 @@ from helpers import (
     random_basis,
     random_char0_instance,
     rebase_skew,
+    whole_spectrum_theorem_c,
 )
 from test_qscalars import cycles, q_instances
 
@@ -650,6 +651,70 @@ def test_theorem_c_matches_the_references_on_the_primes_instances():
               "M = 0" if M == 0 else "M > 0, J = I" if J == I else "M > 0, J < I"] += 1
     assert set(kinds) == {"M = 0", "M > 0, J = I", "M > 0, J < I", "inconclusive",
                           "requires sigma delta = delta sigma", "I is not a minimal sigma-prime ideal"}
+
+
+def a_mod_i_sweep_cases():
+    """(A, sd, ideal, cap) on the seed-1 primes instances: ideals I, 0, A, each prime, rad A, each
+    minimal sigma-prime over 0, span(1) and span(e_1..e_(n-1)), caps None, 0, 1 and 3."""
+    for A, sd, I in primes_workload_instances():
+        zero = subspace(A, [])
+        ideals = [I, zero, ideal_generated(A, [A.one()]), *prime_spectrum(A), radical(A),
+                  *minimal_sigma_primes(A, sd.sigma_matrix, zero), subspace(A, [A.one()]),
+                  subspace(A, A.basis()[1:])]
+        for ideal, cap in itertools.product(dict.fromkeys(ideals), (None, 0, 1, 3)):
+            yield A, sd, ideal, cap
+
+
+def full_outcome(verdict, *args):
+    """The verdict's (J, M, flags) with its reports serialized, or its refusal's type and message."""
+    try:
+        J, M, flags = verdict(*args)
+    except (CoreError, AlgebraError) as exc:
+        return type(exc), str(exc)
+    return J, M, {name: [r.serialize() for r in flag] if name == "reports" else flag
+                  for name, flag in flags.items()}
+
+
+def test_the_a_mod_i_route_matches_the_whole_spectrum_route():
+    # the primes over I from A/I against the former route through every prime of A:
+    # the same results, serialized reports, refusals and messages
+    kinds = collections.Counter()
+    for A, sd, I, cap in a_mod_i_sweep_cases():
+        expected = full_outcome(whole_spectrum_theorem_c, A, sd, I, cap)
+        assert full_outcome(theorem_c_procedure, A, sd, I, cap) == expected, (A, I.dim, cap)
+        kinds["refused" if isinstance(expected[0], type) else "inconclusive" if expected[0] is None
+              else "verdict"] += 1
+    assert min(kinds["refused"], kinds["inconclusive"], kinds["verdict"]) > 0
+
+
+def test_an_ideal_in_no_prime_is_refused():
+    # span(1) in F_2[X]/(X^4) is proper but lies in no prime: a refusal, not an IndexError
+    A, sd = ddx_derivation(2, 4)
+    for I in (subspace(A, [A.one()]), subspace(A, [A.one(), A.basis_vec(2)])):
+        assert I.dim < A.dim and minimal_primes_over(A, I) == []
+        with pytest.raises(CoreError, match="^I is not a minimal sigma-prime ideal$"):
+            theorem_c_procedure(A, sd, I)
+
+
+def test_each_verdict_splits_only_a_mod_i(monkeypatch):
+    # an F_p verdict builds one quotient, A/I, and takes the radical of A and of A/I only
+    quotients, radicals = [], []
+    quotient, rad = finalg.quotient_algebra, finalg.radical
+
+    def recording(A, I):
+        result = quotient(A, I)
+        quotients.append((A, I, result[0]))
+        return result
+
+    monkeypatch.setattr(finalg, "quotient_algebra", recording)
+    for module in (finalg, core):
+        monkeypatch.setattr(module, "radical", lambda A: radicals.append(A) or rad(A))
+    for A, sd, I in theorem_c_cases() + primes_workload_instances():
+        quotients.clear()
+        radicals.clear()
+        assert theorem_c_procedure(A, sd, I)[0] is not None
+        assert [(B, K) for B, K, _ in quotients] == ([(A, I)] if I.dim else [])
+        assert radicals == [A] + [C for _, _, C in quotients]
 
 
 def test_theorem_c_refines_in_a_second_round():

@@ -5,7 +5,7 @@ import pytest
 
 import skewseries.exactla as la
 
-from helpers import naive_left_kernel, naive_rref
+from helpers import list_dependencies, naive_left_kernel, naive_rref
 
 FIELDS = [2, 5, None]
 BIG_P = 2**31 - 1
@@ -96,9 +96,11 @@ def test_dependencies_match_naive_left_kernel(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
 def test_one_pass_row_operations_match_the_list_reference(p):
-    # over F_p rref and dependencies do r - f s as (r + (p - f) s) mod p and skip
-    # scaling by 1; against naive_rref and naive_left_kernel (which runs on
-    # naive_rref) on unreduced and negative entries, all-(p - 1) rows, no rows and n = 1
+    # over F_p rref and dependencies do r - f s as (r + (p - f) s) mod p, over F_2 as r XOR s
+    # with no pivot inverse, and skip scaling by 1; reduce_vector subtracts a row with factor
+    # 1 once; against naive_rref, naive_left_kernel (which runs on naive_rref),
+    # list_dependencies and per_pivot_reduce on unreduced and negative entries,
+    # all-(p - 1) rows, no rows and n = 1
     rng = random.Random(f"one-pass/{p}")
     cases = [[tuple(rng.randint(-3 * p, 3 * p) for _ in range(ncols)) for _ in range(nrows)]
              for nrows, ncols in [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]]
@@ -107,6 +109,24 @@ def test_one_pass_row_operations_match_the_list_reference(p):
     for rows in cases:
         assert la.rref(rows, p) == naive_rref(rows, p)
         assert la.left_kernel(rows, p) == naive_left_kernel(rows, p)
+        assert list(la.dependencies(rows, p)) == list(list_dependencies(rows, p))
+        basis, pivots = la.rref(rows[: len(rows) // 2], p)
+        for v in rows:
+            assert la.reduce_vector(basis, pivots, v, p) == per_pivot_reduce(basis, pivots, v, p)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_rref_combinations_of_an_rref_basis_are_rref(p):
+    # sum_m c_m B[m] over the rref kernel vectors c, for an rref B, is already its own span:
+    # the radical's levels and subspace_intersection take it without another rref
+    rng = random.Random(f"combinations/{p}")
+    for _ in range(60):
+        B = la.span(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), p), p)
+        if not B:
+            continue
+        rows = random_matrix(rng, len(B), rng.randint(1, 4), p)
+        combined = tuple(la.apply_map(B, c, p) for c in la.left_kernel(rows, p))
+        assert combined == la.span(combined, p)
 
 
 def test_dependencies_draw_only_what_the_caller_asks():
