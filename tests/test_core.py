@@ -688,9 +688,12 @@ def test_the_a_mod_i_route_matches_the_whole_spectrum_route():
 
 
 def test_an_ideal_in_no_prime_is_refused():
-    # span(1) in F_2[X]/(X^4) is proper but lies in no prime: a refusal, not an IndexError
-    A, sd = ddx_derivation(2, 4)
-    for I in (subspace(A, [A.one()]), subspace(A, [A.one(), A.basis_vec(2)])):
+    # span(1) is proper but lies in no prime: a refusal, not an IndexError.  In F_2 x F_2,
+    # with sigma swapping the factors, span(1) is also sigma-stable and contains rad A = 0
+    cases = [(*ddx_derivation(2, 4), lambda A: [A.one()]), (*cycled_blocks(2, 2, 1), lambda A: [A.one()]),
+             (*ddx_derivation(2, 4), lambda A: [A.one(), A.basis_vec(2)])]
+    for A, sd, vectors in cases:
+        I = subspace(A, vectors(A))
         assert I.dim < A.dim and minimal_primes_over(A, I) == []
         with pytest.raises(CoreError, match="^I is not a minimal sigma-prime ideal$"):
             theorem_c_procedure(A, sd, I)
