@@ -312,7 +312,7 @@ def build_context(spec: SpecFile) -> Context:
     elements = {}
     for key, value in spec.items("elements"):
         rows = parse_element(base, value, D)
-        elements[key] = sps.element(rows) if sps is not None else rows[0]
+        elements[key] = sps.normalize(rows) if sps is not None else rows[0]
 
     return Context(base, sd, u, sps, ideals, elements)
 
@@ -454,13 +454,11 @@ def cmd_demo(args) -> tuple[int, str]:
     if args.which != "iwasawa":
         raise SpecError(f"unknown demo '{args.which}'")
     S = iwasawa_demo(args.p, args.T, args.D)
-    ident = la.identity_map(S.base.dim, S.base.scalar_mod)
-    shift = la.map_sub(S.sd.sigma_matrix, ident, S.base.scalar_mod)
     lines = [
         f"ring: {S!r}",
         f"sigma(t): {_serialize_base(S.sd.sigma(S.base.gen()))}",
         f"delta(t): {_serialize_base(S.sd.delta(S.base.gen()))}",
-        f"deg(sigma - id): {endo_degree(S.u, shift)}",
+        f"deg(sigma - id): {endo_degree(S.u, S.sd.sigma_minus_id())}",
         f"deg(delta): {endo_degree(S.u, S.sd.delta_matrix)}",
         f"compatible: {is_compatible(S.u, S.sd)}",
     ]

@@ -22,11 +22,16 @@ def is_prime(n: int) -> bool:
 
 
 def vp(n: int, p: int) -> int:
-    """Largest e with p^e dividing n.  Raises on n = 0."""
+    """Largest e with p^e dividing n.  Raises on n = 0 and on a composite p."""
+    if n != 0 and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return prime_vp(n, p)
+
+
+def prime_vp(n: int, p: int) -> int:
+    """vp for a p already known to be prime, such as a ``SeriesRing``'s: raises on n = 0 only."""
     if n == 0:
         raise ValueError("valuation of zero")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -14,7 +14,7 @@ import functools
 import itertools
 
 from . import exactla as la
-from .coeffcore import INFINITY, vp
+from .coeffcore import INFINITY, prime_vp
 from .finalg import FinAlgebra, IdealSubspace, is_prime_fd, quotient_algebra, subspace
 from .series import SeriesRing
 from .skewder import AxiomReport, SkewDerivation
@@ -71,15 +71,11 @@ class ChainFiltration:
         F = self._level(j)
         return la.reduce_vector(F.basis, F.pivots, a, self.ring.p) if F.basis else tuple(a)
 
-    def adapted_basis(self):
-        """Basis vectors tagged with exact values, covering every level gap."""
-        return self._adapted_basis
-
     @functools.cached_property
-    def _adapted_basis(self):
-        # From the deepest level up, v in F_j is kept when it lies outside the
-        # span of everything before it (F_(j+1) when level j starts): when
-        # ``dependencies`` yields no combination ending at v.
+    def adapted_basis(self):
+        """Basis vectors tagged with exact values, covering every level gap: from the deepest
+        level up, v in F_j is kept when it lies outside the span of everything before it
+        (F_(j+1) when level j starts), when ``dependencies`` yields no combination ending at v."""
         tagged = [(v, j) for j in range(self.depth - 1, -1, -1) for v in self.level_basis(j)]
         dependent = {len(c) - 1 for c in la.dependencies([v for v, _ in tagged], self.ring.p)}
         return [pair for i, pair in enumerate(tagged) if i not in dependent]
@@ -105,7 +101,8 @@ class AdicFiltration:
     def value(self, a) -> int:
         """(p, t)-adic valuation: min over terms of v_p(c_n) + n."""
         ring = self.ring
-        return min((vp(c % ring.modulus, ring.p) + n for n, c in enumerate(a) if c % ring.modulus), default=INFINITY)
+        return min((prime_vp(c % ring.modulus, ring.p) + n for n, c in enumerate(a) if c % ring.modulus),
+                   default=INFINITY)
 
     def reduce(self, a, j: int):
         """Canonical representative of a modulo {x : value(x) >= j}."""
@@ -120,6 +117,7 @@ class AdicFiltration:
                 out.append(c % ring.p**keep)
         return tuple(out)
 
+    @functools.cached_property
     def adapted_basis(self):
         """Spanning set p^i t^n with exact valuations, for degree sweeps."""
         ring = self.ring
@@ -145,7 +143,7 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
     report = AxiomReport()
     if w.value(ring.zero()) is not INFINITY:
         report.add("w(0) = infinity", ring.zero())
-    pairs = list(itertools.product([v for v, _ in w.adapted_basis()], repeat=2))
+    pairs = list(itertools.product([v for v, _ in w.adapted_basis], repeat=2))
     if rng is not None:
         pairs += [
             (ring.random_element(rng), ring.random_element(rng))
@@ -156,7 +154,7 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
             report.add("w(x+y) >= min(w(x), w(y))", (a, b))
         if w.value(ring.mul(a, b)) < w.value(a) + w.value(b):
             report.add("w(xy) >= w(x) + w(y)", (a, b))
-    for a, _ in w.adapted_basis():
+    for a, _ in w.adapted_basis:
         if w.value(a) is INFINITY and tuple(a) != tuple(ring.zero()):
             report.add("separated", a)
     return report
@@ -165,15 +163,12 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
 def endo_degree(w, d_matrix) -> int:
     """deg_w(d) = min over a filtration-adapted basis of w(d(v)) - w(v)."""
     mod = w.ring.scalar_mod
-    return min((w.value(la.apply_map(d_matrix, v, mod)) - val for v, val in w.adapted_basis()), default=INFINITY)
+    return min((w.value(la.apply_map(d_matrix, v, mod)) - val for v, val in w.adapted_basis), default=INFINITY)
 
 
 def is_compatible(w, sd: SkewDerivation) -> bool:
     """deg(sigma - id) > 0 and deg(delta) > 0."""
-    mod = w.ring.scalar_mod
-    ident = la.identity_map(w.ring.dim, mod)
-    shift = la.map_sub(sd.sigma_matrix, ident, mod)
-    return endo_degree(w, shift) > 0 and endo_degree(w, sd.delta_matrix) > 0
+    return endo_degree(w, sd.sigma_minus_id()) > 0 and endo_degree(w, sd.delta_matrix) > 0
 
 
 def lemma16_check(w, sd: SkewDerivation, n: int) -> bool:
@@ -182,18 +177,13 @@ def lemma16_check(w, sd: SkewDerivation, n: int) -> bool:
     p = getattr(ring, "p", None)
     if p is None:
         raise FiltrationError("precondition failed: base has no prime p")
-    mod = ring.scalar_mod
-    ident = la.identity_map(ring.dim, mod)
-    p_times_one = ring.smul(p, ring.one())
-    if w.value(p_times_one) < 1:
+    if w.value(ring.smul(p, ring.one())) < 1:
         raise FiltrationError("precondition failed: w(p) < 1")
-    shift = la.map_sub(sd.sigma_matrix, ident, mod)
-    if endo_degree(w, shift) < 1:
+    if endo_degree(w, sd.sigma_minus_id()) < 1:
         raise FiltrationError("precondition failed: deg(sigma - id) < 1")
     if not sd.is_sigma_minus_id():
         raise FiltrationError("precondition failed: delta != sigma - id")
-    power_shift = la.map_sub(sd.sigma_pow(p**n), ident, mod)
-    return not endo_degree(w, power_shift) < n
+    return not endo_degree(w, sd.sigma_minus_id(p**n)) < n
 
 
 class GradedAlgebra:
@@ -208,7 +198,7 @@ class GradedAlgebra:
         self.filtration = w
         self.window = tuple(window)
         comps = {d: [] for d in self.window}
-        for v, val in w.adapted_basis():
+        for v, val in w.adapted_basis:
             if val in comps:
                 comps[val].append(v)
         self.components = comps
@@ -244,40 +234,28 @@ class GradedAlgebra:
         return self.symbol(prod)
 
     def to_algebra(self) -> FinAlgebra:
-        """Realize the full graded ring as a FinAlgebra (chain case only)."""
+        """Realize the full graded ring as a FinAlgebra (chain case only).
+
+        The window's reps b_k, of values v_k, are the adapted basis, which is triangular:
+        F_j = span{b_k : v_k >= j}.  So the symbol of x in F_d is its coordinates in that basis
+        at value d, and gr's structure constants are those of b_i b_j at value v_i + v_j.
+        """
         w = self.filtration
         if not isinstance(w, ChainFiltration):
             raise FiltrationError("only chain filtrations realize as FinAlgebra")
-        flat = []
-        degs = []
-        for d in self.window:
-            for rep in self.components[d]:
-                flat.append(rep)
-                degs.append(d)
-        n = len(flat)
-        if n != w.ring.dim:
+        A, p, flat = w.ring, w.ring.p, [(v, d) for d in self.window for v in self.components[d]]
+        if len(flat) != A.dim:
             raise FiltrationError("window does not cover the whole algebra")
-        p = w.ring.p
-        structure = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                d = degs[i] + degs[j]
-                out = [la.fnorm(0, p)] * n
-                prod = w.ring.mul(flat[i], flat[j])
-                if d in self.components and not w.value(prod) > d:
-                    _, coords = self.symbol(prod)
-                    offset = sum(self.dim(e) for e in self.window if e < d)
-                    for t, c in enumerate(coords):
-                        out[offset + t] = c
-                row.append(tuple(out))
-            structure.append(tuple(row))
-        d0, unit_coords = self.symbol(w.ring.one())
-        unit = [la.fnorm(0, p)] * n
-        offset = sum(self.dim(e) for e in self.window if e < d0)
-        for t, c in enumerate(unit_coords):
-            unit[offset + t] = c
-        return FinAlgebra(p, n, structure, unit, check=False)
+        inverse = [la.solve([v for v, _ in flat], e, p) for e in A.basis()]  # e_k in the reps
+
+        def at_value(x, d):  # the coordinates of x in the reps at value d; those below d are 0 in F_d
+            coords = list(zip(la.apply_map(inverse, x, p), (v for _, v in flat)))
+            if any(c for c, v in coords if v < d):
+                raise FiltrationError("w(xy) < w(x) + w(y): the chain is not a ring filtration")
+            return tuple(c if v == d else la.fnorm(0, p) for c, v in coords)
+
+        structure = [[at_value(A.mul(a, b), i + j) for b, j in flat] for a, i in flat]
+        return FinAlgebra(p, A.dim, structure, at_value(A.one(), w.value(A.one())), check=False)
 
 
 def assoc_graded(w, window) -> GradedAlgebra:

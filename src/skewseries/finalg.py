@@ -71,6 +71,8 @@ class FinAlgebra:
         n, P, p = self.dim, self._pairs, self.p
         if n < 1:
             raise AlgebraError("dim must be >= 1")
+        if p is not None and not is_prime(p):  # F_p must be a field: radicals and splits assume one
+            raise AlgebraError(f"p = {p} is not prime")
         integral = True
         for i, j, k in itertools.product(range(n), repeat=3):
             diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
@@ -344,9 +346,9 @@ def central_idempotents(A: FinAlgebra, check=True, sigma=None) -> list:
 
     They are the primitive idempotents of the centre Z, or of Z^sigma, a product of fields too
     (one per sigma-orbit of blocks), split in one pass: over F_p by the Frobenius fixed space,
-    over Q by factoring the minimal polynomial of a primitive element (Berlekamp, Hensel lifting
-    past twice the Mignotte bound, Zassenhaus).  They are certified nonzero, idempotent,
-    orthogonal, summing to 1 and fixed by sigma.
+    over Q by factoring the minimal polynomial of a primitive element (split mod p by the F_p
+    routine, Hensel lifting past twice the Mignotte bound, Zassenhaus).  They are certified
+    nonzero, idempotent, orthogonal, summing to 1 and fixed by sigma.
     """
     if check and radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
@@ -413,7 +415,7 @@ def _split_centre_q(A: FinAlgebra, Z) -> list:
     phi_a != phi_b; so it has at most d - 1 roots.  The d(d - 1)/2 pairs rule
     out at most (d - 1) d(d - 1)/2 values of k, so some k up to one more is
     primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its irreducible
-    factors f (``_factor_q``: Berlekamp, Hensel lifting past twice the Mignotte bound,
+    factors f (``_factor_q``: split mod p, Hensel lifting past twice the Mignotte bound,
     Zassenhaus), and e_f(z), e_f = s m/f for s m/f = 1 mod f, is the idempotent of f.
     First the basis itself: if its rows z (1 at their pivot k) rescale to d idempotents z / c,
     c = (z^2)_k, summing to 1, these are the answer.  Each is the unit of a set of fields of Z, so
@@ -494,7 +496,7 @@ def _factor_q(m) -> list:
     if p is None:
         raise ImplementationError("the minimal polynomial of the centre is not squarefree")
     M = next(p ** 2**j for j in itertools.count() if p ** 2**j > 2 ** (d + 1) * norm)
-    lifts, found, k = _lift(F, _berlekamp(_poly(F, p), p), p, M), [], 1
+    lifts, found, k = _lift(F, _factor_fp(_poly(F, p), p), p, M), [], 1
     while 2 * k <= len(lifts):
         for S in itertools.combinations(range(len(lifts)), k):
             G = functools.reduce(lambda a, b: _pmul(a, b, M), [lifts[i] for i in S])
@@ -508,18 +510,15 @@ def _factor_q(m) -> list:
             for g in found + [F]]
 
 
-def _berlekamp(F, p) -> list:
-    """The monic irreducible factors of F, monic and squarefree mod p, by Berlekamp: the v with
-    v^p = v mod F (the left kernel of Q - I, row i of Q x^(ip) mod F) are constant mod each
-    factor and tell every two apart; v splits h into the nontrivial gcd(h, v - s), s in F_p."""
-    d, y, parts = len(F) - 1, _pdivmod([0] * p + [1], F, p)[1], [F]  # y = x^p mod F
-    xs = itertools.accumulate([[1]] + [y] * (d - 1), lambda a, b: _pdivmod(_pmul(a, b, p), F, p)[1])
-    rows = [[c - (i == j) for j, c in enumerate(x + [0] * (d - len(x)))] for i, x in enumerate(xs)]
-    kernel = la.left_kernel(rows, p)  # its dimension is the number of factors: stop on reaching it
-    for v in itertools.takewhile(lambda _: len(parts) < len(kernel), kernel):  # w = v mod h
-        parts = [g for h in parts for w in [_pdivmod(v, h, p)[1]] for g in ([h] if len(w) < 2 else
-                 [_pgcdex(h, _padd(w, [-s], p), p)[0] for s in range(p)]) if len(g) > 1]
-    return parts
+def _factor_fp(F, p) -> list:
+    """The monic irreducible factors of F, monic and squarefree mod p: the commutative F_p[x]/(F) is
+    the product of the fields F_p[x]/(f) over the factors f, so ``_split_centre_fp`` returns block
+    units e, each 1 mod one f and 0 mod the others, and f = gcd(F, 1 - e)."""
+    d = len(F) - 1
+    xs = [_pdivmod([0] * k + [1], F, p)[1] for k in range(2 * d - 1)]  # x^k mod F, k <= 2d - 2
+    A = FinAlgebra(p, d, [[xs[i + j] + [0] * (d - len(xs[i + j])) for j in range(d)] for i in range(d)],
+                   xs[0] + [0] * (d - 1), check=False)
+    return [_pgcdex(F, _padd([1], e, p, -1), p)[0] for e in _split_centre_fp(A, A.basis())]
 
 
 def _lift(f, gs, p, M) -> list:

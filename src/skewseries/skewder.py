@@ -112,10 +112,13 @@ class SkewDerivation:
             self.delta_matrix, self.sigma_matrix, mod
         )
 
-    def is_sigma_minus_id(self) -> bool:
+    def sigma_minus_id(self, n: int = 1):
+        """The map sigma^n - id."""
         mod = self.ring.scalar_mod
-        ident = la.identity_map(self.ring.dim, mod)
-        return self.delta_matrix == la.map_sub(self.sigma_matrix, ident, mod)
+        return la.map_sub(self.sigma_pow(n), la.identity_map(self.ring.dim, mod), mod)
+
+    def is_sigma_minus_id(self) -> bool:
+        return self.delta_matrix == self.sigma_minus_id()
 
     def __repr__(self):
         return f"SkewDerivation(on {self.ring!r})"

@@ -60,9 +60,6 @@ class SPSRing:
         coeffs += [self.base.zero()] * (self.D - len(coeffs))
         return tuple(self.u.reduce(c, self.D - k) for k, c in enumerate(coeffs))
 
-    def element(self, coeffs):
-        return self.normalize(coeffs)
-
     def zero(self):
         return self.normalize([])
 
@@ -161,17 +158,17 @@ class SPSRing:
 def _spanning_symbols(S: SPSRing):
     """Elements m x^b with exact f_u value u(m) + b/2, one per monomial slot."""
     out = []
-    for m, val in S.u.adapted_basis():
+    for m, val in S.u.adapted_basis:
         for b in range(S.D):
             coeffs = [S.base.zero()] * S.D
             coeffs[b] = m
-            out.append((S.element(coeffs), m, b, val + Fraction(b, 2)))
+            out.append((S.normalize(coeffs), m, b, val + Fraction(b, 2)))
     return out
 
 
 def graded_dim(S: SPSRing, h: int) -> int:
     """Dimension of gr_u(R)[Z] in degree h/2: base basis values v and x-degrees b with 2v + b = h."""
-    return sum(1 for _, val in S.u.adapted_basis() if 0 <= h - 2 * val < S.D)
+    return sum(1 for _, val in S.u.adapted_basis if 0 <= h - 2 * val < S.D)
 
 
 def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None) -> bool:
@@ -323,16 +320,9 @@ def iwasawa_demo(p: int, T: int, D: int) -> SPSRing:
     if T < 2 or D < 2:
         raise SPSError("T and D must be >= 2")
     base = SeriesRing(p, T)
-    one_plus_t = base.add(base.one(), base.gen())
-    sigma_t = base.zero()
-    power = base.one()
-    for _ in range(p + 1):
-        power = base.mul(power, one_plus_t)
-    sigma_t = base.sub(power, base.one())
-    delta_t = base.sub(sigma_t, base.gen())
-    sd = SkewDerivation.from_gen_images(base, sigma_t, delta_t)
-    u = AdicFiltration(base)
-    return SPSRing(base, sd, u, D)
+    sigma_t = base.sub(la.power(base.add(base.one(), base.gen()), p + 1, base.mul), base.one())
+    sd = SkewDerivation.from_gen_images(base, sigma_t, base.sub(sigma_t, base.gen()))
+    return SPSRing(base, sd, AdicFiltration(base), D)
 
 
 def tpow_demo(p: int, T: int, D: int) -> SPSRing:

@@ -857,6 +857,51 @@ def sigma_shift_power(sd, n):
     """(sigma^n, sigma^n - id) for a derivation of shape (sigma, sigma - id)."""
     if not sd.is_sigma_minus_id():
         raise SkewDerivationError("requires delta = sigma - id")
-    mod = sd.ring.scalar_mod
-    sig_n = sd.sigma_pow(n)
-    return SkewDerivation(sd.ring, sig_n, la.map_sub(sig_n, la.identity_map(sd.ring.dim, mod), mod), q=sd.q)
+    return SkewDerivation(sd.ring, sd.sigma_pow(n), sd.sigma_minus_id(n), q=sd.q)
+
+
+def naive_to_algebra(gr):
+    """``GradedAlgebra.to_algebra`` by the principal symbol of every product: the
+    reference the read-off from adapted coordinates is compared against."""
+    w = gr.filtration
+    flat, degs = [], []
+    for d in gr.window:
+        for rep in gr.components[d]:
+            flat.append(rep)
+            degs.append(d)
+    n, p = len(flat), w.ring.p
+    assert n == w.ring.dim, "window does not cover the whole algebra"
+
+    def placed(d, coords):  # coords at the offset of degree d, zero elsewhere
+        out = [la.fnorm(0, p)] * n
+        offset = sum(gr.dim(e) for e in gr.window if e < d)
+        for t, c in enumerate(coords):
+            out[offset + t] = c
+        return tuple(out)
+
+    structure = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            d, prod = degs[i] + degs[j], w.ring.mul(flat[i], flat[j])
+            zero = d not in gr.components or w.value(prod) > d
+            row.append(placed(d, ()) if zero else placed(d, gr.symbol(prod)[1]))
+        structure.append(tuple(row))
+    return FinAlgebra(p, n, structure, placed(*gr.symbol(w.ring.one())), check=False)
+
+
+def naive_berlekamp(F, p):
+    """The monic irreducible factors of F, monic and squarefree mod p, by Berlekamp: the v with
+    v^p = v mod F (the left kernel of Q - I, row i of Q x^(ip) mod F) are constant mod each
+    factor and tell every two apart; v splits h into the nontrivial gcd(h, v - s), s in F_p.
+    The reference ``finalg._factor_fp`` is compared against."""
+    from skewseries.finalg import _padd, _pdivmod, _pgcdex, _pmul
+
+    d, y, parts = len(F) - 1, _pdivmod([0] * p + [1], F, p)[1], [F]  # y = x^p mod F
+    xs = itertools.accumulate([[1]] + [y] * (d - 1), lambda a, b: _pdivmod(_pmul(a, b, p), F, p)[1])
+    rows = [[c - (i == j) for j, c in enumerate(x + [0] * (d - len(x)))] for i, x in enumerate(xs)]
+    kernel = la.left_kernel(rows, p)  # its dimension is the number of factors: stop on reaching it
+    for v in itertools.takewhile(lambda _: len(parts) < len(kernel), kernel):  # w = v mod h
+        parts = [g for h in parts for w in [_pdivmod(v, h, p)[1]] for g in ([h] if len(w) < 2 else
+                 [_pgcdex(h, _padd(w, [-s], p), p)[0] for s in range(p)]) if len(g) > 1]
+    return parts

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import skewseries
-from skewseries import core, finalg, sps
+from skewseries import coeffcore, core, filtration, finalg, sps
 from skewseries.cli import (
     SpecError,
     build_context,
@@ -128,6 +128,49 @@ def test_gr_values_each_spanning_symbol_once(monkeypatch, capsys):
     assert capsys.readouterr().out == "".join(f"degree {h}/2: dim {d}\n" for h, d in enumerate(dims)) + \
         "graded iso: True\n"
     assert values.count(0) == 64 and len(values) == 64 + len(products) and products
+
+
+def test_gr_builds_the_adic_basis_once(monkeypatch, capsys):
+    # compatibility, the spanning symbols and every degree's dimension read one
+    # cached adapted basis (built 19 times by this command before it was cached)
+    builds = []
+    prop = filtration.AdicFiltration.__dict__["adapted_basis"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda w: builds.append(w) or build(w))
+    assert main(["gr", "iwasawa_p2.spec", "--window", "0..7"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+LARGE_P_SPEC = """sps-spec 1
+[ring]
+kind = series
+p = 2147483647
+T = 4
+D = 3
+[skew]
+sigma_gen = 1*t^1 + 1*t^2
+delta_gen = 1*t^2
+"""
+
+
+def test_a_large_p_is_proved_prime_once_per_check(monkeypatch, tmp_path, capsys):
+    # the spec and the series ring each prove p = 2^31 - 1 prime, by trial division; the
+    # adic values of the coefficients use the ring's p unchecked (verify made 596 calls,
+    # 590 of them from values, when every value re-proved it)
+    calls, prime = [], coeffcore.is_prime
+    for module in [m for name, m in sys.modules.items() if name.startswith("skewseries")]:
+        if getattr(module, "is_prime", None) is prime:
+            monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or prime(n))
+    spec = tmp_path / "large_p.spec"
+    spec.write_text(LARGE_P_SPEC)
+    for argv, out in ((["verify"], "skew axioms: valid\nfiltration axioms: valid\ncompatible: True\n"),
+                      (["gr", "--window", "0..2"], "degree 0/2: dim 1\ndegree 1/2: dim 1\ndegree 2/2: dim 2\n"
+                                                  "graded iso: True\n")):
+        calls.clear()
+        assert main(argv[:1] + [str(spec)] + argv[1:]) == 0
+        assert capsys.readouterr().out == out
+        assert calls == [2147483647] * 2
 
 
 def test_core_command_exit_codes(capsys):
@@ -613,7 +656,7 @@ def test_a_printed_product_parses_back(name, capsys):
     assert main(["mul", name, "f", "g"]) == 0
     printed = capsys.readouterr().out.strip()
     product = ctx.sps.mul(ctx.elements["f"], ctx.elements["g"])
-    assert ctx.sps.element(parse_element(ctx.base, printed, ctx.sps.D)) == product
+    assert ctx.sps.normalize(parse_element(ctx.base, printed, ctx.sps.D)) == product
 
 
 @pytest.mark.parametrize("name", ["iwasawa_p2.spec", "quotient_demo.spec"])  # delta = sigma - id

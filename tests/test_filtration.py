@@ -17,11 +17,18 @@ from skewseries.filtration import (
     lemma16_check,
     quotient_filtration,
 )
-from skewseries.finalg import ideal_generated, is_prime_fd, matrix_algebra, truncated_poly_algebra
+from skewseries.finalg import (
+    direct_sum,
+    ideal_generated,
+    is_prime_fd,
+    matrix_algebra,
+    product_of_fields,
+    truncated_poly_algebra,
+)
 from skewseries.series import SeriesRing
 from skewseries.skewder import SkewDerivation
 
-from helpers import ddx_derivation, naive_adapted_basis
+from helpers import ddx_derivation, naive_adapted_basis, naive_to_algebra, random_basis, rebase
 
 
 def x_adic_chain(A, n):
@@ -156,6 +163,55 @@ def test_assoc_graded_chain_realizes_algebra():
     assert G.mul(G.basis_vec(1), G.basis_vec(1)) == G.zero()
 
 
+def three_step_chain(p):
+    """F_p[X]/(X^3) + F_p with F_1 = span(X, X^2), F_2 = span(X^2), F_3 = 0."""
+    S = direct_sum(truncated_poly_algebra(p, 3), product_of_fields(p, 1))
+    return ChainFiltration(S, [S.basis(), S.basis()[1:3], S.basis()[2:3], []])
+
+
+def to_algebra_cases():
+    """36 chain filtrations whose adapted bases are homogeneous, then 6 whose are not.
+
+    X-adic and trivial chains on F_p[X]/(X^n) for p = 2, 3, 5 and n <= 5, the trivial chain
+    on M_2(F_p) and ``three_step_chain(p)``; then the X-adic chain on F_p[X]/(X^4) and the
+    three-step chain, each in a random basis, where a product of two reps also has
+    coordinates above the sum of their values.
+    """
+    rng, cases = random.Random("to-algebra"), []
+    for p in (2, 3, 5):
+        for n in range(1, 6):
+            A = truncated_poly_algebra(p, n)
+            cases += [x_adic_chain(A, n), ChainFiltration(A, [A.basis(), []])]
+        M = matrix_algebra(p, 2)
+        cases += [ChainFiltration(M, [M.basis(), []]), three_step_chain(p)]
+    for p in (2, 3, 5):
+        for w in (x_adic_chain(truncated_poly_algebra(p, 4), 4), three_step_chain(p)):
+            T = random_basis(w.ring, rng)
+            inverse = [la.solve(T, e, p) for e in w.ring.basis()]  # e_k in the new basis
+            levels = [[la.apply_map(inverse, v, p) for v in level] for level in w.levels]
+            cases.append(ChainFiltration(rebase(w.ring, T), levels))
+    return cases
+
+
+def test_to_algebra_matches_the_symbol_of_every_product():
+    # gr read off the adapted coordinates against one principal symbol per product
+    cases = to_algebra_cases()
+    assert len(cases) == 42
+    for w in cases:
+        assert check_axioms(w).valid
+        gr = assoc_graded(w, range(w.depth + 1))
+        G, expected = gr.to_algebra(), naive_to_algebra(gr)
+        assert (G.structure, G.unit) == (expected.structure, expected.unit)
+
+
+def test_to_algebra_refuses_a_chain_that_is_not_a_ring_filtration():
+    # F_1 = span(1 + X) on F_2[X]/(X^2): (1 + X)^2 = 1 lies outside F_1, let alone F_2
+    A = truncated_poly_algebra(2, 2)
+    w = ChainFiltration(A, [A.basis(), [(1, 1)], []])
+    with pytest.raises(FiltrationError, match="not a ring filtration"):
+        assoc_graded(w, range(3)).to_algebra()
+
+
 def test_gr_prime_lemma_on_corpus():
     A = truncated_poly_algebra(2, 3)
     assert gr_prime_implies_prime(x_adic_chain(A, 3))
@@ -227,8 +283,8 @@ def test_adapted_basis_matches_a_fresh_subspace_per_vector():
             levels[0] = A.basis()
             filtrations.append(ChainFiltration(A, levels))
     for w in filtrations:
-        assert w.adapted_basis() == naive_adapted_basis(w)
-        assert w.adapted_basis() is w.adapted_basis()  # computed once per filtration
+        assert w.adapted_basis == naive_adapted_basis(w)
+        assert w.adapted_basis is w.adapted_basis  # computed once per filtration
 
 
 def test_chain_value_and_reduce_match_a_fresh_elimination():

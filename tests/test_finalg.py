@@ -42,6 +42,7 @@ from helpers import (
     fr_functional,
     ideal_intersection,
     ideal_product,
+    naive_berlekamp,
     naive_center,
     naive_central_idempotents,
     naive_contains,
@@ -580,6 +581,33 @@ def test_a_centre_basis_already_split_is_not_factored(monkeypatch):
         factored.clear()
         assert central_idempotents(B, sigma=sigma) == expected
         assert bool(factored) == factors
+
+
+def test_factor_fp_matches_berlekamp():
+    # the block units of F_p[x]/(F) against Berlekamp's kernel of Q - I, on seeded monic
+    # squarefree F of degree 1 to 8 over F_2, F_3, F_5 and F_7; the factors multiply back to F
+    rng = random.Random(24)
+    for p in (2, 3, 5, 7):
+        for degree in range(1, 9):
+            cases = 0
+            while cases < 5:
+                F = [rng.randrange(p) for _ in range(degree)] + [1]
+                if finalg._pgcdex(F, finalg._poly([i * c for i, c in enumerate(F)][1:], p), p)[0] != [1]:
+                    continue  # not squarefree
+                cases += 1
+                factors = finalg._factor_fp(F, p)
+                assert sorted(factors) == sorted(naive_berlekamp(F, p)), (F, p)
+                assert functools.reduce(lambda a, b: finalg._pmul(a, b, p), factors) == F
+
+
+def test_a_composite_p_is_refused():
+    # F_p must be a field: over Z/4 the radical would answer dim 0 and the
+    # spectrum fail its own certificate, over Z/6 a pivot has no inverse
+    for build in (lambda: product_of_fields(4, 2), lambda: truncated_poly_algebra(6, 3),
+                  lambda: FinAlgebra(9, 1, [[[1]]], [1])):
+        with pytest.raises(AlgebraError, match=r"p = \d is not prime"):
+            build()
+    assert FinAlgebra(4, 1, [[[1]]], [1], check=False).p == 4  # an unchecked algebra trusts its caller
 
 
 def test_factor_q_agrees_with_sympy():

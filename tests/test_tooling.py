@@ -2,10 +2,12 @@
 
 import ast
 import gc
+import inspect
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import skewseries
@@ -145,6 +147,80 @@ def test_the_traced_harness_sees_every_predicted_boundary(capsys):
     capsys.readouterr()
     calls = tracer.summary()["spans"]
     assert [b for b in run.EXERCISED["cli"] if calls.get(b, (0,))[0] == 0] == []
+
+
+def package_functions():
+    """module.qualname of every def in the package (methods and nested defs, not lambdas or
+    class bodies), keyed by where its code starts: (real path, first line, name)."""
+    found = {}
+
+    def walk(code, path, module):
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                named = not c.co_name.startswith("<")  # not a lambda or a comprehension
+                inner = path + [c.co_name] if named else path
+                if named and c.co_flags & inspect.CO_OPTIMIZED:  # a def, not a class body
+                    found[os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name] = ".".join([module, *inner])
+                walk(c, inner, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(compile(path.read_text(), os.path.realpath(path), "exec"), [], path.stem)
+    return found
+
+
+# The package functions that no criterion-10 command and no seed-1 primes cycle (its build
+# included) calls: paper checks without a command, reprs, test-only helpers and branches
+# those runs do not take (ROADMAP item 10). A change that adds such a function, or reaches
+# one, edits this list where a review sees it.
+UNREACHED = {
+    "cli": "SpecError.__init__",
+    "coeffcore": "Digits.__init__ Digits.__len__ Digits.digit Digits.value _Infinity.__ge__ _Infinity.__le__ "
+                 "_Infinity.__reduce__ _Infinity.__repr__ _digit_splits alpha_coeff binom_valuation_check digits "
+                 "multinomial no_common_component qfactorial trinomial_indices vp",
+    "core": "_rational_scalar prop39_check",
+    "exactla": "solve",
+    "filtration": "AdicFiltration.__repr__ AdicFiltration.symbol_coords ChainFiltration.__repr__ "
+                  "ChainFiltration.symbol_coords GradedAlgebra.lift GradedAlgebra.mul GradedAlgebra.symbol "
+                  "GradedAlgebra.to_algebra GradedAlgebra.to_algebra.at_value gr_prime_implies_prime lemma16_check "
+                  "quotient_filtration",
+    "finalg": "FinAlgebra.__repr__ FinAlgebra.is_central FinAlgebra.neg IdealSubspace.__repr__ _factor_fp _factor_q "
+              "_lift _padd _pdivmod _pgcdex _pmul _poly is_prime_fd matrix_algebra",
+    "series": "SeriesRing.char SeriesRing.is_central SeriesRing.neg",
+    "skewder": "SkewDerivation.__repr__ SkewDerivation.apply_delta_pow SkewDerivation.identity _minimal_escape "
+               "binomial_terms cor36_check delta_n_product evaluate lemma31_check trinomial_expand trinomial_terms",
+    "sps": "SPSRing.boundedness_check SPSRing.neg quotient_kernel_check quotient_sps quotient_sps.project_elem "
+           "tpow_demo",
+}
+
+
+def test_the_unreached_package_functions_are_the_pinned_ones(capsys):
+    # about 1 s: every call is profiled, so the runs are kept to the two that define the list
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from skewseries import cli
+
+    reached, previous = set(), sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for args in workloads.criterion10_commands(cli.fixture_names()):
+            cli.main(args)
+        workload = workloads.build("primes", 1)
+        for key in workload.cycle(0):
+            workload.run(key)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in reached}
+    unreached = sorted(name for key, name in package_functions().items() if key not in keys)
+    assert unreached == sorted(f"{module}.{name}" for module, names in UNREACHED.items() for name in names.split())
 
 
 def retained_bytes_per_op(name, cycles, warm_ops=None):
