@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 
 from . import exactla as la
-from .coeffcore import is_prime
 from .finalg import (
     AlgebraError,
     FinAlgebra,
@@ -95,7 +94,7 @@ def delta_pm_core(
     A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int, sd_pm=None
 ) -> IdealSubspace:
     """Largest (sigma^(p^m), delta^(p^m))-ideal in I; ``sd_pm``: pth_power(sd, m), if known."""
-    if A.char == 0 or not is_prime(A.char):
+    if A.char != A.p:  # A's proven p, as in pth_power
         raise CoreError("requires characteristic p")
     return delta_core(A, pth_power(sd, m) if sd_pm is None else sd_pm, I)
 
@@ -239,7 +238,7 @@ def theorem_c_procedure(
     I the meet of the sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
     p = A.char
-    if p == 0 or not is_prime(p):
+    if p != A.p:  # A's proven p, as in pth_power
         raise CoreError("requires characteristic p")
     try:  # the verdict's one commutation check: the p-th powers of this copy are known to commute
         sd = pth_power(sd, 0)

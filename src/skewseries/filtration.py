@@ -80,14 +80,6 @@ class ChainFiltration:
         dependent = {len(c) - 1 for c in la.dependencies([v for v, _ in tagged], self.ring.p)}
         return [pair for i, pair in enumerate(tagged) if i not in dependent]
 
-    def symbol_coords(self, e, d: int, reps):
-        """Coordinates of e's class in F_d / F_{d+1} against the reps."""
-        rows = list(self.level_basis(d + 1)) + list(reps)
-        coords = la.solve(rows, e, self.ring.p)
-        if coords is None:
-            raise FiltrationError("element not in the stated level")
-        return coords[len(self.level_basis(d + 1)):]
-
     def __repr__(self):
         return f"ChainFiltration(depth={self.depth} on {self.ring!r})"
 
@@ -122,16 +114,6 @@ class AdicFiltration:
         """Spanning set p^i t^n with exact valuations, for degree sweeps."""
         ring = self.ring
         return [(ring.monomial(ring.p**i, n), i + n) for n in range(ring.T) for i in range(ring.k)]
-
-    def symbol_coords(self, e, d: int, reps):
-        """Digit coordinates of e at total degree d (graded over F_p)."""
-        ring = self.ring
-        coords = []
-        for rep in reps:
-            n = next(i for i, c in enumerate(rep) if c != 0)
-            i = d - n
-            coords.append((e[n] // ring.p**i) % ring.p)
-        return tuple(coords)
 
     def __repr__(self):
         return f"AdicFiltration(on {self.ring!r})"
@@ -190,8 +172,8 @@ class GradedAlgebra:
     """Associated graded data over a finite degree window.
 
     Each component is a list of representative ring elements whose
-    classes form a basis of F_d / F_{d+1}; symbols are coordinate tuples
-    against those representatives.
+    classes form a basis of F_d / F_{d+1}: ``dim`` counts them, and
+    ``to_algebra`` multiplies them.
     """
 
     def __init__(self, w, window):
@@ -205,33 +187,6 @@ class GradedAlgebra:
 
     def dim(self, d: int) -> int:
         return len(self.components.get(d, ()))
-
-    def symbol(self, e):
-        """(degree, coords) of the principal symbol of a nonzero element."""
-        d = self.filtration.value(e)
-        if d is INFINITY or d.denominator != 1:
-            raise FiltrationError("element has no symbol in this window")
-        if d not in self.components:
-            raise FiltrationError("value outside the window")
-        return d, self.filtration.symbol_coords(e, d, self.components[d])
-
-    def lift(self, d: int, coords):
-        ring = self.filtration.ring
-        out = ring.zero()
-        for c, rep in zip(coords, self.components[d], strict=True):
-            out = ring.add(out, ring.smul(c, rep))
-        return out
-
-    def mul(self, d1: int, c1, d2: int, c2):
-        """Product of symbols; zero coords when the product climbs levels."""
-        ring = self.filtration.ring
-        prod = ring.mul(self.lift(d1, c1), self.lift(d2, c2))
-        d = d1 + d2
-        if d not in self.components:
-            raise FiltrationError("product degree outside the window")
-        if self.filtration.value(prod) > d:
-            return d, tuple(0 for _ in self.components[d])
-        return self.symbol(prod)
 
     def to_algebra(self) -> FinAlgebra:
         """Realize the full graded ring as a FinAlgebra (chain case only).

@@ -16,7 +16,7 @@ import functools
 import math
 
 from . import exactla as la
-from .coeffcore import alpha_coeff, digits, is_prime, no_common_component, trinomial_indices
+from .coeffcore import alpha_coeff, digits, no_common_component, trinomial_indices
 from .finalg import FinAlgebra, IdealSubspace, is_stable, subspace
 
 
@@ -95,16 +95,6 @@ class SkewDerivation:
     def delta_pow(self, n: int):
         return la.map_power(self.delta_matrix, n, self.ring.scalar_mod)
 
-    def apply_sigma_pow(self, a, n: int):
-        for _ in range(n):
-            a = self.sigma(a)
-        return a
-
-    def apply_delta_pow(self, a, n: int):
-        for _ in range(n):
-            a = self.delta(a)
-        return a
-
     @property
     def commuting(self) -> bool:
         mod = self.ring.scalar_mod
@@ -164,8 +154,8 @@ def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p; sigma delta =
     delta sigma is checked unless sd is itself a p-th power, which is known to commute.
     A p-th power of a p-th power is read off, or added to, the ladder they share."""
-    p = sd.ring.char
-    if p == 0 or not is_prime(p):
+    p = sd.ring.char  # the ring proved its p prime when built; an unchecked FinAlgebra trusts its caller
+    if p != sd.ring.p:  # 0 != None over Q, p^k != p over Z/p^k
         raise SkewDerivationError("requires characteristic p")
     if not isinstance(sd, _CommutingPair):
         if not sd.commuting:
@@ -201,12 +191,13 @@ def trinomial_terms(n: int, p: int) -> dict:
 
 def evaluate(expr: dict, sd: SkewDerivation, assignment: dict):
     """Substitute elements for the names of an expansion and sum it in sd.ring."""
-    ring = sd.ring
+    ring, mod = sd.ring, sd.ring.scalar_mod
     total = ring.zero()
     for w, c in expr.items():
         prod = ring.one()
         for name, i, j in w:
-            prod = ring.mul(prod, sd.apply_delta_pow(sd.apply_sigma_pow(assignment[name], j), i))
+            a = la.apply_map(sd.sigma_pow(j), assignment[name], mod)
+            prod = ring.mul(prod, la.apply_map(sd.delta_pow(i), a, mod))
         total = ring.add(total, ring.smul(c, prod))
     return total
 
@@ -221,7 +212,7 @@ def delta_n_product(sd: SkewDerivation, a, b, n: int):
 def trinomial_expand(sd: SkewDerivation, a, x, b, n: int):
     """Carry-free trinomial expansion of delta^n(axb) in characteristic p."""
     p = sd.ring.char
-    if p == 0 or not is_prime(p):
+    if p != sd.ring.p:  # the ring's proven p, as in pth_power
         raise SkewDerivationError("requires characteristic p")
     if not sd.commuting:
         raise SkewDerivationError("requires sigma delta = delta sigma")
@@ -247,7 +238,7 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
     """
     ring = sd.ring
     p = ring.char
-    if p == 0 or not is_prime(p):
+    if p != ring.p:  # the ring's proven p, as in pth_power
         raise SkewDerivationError("requires characteristic p")
     if not I.contains(a) or not I.contains(b):
         raise SkewDerivationError("a and b must lie in I")
@@ -260,7 +251,7 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
         raise SkewDerivationError(f"s is not minimal for b (found {rb})")
     if not no_common_component(digits(r, p), digits(s, p)):
         raise SkewDerivationError("[r] and [s] share a common component")
-    lhs = sd.apply_delta_pow(ring.mul(ring.mul(a, x), b), r + s)
+    lhs = la.apply_map(sd.delta_pow(r + s), ring.mul(ring.mul(a, x), b), ring.scalar_mod)
     term = (("a", r, s), ("x", 0, s), ("b", s, 0))
     rhs = evaluate({term: trinomial_terms(r + s, p)[term]}, sd, {"a": a, "x": x, "b": b})
     return I.contains(ring.sub(lhs, rhs))

@@ -128,10 +128,6 @@ class SPSRing:
         """min over coefficients of u(r_k) + k/2: a Fraction, or INFINITY when f = 0."""
         return min((self.u.value(r) + Fraction(k, 2) for k, r in enumerate(f)), default=INFINITY)
 
-    def boundedness_check(self, f, floor) -> bool:
-        """Windowed membership in the bounded ring: all u(r_k) + k/2 >= floor."""
-        return not self.f_u_value(f) < floor
-
     def serialize(self, f) -> str:
         """Canonical sparse text form, stable across runs."""
         sym = "t" if isinstance(self.base, SeriesRing) else "e"
@@ -171,7 +167,10 @@ def graded_dim(S: SPSRing, h: int) -> int:
     return sum(1 for _, val in S.u.adapted_basis if 0 <= h - 2 * val < S.D)
 
 
-def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None) -> bool:
+SAMPLE_PAIRS = 40  # symbol pairs checked for multiplicativity when an rng is given
+
+
+def graded_iso_check(S: SPSRing, window_halves, rng=None) -> bool:
     """gr_{f_u}(S) matches gr_u(R)[Z]: dimensions plus symbol multiplicativity.
 
     ``window_halves`` is an iterable of doubled degrees (so 3 means 3/2);
@@ -192,8 +191,8 @@ def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None
         if 2 * nominal <= window_max
     ]
     pairs = list(itertools.product(candidates, repeat=2))
-    if rng is not None and len(pairs) > sample_pairs:
-        pairs = rng.sample(pairs, sample_pairs)
+    if rng is not None and len(pairs) > SAMPLE_PAIRS:
+        pairs = rng.sample(pairs, SAMPLE_PAIRS)
     for (f, m1, b1, v1), (g, m2, b2, v2) in pairs:
         total = v1 + v2
         if 2 * total > window_max:
@@ -204,7 +203,7 @@ def graded_iso_check(S: SPSRing, window_halves, sample_pairs: int = 40, rng=None
         # Leading coefficient at x-degree b1+b2 is m1 * sigma^{b1}(m2) up
         # to strictly larger base value (the delta terms).
         lead = prod[b1 + b2]
-        twisted = S.base.mul(m1, S.sd.apply_sigma_pow(m2, b1))
+        twisted = S.base.mul(m1, la.apply_map(S.sd.sigma_pow(b1), m2, S.base.scalar_mod))
         diff = S.base.sub(lead, twisted)
         if not S.u.value(diff) > S.u.value(twisted):
             return False

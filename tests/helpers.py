@@ -861,8 +861,9 @@ def sigma_shift_power(sd, n):
 
 
 def naive_to_algebra(gr):
-    """``GradedAlgebra.to_algebra`` by the principal symbol of every product: the
-    reference the read-off from adapted coordinates is compared against."""
+    """``GradedAlgebra.to_algebra`` by the principal symbol of every product, each solved for
+    against F_(d+1) and the degree-d reps: the reference the read-off from adapted coordinates
+    is compared against."""
     w = gr.filtration
     flat, degs = [], []
     for d in gr.window:
@@ -879,15 +880,22 @@ def naive_to_algebra(gr):
             out[offset + t] = c
         return tuple(out)
 
+    def symbol(x, d):  # the class of x in F_d / F_(d+1), in the degree-d reps
+        below = list(w.level_basis(d + 1))
+        coords = la.solve(below + list(gr.components[d]), x, p)
+        assert coords is not None, "element not in F_d"
+        return coords[len(below):]
+
     structure = []
     for i in range(n):
         row = []
         for j in range(n):
             d, prod = degs[i] + degs[j], w.ring.mul(flat[i], flat[j])
             zero = d not in gr.components or w.value(prod) > d
-            row.append(placed(d, ()) if zero else placed(d, gr.symbol(prod)[1]))
+            row.append(placed(d, ()) if zero else placed(d, symbol(prod, d)))
         structure.append(tuple(row))
-    return FinAlgebra(p, n, structure, placed(*gr.symbol(w.ring.one())), check=False)
+    d = w.value(w.ring.one())
+    return FinAlgebra(p, n, structure, placed(d, symbol(w.ring.one(), d)), check=False)
 
 
 def naive_berlekamp(F, p):

@@ -154,21 +154,47 @@ delta_gen = 1*t^2
 """
 
 
+LARGE_P_FINALG_SPEC = """sps-spec 1
+[ring]
+kind = finalg
+p = 2147483647
+preset = tpoly 3
+[skew]
+sigma = 1 0 0; 0 1 0; 0 0 1
+delta = 0 0 0; 1 0 0; 0 2 0
+[filtration]
+levels = 1 0 0, 0 1 0, 0 0 1 | 0 1 0, 0 0 1 | 0 0 1 | -
+[ideals]
+I = 0 1 0
+"""
+
+
 def test_a_large_p_is_proved_prime_once_per_check(monkeypatch, tmp_path, capsys):
-    # the spec and the series ring each prove p = 2^31 - 1 prime, by trial division; the
-    # adic values of the coefficients use the ring's p unchecked (verify made 596 calls,
-    # 590 of them from values, when every value re-proved it)
+    # the spec and the ring (a series ring, or a checked finite algebra) each prove
+    # p = 2^31 - 1 prime, by trial division, and nothing else does: the adic values of the
+    # coefficients use the ring's p unchecked (verify made 596 calls, 590 of them from values,
+    # when every value re-proved it), and a characteristic-p check reads the ring's proven p
+    # (core made 9 calls and theoremc 10 when every such check re-proved it)
     calls, prime = [], coeffcore.is_prime
     for module in [m for name, m in sys.modules.items() if name.startswith("skewseries")]:
         if getattr(module, "is_prime", None) is prime:
             monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or prime(n))
-    spec = tmp_path / "large_p.spec"
-    spec.write_text(LARGE_P_SPEC)
-    for argv, out in ((["verify"], "skew axioms: valid\nfiltration axioms: valid\ncompatible: True\n"),
-                      (["gr", "--window", "0..2"], "degree 0/2: dim 1\ndegree 1/2: dim 1\ndegree 2/2: dim 2\n"
-                                                  "graded iso: True\n")):
+    series, finalg = tmp_path / "large_p.spec", tmp_path / "large_p_finalg.spec"
+    series.write_text(LARGE_P_SPEC)
+    finalg.write_text(LARGE_P_FINALG_SPEC)
+    for argv, out in (
+        (["verify", series], "skew axioms: valid\nfiltration axioms: valid\ncompatible: True\n"),
+        (["gr", series, "--window", "0..2"],
+         "degree 0/2: dim 1\ndegree 1/2: dim 1\ndegree 2/2: dim 2\ngraded iso: True\n"),
+        (["core", finalg, "--ideal", "I"],
+         "ideal dim: 2\nchain: m=0:dim=0 m=1:dim=2 m=2:dim=2 m=3:dim=2 m=4:dim=2\nM: 1\ncore dim: 2\n"
+         "delta^(p^M)-stable: True\nis ideal: True\nsigma^(p^M)-prime: True\nsigma^(p^M)-stable: True\n"),
+        (["theoremc", finalg, "--ideal", "I"],
+         "M: 1\nJ dim: 2\nJ basis: 0 1 0\nJ basis: 0 0 1\nI is the sigma-orbit intersection of J: True\n"
+         "delta^(p^M)(J) <= J: True\nminimal sigma^(p^M)-prime: True\n"),
+    ):
         calls.clear()
-        assert main(argv[:1] + [str(spec)] + argv[1:]) == 0
+        assert main([str(a) for a in argv]) == 0
         assert capsys.readouterr().out == out
         assert calls == [2147483647] * 2
 

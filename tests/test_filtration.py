@@ -144,10 +144,6 @@ def test_assoc_graded_series():
     w = AdicFiltration(R)
     gr = assoc_graded(w, range(5))
     assert [gr.dim(d) for d in range(5)] == [1] * 5
-    d, c = gr.symbol(R.monomial(2, 3))
-    assert d == 3 and c == (2,)
-    # symbol multiplicativity: gr(t) * gr(t) = gr(t^2)
-    assert gr.mul(1, (1,), 1, (1,)) == gr.symbol(R.monomial(1, 2))
     with pytest.raises(FiltrationError, match="window"):
         assoc_graded(w, range(20))
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from skewseries.skewder import (
     check_skew_derivation,
     cor36_check,
     delta_n_product,
+    evaluate,
     lemma31_check,
     pth_power,
     trinomial_expand,
@@ -58,6 +60,48 @@ def test_pth_power():
     for m in range(4):
         _, sd3 = ddx_derivation(3, 3)
         assert check_skew_derivation(pth_power(sd3, m)).valid
+
+
+def test_characteristic_p_checks_refuse_z_mod_9():
+    # char 9 != p 3: a check that refused characteristic 0 alone would compute here
+    R = SeriesRing(3, 4, k=2)
+    sd = SkewDerivation.from_gen_images(R, R.gen(), R.monomial(1, 2))
+    with pytest.raises(SkewDerivationError, match="requires characteristic p"):
+        pth_power(sd, 1)
+    with pytest.raises(SkewDerivationError, match="requires characteristic p"):
+        trinomial_expand(sd, R.one(), R.gen(), R.one(), 2)
+    with pytest.raises(SkewDerivationError, match="requires characteristic p"):
+        cor36_check(sd, None, R.gen(), R.gen(), R.one(), 1, 2)  # refused before I is read
+
+
+def power_cases():
+    """A derivation with sigma != id on each scalar kind: (Z/9)[t]/(t^5), F_3[X]/(X^3), Q[X]/(X^3)."""
+    R = SeriesRing(3, 5, k=2)
+    cases = [SkewDerivation.from_gen_images(R, R.element([0, 1, 1]), R.element([0, 0, 3, 1]))]
+    for p, half in ((3, 2), (None, Fraction(1, 2))):
+        A = truncated_poly_algebra(p, 3)
+        X, X2 = A.basis_vec(1), A.basis_vec(2)
+        cases.append(SkewDerivation.from_gen_images(A, A.add(A.smul(half, X), X2), A.add(A.one(), X2)))
+    return cases
+
+
+def test_sigma_and_delta_powers_match_repeated_application():
+    # sigma^j and delta^i as one matrix power each, and evaluate's atom delta^i sigma^j,
+    # against j applications of sigma, then i of delta
+    rng = random.Random(3)
+    for sd in power_cases():
+        ring, mod = sd.ring, sd.ring.scalar_mod
+        for a in list(ring.basis()) + [ring.random_element(rng) for _ in range(5)]:
+            s = a
+            for j in range(7):
+                assert la.apply_map(sd.sigma_pow(j), a, mod) == s
+                d = s
+                for i in range(7):
+                    if j == 0:
+                        assert la.apply_map(sd.delta_pow(i), a, mod) == d
+                    assert evaluate({(("a", i, j),): 1}, sd, {"a": a}) == d
+                    d = sd.delta(d)
+                s = sd.sigma(s)
 
 
 def test_sigma_shift_power():

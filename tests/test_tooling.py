@@ -169,27 +169,35 @@ def package_functions():
 
 
 # The package functions that no criterion-10 command and no seed-1 primes cycle (its build
-# included) calls: paper checks without a command, reprs, test-only helpers and branches
-# those runs do not take (ROADMAP item 10). A change that adds such a function, or reaches
-# one, edits this list where a review sees it.
+# included) calls, grouped by why each stays (ROADMAP item 10). A change that adds such a
+# function, or reaches one, edits this table where a review sees it.
 UNREACHED = {
-    "cli": "SpecError.__init__",
-    "coeffcore": "Digits.__init__ Digits.__len__ Digits.digit Digits.value _Infinity.__ge__ _Infinity.__le__ "
-                 "_Infinity.__reduce__ _Infinity.__repr__ _digit_splits alpha_coeff binom_valuation_check digits "
-                 "multinomial no_common_component qfactorial trinomial_indices vp",
-    "core": "_rational_scalar prop39_check",
-    "exactla": "solve",
-    "filtration": "AdicFiltration.__repr__ AdicFiltration.symbol_coords ChainFiltration.__repr__ "
-                  "ChainFiltration.symbol_coords GradedAlgebra.lift GradedAlgebra.mul GradedAlgebra.symbol "
-                  "GradedAlgebra.to_algebra GradedAlgebra.to_algebra.at_value gr_prime_implies_prime lemma16_check "
-                  "quotient_filtration",
-    "finalg": "FinAlgebra.__repr__ FinAlgebra.is_central FinAlgebra.neg IdealSubspace.__repr__ _factor_fp _factor_q "
-              "_lift _padd _pdivmod _pgcdex _pmul _poly is_prime_fd matrix_algebra",
-    "series": "SeriesRing.char SeriesRing.is_central SeriesRing.neg",
-    "skewder": "SkewDerivation.__repr__ SkewDerivation.apply_delta_pow SkewDerivation.identity _minimal_escape "
-               "binomial_terms cor36_check delta_n_product evaluate lemma31_check trinomial_expand trinomial_terms",
-    "sps": "SPSRing.boundedness_check SPSRing.neg quotient_kernel_check quotient_sps quotient_sps.project_elem "
-           "tpow_demo",
+    "paper checks with no command, and what only they call": (
+        "core.prop39_check filtration.lemma16_check skewder.lemma31_check "
+        "skewder.cor36_check skewder._minimal_escape "
+        "skewder.delta_n_product skewder.trinomial_expand skewder.binomial_terms skewder.trinomial_terms "
+        "skewder.evaluate "
+        "sps.quotient_sps sps.quotient_sps.project_elem sps.quotient_kernel_check filtration.quotient_filtration "
+        "filtration.gr_prime_implies_prime filtration.GradedAlgebra.to_algebra "
+        "filtration.GradedAlgebra.to_algebra.at_value finalg.is_prime_fd exactla.solve "
+        "coeffcore.binom_valuation_check coeffcore.vp"),
+    "the digit combinatorics of the expansions": (
+        "coeffcore.Digits.__init__ coeffcore.Digits.__len__ coeffcore.Digits.digit coeffcore.Digits.value "
+        "coeffcore._digit_splits coeffcore.alpha_coeff coeffcore.digits coeffcore.multinomial "
+        "coeffcore.no_common_component coeffcore.qfactorial coeffcore.trinomial_indices"),
+    "the ring and value protocol": (
+        "filtration.AdicFiltration.__repr__ filtration.ChainFiltration.__repr__ finalg.FinAlgebra.__repr__ "
+        "finalg.IdealSubspace.__repr__ skewder.SkewDerivation.__repr__ coeffcore._Infinity.__repr__ "
+        "coeffcore._Infinity.__reduce__ coeffcore._Infinity.__ge__ coeffcore._Infinity.__le__ "
+        "finalg.FinAlgebra.neg series.SeriesRing.neg sps.SPSRing.neg "
+        "finalg.FinAlgebra.is_central series.SeriesRing.is_central series.SeriesRing.char"),
+    "test-only constructors (tests call it; perfbench does not)": "skewder.SkewDerivation.identity",
+    "the Q centre split past its basis shortcut: _factor_q and its polynomial helpers": (
+        "finalg._factor_q finalg._factor_fp finalg._lift finalg._padd finalg._pdivmod finalg._pgcdex "
+        "finalg._pmul finalg._poly"),
+    "read by perfbench/workloads.py through getattr": "sps.tpow_demo",
+    "the matrix preset, which no shipped fixture uses": "finalg.matrix_algebra",
+    "refusals these runs never meet (a malformed spec, a char-0 q)": "cli.SpecError.__init__ core._rational_scalar",
 }
 
 
@@ -220,7 +228,7 @@ def test_the_unreached_package_functions_are_the_pinned_ones(capsys):
     capsys.readouterr()
     keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in reached}
     unreached = sorted(name for key, name in package_functions().items() if key not in keys)
-    assert unreached == sorted(f"{module}.{name}" for module, names in UNREACHED.items() for name in names.split())
+    assert unreached == sorted(name for names in UNREACHED.values() for name in names.split())
 
 
 def retained_bytes_per_op(name, cycles, warm_ops=None):
