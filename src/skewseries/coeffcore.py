@@ -121,36 +121,28 @@ def _digit_splits(a: int):
             yield u, v, a - u - v
 
 
+def carry_free_splits(n: int, p: int) -> dict:
+    """{(i, j, k): alpha} over the (i, j, k) whose base-p digits sum slotwise, without carries,
+    to n's; alpha is the unit mod p that is the product over digit slots t of the multinomial
+    (n_t choose i_t, j_t, k_t).  Built slot by slot from one expansion of n: one proof of p."""
+    splits = {(0, 0, 0): 1}
+    for t, a in enumerate(digits(n, p).entries):
+        step = p**t
+        splits = {(i + u * step, j + v * step, k + w * step): c * multinomial(a, u, v, w) % p
+                  for (i, j, k), c in splits.items() for u, v, w in _digit_splits(a)}
+    return splits
+
+
 def trinomial_indices(n: int, p: int) -> list[tuple[int, int, int]]:
     """All (i, j, k) whose base-p digits sum slotwise, without carries, to n's."""
-    dn = digits(n, p)
-    triples = [(0, 0, 0)]
-    for t in range(len(dn)):
-        step = p**t
-        new = []
-        for u, v, w in _digit_splits(dn.digit(t)):
-            for i, j, k in triples:
-                new.append((i + u * step, j + v * step, k + w * step))
-        triples = new
-    return sorted(triples)
+    return sorted(carry_free_splits(n, p))
 
 
 def alpha_coeff(i: int, j: int, k: int, p: int) -> int:
-    """Unit scalar mod p attached to a carry-free digit splitting.
-
-    Computed slotwise: the product over digit positions t of the
-    multinomial (n_t choose i_t, j_t, k_t) reduced mod p, where n = i+j+k.
-    """
-    n = i + j + k
-    di, dj, dk, dn = digits(i, p), digits(j, p), digits(k, p), digits(n, p)
-    coeff = 1
-    for t in range(len(dn)):
-        u, v, w = di.digit(t), dj.digit(t), dk.digit(t)
-        if u + v + w != dn.digit(t):
-            raise ValueError("carries present: digit condition violated")
-        coeff = coeff * multinomial(u + v + w, u, v, w) % p
-    if coeff == 0:
-        raise AssertionError("digitwise multinomial vanished mod p")
+    """Unit scalar mod p attached to a carry-free digit splitting: its ``carry_free_splits`` value."""
+    coeff = carry_free_splits(i + j + k, p).get((i, j, k))
+    if coeff is None:
+        raise ValueError("carries present: digit condition violated")
     return coeff
 
 

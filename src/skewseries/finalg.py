@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
-from fractions import Fraction
 
 from . import exactla as la
 from .coeffcore import is_prime
@@ -340,27 +338,22 @@ def center(A: FinAlgebra) -> tuple:
     return la.left_kernel(rows, A.p)
 
 
-def central_idempotents(A: FinAlgebra, check=True, sigma=None) -> list:
-    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted;
-    with ``sigma``, an automorphism of A, those of the sigma-fixed centre: the sums over orbits.
+def central_idempotents(A: FinAlgebra, check=True) -> list:
+    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted.
 
-    They are the primitive idempotents of the centre Z, or of Z^sigma, a product of fields too
-    (one per sigma-orbit of blocks), split in one pass: over F_p by the Frobenius fixed space,
-    over Q by factoring the minimal polynomial of a primitive element (split mod p by the F_p
-    routine, Hensel lifting past twice the Mignotte bound, Zassenhaus).  They are certified
-    nonzero, idempotent, orthogonal, summing to 1 and fixed by sigma.
+    They are the primitive idempotents of the centre Z, a product of fields, split in one pass
+    over F_p by the Frobenius fixed space.  Over Q only a centre Q (one block) is answered: no
+    command splits a larger one.  They are certified nonzero, idempotent, orthogonal and summing to 1.
     """
     if check and radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
     p, Z, zero = A.p, center(A), A.zero()
-    if sigma is not None:  # Z^sigma: the kernel of sigma - id on Z
-        moved = [A.sub(la.apply_map(sigma, z, p), z) for z in Z]
-        Z = [la.apply_map(Z, c, p) for c in la.left_kernel(moved, p)]
-    idems = [A.one()] if len(Z) == 1 else (_split_centre_fp if p else _split_centre_q)(A, Z)
+    if len(Z) > 1 and not p:
+        raise AlgebraError(f"splitting a centre of dim {len(Z)} over Q is not supported")
+    idems = [A.one()] if len(Z) == 1 else _split_centre_fp(A, Z)
     if not (all(e != zero and A.mul(e, e) == e for e in idems)
             and all(A.mul(a, b) == zero for a, b in itertools.combinations(idems, 2))
-            and functools.reduce(A.add, idems) == A.one()
-            and (sigma is None or all(la.apply_map(sigma, e, p) == e for e in idems))):
+            and functools.reduce(A.add, idems) == A.one()):
         raise ImplementationError("central idempotents fail their certificate")
     return sorted(idems)
 
@@ -404,167 +397,26 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
     return idems
 
 
-def _split_centre_q(A: FinAlgebra, Z) -> list:
-    """Primitive idempotents of the centre Z over Q, from one primitive element.
-
-    Z is a product of number fields with d = dim Z distinct embeddings phi_a
-    into C, and z generates Z (minimal polynomial of degree d) when the
-    phi_a(z) are distinct.  For z_k = sum_i k^i Z_i, Z_i a basis,
-    phi_a(z_k) - phi_b(z_k) = sum_i k^i (phi_a(Z_i) - phi_b(Z_i)) is a
-    polynomial in k of degree <= d - 1 and not zero, as the Z_i span Z and
-    phi_a != phi_b; so it has at most d - 1 roots.  The d(d - 1)/2 pairs rule
-    out at most (d - 1) d(d - 1)/2 values of k, so some k up to one more is
-    primitive.  Then m is squarefree, Z = Q[z] = prod Q[x]/(f) over its irreducible
-    factors f (``_factor_q``: split mod p, Hensel lifting past twice the Mignotte bound,
-    Zassenhaus), and e_f(z), e_f = s m/f for s m/f = 1 mod f, is the idempotent of f.
-    First the basis itself: if its rows z (1 at their pivot k) rescale to d idempotents z / c,
-    c = (z^2)_k, summing to 1, these are the answer.  Each is the unit of a set of fields of Z, so
-    the d sets are disjoint, and nonempty, among at most d fields: one each, every field Q.
-    """
-    d = len(Z)
-    units = [A.smul(la.finv(c, None), z) for z in Z for c in [A.mul(z, z)[z.index(1)]] if c != 0]
-    if len(units) == d and all(A.mul(e, e) == e for e in units) and functools.reduce(A.add, units) == A.one():
-        return units
-    for k in range(1, (d - 1) * d * (d - 1) // 2 + 2):
-        z = la.apply_map(Z, [k**i for i in range(d)], None)
-        powers = list(itertools.accumulate([A.one()] + [z] * d, A.mul))
-        if len(m := next(la.dependencies(powers, None))) == d + 1:  # m[i]: coefficient of x^i
-            break
-    else:
-        raise ImplementationError("no primitive element of the centre up to the bound")
-    idems = []
-    for f in _factor_q(m):  # e_f = s g for g = m/f, of degree < deg f + deg g = d
-        s = _pgcdex(g := _pdivmod(m, f, None)[0], f, None)[1]
-        ds, dg = (math.lcm(*(c.denominator for c in x)) for x in (s, g))
-        e = _pmul([int(c * ds) for c in s], [int(c * dg) for c in g], None)  # e_f ds dg, integral
-        idems.append(la.vscale(Fraction(1, ds * dg), la.apply_map(powers[: len(e)], e, None), None))
-    return idems
-
-
-def _poly(a, p) -> list:
-    """Coefficients from x^0 to the last nonzero, mod p (over Q for p = None)."""
-    a = [c % p for c in a] if p else [la.fnorm(c, None) for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(a, b, p, scale=1) -> list:
-    return _poly([x + scale * y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
-
-
-def _pmul(a, b, p) -> list:
-    out, n = [0] * (len(a) + len(b)), len(b)
-    for i, x in enumerate(a):
-        out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
-    return _poly(out, p)
-
-
-def _pdivmod(a, b, p) -> tuple:
-    """(q, r) with a = q b + r and deg r < deg b; the leading coefficient of b is a unit."""
-    r, n, inv, q = list(a), len(b) - 1, la.finv(b[-1], p), [0] * max(len(a) - len(b) + 1, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = la.fnorm(r[k + n] * inv, p)
-        r[k : k + n] = [x - c * y for x, y in zip(r[k : k + n], b)]
-    return _poly(q, p), _poly(r[:n], p)
-
-
-def _pgcdex(a, b, p) -> list:
-    """[g, s]: g the monic gcd of a and b over the field F_p or Q, and s a = g mod b."""
-    r0, r1, s0, s1 = a, b, [1], []
-    while len(r1) > 1:  # a constant r1 ends it: the gcd is r1 if nonzero, else r0
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(q, s1, p), p, -1)
-    g, s = (r1, s1) if r1 else (r0, s0)
-    return [_pmul([la.finv(g[-1], p)], x, p) for x in (g, s)]
-
-
-def _factor_q(m) -> list:
-    """The monic irreducible factors over Q of the monic squarefree m, by Zassenhaus.
-
-    F(y) = D^d m(y/D), D the lcm of the denominators, is monic over Z.  It is factored mod the
-    least prime p not dividing disc F, one of the first log2 |disc F| <= log2(d^d |F|^(2d-2))
-    < 2d log2(d |F|) primes (|F| the 2-norm), and lifted to a modulus M > 2^(d+1) |F|, twice
-    the Mignotte bound on a factor.  Subsets of lifted factors, by increasing size, are kept
-    when their product in symmetric residues mod M divides F; f(x) = D^-deg g g(Dx).
-    """
-    d, D = len(m) - 1, math.lcm(*(Fraction(c).denominator for c in m))
-    F = [int(c * D ** (d - i)) for i, c in enumerate(m)]
-    norm, dF = math.isqrt(sum(c * c for c in F)) + 1, [i * c for i, c in enumerate(F)][1:]
-    primes = itertools.islice(filter(is_prime, itertools.count(2)), 2 * d * (d * norm).bit_length())
-    p = next((p for p in primes if _pgcdex(_poly(F, p), _poly(dF, p), p)[0] == [1]), None)
-    if p is None:
-        raise ImplementationError("the minimal polynomial of the centre is not squarefree")
-    M = next(p ** 2**j for j in itertools.count() if p ** 2**j > 2 ** (d + 1) * norm)
-    lifts, found, k = _lift(F, _factor_fp(_poly(F, p), p), p, M), [], 1
-    while 2 * k <= len(lifts):
-        for S in itertools.combinations(range(len(lifts)), k):
-            G = functools.reduce(lambda a, b: _pmul(a, b, M), [lifts[i] for i in S])
-            quo, rem = _pdivmod(F, G := [c - M if 2 * c > M else c for c in G], None)
-            if not rem:
-                found, F, lifts = found + [G], quo, [g for i, g in enumerate(lifts) if i not in S]
-                break
-        else:
-            k += 1
-    return [_poly([Fraction(c, D ** (len(g) - 1 - i)) for i, c in enumerate(g)], None)
-            for g in found + [F]]
-
-
-def _factor_fp(F, p) -> list:
-    """The monic irreducible factors of F, monic and squarefree mod p: the commutative F_p[x]/(F) is
-    the product of the fields F_p[x]/(f) over the factors f, so ``_split_centre_fp`` returns block
-    units e, each 1 mod one f and 0 mod the others, and f = gcd(F, 1 - e)."""
-    d = len(F) - 1
-    xs = [_pdivmod([0] * k + [1], F, p)[1] for k in range(2 * d - 1)]  # x^k mod F, k <= 2d - 2
-    A = FinAlgebra(p, d, [[xs[i + j] + [0] * (d - len(xs[i + j])) for j in range(d)] for i in range(d)],
-                   xs[0] + [0] * (d - 1), check=False)
-    return [_pgcdex(F, _padd([1], e, p, -1), p)[0] for e in _split_centre_fp(A, A.basis())]
-
-
-def _lift(f, gs, p, M) -> list:
-    """The monic factors gs of f mod p (f monic, squarefree mod p) lifted to f mod M = p^(2^j) on a
-    factor tree by Hensel steps (von zur Gathen, Gerhard: Modern Computer Algebra, Alg. 15.10)."""
-    if len(gs) == 1:
-        return [f]
-    halves = gs[: len(gs) // 2], gs[len(gs) // 2 :]
-    g, h = (functools.reduce(lambda a, b: _pmul(a, b, p), half) for half in halves)
-    s = _pgcdex(g, h, p)[1]
-    t, m = _pdivmod(_padd([1], _pmul(s, g, p), p, -1), h, p)[0], p  # s g + t h = 1 mod p
-    while (m := m * m) <= M:  # a step from mod m to mod m^2 while m < M, both powers p^(2^i)
-        e = _padd(f, _pmul(g, h, m), m, -1)
-        q, r = _pdivmod(_pmul(s, e, m), h, m)
-        g, h = _padd(g, _padd(_pmul(t, e, m), _pmul(q, g, m), m), m), _padd(h, r, m)
-        if m < M:  # s and t for the next step
-            b = _padd(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [1], m, -1)
-            c, r = _pdivmod(_pmul(s, b, m), h, m)
-            s, t = _padd(s, r, m, -1), _padd(t, _padd(_pmul(t, b, m), _pmul(c, g, m), m), m, -1)
-    return _lift(g, halves[0], p, M) + _lift(h, halves[1], p, M)
-
-
 def is_prime_fd(A: FinAlgebra) -> bool:
     """Prime = zero radical and a single Wedderburn block."""
     return radical(A).dim == 0 and len(central_idempotents(A, check=False)) == 1
 
 
-def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None, sigma=None) -> list[IdealSubspace]:
-    """The prime (= maximal) ideals of A over N, sorted by echelon basis; with ``sigma``, an
-    automorphism of A stabilising N, the minimal sigma-primes over N: the meets of the
-    sigma-orbits of those primes.  ``N``: an ideal containing rad A (radical(A) when None).
+def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None) -> list[IdealSubspace]:
+    """The prime (= maximal) ideals of A over N, sorted by echelon basis.  ``N``: an ideal
+    containing rad A (radical(A) when None).
 
     Every maximal ideal contains rad A, and C = A/N (A if N = 0) is semisimple, the sum of its
     simple blocks Ce, e centrally primitive idempotent, so the maximal ideals over N are N + the
-    lifts of the (1 - e)C.  sigma induces a map on C that permutes the e, and N + the lift of
-    (1 - sum_O e)C is the meet of the primes of an orbit O.  A proper quotient C is tested to
-    be semisimple: a certificate that N contains rad A.
+    lifts of the (1 - e)C.  A proper quotient C is tested to be semisimple: a certificate that N
+    contains rad A.
     """
     if N is None:
         N = radical(A)
-    C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
-    if sigma is not None and N.dim:
-        sigma = induced_map(A, sigma, N, C, project, lift)
+    C, _, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
     primes = [
         subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()])
-        for e in central_idempotents(C, check=C is not A, sigma=sigma)
+        for e in central_idempotents(C, check=C is not A)
     ]
     return sorted(primes, key=lambda P: P.basis)
 

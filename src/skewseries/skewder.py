@@ -16,7 +16,7 @@ import functools
 import math
 
 from . import exactla as la
-from .coeffcore import alpha_coeff, digits, no_common_component, trinomial_indices
+from .coeffcore import carry_free_splits, digits, no_common_component
 from .finalg import FinAlgebra, IdealSubspace, is_stable, subspace
 
 
@@ -185,8 +185,8 @@ def binomial_terms(n: int) -> dict:
 
 def trinomial_terms(n: int, p: int) -> dict:
     """delta^n(axb) mod p for commuting sigma, delta: one term per carry-free (i, j, k)."""
-    return {(("a", i, n - i), ("x", j, k), ("b", k, 0)): alpha_coeff(i, j, k, p)
-            for i, j, k in trinomial_indices(n, p)}
+    return {(("a", i, n - i), ("x", j, k), ("b", k, 0)): c
+            for (i, j, k), c in sorted(carry_free_splits(n, p).items())}
 
 
 def evaluate(expr: dict, sd: SkewDerivation, assignment: dict):

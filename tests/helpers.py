@@ -15,6 +15,7 @@ from skewseries.finalg import (
     ImplementationError,
     central_idempotents,
     ideal_meet,
+    induced_map,
     is_automorphism,
     is_sigma_prime,
     minimal_primes_over,
@@ -139,8 +140,9 @@ def permutation_group(gens):
     return elements
 
 
-def permutation_group_algebra(p, gens):
-    """F_p[G] for the group G generated by permutations of range(len(gens[0]))."""
+def permutation_group_algebra(p, gens, check=True):
+    """F_p[G] for the group G generated by permutations of range(len(gens[0])); associative by
+    construction, so ``check`` may skip the dim^3 validation."""
     elements = permutation_group(gens)
     identity = elements[0]
     index = {g: i for i, g in enumerate(elements)}
@@ -150,7 +152,7 @@ def permutation_group_algebra(p, gens):
         return tuple(int(j == index[g]) for j in range(n))
 
     structure = [[basis_vec(tuple(g[i] for i in h)) for h in elements] for g in elements]
-    return FinAlgebra(p, n, structure, basis_vec(identity))
+    return FinAlgebra(p, n, structure, basis_vec(identity), check=check)
 
 
 def naive_sps_mul(S, f, g):
@@ -396,16 +398,22 @@ def naive_adapted_basis(w):
 def naive_minimal_primes_over(A, I):
     """Minimal primes over I through B = A/I: the radical N of B, the
     semisimple C = B/N, one maximal ideal (1 - e)C per centrally primitive
-    idempotent e of C, lifted to B and then to A.  The reference
-    minimal_primes_over is compared against."""
+    idempotent e of C (over Q by ``naive_central_idempotents``), lifted to B
+    and then to A.  The reference minimal_primes_over is compared against."""
     B, _, lift_B = quotient_algebra(A, I)
     N = radical(B)
     C, _, lift_C = quotient_algebra(B, N)
     primes = []
-    for e in central_idempotents(C):
+    for e in (central_idempotents if A.p else naive_central_idempotents)(C):
         in_B = subspace(B, list(N.basis) + [lift_C(C.sub(v, C.mul(e, v))) for v in C.basis()])
         primes.append(subspace(A, list(I.basis) + [lift_B(v) for v in in_B.basis]))
     return sorted(primes, key=lambda J: J.basis)
+
+
+def reference_spectrum(A):
+    """prime_spectrum(A) over F_p; over Q, where the package splits only a centre Q, the
+    primes over 0 by ``naive_minimal_primes_over``."""
+    return prime_spectrum(A) if A.p else naive_minimal_primes_over(A, subspace(A, []))
 
 
 def ideal_intersection(I, J):
@@ -496,7 +504,7 @@ def naive_minimal_sigma_primes(A, sigma, I):
     """The orbit meets of the primes over I, deduplicated, and of those the
     minimal ones: the reference minimal_sigma_primes is compared against."""
     seen, results = set(), []
-    for P in minimal_primes_over(A, I):
+    for P in minimal_primes_over(A, I) if A.p else naive_minimal_primes_over(A, I):
         if P in seen:
             continue
         orbit = sigma_orbit(P, sigma)
@@ -506,6 +514,36 @@ def naive_minimal_sigma_primes(A, sigma, I):
             results.append(meet)
     minimal = [J for J in results if not any(K is not J and J.contains_ideal(K) for K in results)]
     return sorted(minimal, key=lambda J: J.basis)
+
+
+def naive_char0_checks(A, sd):
+    """char0_checks' report by the split it no longer makes: the radical witnesses, then the
+    minimal sigma-primes over N = rad A, each N + lift((1 - e_O)C) for C = A/N and e_O the sum of
+    the centrally primitive idempotents of C (``naive_central_idempotents``, sympy) over an
+    orbit O of the sigma induced on C, with a witness for each basis vector delta moves out of
+    one.  The reference char0_checks is compared against."""
+    N = radical(A)
+    radical_witnesses = [("radical", v) for v in N.basis if not N.contains(sd.delta(v))]
+    witnesses = radical_witnesses + [("sigma-prime", v) for P in _sigma_primes_over_radical(A, sd.sigma_matrix)
+                                     for v in P.basis if not P.contains(sd.delta(v))]
+    return {"radical preserved": not radical_witnesses, "sigma-primes preserved": witnesses == radical_witnesses,
+            "witnesses": witnesses}
+
+
+@functools.cache
+def _sigma_primes_over_radical(A, sigma):
+    N = radical(A)
+    C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
+    sigma_bar = induced_map(A, sigma, N, C, project, lift) if N.dim else sigma
+    idems, primes = naive_central_idempotents(C), []
+    while idems:
+        orbit = [idems[0]]
+        while (image := la.apply_map(sigma_bar, orbit[-1], None)) != orbit[0]:
+            orbit.append(image)
+        e = functools.reduce(C.add, orbit)
+        primes.append(subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()]))
+        idems = [f for f in idems if f not in orbit]
+    return sorted(primes, key=lambda P: P.basis)
 
 
 def cyclic_quiver_square_zero(k):
@@ -661,37 +699,6 @@ def naive_center(A):
             row.extend(A.sub(A.mul(e, f), A.mul(f, e)))
         residue_rows.append(tuple(row))
     return la.left_kernel(residue_rows, A.p)
-
-
-def sympy_factor_q(m):
-    """The monic irreducible factors over Q of m (coefficients from x^0), by sympy's
-    factor_list, as sorted tuples of Fractions: the reference ``finalg._factor_q`` is
-    compared against.  sympy is a test dependency only."""
-    import sympy
-
-    poly = sympy.Poly([sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-                       for c in reversed(m)], sympy.Symbol("x"))
-    return sorted(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs()))
-                  for f, _ in poly.factor_list()[1])
-
-
-def random_squarefree_q(rng, degree):
-    """A monic squarefree polynomial over Q of the given degree (coefficients from x^0): the
-    product of random factors of degree 1 to 4 with non-monic rational coefficients, scaled
-    to be monic, drawn again until it is squarefree."""
-    import sympy
-
-    while True:
-        m, left = [Fraction(1)], degree
-        while left:
-            k = rng.randint(1, min(4, left))
-            f = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
-            m, left = poly_prod([m, f + [Fraction(rng.choice((1, 2, 3, -1, -5)))]], None), left - k
-        m = [Fraction(c) / m[-1] for c in m]
-        x = sympy.Symbol("x")
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(m)], x)
-        if sympy.gcd(poly, poly.diff(x)).degree() == 0:
-            return m
 
 
 def _min_poly_of_operator(op_rows, p):
@@ -896,20 +903,3 @@ def naive_to_algebra(gr):
         structure.append(tuple(row))
     d = w.value(w.ring.one())
     return FinAlgebra(p, n, structure, placed(d, symbol(w.ring.one(), d)), check=False)
-
-
-def naive_berlekamp(F, p):
-    """The monic irreducible factors of F, monic and squarefree mod p, by Berlekamp: the v with
-    v^p = v mod F (the left kernel of Q - I, row i of Q x^(ip) mod F) are constant mod each
-    factor and tell every two apart; v splits h into the nontrivial gcd(h, v - s), s in F_p.
-    The reference ``finalg._factor_fp`` is compared against."""
-    from skewseries.finalg import _padd, _pdivmod, _pgcdex, _pmul
-
-    d, y, parts = len(F) - 1, _pdivmod([0] * p + [1], F, p)[1], [F]  # y = x^p mod F
-    xs = itertools.accumulate([[1]] + [y] * (d - 1), lambda a, b: _pdivmod(_pmul(a, b, p), F, p)[1])
-    rows = [[c - (i == j) for j, c in enumerate(x + [0] * (d - len(x)))] for i, x in enumerate(xs)]
-    kernel = la.left_kernel(rows, p)  # its dimension is the number of factors: stop on reaching it
-    for v in itertools.takewhile(lambda _: len(parts) < len(kernel), kernel):  # w = v mod h
-        parts = [g for h in parts for w in [_pdivmod(v, h, p)[1]] for g in ([h] if len(w) < 2 else
-                 [_pgcdex(h, _padd(w, [-s], p), p)[0] for s in range(p)]) if len(g) > 1]
-    return parts

@@ -546,18 +546,6 @@ def test_no_fp_path_imports_sympy():
     assert out.startswith("2\n2\n") and out.endswith("\nFalse\n")
 
 
-def test_a_centre_split_over_q_imports_no_sympy():
-    # the Q^3 centre splits by the package's own factoriser
-    out = _fresh_interpreter(
-        "import sys\n"
-        "from skewseries.finalg import central_idempotents, product_of_fields\n"
-        "idems = central_idempotents(product_of_fields(None, 3))\n"
-        "print(idems == [(0, 0, 1), (0, 1, 0), (1, 0, 0)])\n"
-        "print('sympy' in sys.modules)\n"
-    )
-    assert out == "True\nFalse\n"
-
-
 FRACTION_SERIES = """sps-spec 1
 
 [ring]

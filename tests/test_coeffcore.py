@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from skewseries import coeffcore
 from skewseries.coeffcore import (
     Digits,
     INFINITY,
@@ -19,6 +20,7 @@ from skewseries.coeffcore import (
     vp,
 )
 from skewseries.finalg import truncated_poly_algebra
+from skewseries.skewder import trinomial_terms
 
 
 def test_vp_basics():
@@ -138,6 +140,20 @@ def test_alpha_lucas_consistency():
             for i, j, k in trinomial_indices(n, p):
                 assert alpha_coeff(i, j, k, p) == multinomial(n, i, j, k) % p
                 assert alpha_coeff(i, j, k, p) != 0
+
+
+def test_trinomial_terms_prove_p_once(monkeypatch):
+    # one expansion of n proves p; the coefficients are read off its digit slots
+    calls = []
+    is_prime = coeffcore.is_prime
+    monkeypatch.setattr(coeffcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p = 2**31 - 1
+    terms = trinomial_terms(4, p)
+    assert calls == [p]
+    assert terms == {(("a", i, 4 - i), ("x", j, 4 - i - j), ("b", 4 - i - j, 0)): multinomial(4, i, j, 4 - i - j)
+                     for i in range(5) for j in range(5 - i)}
+    with pytest.raises(ValueError, match="base 4 is not prime"):
+        Digits(4, (1,))
 
 
 def test_qfactorial():

@@ -53,6 +53,7 @@ from helpers import (
     ddx_derivation,
     naive_core_chain,
     naive_delta_core,
+    naive_char0_checks,
     naive_minimal_sigma_primes,
     naive_theorem_c,
     naive_verdict,
@@ -61,6 +62,7 @@ from helpers import (
     random_basis,
     random_char0_instance,
     rebase_skew,
+    reference_spectrum,
     whole_spectrum_theorem_c,
 )
 from test_qscalars import cycles, q_instances
@@ -595,15 +597,16 @@ def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
     assert flags["minimal sigma^(p^M)-prime"] is False
 
 
-def primes_workload_instances():
-    """The F_p Theorem-C instances of the benchmark's primes workload at seed 1."""
+def primes_workload_instances(seed=1, theorem_c=True):
+    """The F_p Theorem-C instances (the char-0 ones when not theorem_c) of the benchmark's
+    primes workload at the seed."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workloads.build("primes", 1).instances.items())
-            if inst.I is not None]
+    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workloads.build("primes", seed).instances.items())
+            if (inst.I is not None) == theorem_c]
 
 
 def sweep_cases():
@@ -738,10 +741,10 @@ def test_minimal_sigma_primes_match_naive_on_verdict_cases():
     cases += [perm_skew(5, [1, 2, 0, 4, 3], 2), perm_skew(4, [1, 0, 3, 2], 1)]
     cases += [random_char0_instance(rng) for _ in range(10)]
     for A, sd in cases:
-        zero = subspace(A, [])
-        meets = minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        zero, spectrum = subspace(A, []), reference_spectrum(A)
+        meets = minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum)
         assert meets == naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
-        assert all(is_sigma_prime(I, sd.sigma_matrix) for I in meets)
+        assert all(is_sigma_prime(I, sd.sigma_matrix, spectrum) for I in meets)
 
 
 def test_a_noncommuting_pair_is_refused():
@@ -800,28 +803,108 @@ def sigma_spectrum_cases():
 
 
 def test_sigma_spectrum_is_the_minimal_sigma_primes():
-    # the split of the sigma-fixed centre of A/N gives the meets of the sigma-orbits of primes
+    # the minimal sigma-primes over 0 are the meets of the sigma-orbits of primes; over Q
+    # the spectrum is the reference one, as the package splits no centre larger than Q there
     merged = 0
     for A, sd in sigma_spectrum_cases():
-        zero = subspace(A, [])
-        spectrum = prime_spectrum(A, sigma=sd.sigma_matrix)
-        assert spectrum == minimal_sigma_primes(A, sd.sigma_matrix, zero)
-        assert spectrum == naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
-        merged += len(spectrum) < len(prime_spectrum(A))
+        zero, spectrum = subspace(A, []), reference_spectrum(A)
+        meets = minimal_sigma_primes(A, sd.sigma_matrix, zero, spectrum)
+        assert meets == naive_minimal_sigma_primes(A, sd.sigma_matrix, zero)
+        merged += len(meets) < len(spectrum)
     assert merged >= 20
 
 
-def test_char0_checks_split_the_sigma_fixed_centre(monkeypatch):
-    # on the primes benchmark's Q^10 and Q^8, sigma has 3 orbits of coordinates:
-    # the Q split runs on the 3-dimensional fixed centre, never the whole one
+def test_char0_checks_certify_on_the_sigma_fixed_centre(monkeypatch):
+    # on the primes benchmark's Q^10 and Q^8, sigma has 3 orbits of coordinates: the
+    # certificate runs on the 3-dimensional fixed centre, one z per orbit, never the whole one
     sizes = []
-    split = finalg._split_centre_q
-    monkeypatch.setattr(finalg, "_split_centre_q", lambda A, Z: sizes.append(len(Z)) or split(A, Z))
+    left_kernel = core.la.left_kernel
+
+    def recording(rows, p):
+        kernel = left_kernel(rows, p)
+        if sys._getframe(1).f_code.co_name == "char0_checks":
+            sizes.append((len(rows), len(kernel)))
+        return kernel
+
+    monkeypatch.setattr(core.la, "left_kernel", recording)
     for t, lam in (((4, 3, 3), -1), ((3, 3, 2), 2)):
         sizes.clear()
         report = char0_checks(*perm_skew(sum(t), cycles(t), lam))
-        assert report["radical preserved"] and report["sigma-primes preserved"]
-        assert sizes == [3]
+        assert report == {"radical preserved": True, "sigma-primes preserved": True, "witnesses": []}
+        assert sizes == [(sum(t), 3)]
+
+
+def test_char0_checks_refuse_a_delta_moving_a_sigma_fixed_idempotent():
+    # Q^2 with sigma = id and delta the swap (the Q analogue of a fields-2 spec over F_2):
+    # delta(e_0) = e_1, so delta is no sigma-derivation; the split reported two witnesses
+    A = product_of_fields(None, 2)
+    swap = SkewDerivation(A, la.identity_map(2, None), ((0, 1), (1, 0)))
+    assert not check_skew_derivation(swap).valid
+    message = ("delta is not a sigma-derivation: delta(z) is not in rad A, "
+               "for the sigma-fixed central z = (1, 0)")
+    with pytest.raises(CoreError) as raised:
+        char0_checks(A, swap)
+    assert str(raised.value) == message
+    assert naive_char0_checks(A, swap)["witnesses"] == [("sigma-prime", (0, 1)), ("sigma-prime", (1, 0))]
+
+
+def test_char0_checks_leave_the_sigma_prime_flag_undecided_off_the_radical():
+    # Q[X]/(X^2) with sigma = id and delta(X) = 1, the pair of bad_char0_derivation.spec:
+    # delta(N) is not in N = (X), so delta induces no map on A/N and the sigma-prime flag is None
+    A = truncated_poly_algebra(None, 2)
+    sd = SkewDerivation(A, la.identity_map(2, None), ((0, 0), (1, 0)))
+    assert char0_checks(A, sd) == {"radical preserved": False, "sigma-primes preserved": None,
+                                   "witnesses": [("radical", (0, 1))]}
+
+
+def char0_differential_cases():
+    """(A, sd, moved): the Q instances (criterion 5's sweep among them) and the char-0 slots
+    of the primes benchmark at seeds 1 to 3, and each with one entry of delta moved by +-1;
+    and Q^n under a cycled sigma with delta = lam(sigma - id) plus e_j at e_i and -e_j at e_i',
+    i, i' in one cycle and j in another, so that delta(z) = 0 on the sigma-fixed centre."""
+    rng = random.Random(26)
+    valid = q_instances() + [(A, sd) for seed in (1, 2, 3)
+                             for A, sd, _ in primes_workload_instances(seed, theorem_c=False)]
+    cases = []
+    for A, sd in valid:
+        rows = [list(row) for row in sd.delta_matrix]
+        rows[rng.randrange(A.dim)][rng.randrange(A.dim)] += rng.choice((1, -1))
+        cases += [(A, sd, False), (A, SkewDerivation(A, sd.sigma_matrix, tuple(map(tuple, rows))), True)]
+    for t, lam in (((2, 1), 1), ((3, 2), -2), ((4, 3, 3), -1), ((3, 3, 2), 2)):
+        A, sd = perm_skew(sum(t), cycles(t), lam)
+        rows = [list(row) for row in sd.delta_matrix]
+        rows[0][t[0]] += 1
+        rows[1][t[0]] -= 1
+        bad = SkewDerivation(A, sd.sigma_matrix, tuple(map(tuple, rows)))
+        cases += [(A, bad, True), (*rebase_skew(A, bad, random_basis(A, rng)), True)]
+    return cases
+
+
+def test_char0_checks_match_the_split_of_the_sigma_fixed_centre():
+    # against the report the split of the sigma-fixed centre gave: the same dict on every
+    # instance; on a moved delta, None when delta(N) is not in N, else a refusal of a
+    # non-derivation whenever a minimal sigma-prime is not delta-stable (and maybe when all
+    # are: the certificate asks more), and otherwise the same dict
+    seen = collections.Counter()
+    for A, sd, moved in char0_differential_cases():
+        expected = naive_char0_checks(A, sd)
+        if not moved:
+            assert char0_checks(A, sd) == expected
+            assert expected == {"radical preserved": True, "sigma-primes preserved": True, "witnesses": []}
+            continue
+        if not expected["radical preserved"]:
+            radical_only = [w for w in expected["witnesses"] if w[0] == "radical"]
+            expected = {**expected, "sigma-primes preserved": None, "witnesses": radical_only}
+        try:
+            report = char0_checks(A, sd)
+        except CoreError as exc:
+            assert expected["sigma-primes preserved"] is not None and not check_skew_derivation(sd).valid
+            assert str(exc).startswith("delta is not a sigma-derivation: ")
+            seen["refused", expected["sigma-primes preserved"]] += 1
+            continue
+        assert report == expected
+        seen[report["sigma-primes preserved"]] += 1
+    assert seen[None] and seen[True] and seen["refused", True] and seen["refused", False]
 
 
 def test_core_report_serialize_deterministic():

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from skewseries.filtration import (
     quotient_filtration,
 )
 from skewseries.finalg import (
+    FinAlgebra,
     direct_sum,
     ideal_generated,
     is_prime_fd,
@@ -28,7 +31,15 @@ from skewseries.finalg import (
 from skewseries.series import SeriesRing
 from skewseries.skewder import SkewDerivation
 
-from helpers import ddx_derivation, naive_adapted_basis, naive_to_algebra, random_basis, rebase
+from helpers import (
+    ddx_derivation,
+    naive_adapted_basis,
+    naive_to_algebra,
+    permutation_group,
+    permutation_group_algebra,
+    random_basis,
+    rebase,
+)
 
 
 def x_adic_chain(A, n):
@@ -300,3 +311,119 @@ def test_chain_value_and_reduce_match_a_fresh_elimination():
                 level = w.levels[min(max(j, 0), w.depth)]  # F_j, clamped to the chain
                 expected = la.reduce_vector(*la.rref(level, p), a, p) if level else tuple(a)
                 assert w.reduce(a, j) == expected
+
+
+def _compose(g, h):  # g after h, as in ``permutation_group``
+    return tuple(g[i] for i in h)
+
+
+def _commutator(x, y):
+    inverse = [tuple(sorted(range(len(g)), key=g.__getitem__)) for g in (x, y)]
+    return functools.reduce(_compose, [x, y, *inverse])
+
+
+def jennings_series(G, p):
+    """D_1 = G >= D_2 >= ... down to the trivial group, D_k generated by the commutators
+    [x, y], x in D_(k-1), y in G, and the p-th powers of D_(ceil(k/p))."""
+    series = [None, set(G)]
+    while len(series[-1]) > 1:
+        k = len(series)
+        gens = {_commutator(x, y) for x in series[k - 1] for y in G}
+        gens |= {functools.reduce(_compose, [x] * p) for x in series[-(-k // p)]}
+        series.append(set(permutation_group(sorted(gens))))
+    return series[1:]
+
+
+def jennings_hilbert(series, p):
+    """Coefficients of prod_k ((1 - t^(kp)) / (1 - t^k))^(d_k), p^(d_k) = |D_k / D_(k+1)|."""
+    out = [1]
+    for k, (D, E) in enumerate(zip(series, series[1:]), 1):
+        d = next(d for d in itertools.count() if p**d == len(D) // len(E))
+        for _ in range(d):  # times 1 + t^k + ... + t^(k(p-1))
+            out = [sum(out[n - k * i] for i in range(p) if 0 <= n - k * i < len(out))
+                   for n in range(len(out) + k * (p - 1))]
+    return out
+
+
+def lie_algebra_is_abelian(series):
+    """[D_i, D_j] lies in D_(i+j+1) for all i, j: the bracket of the Jennings Lie algebra is 0."""
+    levels = series + [series[-1]] * (len(series) + 1)  # D_j at j - 1; trivial past the series
+    return all(_commutator(x, y) in levels[i + j]
+               for i, D in enumerate(series, 1) for j, E in enumerate(series, 1) for x in D for y in E)
+
+
+def radical_powers(A, gens):
+    """J, J^2, ... of F_p[G] down to 0, J the augmentation ideal: J = sum_s (s - 1)A over the
+    generators s, so J^(m+1) = J J^m is spanned by the (s - 1)v, v in J^m."""
+    p, one = A.p, A.one()
+    units = [A.sub(A.basis_vec(i), one) for i in gens]
+    powers = [la.span([A.sub(e, one) for e in A.basis()], p)]
+    while powers[-1]:
+        powers.append(la.span([A.mul(u, v) for u in units for v in powers[-1]], p))
+    return powers
+
+
+def jennings_groups():
+    """(name, p, generating permutations): every abelian p-group of order <= 27, as products
+    of cycles on disjoint points, and D_8, Q_8 and the Heisenberg group mod 3."""
+    groups = []
+    for p, orders in ((2, [[2], [4], [2, 2], [8], [4, 2], [2, 2, 2], [16], [8, 2], [4, 4], [4, 2, 2],
+                            [2, 2, 2, 2]]),
+                      (3, [[3], [9], [3, 3], [27], [9, 3], [3, 3, 3]]), (5, [[5], [25], [5, 5]]),
+                      (7, [[7]]), (11, [[11]]), (13, [[13]]), (17, [[17]]), (19, [[19]]), (23, [[23]])):
+        for cycle_type in orders:
+            degree, gens, start = sum(cycle_type), [], 0
+            for n in cycle_type:
+                gens.append(tuple(start + (i - start + 1) % n if start <= i < start + n else i
+                                  for i in range(degree)))
+                start += n
+            groups.append((f"C{cycle_type}", p, gens))
+    groups.append(("D_8", 2, [(1, 2, 3, 0), (0, 3, 2, 1)]))
+    # Q_8 = {+-1, +-i, +-j, +-k} acting on itself: element 4s + u is (-1)^s times unit u
+    units = {(0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3), (1, 0): (0, 1), (2, 0): (0, 2),
+             (3, 0): (0, 3), (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0), (1, 2): (0, 3), (2, 3): (0, 1),
+             (3, 1): (0, 2), (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2)}  # (u, v) -> (sign, uv)
+
+    def quaternion(a, b):
+        sign, unit = units[a % 4, b % 4]
+        return 4 * ((a // 4 + b // 4 + sign) % 2) + unit
+
+    groups.append(("Q_8", 2, [tuple(quaternion(g, h) for h in range(8)) for g in (1, 2)]))
+    # upper unitriangular 3 x 3 over F_3, (a, b, c) for [[1, a, c], [0, 1, b], [0, 0, 1]], as 9a + 3b + c
+    def heisenberg(x, y):
+        (a, b, c), (d, e, f) = (divmod(x // 3, 3) + (x % 3,)), (divmod(y // 3, 3) + (y % 3,))
+        return 9 * ((a + d) % 3) + 3 * ((b + e) % 3) + (c + f + a * e) % 3
+
+    groups.append(("Heisenberg mod 3", 3, [tuple(heisenberg(g, h) for h in range(27)) for g in (9, 3)]))
+    return groups
+
+
+def test_radical_filtration_of_a_p_group_algebra_has_jennings_dimensions():
+    # Jennings (Trans. AMS 50, 1941): the radical filtration of F_p[G] has Hilbert series
+    # prod_k ((1 - t^(kp)) / (1 - t^k))^(d_k); and gr F_p[G] is the restricted enveloping
+    # algebra of the Jennings Lie algebra (Quillen, J. Algebra 10, 1968), so it is commutative
+    # exactly when that Lie algebra is abelian.  to_algebra's structure is checked too: it
+    # is associative and unital, and generated in degree 1, as the associated graded of a
+    # radical filtration is (its degree->=m basis vectors span the m-th power of the
+    # degree->=1 ones).
+    seen = set()
+    for name, p, gens in jennings_groups():
+        G = permutation_group(gens)
+        A = permutation_group_algebra(p, gens, check=False)
+        series = jennings_series(G, p)
+        w = ChainFiltration(A, [A.basis()] + radical_powers(A, [G.index(s) for s in gens]))
+        gr = assoc_graded(w, range(w.depth))
+        assert [gr.dim(d) for d in range(w.depth)] == jennings_hilbert(series, p), name
+        if len(G) > 16 and name != "Heisenberg mod 3":
+            continue  # the big abelian ones: dimensions only, to stay well under a second
+        B, flat = gr.to_algebra(), [d for d in gr.window for _ in gr.components[d]]
+        FinAlgebra(p, B.dim, B.structure, B.unit)  # associative, with B.unit a two-sided one
+        commutative = all(B.mul(a, b) == B.mul(b, a) for a, b in itertools.combinations(B.basis(), 2))
+        assert commutative == lie_algebra_is_abelian(series), name
+        seen.add(commutative)
+        degree_one = [e for e, d in zip(B.basis(), flat) if d == 1]
+        power = la.span([e for e, d in zip(B.basis(), flat) if d >= 1], p)
+        for m in range(2, w.depth + 1):
+            power = la.span([B.mul(e, v) for e in degree_one for v in power], p)
+            assert power == la.span([e for e, d in zip(B.basis(), flat) if d >= m], p), (name, m)
+    assert seen == {True, False}

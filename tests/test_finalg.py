@@ -10,6 +10,7 @@ import pytest
 
 import skewseries.exactla as la
 from skewseries import finalg
+from skewseries.core import CoreError, char0_checks
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
@@ -35,6 +36,7 @@ from skewseries.finalg import (
     subspace,
     truncated_poly_algebra,
 )
+from skewseries.skewder import SkewDerivation
 
 from helpers import (
     dense_center,
@@ -42,7 +44,6 @@ from helpers import (
     fr_functional,
     ideal_intersection,
     ideal_product,
-    naive_berlekamp,
     naive_center,
     naive_central_idempotents,
     naive_contains,
@@ -62,10 +63,9 @@ from helpers import (
     poly_quotient_algebra,
     poly_rem,
     random_basis,
-    random_squarefree_q,
     rebase,
+    reference_spectrum,
     relabel,
-    sympy_factor_q,
     upper_triangular_algebra,
 )
 
@@ -230,7 +230,7 @@ def test_radical_on_non_integral_lifts_matches_naive():
 def test_radical_matches_naive():
     for A in radical_cases():
         assert radical(A) == naive_radical(A)
-        for P in minimal_primes_over(A, subspace(A, [])):
+        for P in reference_spectrum(A):
             B, _, _ = quotient_algebra(A, P)
             assert radical(B) == naive_radical(B) and radical(B).dim == 0
 
@@ -277,7 +277,7 @@ def ideal_candidates():
     """(A, ideals and non-ideal subspaces of A) for A in pair_cases()."""
     rng, cases = random.Random(11), []
     for A in pair_cases():
-        candidates = [subspace(A, []), radical(A), ideal_generated(A, [A.one()])] + prime_spectrum(A)
+        candidates = [subspace(A, []), radical(A), ideal_generated(A, [A.one()])] + reference_spectrum(A)
         for _ in range(3):
             x, y = A.random_element(rng), A.random_element(rng)
             candidates += [ideal_generated(A, [x]), subspace(A, [x]), subspace(A, [x, y])]
@@ -361,8 +361,8 @@ def test_minimal_primes_over_matches_naive():
     # the filter of one prime spectrum against the quotient-by-I path, for
     # I = 0, the radical, each minimal prime and each meet of two of them
     for A in differential_cases():
-        spectrum = prime_spectrum(A)
-        assert spectrum == minimal_primes_over(A, subspace(A, []))
+        spectrum = reference_spectrum(A)  # over Q the reference's, filtered all the same
+        assert not A.p or spectrum == minimal_primes_over(A, subspace(A, []))
         assert ideal_meet(spectrum) == radical(A)
         ideals = [subspace(A, []), radical(A)] + spectrum
         ideals += [ideal_intersection(P, Q) for i, P in enumerate(spectrum) for Q in spectrum[i + 1:]]
@@ -469,7 +469,7 @@ def test_quotient_from_projected_basis_vectors_matches_the_dense_one():
     # product e_a e_b; by 0, rad A, (rad A)^2 and each prime
     for A in kernel_cases():
         N = radical(A)
-        for I in dict.fromkeys([subspace(A, []), N, ideal_product(N, N), *prime_spectrum(A, N)]):
+        for I in dict.fromkeys([subspace(A, []), N, ideal_product(N, N), *reference_spectrum(A)]):
             B, project, _ = quotient_algebra(A, I)
             D, dense_project, _ = dense_quotient_algebra(A, I)
             assert (B.structure, B.unit, B._pairs) == (D.structure, D.unit, D._pairs)
@@ -477,11 +477,19 @@ def test_quotient_from_projected_basis_vectors_matches_the_dense_one():
 
 
 def test_central_idempotents_match_naive():
-    # the one-pass split against the iterative block splitter, on A/rad(A)
+    # the one-pass split against the iterative block splitter, on A/rad(A); over Q
+    # only a centre Q is answered, and a larger one is refused
+    refused = 0
     for A in differential_cases():
         N = radical(A)
         C = quotient_algebra(A, N)[0] if N.dim else A
+        if A.p is None and len(center(C)) > 1:
+            with pytest.raises(AlgebraError, match=f"splitting a centre of dim {len(center(C))} over Q"):
+                central_idempotents(C)
+            refused += 1
+            continue
         assert central_idempotents(C) == naive_central_idempotents(C)
+    assert refused
 
 
 BIG_P = 2**31 - 1  # -1 is a non-square: BIG_P = 3 mod 4
@@ -497,10 +505,6 @@ POLY_CASES = [
     (BIG_P, [[-ROOT, 1], [ROOT, 1]]),  # X^2 - ROOT^2, a square: F_p x F_p
     (BIG_P, [[1, 0, 1]]),  # X^2 + 1, -1 a non-square: F_(p^2)
     (BIG_P, [[-1, 1], [ROOT, 1], [1, 0, 1], [-2, 1]]),  # F_p^3 x F_(p^2)
-    (None, [[1, 0, 1], [-1, 1], [-2, 0, 1]]),  # Q[X]/((X^2 + 1)(X - 1)(X^2 - 2))
-    (None, [[-1, 1], [1, 1], [1, 0, 1]]),  # Q[C_4] = Q[X]/(X^4 - 1) = Q x Q x Q(i)
-    # X^4 + 1 and X^4 - 10X^2 + 1 split modulo every prime: only recombination finds them
-    (None, [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 1]]),
 ]
 
 
@@ -519,9 +523,6 @@ def ground_truth_cases():
         cases.append((A, key, expected))
     M = direct_sum(matrix_algebra(3, 2), product_of_fields(3, 1))  # M_2(F_3) + F_3
     cases.append((M, tuple, [(1, 0, 0, 1, 0), (0, 0, 0, 0, 1)]))
-    for n in (10, 12):
-        Qn = product_of_fields(None, n)
-        cases.append((Qn, tuple, Qn.basis()))
     return cases
 
 
@@ -556,50 +557,6 @@ def test_central_idempotents_ground_truth(monkeypatch):
                 assert elapsed < 1.0
 
 
-def test_a_centre_basis_already_split_is_not_factored(monkeypatch):
-    # when the rref rows of the centre rescale to orthogonal idempotents summing
-    # to 1 (Q^n in a signed-permutation basis, and the sigma-fixed centre of
-    # Q^10 under a permutation, as in the qperm verdicts) they are the answer,
-    # and no minimal polynomial is factored; a random basis, or rows that
-    # rescale to idempotents not summing to 1 (1 and e_1 in Q^2), or to a sum
-    # 1 of non-idempotents (-f_0/2, -f_1/2, f_2/2 in the basis f_0 = -2e_0 - 2e_1,
-    # f_1 = -2e_0, f_2 = -2e_0 + 2e_2 of Q^3), take the minimal polynomial, for
-    # the same idempotents
-    factored = []
-    factor_q = finalg._factor_q
-    monkeypatch.setattr(finalg, "_factor_q", lambda m: factored.append(m) or factor_q(m))
-    rng = random.Random(8)
-    Q3, Q10 = product_of_fields(None, 3), product_of_fields(None, 10)
-    cycled = tuple(Q10.basis_vec(i) for i in (1, 2, 3, 0, 5, 6, 4, 8, 9, 7))
-    cases = [(Q3, signed_permutation(Q3, rng), None, False), (Q10, la.identity_map(10, None), cycled, False),
-             (Q3, random_basis(Q3, rng), None, True), (product_of_fields(None, 2), ((1, 1), (0, 1)), None, True),
-             (Q3, ((-2, -2, 0), (-2, 0, 0), (-2, 0, 2)), None, True)]
-    for A, T, sigma, factors in cases:
-        B = rebase(A, T)
-        expected = sorted(la.vec(e, None) for e in naive_central_idempotents(B)) if sigma is None else \
-            sorted(la.vec([int(i in orbit) for i in range(10)], None) for orbit in ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9)))
-        factored.clear()
-        assert central_idempotents(B, sigma=sigma) == expected
-        assert bool(factored) == factors
-
-
-def test_factor_fp_matches_berlekamp():
-    # the block units of F_p[x]/(F) against Berlekamp's kernel of Q - I, on seeded monic
-    # squarefree F of degree 1 to 8 over F_2, F_3, F_5 and F_7; the factors multiply back to F
-    rng = random.Random(24)
-    for p in (2, 3, 5, 7):
-        for degree in range(1, 9):
-            cases = 0
-            while cases < 5:
-                F = [rng.randrange(p) for _ in range(degree)] + [1]
-                if finalg._pgcdex(F, finalg._poly([i * c for i, c in enumerate(F)][1:], p), p)[0] != [1]:
-                    continue  # not squarefree
-                cases += 1
-                factors = finalg._factor_fp(F, p)
-                assert sorted(factors) == sorted(naive_berlekamp(F, p)), (F, p)
-                assert functools.reduce(lambda a, b: finalg._pmul(a, b, p), factors) == F
-
-
 def test_a_composite_p_is_refused():
     # F_p must be a field: over Z/4 the radical would answer dim 0 and the
     # spectrum fail its own certificate, over Z/6 a pivot has no inverse
@@ -608,22 +565,6 @@ def test_a_composite_p_is_refused():
         with pytest.raises(AlgebraError, match=r"p = \d is not prime"):
             build()
     assert FinAlgebra(4, 1, [[[1]]], [1], check=False).p == 4  # an unchecked algebra trusts its caller
-
-
-def test_factor_q_agrees_with_sympy():
-    # seeded squarefree products of non-monic rational factors of degree 1 to 12;
-    # products of X^4 + 1, X^4 - 10X^2 + 1 and X^2 + 3, reducible modulo every prime;
-    # and factors with a coefficient near the norm of their product, which only a
-    # lifted modulus represents in symmetric residues
-    rng = random.Random(14)
-    cases = [random_squarefree_q(rng, 1 + i % 12) for i in range(48)]
-    cases += [poly_prod(factors, None) for factors in (
-        [[1, 0, 0, 0, 1]], [[1, 0, -10, 0, 1]], [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 1]],
-        [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 0, 1], [Fraction(-5, 7), 1]],
-        [[-2_500_000_000, 1], [-1, 1]], [[-10**8, 1], [-1, 1], [3, 1]], [[7, 10**6, 1], [-2, 1]])]
-    for m in cases:
-        factors = finalg._factor_q(m)
-        assert sorted(tuple(Fraction(c) for c in f) for f in factors) == sympy_factor_q(m), m
 
 
 def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):
@@ -644,25 +585,25 @@ def test_count_certificate_catches_a_lost_fixed_vector(monkeypatch):
 
 @pytest.mark.parametrize("lost", ["all", "one"])
 def test_sigma_certificate_catches_a_too_large_fixed_space(monkeypatch, lost):
-    # sigma - id read as 0 on all of the centre of F^4 (sigma swapping two pairs of
-    # coordinates), or on its first vector: the split finds idempotents that sigma
-    # moves, or over F_3 more than the Frobenius fixed space allows
+    # sigma - id read as 0 on all of the centre of Q^4 (sigma swapping two pairs of
+    # coordinates), or on its first vector: char0_checks' certificate then meets a central
+    # z that sigma moves, where delta = sigma - id does not vanish, and refuses rather than
+    # answer; a too-large fixed space only adds checks
     left_kernel = finalg.la.left_kernel
 
     def too_large(rows, p):
-        if sys._getframe(1).f_code.co_name == "central_idempotents":
+        if sys._getframe(1).f_code.co_name == "char0_checks":
             rows = [la.zero_vec(len(row), p) if lost == "all" or i == 0 else row
                     for i, row in enumerate(rows)]
         return left_kernel(rows, p)
 
-    for p in (None, 3):
-        A = product_of_fields(p, 4)
-        sigma = tuple(A.basis_vec(i) for i in (1, 0, 3, 2))
-        assert [P.dim for P in prime_spectrum(A, sigma=sigma)] == [2, 2]
-        monkeypatch.setattr(finalg.la, "left_kernel", too_large)
-        with pytest.raises(ImplementationError):
-            prime_spectrum(A, sigma=sigma)
-        monkeypatch.undo()
+    A = product_of_fields(None, 4)
+    sigma = tuple(A.basis_vec(i) for i in (1, 0, 3, 2))
+    sd = SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(4, None), None))
+    assert char0_checks(A, sd)["sigma-primes preserved"]
+    monkeypatch.setattr(finalg.la, "left_kernel", too_large)
+    with pytest.raises(CoreError, match=r"delta\(z\) is not in rad A, for the sigma-fixed central z = \(1, 0, 0, 0\)"):
+        char0_checks(A, sd)
 
 
 def test_is_prime_fd():
@@ -740,7 +681,7 @@ def test_ideal_meet_matches_pairwise_intersection():
     # subspaces under conjugation by a random unit (the first six members)
     rng = random.Random(23)
     for A in radical_cases():
-        spectrum = prime_spectrum(A)
+        spectrum = reference_spectrum(A)
         lists = [spectrum, spectrum[:1], [radical(A)], [radical(A), *spectrum]]
         units = (u for u in iter(lambda: A.random_element(rng), None)
                  if la.is_invertible(A.left_mult_matrix(u), A.p))
@@ -826,7 +767,7 @@ def test_minimal_sigma_primes_match_naive():
     cases += [swap_copies(A) for A in differential_cases() if A.dim <= 6]
     moved = 0
     for A, sigma in cases:
-        zero, spectrum = subspace(A, []), prime_spectrum(A)
+        zero, spectrum = subspace(A, []), reference_spectrum(A)
         meets = minimal_sigma_primes(A, sigma, zero, spectrum=spectrum)
         assert meets == naive_minimal_sigma_primes(A, sigma, zero)
         assert is_sigma_prime(zero, sigma, spectrum=spectrum) == (meets == [zero])
