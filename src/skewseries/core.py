@@ -67,19 +67,22 @@ def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubs
     word satisfies w(ab) = sum u(a)v(b) with u, v words, so if a lies in
     K then w(ra) and w(ar) lie in the two-sided ideal I for every r.
 
-    K is returned only when it is an ideal, which makes it the answer
-    whatever I and (sigma, delta) are: every (sigma, delta)-ideal inside
-    I is a stable subspace of I, hence inside K.  A delta-stable I is its
-    own core and is returned itself, with its once-per-ideal certificate.
+    K is returned only when it is an ideal, which makes it the answer whatever I and
+    (sigma, delta) are: every (sigma, delta)-ideal inside I is a stable subspace of I, hence
+    inside K.  A delta-stable I is its own core and is returned itself, with its once-per-ideal
+    certificate.  A commuting pair drops the sigma-step, and a non-commuting one keeps it: by
+    induction from I, each iterate K stays sigma-stable, as x in K meet delta^{-1}K has
+    delta(sigma x) = sigma(delta x) in sigma K <= K.
     """
     if not sd.stable(I, sd.sigma_matrix):
         raise CoreError("ideal is not sigma-stable")
     K = I
     if not sd.stable(I, sd.delta_matrix):
         p, current = A.p, I.basis
+        maps = (sd.delta_matrix,) if sd.commuting else (sd.sigma_matrix, sd.delta_matrix)
         while current:
             new = current
-            for m in (sd.sigma_matrix, sd.delta_matrix):
+            for m in maps:
                 new = la.subspace_intersection(new, la.preimage(m, current, p), p)
             if new == current:
                 break
@@ -135,15 +138,15 @@ def stabilization_M(
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
-    M is claimed only when the chain is constant from M up to the cap
-    and M < cap, so at least one comparison backs it; otherwise
-    (including cap 0, which compares nothing) the report is flagged
-    inconclusive.  P_m = (sigma^(p^m), delta^(p^m)) is the p-th power of
-    P_(m-1), so from the first P_m equal to an earlier P_j the pairs, and
-    their cores, repeat with period m - j: each distinct pair gets one p-th
-    power and one core (sigma = id, delta^p = 0: P_m = (id, 0) for m >= 1).
-    ``automorphism``: True when sigma is known to be an automorphism (then
-    so is each sigma^(p^m)); otherwise a non-automorphism is refused.
+    M is claimed only when the chain is constant from M up to the cap and M < cap, so at least
+    one comparison backs it; otherwise (including cap 0, which compares nothing) the report is
+    flagged inconclusive.  P_m = (sigma^(p^m), delta^(p^m)) is the p-th power of P_(m-1), so
+    from the first P_m equal to an earlier P_j the pairs, and their cores, repeat with period
+    m - j: each distinct pair gets one p-th power and one core (sigma = id, delta^p = 0: P_m =
+    (id, 0) for m >= 1).  From the first core equal to I the chain is constant, with no more
+    pairs or cores: it ascends inside I, which every later pair keeps, being a p-power of that
+    core's pair.  ``automorphism``: True when sigma is known to be an automorphism (then so is
+    each sigma^(p^m)); otherwise a non-automorphism is refused.
     """
     _require_automorphism(A, sd, automorphism)
     cap = default_cap(A, cap)
@@ -154,9 +157,10 @@ def stabilization_M(
             pairs.append(pth_power(pairs[-1], 1) if m else pth_power(sd, 0))
             period = m - first.setdefault((pairs[m].sigma_matrix, pairs[m].delta_matrix), m)
         cores.append(cores[m - period] if period else delta_pm_core(A, sd, I, m, sd_pm=pairs[m]))
+        period = 1 if cores[m] == I else period
         report.dims.append(cores[m].dim)
     for earlier, later in zip(cores, cores[1:]):
-        if not later.contains_ideal(earlier):
+        if later is not earlier and not later.contains_ideal(earlier):
             raise ImplementationError("core chain is not ascending")
     # the chain ascends, so the first core equal to the last starts the stable tail
     M = next(m for m, K in enumerate(cores) if K == cores[cap])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import skewseries.exactla as la
 from skewseries.coeffcore import is_prime
-from skewseries.core import CoreError, default_cap, delta_pm_core, stabilization_M
+from skewseries.core import CoreError, default_cap, stabilization_M
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
@@ -445,9 +445,10 @@ def naive_is_automorphism(A, sigma):
 
 
 def naive_core_chain(A, sd, I, cap):
-    """The delta^(p^m)-cores of I for m = 0..cap, each from its own
-    pth_power(sd, m): the reference stabilization_M's chain is compared against."""
-    return [delta_pm_core(A, sd, I, m) for m in range(cap + 1)]
+    """The delta^(p^m)-cores of I for m = 0..cap, each naive_delta_core of its own
+    pth_power(sd, m), with no period, no stop at I and both maps in every step:
+    the reference stabilization_M's chain is compared against."""
+    return [naive_delta_core(A, pth_power(sd, m), I) for m in range(cap + 1)]
 
 
 def naive_theorem_c(A, sd, I, cap=None):

@@ -404,8 +404,9 @@ def test_spec_error_names_the_line_of_its_key(tmp_path, capsys):
     (4, ["core", "bergen_grzeszczuk_p3.spec", "--ideal", "I"], "err", "internal error: core chain is not ascending\n"),
 ])
 def test_each_exit_code(monkeypatch, capsys, code, argv, stream, expected):
-    if code == 4:  # a core chain that shrinks, which stabilization_M must never see
-        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m, sd_pm=None: I if m == 0 else finalg.subspace(A, []))
+    if code == 4:  # a core chain that shrinks, which stabilization_M must never see: (X^2) at m = 0, then 0
+        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m, sd_pm=None: finalg.subspace(
+            A, I.basis[-1:] if m == 0 else []))
     assert main(argv) == code
     captured = capsys.readouterr()
     assert expected in (captured.out if stream == "out" else captured.err)

@@ -311,15 +311,34 @@ def core_chain_cases():
     return cases
 
 
+def delta_squared_is_delta():
+    """F_2[X]/(X^2), sigma = id, delta(X) = 1 + X, I = (X): delta^2 = delta, so every
+    pair is P_0, and the chain is 0 at every m, never reaching I."""
+    A = truncated_poly_algebra(2, 2)
+    sd = SkewDerivation.from_gen_images(A, A.basis_vec(1), A.add(A.one(), A.basis_vec(1)))
+    assert check_skew_derivation(sd).valid and sd.delta_pow(2) == sd.delta_matrix
+    return A, sd, ideal_generated(A, [A.basis_vec(1)])
+
+
 def test_stabilization_chain_matches_naive():
-    # one p-th power per step and one core per distinct pair, against a
-    # core from its own pth_power(sd, m) at every m
-    for A, sd, I in core_chain_cases():
-        for cap in (0, 1, 5):
-            naive = naive_core_chain(A, sd, I, cap)
+    # one p-th power per step, one core per distinct pair, no core after one equal to I
+    # and delta-only fixpoints for commuting pairs, against naive_delta_core of its own
+    # pth_power(sd, m) at every m: chain, M and core.  The quiver's second round
+    # stabilizes J under (sigma, delta)^2
+    A, sd = cyclic_quiver_square_zero(4)
+    J = theorem_c_procedure(A, sd, radical(A))[0]
+    cases = [(case, 5) for case in core_chain_cases() + [
+        delta_squared_is_delta(), (A, sd, radical(A)), (A, pth_power(sd, 1), J)]]
+    # the primes instances of seeds 1-3 up to cap 3, which keeps the reference near 2 s
+    cases += [(case, 3) for seed in (1, 2, 3) for case in primes_workload_instances(seed)]
+    for (A, sd, I), top in cases:
+        naive = naive_core_chain(A, sd, I, top)
+        for cap in (0, 1, top):
+            chain = naive[:cap + 1]
+            M = next(m for m, K in enumerate(chain) if K == chain[cap])
             report = stabilization_M(A, sd, I, cap=cap)
-            assert report.chain == [(m, K.dim) for m, K in enumerate(naive)]
-            assert report.core == naive[cap]
+            assert report.chain == [(m, K.dim) for m, K in enumerate(chain)]
+            assert (report.M, report.core) == (None if M == cap else M, chain[cap])
 
 
 def counting(monkeypatch, module, name, calls):
@@ -345,16 +364,18 @@ def test_stabilization_computes_one_core_per_distinct_pair(monkeypatch):
 
 
 def test_stabilization_stops_raising_pairs_at_their_period(monkeypatch):
-    # three cycled copies over F_2: sigma^(2^m) alternates sigma, sigma^2, so P_2 = P_0;
-    # for bg, P_2 = P_1 = (id, 0).  Pairs are raised up to the first repeat only.
+    # pairs are raised up to the first repeat or the first core equal to I only.  The
+    # cycled copies' ideals are their own cores: one pair.  For bg the core is 0 at m = 0
+    # and I at m = 1: two.  delta^2 = delta repeats P_0 at m = 1, with the core 0 throughout: two
     A, sd = cycled_blocks(2, 3, 2)
     calls = []
     counting(monkeypatch, core, "pth_power", calls)
-    for case in [(A, sd, I) for I in (subspace(A, []), radical(A))] + [bg_instance(2), bg_instance(3)]:
+    cases = [(A, sd, I) for I in (subspace(A, []), radical(A))] + [bg_instance(2), bg_instance(3)]
+    for case, raised in zip(cases + [delta_squared_is_delta()], (1, 1, 2, 2, 2)):
         for cap in (1, 2, 5):
             calls.clear()
             report = stabilization_M(*case, cap=cap)
-            assert len(calls) == min(cap, 2) + 1
+            assert len(calls) == raised
             assert report.chain == [(m, K.dim) for m, K in enumerate(naive_core_chain(*case, cap))]
 
 

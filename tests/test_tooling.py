@@ -59,7 +59,7 @@ def test_no_module_imports_dataclasses():
 
 # ``cat src/skewseries/*.py | wc -l`` at the last change that moved it, the figure ROADMAP's
 # design aim tracks: a change that grows the package raises it here, where a review sees it.
-LINE_CEILING = 2969
+LINE_CEILING = 2973
 
 
 def test_the_package_stays_within_its_line_ceiling():
@@ -237,6 +237,30 @@ def test_the_unreached_package_functions_are_the_pinned_ones(capsys):
     keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in reached}
     unreached = sorted(name for key, name in package_functions().items() if key not in keys)
     assert unreached == sorted(name for names in UNREACHED.values() for name in names.split())
+
+
+def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
+    # exact call counts over one seed-1 primes cycle, in process and with no timing, so a
+    # change that raises p-power rungs or computes cores again fails here instead of hiding
+    # in host noise; before the core chain stopped at I and the delta-core of a commuting
+    # pair dropped its sigma-step they read 106, 130, 24 and 34
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from skewseries import core, exactla
+
+    workload, calls = workloads.build("primes", 1), []
+    for module, name in ((exactla, "map_power"), (exactla, "compose"), (exactla, "preimage"),
+                         (core, "delta_pm_core")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, original=original, name=name, **kwargs: (
+            calls.append(name) or original(*args, **kwargs)))
+    for key in workload.cycle(0):
+        workload.run(key)
+    assert {name: calls.count(name) for name in dict.fromkeys(calls)} == {
+        "map_power": 48, "compose": 52, "preimage": 12, "delta_pm_core": 24}
 
 
 def retained_bytes_per_op(name, cycles, warm_ops=None):
