@@ -1,6 +1,7 @@
 """Source checks on the package (with the standard library's ast), the CLI's import path, and a guard for the benchmark harness."""
 
 import ast
+import collections
 import gc
 import inspect
 import os
@@ -259,7 +260,7 @@ def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
             calls.append(name) or original(*args, **kwargs)))
     for key in workload.cycle(0):
         workload.run(key)
-    assert {name: calls.count(name) for name in dict.fromkeys(calls)} == {
+    assert collections.Counter(calls) == {
         "map_power": 48, "compose": 52, "preimage": 12, "delta_pm_core": 24}
 
 
