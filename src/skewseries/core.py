@@ -340,10 +340,10 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     Z = center(C)
     for c in la.left_kernel([C.sub(la.apply_map(sigma, z, None), z) for z in Z], None):  # Z(C)^sigma
         z = lift(la.apply_map(Z, c, None))
-        identities = [("delta(z)", sd.delta(z))] + [(f"delta(za) - z delta(a) for a = {a}", A.sub(
-            sd.delta(A.mul(z, a)), A.mul(z, sd.delta(a)))) for a in A.basis()]
-        for identity, v in identities:
+        for a in [None, *A.basis()]:  # delta(z), then delta(za) - z delta(a) for each a
+            v = sd.delta(z) if a is None else A.sub(sd.delta(A.mul(z, a)), A.mul(z, sd.delta(a)))
             if not N.contains(v):
+                identity = "delta(z)" if a is None else f"delta(za) - z delta(a) for a = {a}"
                 raise CoreError(f"delta is not a sigma-derivation: {identity} is not in rad A, "
                                 f"for the sigma-fixed central z = {z}")
     return report

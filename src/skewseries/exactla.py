@@ -212,8 +212,13 @@ def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:
 
     The dependencies, padded with zeros to len(rows), are independent (each
     ends in its own 1) and as many as the kernel's dimension, so their rref
-    is the canonical basis of the kernel.
+    is the canonical basis of the kernel.  When every row is literally zero
+    (no rows included) the kernel is the whole space, whose rref basis is the
+    identity, and nothing is eliminated; a row that is zero only mod p is
+    reduced as usual, so the answer is the same either way.
     """
+    if all(map(is_zero_vec, rows)):
+        return identity_map(len(rows), p)
     return span([c + (0,) * (len(rows) - len(c)) for c in dependencies(rows, p)], p)
 
 

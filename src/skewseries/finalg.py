@@ -258,11 +258,18 @@ def radical(A: FinAlgebra) -> IdealSubspace:
     with x^q by log2 q products in A mod qp; otherwise as L^_x^q mod qp.
     Extended to A by phi(v) = sum_k v[pivot_k] g_i(x_k), the rows g_i(x e_j)
     = sum_m x_m Phi[m][j] come from one table Phi[m][j] = phi(e_m e_j).
+    Two kinds of level need no system: level 0 is A when every t_k is 0
+    mod p (the trace form is 0), and a level whose phi is 0 at every pivot,
+    once the traces pass the divisibility check, is I_(i-1) (the kernel of a
+    zero system is everything, and an rref basis is its own image).
     """
     p, n, P = A.p, A.dim, A._pairs
     traces = [sum(c for i in range(n) for k, c in P[t][i] if k == i) for t in range(n)]
-    trace_form = [tuple(sum(c * traces[k] for k, c in prod) for prod in row) for row in P]
-    I = IdealSubspace(A, la.left_kernel(trace_form, p))
+    if any(la.fnorm(t, p) for t in traces):
+        trace_form = [tuple(sum(c * traces[k] for k, c in prod) for prod in row) for row in P]
+        I = IdealSubspace(A, la.left_kernel(trace_form, p))
+    else:  # every t_k is 0 (mod p): the trace form vanishes and level 0 is A
+        I = IdealSubspace(A, la.identity_map(n, p))
     q = p or n + 1  # over Q there is no level past 0
     while q <= n and I.dim:
         # Tr(L^q) is read only through tr % q and (tr // q) % p, both fixed by
@@ -277,10 +284,11 @@ def radical(A: FinAlgebra) -> IdealSubspace:
         if any(tr % q for tr in trs):
             raise AlgebraError("trace-like functional not divisible: invalid input")
         phi = dict(zip(I.pivots, ((tr // q) % p for tr in trs)))
-        table = [tuple(sum(c * phi.get(k, 0) for k, c in prod) for prod in row) for row in P]
-        rows = [la.apply_map(table, x, p) for x in I.basis]
-        # rref, as in subspace_intersection: rref kernel vectors combining an rref basis
-        I = IdealSubspace(A, tuple(la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)))
+        if any(phi.values()):  # else g_i = 0 on I_(i-1), which is the level again
+            table = [tuple(sum(c * phi.get(k, 0) for k, c in prod) for prod in row) for row in P]
+            rows = [la.apply_map(table, x, p) for x in I.basis]
+            # rref, as in subspace_intersection: rref kernel vectors combining an rref basis
+            I = IdealSubspace(A, tuple(la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)))
         q *= p
     return I
 

@@ -75,6 +75,26 @@ def test_left_kernel(p):
         assert kernel == la.span(kernel, p) == naive_left_kernel(rows, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, None])
+def test_a_zero_system_matches_the_naive_kernel(monkeypatch, p):
+    # literally zero rows (none, of length 0, or all-zero of any shape) have the whole space
+    # as kernel, the identity, with no elimination; rows zero only mod p, such as (2, 4) over
+    # F_2, are eliminated as before and reach the same basis
+    eliminated = []
+    dependencies = la.dependencies
+    monkeypatch.setattr(la, "dependencies", lambda rows, p: eliminated.append(rows) or dependencies(rows, p))
+    zero = la.fnorm(0, p)
+    literal = [[], [()], [()] * 3, [(Fraction(0), 0)] * 2]
+    literal += [[(zero,) * ncols] * nrows for nrows in (1, 2, 5) for ncols in (1, 3, 4)]
+    for rows in literal:
+        assert la.left_kernel(rows, p) == naive_left_kernel(rows, p) == la.identity_map(len(rows), p)
+    assert eliminated == []
+    if p is not None:
+        for rows in ([(p, 2 * p)], [(2 * p, -p), (0, 0)], [(zero, zero, -p)] * 3, [(p,), (0,), (3 * p,)]):
+            assert la.left_kernel(rows, p) == naive_left_kernel(rows, p) == la.identity_map(len(rows), p)
+            assert eliminated.pop() == rows
+
+
 @pytest.mark.parametrize("p", FIELDS)
 def test_dependencies_match_naive_left_kernel(p):
     # each yielded c ends in 1 at its vector, kills its prefix, and the

@@ -420,6 +420,31 @@ def test_radical_takes_one_trace_power_per_basis_vector(monkeypatch):
     assert 0 < len(calls) <= B.dim * levels
 
 
+def test_radical_skips_the_eliminations_whose_answer_is_known(monkeypatch):
+    # on F_p[X]/(X^n) with p | n every trace t_k is 0 mod p, so level 0 is A with no trace
+    # form, and a level whose g_i is 0 at every pivot keeps I_(i-1) with no system: one
+    # kernel is left of the 4, 3 and 3 the levels solved before
+    calls = []
+    left_kernel = la.left_kernel
+    monkeypatch.setattr(la, "left_kernel", lambda rows, p: calls.append(p) or left_kernel(rows, p))
+    for p, n in ((2, 8), (3, 9), (5, 25)):
+        A = truncated_poly_algebra(p, n)
+        expected = ideal_generated(A, [A.basis_vec(1)])
+        calls.clear()
+        assert radical(A) == expected
+        assert calls == [p]
+
+
+def test_radical_refuses_a_functional_that_is_not_divisible():
+    # an unchecked F_2 structure from a seeded search (e_0 e_1 = e_1, every other product 0;
+    # neither associative nor unital): the trace form is 0, so level 0 is A, and at q = 2
+    # Tr(L_(e_0)^2) = 1 is odd while g_1 reads 0 at both pivots, so a level skipped on
+    # g_1 = 0 before the divisibility check would return A instead of refusing
+    A = FinAlgebra(2, 2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]], [1, 0], check=False)
+    with pytest.raises(AlgebraError, match="^trace-like functional not divisible: invalid input$"):
+        radical(A)
+
+
 def test_radical_is_nilpotent_and_semisimple_quotient():
     rng = random.Random(0)
     samples = [
