@@ -54,6 +54,7 @@ class FinAlgebra:
         self._zero = la.zero_vec(dim, p)
         self._basis = tuple(self.basis_vec(i) for i in range(dim))
         self.integral = check and self._validate()
+        self._radical = None  # radical(self), kept by its first call
 
     @property
     def char(self) -> int:
@@ -262,7 +263,11 @@ def radical(A: FinAlgebra) -> IdealSubspace:
     mod p (the trace form is 0), and a level whose phi is 0 at every pivot,
     once the traces pass the divisibility check, is I_(i-1) (the kernel of a
     zero system is everything, and an rref basis is its own image).
+    The answer is kept on A, which is never mutated: the first call pays
+    and later calls return the same object.  A refusal is not kept.
     """
+    if A._radical is not None:
+        return A._radical
     p, n, P = A.p, A.dim, A._pairs
     traces = [sum(c for i in range(n) for k, c in P[t][i] if k == i) for t in range(n)]
     if any(la.fnorm(t, p) for t in traces):
@@ -290,6 +295,7 @@ def radical(A: FinAlgebra) -> IdealSubspace:
             # rref, as in subspace_intersection: rref kernel vectors combining an rref basis
             I = IdealSubspace(A, tuple(la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)))
         q *= p
+    A._radical = I
     return I
 
 

@@ -618,16 +618,26 @@ def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
     assert flags["minimal sigma^(p^M)-prime"] is False
 
 
-def primes_workload_instances(seed=1, theorem_c=True):
+def primes_workload_instances(seed=1, theorem_c=True, cycles=0):
     """The F_p Theorem-C instances (the char-0 ones when not theorem_c) of the benchmark's
-    primes workload at the seed."""
+    primes workload at the seed, after it has run ``cycles`` whole cycles of verdicts on them."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workloads.build("primes", seed).instances.items())
+    workload = workloads.build("primes", seed)
+    for key in itertools.chain.from_iterable(workload.cycle(c) for c in range(cycles)):
+        workload.run(key)
+    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workload.instances.items())
             if (inst.I is not None) == theorem_c]
+
+
+def cold_copy(A, sd, I):
+    """(A, sd, I) on a fresh checked copy of A, which keeps nothing computed on A (I may be None)."""
+    B = FinAlgebra(A.p, A.dim, A.structure, A.unit)
+    copy = None if I is None else subspace(B, I.basis)
+    return B, SkewDerivation(B, sd.sigma_matrix, sd.delta_matrix, sd.q), copy
 
 
 def sweep_cases():
@@ -675,6 +685,11 @@ def test_theorem_c_matches_the_references_on_the_primes_instances():
               "M = 0" if M == 0 else "M > 0, J = I" if J == I else "M > 0, J < I"] += 1
     assert set(kinds) == {"M = 0", "M > 0, J = I", "M > 0, J < I", "inconclusive",
                           "requires sigma delta = delta sigma", "I is not a minimal sigma-prime ideal"}
+    for seed in (1, 2, 3):  # warm, each algebra's radical kept by a cycle, against a cold copy
+        for A, sd, I in primes_workload_instances(seed, cycles=1):
+            assert A._radical is not None
+            warm, cold = (full_outcome(theorem_c_procedure, *case) for case in ((A, sd, I), cold_copy(A, sd, I)))
+            assert (warm[0].basis, *warm[1:]) == (cold[0].basis, *cold[1:]), (seed, A)
 
 
 def a_mod_i_sweep_cases():
@@ -926,6 +941,10 @@ def test_char0_checks_match_the_split_of_the_sigma_fixed_centre():
         assert report == expected
         seen[report["sigma-primes preserved"]] += 1
     assert seen[None] and seen[True] and seen["refused", True] and seen["refused", False]
+    for seed in (1, 2, 3):  # warm, each algebra's radical kept by a cycle, against a cold copy
+        for A, sd, _ in primes_workload_instances(seed, theorem_c=False, cycles=1):
+            assert A._radical is not None
+            assert char0_checks(A, sd) == char0_checks(*cold_copy(A, sd, None)[:2]), (seed, A)
 
 
 def test_core_report_serialize_deterministic():

@@ -445,6 +445,31 @@ def test_radical_refuses_a_functional_that_is_not_divisible():
         radical(A)
 
 
+def test_radical_is_kept_on_its_algebra_and_only_there(monkeypatch):
+    # the first call pays and a later call on the same object returns the same ideal with no
+    # elimination; an algebra built again from the same structure, or another of the same dim,
+    # computes its own, and a refusal is not kept, so a second call refuses again
+    calls = []
+    for name in ("rref", "left_kernel"):
+        original = getattr(la, name)
+        monkeypatch.setattr(la, name, lambda *args, original=original, name=name: (
+            calls.append(name) or original(*args)))
+    A = direct_sum(truncated_poly_algebra(3, 3), product_of_fields(3, 3))
+    N = radical(A)
+    assert N.parent is A and N.dim == 2 and calls
+    calls.clear()
+    assert radical(A) is N and calls == []
+    B = FinAlgebra(A.p, A.dim, A.structure, A.unit)
+    assert radical(B) is not N and radical(B).parent is B and radical(B).basis == N.basis and calls
+    for C, dim in ((truncated_poly_algebra(3, 6), 5), (product_of_fields(3, 6), 0),
+                   (truncated_poly_algebra(2, 2), 1)):
+        assert radical(C).dim == dim
+    refusing = FinAlgebra(2, 2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]], [1, 0], check=False)
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="^trace-like functional not divisible: invalid input$"):
+            radical(refusing)
+
+
 def test_radical_is_nilpotent_and_semisimple_quotient():
     rng = random.Random(0)
     samples = [
