@@ -636,8 +636,8 @@ def primes_workload_instances(seed=1, theorem_c=True, cycles=0):
 def cold_copy(A, sd, I):
     """(A, sd, I) on a fresh checked copy of A, which keeps nothing computed on A (I may be None)."""
     B = FinAlgebra(A.p, A.dim, A.structure, A.unit)
-    copy = None if I is None else subspace(B, I.basis)
-    return B, SkewDerivation(B, sd.sigma_matrix, sd.delta_matrix, sd.q), copy
+    ideal = None if I is None else subspace(B, I.basis)
+    return B, SkewDerivation(B, sd.sigma_matrix, sd.delta_matrix, sd.q), ideal
 
 
 def sweep_cases():

@@ -460,7 +460,8 @@ def test_radical_is_kept_on_its_algebra_and_only_there(monkeypatch):
     calls.clear()
     assert radical(A) is N and calls == []
     B = FinAlgebra(A.p, A.dim, A.structure, A.unit)
-    assert radical(B) is not N and radical(B).parent is B and radical(B).basis == N.basis and calls
+    M = radical(B)
+    assert M is not N and M.parent is B and M.basis == N.basis and calls
     for C, dim in ((truncated_poly_algebra(3, 6), 5), (product_of_fields(3, 6), 0),
                    (truncated_poly_algebra(2, 2), 1)):
         assert radical(C).dim == dim
