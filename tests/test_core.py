@@ -692,6 +692,27 @@ def test_theorem_c_matches_the_references_on_the_primes_instances():
             assert (warm[0].basis, *warm[1:]) == (cold[0].basis, *cold[1:]), (seed, A)
 
 
+def test_theorem_c_on_each_minimal_sigma_prime_computes_the_radical_once(monkeypatch):
+    # the workflow the kept radical serves, on fresh algebras: find the minimal sigma-primes
+    # over 0, then run Theorem C on each; every gate's radical(A) is the one that
+    # minimal_sigma_primes computed, while each quotient A/I computes its own
+    answers = []
+    monkeypatch.setattr(finalg, "radical", lambda A, original=finalg.radical: (
+        answers.append((A, original(A))) or answers[-1][1]))
+    monkeypatch.setattr(core, "radical", finalg.radical)
+    verdicts = 0
+    for A, sd, _ in (cold_copy(*case) for case in primes_workload_instances()):
+        answers.clear()
+        ideals = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))
+        for I in ideals:
+            J, _, flags = theorem_c_procedure(A, sd, I)
+            assert J is not None and all(flags[name] for name in flags if name != "inconclusive")
+        on_A = [N for B, N in answers if B is A]
+        assert len(on_A) == 1 + len(ideals) and all(N is on_A[0] for N in on_A), A
+        verdicts += len(ideals)
+    assert verdicts == 25  # 19 algebras, six of them with two minimal sigma-primes
+
+
 def a_mod_i_sweep_cases():
     """(A, sd, ideal, cap) on the seed-1 primes instances: ideals I, 0, A, each prime, rad A, each
     minimal sigma-prime over 0, span(1) and span(e_1..e_(n-1)), caps None, 0, 1 and 3."""

@@ -243,11 +243,8 @@ def test_the_unreached_package_functions_are_the_pinned_ones(capsys):
 def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
     # exact call counts over two seed-1 primes cycles, in process and with no timing, so a
     # change that raises p-power rungs or computes cores again fails here instead of hiding
-    # in host noise; before the core chain stopped at I and the delta-core of a commuting
-    # pair dropped its sigma-step they read 106, 130, 24 and 34, before the radical and
-    # left_kernel skipped systems known to be zero rref and left_kernel read 279 and 151,
-    # and before each algebra kept its radical 200 and 113; a second cycle finds every
-    # instance's radical kept, so the radicals left to compute are the fresh quotients'
+    # in host noise; a second cycle finds every instance's radical kept, so the radicals
+    # left to compute are the fresh quotients'
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
