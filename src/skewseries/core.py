@@ -20,10 +20,10 @@ from .finalg import (
     FinAlgebra,
     IdealSubspace,
     ImplementationError,
+    automorphism,
     center,
     ideal_meet,
     induced_map,
-    is_automorphism,
     is_sigma_prime,
     prime_spectrum,
     quotient_algebra,
@@ -37,10 +37,13 @@ class CoreError(ValueError):
     pass
 
 
-def _require_automorphism(A: FinAlgebra, sd: SkewDerivation, known: bool = False):
-    """The one sigma check of a verdict: everything below it passes automorphism=True."""
-    if not (known or is_automorphism(A, sd.sigma_matrix)):
-        raise CoreError("sigma is not an algebra automorphism")
+def _proved(check, *args):
+    """check(*args), its refusal as a CoreError: ``_proved(pth_power, sd, 0)`` is a verdict's one
+    check of its pair (p, then sigma delta = delta sigma, then sigma an automorphism)."""
+    try:
+        return check(*args)
+    except (SkewDerivationError, AlgebraError) as exc:
+        raise CoreError(exc) from None
 
 
 def default_cap(A: FinAlgebra, cap: int | None = None) -> int:
@@ -96,13 +99,9 @@ def delta_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace) -> IdealSubs
     return K
 
 
-def delta_pm_core(
-    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int, sd_pm=None
-) -> IdealSubspace:
-    """Largest (sigma^(p^m), delta^(p^m))-ideal in I; ``sd_pm``: pth_power(sd, m), if known."""
-    if A.char != A.p:  # A's proven p, as in pth_power
-        raise CoreError("requires characteristic p")
-    return delta_core(A, pth_power(sd, m) if sd_pm is None else sd_pm, I)
+def delta_pm_core(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, m: int) -> IdealSubspace:
+    """Largest (sigma^(p^m), delta^(p^m))-ideal in I; a checked pair's rung m is read off its ladder."""
+    return delta_core(A, _proved(pth_power, sd, m), I)
 
 
 class CoreReport:
@@ -134,7 +133,7 @@ class CoreReport:
 
 
 def stabilization_M(
-    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None, automorphism=False
+    A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None
 ) -> CoreReport:
     """Ascending chain of delta^(p^m)-cores and its first stable exponent.
 
@@ -145,18 +144,17 @@ def stabilization_M(
     m - j: each distinct pair gets one p-th power and one core (sigma = id, delta^p = 0: P_m =
     (id, 0) for m >= 1).  From the first core equal to I the chain is constant, with no more
     pairs or cores: it ascends inside I, which every later pair keeps, being a p-power of that
-    core's pair.  ``automorphism``: True when sigma is known to be an automorphism (then so is
-    each sigma^(p^m)); otherwise a non-automorphism is refused.
+    core's pair.  The pair is checked first, then the cap.
     """
-    _require_automorphism(A, sd, automorphism)
+    sd = _proved(pth_power, sd, 0)
     cap = default_cap(A, cap)
     report = CoreReport(ideal_dim=I.dim, cap=cap)
-    pairs, cores, first, period = [], [], {}, 0
+    cores, first, period = [], {}, 0
     for m in range(cap + 1):
         if not period:  # P_m = P_(m-1)^p up to the first repeat P_m = P_(m - period)
-            pairs.append(pth_power(pairs[-1], 1) if m else pth_power(sd, 0))
-            period = m - first.setdefault((pairs[m].sigma_matrix, pairs[m].delta_matrix), m)
-        cores.append(cores[m - period] if period else delta_pm_core(A, sd, I, m, sd_pm=pairs[m]))
+            pair = pth_power(pair, 1) if m else sd
+            period = m - first.setdefault((pair.sigma_matrix, pair.delta_matrix), m)
+        cores.append(cores[m - period] if period else delta_pm_core(A, sd, I, m))
         period = 1 if cores[m] == I else period
         report.dims.append(cores[m].dim)
     for earlier, later in zip(cores, cores[1:]):
@@ -172,15 +170,12 @@ def stabilization_M(
 def core_flags(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | None = None) -> tuple:
     """The ``core`` command: report = stabilization_M(A, sd, I, cap) and the flags that check it.
 
-    sigma, the cap and sigma delta = delta sigma are checked once, in
-    stabilization_M's order.  Each flag is taken on the final core and
-    (sigma, delta)^(p^M), with M the cap when the report is inconclusive;
+    The pair, then the cap, are checked once, in stabilization_M's order.  Each flag is taken on
+    the final core and (sigma, delta)^(p^M), with M the cap when the report is inconclusive;
     sigma^(p^M)-primality is None for the whole ring, which is no sigma-prime.
     """
-    _require_automorphism(A, sd)
-    default_cap(A, cap)
-    sd = pth_power(sd, 0)  # the one commutation check: its p-th powers are known to commute
-    report = stabilization_M(A, sd, I, cap=cap, automorphism=True)
+    sd = _proved(pth_power, sd, 0)  # the one check: its p-th powers commute and sigma's are automorphisms
+    report = stabilization_M(A, sd, I, cap=cap)
     final = report.core
     sd_M = pth_power(sd, report.cap if report.M is None else report.M)  # a rung the chain built
     flags = {
@@ -190,7 +185,7 @@ def core_flags(A: FinAlgebra, sd: SkewDerivation, I: IdealSubspace, cap: int | N
     }
     try:
         flags["sigma^(p^M)-prime"] = is_sigma_prime(
-            final, sd_M.sigma_matrix, automorphism=True, stable=flags["sigma^(p^M)-stable"])
+            final, sd_M.sigma_matrix, stable=flags["sigma^(p^M)-stable"])
     except AlgebraError:
         flags["sigma^(p^M)-prime"] = None
     return report, flags
@@ -201,20 +196,20 @@ def prop39_check(
 ) -> bool:
     """Stabilized delta-cores of sigma-prime ideals are sigma-prime.
 
-    Hypothesis failures (I not sigma-prime, or M != 0) raise CoreError;
-    a False return refutes the conclusion only.
+    Hypothesis failures (the pair, I not sigma-prime, the cap, or M != 0) raise CoreError, in
+    that order; a False return refutes the conclusion only.
     """
-    _require_automorphism(A, sd)
+    sd = _proved(pth_power, sd, 0)
     spectrum = prime_spectrum(A)
-    if not is_sigma_prime(I, sd.sigma_matrix, spectrum, automorphism=True):
+    if not is_sigma_prime(I, sd.sigma_matrix, spectrum):
         raise CoreError("hypothesis failed: I is not sigma-prime")
-    report = stabilization_M(A, sd, I, cap=cap, automorphism=True)
+    report = stabilization_M(A, sd, I, cap=cap)
     if report.M != 0:
         raise CoreError(
             f"hypothesis failed: delta-core is not the delta^(p^infinity)-core (M={report.M})"
         )
     try:  # M = 0: the stabilised core is the delta-core
-        return is_sigma_prime(report.core, sd.sigma_matrix, spectrum, automorphism=True)
+        return is_sigma_prime(report.core, sd.sigma_matrix, spectrum)
     except AlgebraError as exc:
         raise CoreError(f"conclusion not decidable: {exc}") from exc
 
@@ -244,14 +239,7 @@ def theorem_c_procedure(
     (the primes over J make up the sigma^(p^M)-orbit of P, whose meet J is),
     I the meet of the sigma-orbit of J, and delta^(p^M)(J) <= J.
     """
-    p = A.char
-    if p != A.p:  # A's proven p, as in pth_power
-        raise CoreError("requires characteristic p")
-    try:  # the verdict's one commutation check: the p-th powers of this copy are known to commute
-        sd = pth_power(sd, 0)
-    except SkewDerivationError as exc:
-        raise CoreError(exc) from None
-    _require_automorphism(A, sd)
+    sd, p = _proved(pth_power, sd, 0), A.char  # the verdict's one check of its pair
     cap = default_cap(A, cap)
     refusal = "I is not a minimal sigma-prime ideal"
     if not (I.dim < A.dim and I.is_ideal() and I.contains_ideal(radical(A))
@@ -262,14 +250,14 @@ def theorem_c_procedure(
     except AlgebraError:
         raise CoreError(refusal) from None
     P = spectrum[0]  # the least echelon basis
-    orbit = sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum), automorphism=True)
+    orbit = sigma_orbit(P, sd.sigma_matrix, cap=len(spectrum))
     meet = functools.cache(lambda step: ideal_meet(orbit[::step]))  # of every step-th member
     if meet(1) != I:  # then the primes over I are this one orbit
         raise CoreError(refusal)
     reports = []
     I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, pair, I_j, cap=cap, automorphism=True)
+        rep = stabilization_M(A, pair, I_j, cap=cap)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
@@ -285,9 +273,9 @@ def theorem_c_procedure(
     sigma_M, step = sd_M.sigma_matrix, math.gcd(p**M, len(orbit))
     flags = {  # a sigma^(p^M)-prime is minimal: it is the meet of an orbit of maximal ideals
         "minimal sigma^(p^M)-prime": sd_M.stable(J, sigma_M) and is_sigma_prime(
-            J, sigma_M, spectrum, automorphism=True, stable=True, orbits=[(orbit[::step], meet(step))]),
+            J, sigma_M, spectrum, stable=True, orbits=[(orbit[::step], meet(step))]),
         "I is the sigma-orbit intersection of J": (meet(1) if J == P else ideal_meet(
-            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True))) == I,
+            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum)))) == I,
         "delta^(p^M)(J) <= J": sd_M.stable(J, sd_M.delta_matrix),
         "inconclusive": False,
         "reports": reports,
@@ -307,9 +295,9 @@ def _rational_scalar(A: FinAlgebra, q):
 def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     """Characteristic-0 preservation checks for the radical and sigma-primes.
 
-    Requires q = 1 or q not a root of unity; for rational q the root-of-
-    unity condition is exactly q in {1, -1}.  Returns a report dict.  If
-    delta(N) is not in N = rad A, its witnesses are listed and the sigma-prime
+    Requires q = 1 or q not a root of unity (for rational q, q in {1, -1}), then sigma
+    an automorphism and delta sigma = q sigma delta (q = 1 when sd has none).  Returns a
+    report dict.  If delta(N) is not in N = rad A, its witnesses are listed and the sigma-prime
     flag is None (undecided).  Otherwise the flag is certified on the sigma-fixed
     centre, with no split: a minimal sigma-prime over N is N + lift((1 - e)C),
     C = A/N, e a sigma-fixed central idempotent of C, so e is a combination of
@@ -320,15 +308,16 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     """
     if A.char != 0:
         raise CoreError("requires characteristic 0")
-    if sd.q is not None:
-        c = _rational_scalar(A, sd.q)
-        if c is None:
-            raise CoreError("q is not a rational scalar")
-        if c == -1:
-            raise CoreError("q = -1 is a nontrivial root of unity")
-        if c == 0:
-            raise CoreError("q must be a unit")
-    _require_automorphism(A, sd)
+    c = 1 if sd.q is None else _rational_scalar(A, sd.q)
+    if c is None:
+        raise CoreError("q is not a rational scalar")
+    if c == -1:
+        raise CoreError("q = -1 is a nontrivial root of unity")
+    if c == 0:
+        raise CoreError("q must be a unit")
+    sigma, delta = _proved(automorphism, A, sd.sigma_matrix), sd.delta_matrix
+    if la.compose(sigma, delta, None) != tuple(la.vscale(c, v, None) for v in la.compose(delta, sigma, None)):
+        raise CoreError(f"requires delta sigma = q sigma delta, q = {c}")
     N = radical(A)
     witnesses = [("radical", v) for v in N.basis if not N.contains(sd.delta(v))]
     report = {"radical preserved": not witnesses, "sigma-primes preserved": None if witnesses else True,
@@ -336,7 +325,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     if witnesses:  # delta induces no map on A/N
         return report
     C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
-    sigma = induced_map(A, sd.sigma_matrix, N, C, project, lift) if N.dim else sd.sigma_matrix
+    sigma = induced_map(A, sigma, N, C, project, lift) if N.dim else sigma
     Z = center(C)
     for c in la.left_kernel([C.sub(la.apply_map(sigma, z, None), z) for z in Z], None):  # Z(C)^sigma
         z = lift(la.apply_map(Z, c, None))

@@ -473,20 +473,33 @@ def is_automorphism(A: FinAlgebra, sigma) -> bool:
     return True
 
 
-def _require_automorphism(A: FinAlgebra, sigma, known: bool):
-    if not (known or is_automorphism(A, sigma)):
+class Automorphism(tuple):
+    """A sigma matrix proved an automorphism of ``algebra``: made by ``automorphism`` and by the
+    p-power ladder of a checked pair (``skewder.pth_power``), as powers of one are automorphisms."""
+
+    def __new__(cls, algebra: FinAlgebra, sigma):
+        proof = super().__new__(cls, sigma)
+        proof.algebra = algebra
+        return proof
+
+
+def automorphism(A: FinAlgebra, sigma) -> Automorphism:
+    """sigma with its proof for A: at once for a proof made for A itself, else by is_automorphism."""
+    if isinstance(sigma, Automorphism) and sigma.algebra is A:
+        return sigma
+    if not is_automorphism(A, sigma):
         raise AlgebraError("sigma is not an algebra automorphism")
+    return Automorphism(A, sigma)
 
 
-def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64, automorphism=False) -> list[IdealSubspace]:
+def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64) -> list[IdealSubspace]:
     """The distinct ideals I, sigma(I), sigma^2(I), ... in order; at most ``cap`` of them.
 
-    ``automorphism``: True when sigma is known to be an automorphism, which
-    is otherwise checked.  An orbit of a prime is bounded by the prime
-    spectrum; the orbit of an arbitrary ideal over Q can be infinite.
+    sigma is proved an automorphism of I.parent (``automorphism``).  An orbit of a prime is
+    bounded by the prime spectrum; the orbit of an arbitrary ideal over Q can be infinite.
     """
     A = I.parent
-    _require_automorphism(A, sigma, automorphism)
+    sigma = automorphism(A, sigma)
     orbit, current = [I], I
     for _ in range(cap):
         current = subspace(A, [la.apply_map(sigma, v, A.p) for v in current.basis])
@@ -501,19 +514,18 @@ def is_stable(I: IdealSubspace, m) -> bool:
     return all(I.contains(la.apply_map(m, v, I.parent.p)) for v in I.basis)
 
 
-def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, automorphism=False, stable=None,
-                   orbits=()) -> bool:
+def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, stable=None, orbits=()) -> bool:
     """I is its own one minimal sigma-prime: the primes over I form one sigma-orbit meeting in I.
     ``stable`` and ``orbits``: as for minimal_sigma_primes."""
     A = I.parent
-    _require_automorphism(A, sigma, automorphism)
+    sigma = automorphism(A, sigma)
     if I.dim == A.dim:
         raise AlgebraError("the whole ring is not a sigma-prime ideal")
-    return minimal_sigma_primes(A, sigma, I, spectrum, automorphism=True, stable=stable, orbits=orbits) == [I]
+    return minimal_sigma_primes(A, sigma, I, spectrum, stable=stable, orbits=orbits) == [I]
 
 
 def minimal_sigma_primes(
-    A: FinAlgebra, sigma, I: IdealSubspace, spectrum=None, automorphism=False, stable=None, orbits=()
+    A: FinAlgebra, sigma, I: IdealSubspace, spectrum=None, stable=None, orbits=()
 ) -> list[IdealSubspace]:
     """Minimal sigma-prime ideals containing I: the meets of the sigma-orbits of the primes over I.
 
@@ -522,17 +534,18 @@ def minimal_sigma_primes(
     incomparable: if meet(O1) <= meet(O2), each Q in O2 contains the
     product of O1; Q is prime, so it contains some P in O1, and P is
     maximal, so Q = P.  So O2 lies in O1, and orbits that meet are equal.
-    ``spectrum``: prime_spectrum(A), ``stable``: is_stable(I, sigma), and ``orbits``: sigma-orbits
-    of primes (in any order) with their meets, as (orbit, meet) pairs, if known.
+    sigma is proved an automorphism of A (``automorphism``).  ``spectrum``: prime_spectrum(A),
+    ``stable``: is_stable(I, sigma), and ``orbits``: sigma-orbits of primes (in any order) with
+    their meets, as (orbit, meet) pairs, if known.
     """
-    _require_automorphism(A, sigma, automorphism)
+    sigma = automorphism(A, sigma)
     if not (is_stable(I, sigma) if stable is None else stable):
         raise AlgebraError("ideal is not sigma-stable")
     primes, meets = minimal_primes_over(A, I, spectrum), []
     known = {P: pair for pair in orbits for P in pair[0]}  # each member's (orbit, meet)
     while primes:
         if primes[0] not in known:
-            orbit = sigma_orbit(primes[0], sigma, cap=len(primes), automorphism=True)
+            orbit = sigma_orbit(primes[0], sigma, cap=len(primes))
             known[primes[0]] = orbit, ideal_meet(orbit)
         orbit, meet = known[primes[0]]
         meets.append(meet)

@@ -17,7 +17,7 @@ import math
 
 from . import exactla as la
 from .coeffcore import carry_free_splits, digits, no_common_component
-from .finalg import FinAlgebra, IdealSubspace, is_stable, subspace
+from .finalg import Automorphism, FinAlgebra, IdealSubspace, automorphism, is_stable, subspace
 
 
 class SkewDerivationError(ValueError):
@@ -151,26 +151,30 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
 
 
 def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
-    """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p; sigma delta =
-    delta sigma is checked unless sd is itself a p-th power, which is known to commute.
-    A p-th power of a p-th power is read off, or added to, the ladder they share."""
+    """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p.  Unless sd is itself a
+    p-th power, it is checked first: p, then sigma delta = delta sigma, then sigma an automorphism
+    of sd.ring (``finalg.automorphism``).  A p-th power of a p-th power is read off, or added to,
+    the ladder they share, and the sigma of every rung carries the proof."""
     p = sd.ring.char  # the ring proved its p prime when built; an unchecked FinAlgebra trusts its caller
     if p != sd.ring.p:  # 0 != None over Q, p^k != p over Z/p^k
         raise SkewDerivationError("requires characteristic p")
     if not isinstance(sd, _CommutingPair):
         if not sd.commuting:
             raise SkewDerivationError("requires sigma delta = delta sigma")
-        sd = _CommutingPair(sd.ring, sd.q, [(sd.sigma_pow(1), sd.delta_pow(1))], 0, functools.cache(is_stable))
+        rung = (automorphism(sd.ring, sd.sigma_pow(1)), sd.delta_pow(1))
+        sd = _CommutingPair(sd.ring, sd.q, [rung], 0, functools.cache(is_stable))
     ladder, level = sd.ladder, sd.level + m
     while len(ladder) <= level:  # each rung the p-th power of the one below
-        ladder.append(tuple(la.map_power(x, p, sd.ring.scalar_mod) for x in ladder[-1]))
+        sigma, delta = (la.map_power(x, p, sd.ring.scalar_mod) for x in ladder[-1])
+        ladder.append((Automorphism(sd.ring, sigma), delta))
     return _CommutingPair(sd.ring, sd.q, ladder, level, sd.stable)
 
 
 class _CommutingPair(SkewDerivation):
-    """A pair made by ``pth_power``: powers of commuting maps commute, so it is not checked again.
-    The pairs raised from one checked copy share its ladder, whose entry m holds its maps to the
-    p^m-th power, and ``stable``, which answers each (ideal, map) once."""
+    """A pair made by ``pth_power``: powers of commuting maps commute, and powers of an
+    automorphism are automorphisms, so it is not checked again.  The pairs raised from one
+    checked copy share its ladder, whose entry m holds its maps to the p^m-th power, and
+    ``stable``, which answers each (ideal, map) once."""
     commuting = True
 
     def __init__(self, ring, q, ladder: list, level: int, stable):

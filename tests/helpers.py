@@ -16,7 +16,6 @@ from skewseries.finalg import (
     central_idempotents,
     ideal_meet,
     induced_map,
-    is_automorphism,
     is_sigma_prime,
     minimal_primes_over,
     prime_spectrum,
@@ -649,23 +648,22 @@ def whole_spectrum_theorem_c(A, sd, I, cap=None):
     p = A.char
     if p == 0 or not is_prime(p):
         raise CoreError("requires characteristic p")
-    try:
-        sd = pth_power(sd, 0)
-    except SkewDerivationError as exc:
-        raise CoreError(exc) from None
-    if not is_automorphism(A, sd.sigma_matrix):
+    if not sd.commuting:
+        raise CoreError("requires sigma delta = delta sigma")
+    if not naive_is_automorphism(A, sd.sigma_matrix):
         raise CoreError("sigma is not an algebra automorphism")
+    sd = pth_power(sd, 0)
     cap = default_cap(A, cap)
     spectrum = prime_spectrum(A)
     over = minimal_primes_over(A, I, spectrum) if I.dim < A.dim else []
-    orbit = over and sigma_orbit(over[0], sd.sigma_matrix, cap=len(spectrum), automorphism=True)
+    orbit = over and sigma_orbit(over[0], sd.sigma_matrix, cap=len(spectrum))
     meet = functools.cache(lambda step: ideal_meet(orbit[::step]))
     if not orbit or meet(1) != I:
         raise CoreError("I is not a minimal sigma-prime ideal")
     P, reports = over[0], []
     I_j, pair, M_j = I, sd, 0
     for _ in range(cap + 2):
-        rep = stabilization_M(A, pair, I_j, cap=cap, automorphism=True)
+        rep = stabilization_M(A, pair, I_j, cap=cap)
         reports.append(rep)
         if rep.M is None:
             return None, None, {"inconclusive": True, "reports": reports}
@@ -681,9 +679,9 @@ def whole_spectrum_theorem_c(A, sd, I, cap=None):
     sigma_M, step = sd_M.sigma_matrix, math.gcd(p**M, len(orbit))
     return J, M, {
         "minimal sigma^(p^M)-prime": sd_M.stable(J, sigma_M) and is_sigma_prime(
-            J, sigma_M, spectrum, automorphism=True, stable=True, orbits=[(orbit[::step], meet(step))]),
+            J, sigma_M, spectrum, stable=True, orbits=[(orbit[::step], meet(step))]),
         "I is the sigma-orbit intersection of J": (meet(1) if J == P else ideal_meet(
-            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum), automorphism=True))) == I,
+            sigma_orbit(J, sd.sigma_matrix, cap=len(spectrum)))) == I,
         "delta^(p^M)(J) <= J": sd_M.stable(J, sd_M.delta_matrix),
         "inconclusive": False,
         "reports": reports,

@@ -278,6 +278,39 @@ def test_incompatible_pair_is_refused_not_multiplied(tmp_path, capsys):
     assert "compatible: False" in capsys.readouterr().out
 
 
+NOT_A_DERIVATION = """sps-spec 1
+
+[ring]
+kind = finalg
+p = 2
+preset = tpoly 2
+D = 4
+
+[skew]
+sigma = 1 0; 0 1
+delta = 0 1; 0 0
+
+[filtration]
+levels = 1 0, 0 1 | 0 1 | -
+
+[elements]
+x = 1*x^1
+"""
+
+
+def test_a_pair_that_is_no_skew_derivation_is_refused_not_multiplied(tmp_path, capsys):
+    # delta(1) = X on F_2[X]/(X^2) breaks Leibniz, so the SPS ring is not associative: mul
+    # refuses the pair, naming the first axiom verify reports, with its witness
+    spec = tmp_path / "not_a_derivation.spec"
+    spec.write_text(NOT_A_DERIVATION)
+    assert main(["mul", str(spec), "x", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (sigma, delta) is not a skew derivation: Leibniz: witness (0, 0)\n"
+    assert main(["verify", str(spec)]) == 1
+    assert capsys.readouterr().out.startswith("skew axioms: Leibniz: witness (0, 0)\ndelta(1) = 0: witness (1, 0)\n")
+
+
 SINGULAR_SIGMA = """sps-spec 1
 
 [ring]
@@ -405,7 +438,7 @@ def test_spec_error_names_the_line_of_its_key(tmp_path, capsys):
 ])
 def test_each_exit_code(monkeypatch, capsys, code, argv, stream, expected):
     if code == 4:  # a core chain that shrinks, which stabilization_M must never see: (X^2) at m = 0, then 0
-        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m, sd_pm=None: finalg.subspace(
+        monkeypatch.setattr(core, "delta_pm_core", lambda A, sd, I, m: finalg.subspace(
             A, I.basis[-1:] if m == 0 else []))
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -470,7 +503,7 @@ def test_theoremc_without_convergence_is_exit_3(monkeypatch, capsys, tmp_path):
     # the ideal it started from; the first meet is the minimal-sigma-prime test
     rounds, meets = [], []
 
-    def one_more(A, sd, I, cap=None, automorphism=False):
+    def one_more(A, sd, I, cap=None):
         rounds.append(I)
         return core.CoreReport(ideal_dim=I.dim, cap=cap, M=1)
 

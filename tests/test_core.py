@@ -25,6 +25,7 @@ from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
     IdealSubspace,
+    automorphism,
     direct_sum,
     ideal_generated,
     is_automorphism,
@@ -366,12 +367,14 @@ def test_stabilization_computes_one_core_per_distinct_pair(monkeypatch):
 def test_stabilization_stops_raising_pairs_at_their_period(monkeypatch):
     # pairs are raised up to the first repeat or the first core equal to I only.  The
     # cycled copies' ideals are their own cores: one pair.  For bg the core is 0 at m = 0
-    # and I at m = 1: two.  delta^2 = delta repeats P_0 at m = 1, with the core 0 throughout: two
+    # and I at m = 1: two.  delta^2 = delta repeats P_0 at m = 1, with the core 0 throughout: two.
+    # pth_power is called once for the pair's check (P_0), once per raised pair after P_0 and
+    # once per core computed, which reads its pair off the ladder: 2, 2, 4, 4 and 3 calls
     A, sd = cycled_blocks(2, 3, 2)
     calls = []
     counting(monkeypatch, core, "pth_power", calls)
     cases = [(A, sd, I) for I in (subspace(A, []), radical(A))] + [bg_instance(2), bg_instance(3)]
-    for case, raised in zip(cases + [delta_squared_is_delta()], (1, 1, 2, 2, 2)):
+    for case, raised in zip(cases + [delta_squared_is_delta()], (2, 2, 4, 4, 3)):
         for cap in (1, 2, 5):
             calls.clear()
             report = stabilization_M(*case, cap=cap)
@@ -415,8 +418,8 @@ def test_each_verdict_does_its_work_once(monkeypatch):
     map_power, stabilize = la.map_power, core.stabilization_M
     monkeypatch.setattr(la, "map_power", lambda m, k, p: powers.append(
         (sys._getframe(1).f_globals["__name__"], k)) or map_power(m, k, p))
-    monkeypatch.setattr(core, "stabilization_M", lambda A, sd, I, cap=None, automorphism=False: (
-        pairs.append(sd) or stabilize(A, sd, I, cap=cap, automorphism=automorphism)))
+    monkeypatch.setattr(core, "stabilization_M", lambda A, sd, I, cap=None: (
+        pairs.append(sd) or stabilize(A, sd, I, cap=cap)))
     for A, sd, I in theorem_c_cases():
         P, p = minimal_primes_over(A, I)[0], A.p
         for verdict in (theorem_c_procedure, core_flags):
@@ -472,30 +475,35 @@ NON_AUTOMORPHISMS = {
 
 @pytest.mark.parametrize("sigma", NON_AUTOMORPHISMS.values(), ids=list(NON_AUTOMORPHISMS))
 def test_a_non_automorphism_is_refused_everywhere(sigma):
-    # the check moved to the entry of each verdict; every entry point still refuses
+    # the check moved to the entry of each verdict; every entry point still refuses.  A sigma
+    # that is an automorphism of F_p^3 (the swap of X and X^2 permutes its idempotents) is
+    # passed a second time with its proof for F_p^3, which proves nothing for A
     for p in (2, None):
-        A = truncated_poly_algebra(p, 3)
-        sd = SkewDerivation(A, sigma, la.map_sub(sigma, sigma, p))  # delta = 0 commutes with sigma
-        X, zero = ideal_generated(A, [A.basis_vec(1)]), subspace(A, [])
-        assert not is_automorphism(A, sigma) and is_stable(X, sigma) and sd.commuting
-        refusals = [(AlgebraError, lambda: sigma_orbit(X, sigma)),
-                    (AlgebraError, lambda: is_sigma_prime(X, sigma)),
-                    (AlgebraError, lambda: is_sigma_prime(zero, sigma)),
-                    (AlgebraError, lambda: minimal_sigma_primes(A, sigma, zero))]
-        if p:
-            refusals += [(CoreError, lambda: stabilization_M(A, sd, X)),
-                         (CoreError, lambda: theorem_c_procedure(A, sd, X))]
-        else:
-            refusals.append((CoreError, lambda: char0_checks(A, sd)))
-        for error, call in refusals:
-            with pytest.raises(error, match="sigma is not an algebra automorphism"):
-                call()
+        A, F = truncated_poly_algebra(p, 3), product_of_fields(p, 3)
+        for sigma in [sigma] + ([automorphism(F, sigma)] if is_automorphism(F, sigma) else []):
+            sd = SkewDerivation(A, sigma, la.map_sub(sigma, sigma, p))  # delta = 0 commutes with sigma
+            X, zero = ideal_generated(A, [A.basis_vec(1)]), subspace(A, [])
+            assert not is_automorphism(A, sigma) and is_stable(X, sigma) and sd.commuting
+            refusals = [(AlgebraError, lambda: sigma_orbit(X, sigma)),
+                        (AlgebraError, lambda: is_sigma_prime(X, sigma)),
+                        (AlgebraError, lambda: is_sigma_prime(zero, sigma)),
+                        (AlgebraError, lambda: minimal_sigma_primes(A, sigma, zero))]
+            if p:
+                refusals += [(CoreError, lambda: stabilization_M(A, sd, X)),
+                             (CoreError, lambda: core_flags(A, sd, X)),
+                             (CoreError, lambda: delta_pm_core(A, sd, X, 1)),
+                             (CoreError, lambda: prop39_check(A, sd, X)),
+                             (CoreError, lambda: theorem_c_procedure(A, sd, X))]
+            else:
+                refusals.append((CoreError, lambda: char0_checks(A, sd)))
+            for error, call in refusals:
+                with pytest.raises(error, match="sigma is not an algebra automorphism"):
+                    call()
 
 
 def test_one_automorphism_check_per_verdict(monkeypatch):
-    calls = []
-    for module in (finalg, core):
-        counting(monkeypatch, module, "is_automorphism", calls)
+    calls = []  # every proof goes through finalg.automorphism, which calls finalg's is_automorphism
+    counting(monkeypatch, finalg, "is_automorphism", calls)
     A = permutation_group_algebra(2, S3)
     sd = conjugation_skew(A, A.basis_vec(1))
     I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
@@ -564,9 +572,9 @@ def test_theorem_c_stabilizes_each_ideal_once(monkeypatch):
     seen = []
     stabilize = core.stabilization_M
 
-    def recording(A, sd, I, cap=None, automorphism=False):
+    def recording(A, sd, I, cap=None):
         seen.append(I)
-        return stabilize(A, sd, I, cap=cap, automorphism=automorphism)
+        return stabilize(A, sd, I, cap=cap)
 
     monkeypatch.setattr(core, "stabilization_M", recording)
     saved = 0
@@ -599,6 +607,9 @@ def test_a_theorem_c_verdict_computes_no_core_flags(monkeypatch):
         assert J is not None and flags["minimal sigma^(p^M)-prime"]
         assert "stabilization_M" not in callers and "theorem_c_procedure" in callers
     assert "spectrum" not in inspect.signature(stabilization_M).parameters
+    for function in (sigma_orbit, is_sigma_prime, minimal_sigma_primes, delta_pm_core, stabilization_M,
+                     core_flags, prop39_check, theorem_c_procedure, char0_checks):  # a proof is checked, not told
+        assert not {"automorphism", "known", "sd_pm"} & set(inspect.signature(function).parameters)
 
 
 def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
@@ -937,14 +948,27 @@ def char0_differential_cases():
     return cases
 
 
+def obeys_the_q_law(A, sd):
+    """delta sigma = q sigma delta on every basis vector, q = 1 when sd has none, by A.mul."""
+    q = A.one() if sd.q is None else sd.q
+    return all(sd.delta(sd.sigma(e)) == A.mul(q, sd.sigma(sd.delta(e))) for e in A.basis())
+
+
 def test_char0_checks_match_the_split_of_the_sigma_fixed_centre():
     # against the report the split of the sigma-fixed centre gave: the same dict on every
-    # instance; on a moved delta, None when delta(N) is not in N, else a refusal of a
-    # non-derivation whenever a minimal sigma-prime is not delta-stable (and maybe when all
-    # are: the certificate asks more), and otherwise the same dict
+    # instance; on a moved delta, a refusal when delta sigma != q sigma delta (two of them are
+    # sigma-derivations: on Q[X]/(X^2), sigma(X) = -X and delta(X) = 1 + 2X, and on Q[X]/(X^3),
+    # sigma(X) = 3X and delta(X) = 4X + X^2), None when delta(N) is not in N, else a refusal
+    # of a non-derivation whenever a minimal sigma-prime is not delta-stable (and maybe when
+    # all are: the certificate asks more), and otherwise the same dict
     seen = collections.Counter()
     for A, sd, moved in char0_differential_cases():
         expected = naive_char0_checks(A, sd)
+        if moved and not obeys_the_q_law(A, sd):
+            with pytest.raises(CoreError, match=r"^requires delta sigma = q sigma delta, q = "):
+                char0_checks(A, sd)
+            seen["law", check_skew_derivation(sd).valid] += 1
+            continue
         if not moved:
             assert char0_checks(A, sd) == expected
             assert expected == {"radical preserved": True, "sigma-primes preserved": True, "witnesses": []}
@@ -962,6 +986,7 @@ def test_char0_checks_match_the_split_of_the_sigma_fixed_centre():
         assert report == expected
         seen[report["sigma-primes preserved"]] += 1
     assert seen[None] and seen[True] and seen["refused", True] and seen["refused", False]
+    assert seen["law", False] and seen["law", True] == 2
     for seed in (1, 2, 3):  # warm, each algebra's radical kept by a cycle, against a cold copy
         for A, sd, _ in primes_workload_instances(seed, theorem_c=False, cycles=1):
             assert A._radical is not None
