@@ -8,15 +8,11 @@ oracles.
 """
 
 from .coeffcore import (
-    Digits,
     INFINITY,
-    alpha_coeff,
     binom_valuation_check,
     digits,
     multinomial,
-    no_common_component,
     qfactorial,
-    trinomial_indices,
     vp,
 )
 from .core import (

@@ -30,7 +30,7 @@ from .filtration import (
 )
 from .finalg import FinAlgebra, ImplementationError, ideal_generated, truncated_poly_algebra, product_of_fields, matrix_algebra
 from .series import SeriesRing
-from .skewder import SkewDerivation, SkewDerivationError, check_skew_derivation
+from .skewder import SkewDerivation, check_skew_derivation, require_skew_derivation
 from .sps import SPSRing, crossed_decompose, crossed_recompose, graded_dim, graded_iso_check, iwasawa_demo
 
 GRAMMAR_VERSION = "sps-spec 1"
@@ -382,10 +382,7 @@ def cmd_mul(ctx: Context, args) -> tuple[int, str]:
     f, g = _require(ctx, args.f), _require(ctx, args.g)
     if ctx.sps is None:
         return 0, _serialize_base(ctx.base.mul(f, g))
-    report = check_skew_derivation(ctx.sd)  # the ring is associative only on a skew derivation
-    if not report.valid:
-        axiom, witness = report.violations[0]
-        raise SkewDerivationError(f"(sigma, delta) is not a skew derivation: {axiom}: witness {witness}")
+    require_skew_derivation(ctx.sd)  # the ring is associative only on a skew derivation
     return 0, ctx.sps.serialize(ctx.sps.mul(f, g))
 
 

@@ -76,43 +76,18 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-class Digits:
-    """Little-endian base-p expansion; entries[i] is the coefficient of p^i."""
-
-    def __init__(self, base: int, entries: tuple[int, ...]):
-        if not is_prime(base):
-            raise ValueError(f"base {base} is not prime")
-        if any(not (0 <= a < base) for a in entries):
-            raise ValueError("digit out of range")
-        if entries and entries[-1] == 0:
-            raise ValueError("trailing zero digits must be trimmed")
-        self.base, self.entries = base, entries
-
-    def value(self) -> int:
-        return sum(a * self.base**i for i, a in enumerate(self.entries))
-
-    def digit(self, i: int) -> int:
-        return self.entries[i] if i < len(self.entries) else 0
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def digits(n: int, p: int) -> Digits:
+def digits(n: int, p: int) -> tuple[int, ...]:
+    """Little-endian base-p expansion of n >= 0, trimmed: entry i is the coefficient of p^i.
+    The base is not proved prime (every caller holds a ring's proven p), only refused below 2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if p < 2:
+        raise ValueError(f"base {p} is below 2")
     entries = []
     while n > 0:
         n, a = divmod(n, p)
         entries.append(a)
-    return Digits(p, tuple(entries))
-
-
-def no_common_component(a: Digits, b: Digits) -> bool:
-    """True iff no digit slot is nonzero in both expansions."""
-    if a.base != b.base:
-        raise ValueError("mismatched bases")
-    return all(a.digit(i) == 0 or b.digit(i) == 0 for i in range(max(len(a), len(b))))
+    return tuple(entries)
 
 
 def _digit_splits(a: int):
@@ -124,26 +99,13 @@ def _digit_splits(a: int):
 def carry_free_splits(n: int, p: int) -> dict:
     """{(i, j, k): alpha} over the (i, j, k) whose base-p digits sum slotwise, without carries,
     to n's; alpha is the unit mod p that is the product over digit slots t of the multinomial
-    (n_t choose i_t, j_t, k_t).  Built slot by slot from one expansion of n: one proof of p."""
+    (n_t choose i_t, j_t, k_t).  Built slot by slot from one expansion of n; p is not proved prime."""
     splits = {(0, 0, 0): 1}
-    for t, a in enumerate(digits(n, p).entries):
+    for t, a in enumerate(digits(n, p)):
         step = p**t
         splits = {(i + u * step, j + v * step, k + w * step): c * multinomial(a, u, v, w) % p
                   for (i, j, k), c in splits.items() for u, v, w in _digit_splits(a)}
     return splits
-
-
-def trinomial_indices(n: int, p: int) -> list[tuple[int, int, int]]:
-    """All (i, j, k) whose base-p digits sum slotwise, without carries, to n's."""
-    return sorted(carry_free_splits(n, p))
-
-
-def alpha_coeff(i: int, j: int, k: int, p: int) -> int:
-    """Unit scalar mod p attached to a carry-free digit splitting: its ``carry_free_splits`` value."""
-    coeff = carry_free_splits(i + j + k, p).get((i, j, k))
-    if coeff is None:
-        raise ValueError("carries present: digit condition violated")
-    return coeff
 
 
 def multinomial(n: int, i: int, j: int, k: int) -> int:
@@ -173,4 +135,5 @@ def binom_valuation_check(n: int, i: int, p: int) -> bool:
     """vp(binom(p^n, i)) == n - vp(i), by exact big-integer arithmetic."""
     if not 1 <= i <= p**n:
         raise ValueError("need 1 <= i <= p^n")
-    return vp(math.comb(p**n, i), p) == n - vp(i, p)
+    exponent = n - vp(i, p)  # proves p once, and first: prime_vp never ends on p = 1
+    return prime_vp(math.comb(p**n, i), p) == exponent

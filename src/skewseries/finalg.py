@@ -352,14 +352,14 @@ def center(A: FinAlgebra) -> tuple:
     return la.left_kernel(rows, A.p)
 
 
-def central_idempotents(A: FinAlgebra, check=True) -> list:
-    """Centrally primitive idempotents of a semisimple algebra (tested unless not check), sorted.
+def central_idempotents(A: FinAlgebra) -> list:
+    """Centrally primitive idempotents of a semisimple algebra (radical(A) = 0 is checked), sorted.
 
     They are the primitive idempotents of the centre Z, a product of fields, split in one pass
     over F_p by the Frobenius fixed space.  Over Q only a centre Q (one block) is answered: no
     command splits a larger one.  They are certified nonzero, idempotent, orthogonal and summing to 1.
     """
-    if check and radical(A).dim != 0:
+    if radical(A).dim != 0:
         raise AlgebraError("algebra not semisimple")
     p, Z, zero = A.p, center(A), A.zero()
     if len(Z) > 1 and not p:
@@ -413,7 +413,7 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
 
 def is_prime_fd(A: FinAlgebra) -> bool:
     """Prime = zero radical and a single Wedderburn block."""
-    return radical(A).dim == 0 and len(central_idempotents(A, check=False)) == 1
+    return radical(A).dim == 0 and len(central_idempotents(A)) == 1
 
 
 def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None) -> list[IdealSubspace]:
@@ -422,15 +422,15 @@ def prime_spectrum(A: FinAlgebra, N: IdealSubspace | None = None) -> list[IdealS
 
     Every maximal ideal contains rad A, and C = A/N (A if N = 0) is semisimple, the sum of its
     simple blocks Ce, e centrally primitive idempotent, so the maximal ideals over N are N + the
-    lifts of the (1 - e)C.  A proper quotient C is tested to be semisimple: a certificate that N
-    contains rad A.
+    lifts of the (1 - e)C.  C is tested to be semisimple: a certificate that N contains rad A
+    (for C = A, a read of the radical kept on A).
     """
     if N is None:
         N = radical(A)
     C, _, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
     primes = [
         subspace(A, list(N.basis) + [lift(C.sub(v, C.mul(e, v))) for v in C.basis()])
-        for e in central_idempotents(C, check=C is not A)
+        for e in central_idempotents(C)
     ]
     return sorted(primes, key=lambda P: P.basis)
 

@@ -16,7 +16,7 @@ import functools
 import math
 
 from . import exactla as la
-from .coeffcore import carry_free_splits, digits, no_common_component
+from .coeffcore import carry_free_splits, digits
 from .finalg import Automorphism, FinAlgebra, IdealSubspace, automorphism, is_stable, subspace
 
 
@@ -150,17 +150,35 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
     return report
 
 
+def require_char_p(sd: SkewDerivation) -> int:
+    """sd.ring's p, refused unless it is the characteristic: 0 != None over Q, p^k != p over Z/p^k.
+    The ring proved p prime when built; an unchecked FinAlgebra trusts its caller."""
+    if sd.ring.char != sd.ring.p:
+        raise SkewDerivationError("requires characteristic p")
+    return sd.ring.p
+
+
+def require_commuting(sd: SkewDerivation) -> None:
+    if not sd.commuting:
+        raise SkewDerivationError("requires sigma delta = delta sigma")
+
+
+def require_skew_derivation(sd: SkewDerivation) -> None:
+    """Refuse a pair that breaks an axiom, naming the first one ``check_skew_derivation`` reports."""
+    report = check_skew_derivation(sd)
+    if not report.valid:
+        axiom, witness = report.violations[0]
+        raise SkewDerivationError(f"(sigma, delta) is not a skew derivation: {axiom}: witness {witness}")
+
+
 def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p.  Unless sd is itself a
     p-th power, it is checked first: p, then sigma delta = delta sigma, then sigma an automorphism
     of sd.ring (``finalg.automorphism``).  A p-th power of a p-th power is read off, or added to,
     the ladder they share, and the sigma of every rung carries the proof."""
-    p = sd.ring.char  # the ring proved its p prime when built; an unchecked FinAlgebra trusts its caller
-    if p != sd.ring.p:  # 0 != None over Q, p^k != p over Z/p^k
-        raise SkewDerivationError("requires characteristic p")
+    p = require_char_p(sd)
     if not isinstance(sd, _CommutingPair):
-        if not sd.commuting:
-            raise SkewDerivationError("requires sigma delta = delta sigma")
+        require_commuting(sd)
         rung = (automorphism(sd.ring, sd.sigma_pow(1)), sd.delta_pow(1))
         sd = _CommutingPair(sd.ring, sd.q, [rung], 0, functools.cache(is_stable))
     ladder, level = sd.ladder, sd.level + m
@@ -207,19 +225,17 @@ def evaluate(expr: dict, sd: SkewDerivation, assignment: dict):
 
 
 def delta_n_product(sd: SkewDerivation, a, b, n: int):
-    """Binomial expansion of delta^n(ab) for commuting sigma, delta."""
-    if not sd.commuting:
-        raise SkewDerivationError("requires sigma delta = delta sigma")
+    """Binomial expansion of delta^n(ab) for a skew derivation with commuting sigma, delta."""
+    require_commuting(sd)
+    require_skew_derivation(sd)
     return evaluate(binomial_terms(n), sd, {"a": a, "b": b})
 
 
 def trinomial_expand(sd: SkewDerivation, a, x, b, n: int):
-    """Carry-free trinomial expansion of delta^n(axb) in characteristic p."""
-    p = sd.ring.char
-    if p != sd.ring.p:  # the ring's proven p, as in pth_power
-        raise SkewDerivationError("requires characteristic p")
-    if not sd.commuting:
-        raise SkewDerivationError("requires sigma delta = delta sigma")
+    """Carry-free trinomial expansion of delta^n(axb) in characteristic p, on a pair as delta_n_product's."""
+    p = require_char_p(sd)
+    require_commuting(sd)
+    require_skew_derivation(sd)
     return evaluate(trinomial_terms(n, p), sd, {"a": a, "x": x, "b": b})
 
 
@@ -236,14 +252,13 @@ def _minimal_escape(sd: SkewDerivation, I: IdealSubspace, a, bound: int):
 def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -> bool:
     """delta^(r+s)(axb) = alpha * delta^r sigma^s(a) sigma^s(x) delta^s(b) mod I.
 
-    Preconditions (each reported separately on failure): a, b in I with
-    minimal escape exponents exactly r and s, and [r], [s] carry-free
-    disjoint in base p.
+    Preconditions (each reported separately on failure): a skew derivation with commuting
+    sigma, delta in characteristic p, a, b in I with minimal escape exponents exactly r and s,
+    and [r], [s] carry-free disjoint in base p.
     """
-    ring = sd.ring
-    p = ring.char
-    if p != ring.p:  # the ring's proven p, as in pth_power
-        raise SkewDerivationError("requires characteristic p")
+    ring, p = sd.ring, require_char_p(sd)
+    require_commuting(sd)
+    require_skew_derivation(sd)
     if not I.contains(a) or not I.contains(b):
         raise SkewDerivationError("a and b must lie in I")
     bound = max(r, s) + 1
@@ -253,7 +268,7 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
         raise SkewDerivationError(f"r is not minimal for a (found {ra})")
     if rb != s:
         raise SkewDerivationError(f"s is not minimal for b (found {rb})")
-    if not no_common_component(digits(r, p), digits(s, p)):
+    if any(u and v for u, v in zip(digits(r, p), digits(s, p))):
         raise SkewDerivationError("[r] and [s] share a common component")
     lhs = la.apply_map(sd.delta_pow(r + s), ring.mul(ring.mul(a, x), b), ring.scalar_mod)
     term = (("a", r, s), ("x", 0, s), ("b", s, 0))
@@ -262,8 +277,9 @@ def cor36_check(sd: SkewDerivation, I: IdealSubspace, a, b, x, r: int, s: int) -
 
 
 def lemma31_check(sd: SkewDerivation, I: IdealSubspace) -> bool:
-    """I + delta(I) is closed under two-sided multiplication."""
+    """I + delta(I) is closed under two-sided multiplication, for a skew derivation and a sigma-stable I."""
     A: FinAlgebra = sd.ring
+    require_skew_derivation(sd)
     if not is_stable(I, sd.sigma_matrix):
         raise SkewDerivationError("I is not sigma-stable")
     vectors = list(I.basis) + [sd.delta(v) for v in I.basis]

@@ -8,15 +8,12 @@ from hypothesis import given, strategies as st
 
 from skewseries import coeffcore
 from skewseries.coeffcore import (
-    Digits,
     INFINITY,
-    alpha_coeff,
     binom_valuation_check,
+    carry_free_splits,
     digits,
     multinomial,
-    no_common_component,
     qfactorial,
-    trinomial_indices,
     vp,
 )
 from skewseries.finalg import truncated_poly_algebra
@@ -67,38 +64,47 @@ def test_infinity_is_one_hashable_value_printed_oo():
 
 
 def test_digits_examples():
-    assert digits(6, 2).entries == (0, 1, 1)
-    assert digits(0, 3).entries == ()
+    assert digits(6, 2) == (0, 1, 1)
+    assert digits(0, 3) == ()
     for p, k in [(2, 3), (5, 2)]:
-        assert digits(p**k, p).entries == (0,) * k + (1,)
+        assert digits(p**k, p) == (0,) * k + (1,)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3, 5, 7]))
 def test_digits_roundtrip(n, p):
-    assert digits(n, p).value() == n
+    entries = digits(n, p)
+    assert sum(a * p**i for i, a in enumerate(entries)) == n
+    assert all(0 <= a < p for a in entries) and entries[-1:] != (0,)
 
 
 def test_digits_invariants():
-    with pytest.raises(ValueError):
-        Digits(4, (1,))
-    with pytest.raises(ValueError):
-        Digits(2, (1, 0))
-    with pytest.raises(ValueError):
-        Digits(2, (2,))
+    # a base below 2 is refused before the loop: divmod(n, 1) leaves n as it is, and never ends
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"base {p} is below 2"):
+            digits(5, p)
+        with pytest.raises(ValueError, match=f"base {p} is below 2"):
+            carry_free_splits(5, p)
+    with pytest.raises(ValueError, match="nonnegative"):
+        digits(-1, 2)
+    assert digits(9, 4) == (1, 2)  # the base is not proved prime: callers hold a proven p
 
 
 def test_no_common_component():
-    assert no_common_component(digits(1, 2), digits(2, 2))
-    assert not no_common_component(digits(3, 2), digits(2, 2))
-    for n in range(20):
-        assert no_common_component(digits(n, 3), digits(0, 3))
-    with pytest.raises(ValueError, match="mismatched"):
-        no_common_component(digits(1, 2), digits(1, 3))
+    # Corollary 3.6's disjointness test, one zip of two digit tuples, against the digit slots
+    # read by division; over p = 2 disjoint digits are the carry-free splits (r, 0, s)
+    for p in (2, 3, 5):
+        for r in range(60):
+            for s in range(60):
+                disjoint = not any(u and v for u, v in zip(digits(r, p), digits(s, p)))
+                assert disjoint == all(r // p**t % p == 0 or s // p**t % p == 0 for t in range(7))
+                if p == 2:
+                    assert disjoint == ((r, 0, s) in carry_free_splits(r + s, p))
 
 
 def test_trinomial_indices_small():
-    assert set(trinomial_indices(1, 2)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    triples = trinomial_indices(3, 2)
+    # the trinomial indices are the keys of carry_free_splits
+    assert set(carry_free_splits(1, 2)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    triples = carry_free_splits(3, 2)
     assert len(triples) == 9
     for i, j, k in triples:
         assert i + j + k == 3
@@ -113,47 +119,43 @@ def test_trinomial_indices_against_enumeration():
                 for j in range(n - i + 1)
                 if multinomial(n, i, j, n - i - j) % p != 0
             ]
-            assert sorted(brute) == trinomial_indices(n, p)
+            assert sorted(brute) == sorted(carry_free_splits(n, p))
 
 
 def test_trinomial_count_formula():
     for p in (2, 3, 5):
         for n in range(0, 200):
-            expected = math.prod(
-                math.comb(a + 2, 2) for a in digits(n, p).entries
-            )
-            assert len(trinomial_indices(n, p)) == expected
+            expected = math.prod(math.comb(a + 2, 2) for a in digits(n, p))
+            assert len(carry_free_splits(n, p)) == expected
 
 
 def test_alpha_coeff():
+    # alpha, the unit mod p of a carry-free split, is its carry_free_splits value
     for n in range(1, 20):
         for p in (2, 3):
-            assert alpha_coeff(n, 0, 0, p) == 1
-    assert alpha_coeff(1, 0, 2, 2) == 1
-    with pytest.raises(ValueError, match="carries"):
-        alpha_coeff(1, 1, 1, 3)
+            assert carry_free_splits(n, p)[n, 0, 0] == 1
+    assert carry_free_splits(3, 2)[1, 0, 2] == 1
+    assert (1, 1, 1) not in carry_free_splits(3, 3)  # carries: 1 + 1 + 1 = 3 = 10 in base 3
 
 
 def test_alpha_lucas_consistency():
     for p in (2, 3, 5):
         for n in range(40):
-            for i, j, k in trinomial_indices(n, p):
-                assert alpha_coeff(i, j, k, p) == multinomial(n, i, j, k) % p
-                assert alpha_coeff(i, j, k, p) != 0
+            for (i, j, k), alpha in carry_free_splits(n, p).items():
+                assert alpha == multinomial(n, i, j, k) % p
+                assert alpha != 0
 
 
-def test_trinomial_terms_prove_p_once(monkeypatch):
-    # one expansion of n proves p; the coefficients are read off its digit slots
+def test_digit_combinatorics_prove_nothing(monkeypatch):
+    # digits, carry_free_splits and trinomial_terms take p from a ring that proved it when built
     calls = []
     is_prime = coeffcore.is_prime
     monkeypatch.setattr(coeffcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
     p = 2**31 - 1
     terms = trinomial_terms(4, p)
-    assert calls == [p]
+    assert calls == []
     assert terms == {(("a", i, 4 - i), ("x", j, 4 - i - j), ("b", 4 - i - j, 0)): multinomial(4, i, j, 4 - i - j)
                      for i in range(5) for j in range(5 - i)}
-    with pytest.raises(ValueError, match="base 4 is not prime"):
-        Digits(4, (1,))
 
 
 def test_qfactorial():
@@ -180,3 +182,16 @@ def test_binom_valuation_exhaustive_small():
                 assert binom_valuation_check(n, i, p)
     with pytest.raises(ValueError):
         binom_valuation_check(2, 0, 2)
+
+
+def test_binom_valuation_check_proves_p_once(monkeypatch):
+    # one proof, by vp(i, p), then prime_vp: two vp calls made two proofs of p
+    calls = []
+    is_prime = coeffcore.is_prime
+    monkeypatch.setattr(coeffcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p = 2**31 - 1
+    assert binom_valuation_check(1, 5, p) and binom_valuation_check(2, 3, p)
+    assert calls == [p, p]
+    for composite in (1, 4):  # refused, before prime_vp could run on p = 1, which never ends
+        with pytest.raises(ValueError, match=f"{composite} is not prime"):
+            binom_valuation_check(2, 1, composite)

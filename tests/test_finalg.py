@@ -497,8 +497,14 @@ def test_central_idempotents():
     assert central_idempotents(matrix_algebra(2, 2)) == [matrix_algebra(2, 2).one()]
     C = product_of_fields(2, 3)
     assert len(central_idempotents(C)) == 3
+    A = truncated_poly_algebra(2, 2)
     with pytest.raises(AlgebraError, match="semisimple"):
-        central_idempotents(truncated_poly_algebra(2, 2))
+        central_idempotents(A)
+    # N = 0 does not contain rad A = (X): the split of A itself is refused, where it once
+    # returned the zero ideal as the only prime; over rad A the prime is (X)
+    with pytest.raises(AlgebraError, match="^algebra not semisimple$"):
+        prime_spectrum(A, subspace(A, []))
+    assert [P.basis for P in prime_spectrum(A)] == [((0, 1),)]
 
 
 def kernel_cases():

@@ -190,6 +190,21 @@ def test_lemma31():
         lemma31_check(sdB, subspace(B, [B.basis_vec(0)]))
 
 
+def test_the_paper_checks_refuse_a_pair_that_is_no_skew_derivation():
+    # delta(X^2) = 1, delta(1) = delta(X) = 0 on F_2[X]/(X^3) with sigma = id breaks Leibniz at
+    # (X, X); the expansions read 0 for delta(X X) = 1, and Lemma 3.1 read False, a refutation
+    A = truncated_poly_algebra(2, 3)
+    sd = SkewDerivation(A, la.identity_map(3, 2), ((0, 0, 0), (0, 0, 0), (1, 0, 0)))
+    X, X2 = A.basis_vec(1), A.basis_vec(2)
+    assert sd.commuting and sd.delta(A.mul(X, X)) == A.one()
+    I = ideal_generated(A, [X2])
+    for call in (lambda: lemma31_check(sd, I), lambda: delta_n_product(sd, X, X, 1),
+                 lambda: trinomial_expand(sd, X, A.one(), X, 1), lambda: cor36_check(sd, I, X2, X2, X, 1, 2)):
+        with pytest.raises(SkewDerivationError,
+                           match=r"^\(sigma, delta\) is not a skew derivation: Leibniz: witness \(1, 1\)$"):
+            call()
+
+
 def test_from_gen_images_on_series():
     R = SeriesRing(2, 6)
     sd = SkewDerivation.from_gen_images(R, R.gen(), R.monomial(1, 3))

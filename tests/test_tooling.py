@@ -60,12 +60,22 @@ def test_no_module_imports_dataclasses():
 
 # ``cat src/skewseries/*.py | wc -l`` at the last change that moved it, the figure ROADMAP's
 # design aim tracks: a change that grows the package raises it here, where a review sees it.
-LINE_CEILING = 3002
+LINE_CEILING = 2974
 
 
 def test_the_package_stays_within_its_line_ceiling():
     lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
     assert lines <= LINE_CEILING
+
+
+# one refusal per hypothesis of a pair, in skewder, which every caller goes through
+PAIR_REFUSALS = ["requires characteristic p", "requires sigma delta = delta sigma",
+                 "(sigma, delta) is not a skew derivation: "]
+
+
+def test_each_pair_hypothesis_is_refused_in_one_place():
+    source = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert {text: source.count(text) for text in PAIR_REFUSALS} == dict.fromkeys(PAIR_REFUSALS, 1)
 
 
 def test_the_check_sees_unused_imports():
@@ -193,10 +203,8 @@ UNREACHED = {
         "filtration.GradedAlgebra.to_algebra.at_value finalg.is_prime_fd exactla.solve "
         "coeffcore.binom_valuation_check coeffcore.vp"),
     "the digit combinatorics of the expansions": (
-        "coeffcore.Digits.__init__ coeffcore.Digits.__len__ coeffcore.Digits.digit coeffcore.Digits.value "
-        "coeffcore._digit_splits coeffcore.alpha_coeff coeffcore.carry_free_splits coeffcore.digits "
-        "coeffcore.multinomial "
-        "coeffcore.no_common_component coeffcore.qfactorial coeffcore.trinomial_indices"),
+        "coeffcore._digit_splits coeffcore.carry_free_splits coeffcore.digits coeffcore.multinomial "
+        "coeffcore.qfactorial"),
     "the ring and value protocol": (
         "filtration.AdicFiltration.__repr__ filtration.ChainFiltration.__repr__ finalg.FinAlgebra.__repr__ "
         "finalg.IdealSubspace.__repr__ skewder.SkewDerivation.__repr__ coeffcore._Infinity.__repr__ "
