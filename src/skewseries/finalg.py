@@ -114,9 +114,6 @@ class FinAlgebra:
     def sub(self, a, b):
         return la.vsub(a, b, self.p)
 
-    def neg(self, a):
-        return la.vscale(-1, a, self.p)
-
     def smul(self, c, a):
         return la.vscale(c, a, self.p)
 
@@ -452,25 +449,36 @@ def minimal_primes_over(A: FinAlgebra, I: IdealSubspace, spectrum=None) -> list[
 # -- sigma machinery --------------------------------------------------------
 
 
-def is_automorphism(A: FinAlgebra, sigma) -> bool:
-    """sigma is invertible, fixes 1 and takes e_i e_j to sigma(e_i) sigma(e_j), both sides
-    summed over nonzero entries only: the pairs of basis products and the entries of sigma."""
-    p, n, P = A.p, A.dim, A._pairs
-    if not la.is_invertible(sigma, p) or la.apply_map(sigma, A.unit, p) != A.unit:
-        return False
-    rows = [[(a, c) for a, c in enumerate(row) if c != 0] for row in sigma]  # sigma(e_i)
+def law_violations(R, sigma, delta=None):
+    """Each (axiom, witness) that (sigma, delta) breaks on R, in order: sigma bijective, sigma(1) = 1,
+    per basis pair (i, j) sigma multiplicative and, with a delta, Leibniz, then delta(1) = 0.  Both
+    sides are summed over nonzero entries only, of the basis products (R._pairs) and of the rows
+    of sigma and delta, and compared mod R.scalar_mod, or exactly over Q."""
+    mod, n, P, one = R.scalar_mod, R.dim, R._pairs, R.one()
+    if not la.is_invertible(sigma, R.p):
+        yield "sigma bijective", "matrix is singular"
+    if la.apply_map(sigma, one, mod) != one:
+        yield "sigma(1) = 1", one
+    s = [[(a, c) for a, c in enumerate(row) if c != 0] for row in sigma]  # sigma(e_i)
+    laws = [("sigma multiplicative", s, [(s, s)])]  # m(e_i e_j) = sum of left(e_i) right(e_j)
+    if delta is not None:
+        d = [[(a, c) for a, c in enumerate(row) if c != 0] for row in delta]
+        laws.append(("Leibniz", d, [(d, [[(j, 1)] for j in range(n)]), (s, d)]))
     for i, j in itertools.product(range(n), repeat=2):
-        diff = {}  # sigma(e_i e_j) - sigma(e_i) sigma(e_j), coordinate by coordinate
-        for k, c in P[i][j]:
-            for t, s in rows[k]:
-                diff[t] = diff.get(t, 0) + c * s
-        for a, c in rows[i]:
-            for b, d in rows[j]:
-                for t, s in P[a][b]:
-                    diff[t] = diff.get(t, 0) - c * d * s
-        if any(x % p for x in diff.values()) if p else any(diff.values()):
-            return False
-    return True
+        for axiom, m, products in laws:
+            diff = {}  # m(e_i e_j) - sum left(e_i) right(e_j), coordinate by coordinate
+            for k, c in P[i][j]:
+                for t, x in m[k]:
+                    diff[t] = diff.get(t, 0) + c * x
+            for left, right in products:
+                for a, c in left[i]:
+                    for b, e in right[j]:
+                        for t, x in P[a][b]:
+                            diff[t] = diff.get(t, 0) - c * e * x
+            if any(x % mod for x in diff.values()) if mod else any(diff.values()):
+                yield axiom, (i, j)
+    if delta is not None and any(la.apply_map(delta, one, mod)):
+        yield "delta(1) = 0", one
 
 
 class Automorphism(tuple):
@@ -484,10 +492,10 @@ class Automorphism(tuple):
 
 
 def automorphism(A: FinAlgebra, sigma) -> Automorphism:
-    """sigma with its proof for A: at once for a proof made for A itself, else by is_automorphism."""
+    """sigma with its proof for A: at once for a proof made for A itself, else by law_violations."""
     if isinstance(sigma, Automorphism) and sigma.algebra is A:
         return sigma
-    if not is_automorphism(A, sigma):
+    if next(law_violations(A, sigma), None):
         raise AlgebraError("sigma is not an algebra automorphism")
     return Automorphism(A, sigma)
 

@@ -8,6 +8,8 @@ modulo p^k.
 
 from __future__ import annotations
 
+import functools
+
 from .coeffcore import is_prime
 
 
@@ -60,15 +62,18 @@ class SeriesRing:
     def basis(self):
         return [self.monomial(1, n) for n in range(self.T)]
 
+    @functools.cached_property
+    def _pairs(self):
+        """The nonzero (k, c) of each basis product, as on a FinAlgebra: t^i t^j = t^(i+j) below T."""
+        return tuple(tuple(((i + j, 1),) if i + j < self.T else () for j in range(self.T))
+                     for i in range(self.T))
+
     def add(self, a, b):
         # from a list, for the reason given at exactla.vec
         return tuple([(x + y) % self.modulus for x, y in zip(a, b, strict=True)])
 
     def sub(self, a, b):
         return tuple((x - y) % self.modulus for x, y in zip(a, b, strict=True))
-
-    def neg(self, a):
-        return tuple((-x) % self.modulus for x in a)
 
     def smul(self, c, a):
         return tuple((c * x) % self.modulus for x in a)

@@ -87,9 +87,6 @@ class SPSRing:
             self.base.sub(a, b) for a, b in zip(f, g, strict=True)
         )
 
-    def neg(self, f):
-        return self.normalize(self.base.neg(a) for a in f)
-
     # -- multiplication -----------------------------------------------------
 
     def mul(self, f, g):
@@ -250,9 +247,11 @@ def quotient_kernel_check(S: SPSRing, I: IdealSubspace, project_elem, f) -> bool
 
 
 def _x_exponent(S: SPSRing, N: int) -> int:
-    """p^N, refused for N < 0 and for p^N beyond the x-truncation degree."""
+    """p^N, refused for N < 0, over Q and for p^N beyond the x-truncation degree."""
     if N < 0:
         raise SPSError(f"N must be >= 0, got {N}")
+    if S.base.p is None:
+        raise SPSError("p^N needs a base over Z/p^k, not over Q")
     if S.base.p**N > S.D:
         raise PrecisionError("p^N exceeds the x-truncation degree")
     return S.base.p**N

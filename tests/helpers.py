@@ -3,7 +3,9 @@
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import skewseries.exactla as la
 from skewseries.coeffcore import is_prime
@@ -27,6 +29,9 @@ from skewseries.finalg import (
     truncated_poly_algebra,
 )
 from skewseries.skewder import SkewDerivation, SkewDerivationError, check_skew_derivation, pth_power
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def fraction_fnorm(c, p):
@@ -428,8 +433,7 @@ def naive_meet(ideals):
 
 def naive_is_automorphism(A, sigma):
     """Invertible, fixing 1, and sigma(e_i e_j) = sigma(e_i) sigma(e_j) on dense
-    coordinates: apply_map on each structure vector against A.mul of the images.
-    The reference the sparse is_automorphism is compared against."""
+    coordinates: apply_map on each structure vector against A.mul of the images."""
     p = A.p
     if not la.is_invertible(sigma, p):
         return False
@@ -469,6 +473,62 @@ def naive_theorem_c(A, sd, I, cap=None):
             return I_j, M_prev, rounds
         I_j, M_prev = I_next, M_j
     return None, None, rounds
+
+
+def dense_axiom_violations(sd):
+    """The (axiom, witness) list of check_skew_derivation by its former dense loop: every law on
+    every basis pair through ring products and map applications, then the q laws.  The reference
+    the sparse finalg.law_violations, and check_skew_derivation on it, are compared against."""
+    ring, found = sd.ring, []
+    if not la.is_invertible(sd.sigma_matrix, ring.p):
+        found.append(("sigma bijective", "matrix is singular"))
+    if sd.sigma(ring.one()) != ring.one():
+        found.append(("sigma(1) = 1", ring.one()))
+    basis = ring.basis()
+    for i, e in enumerate(basis):
+        for j, f in enumerate(basis):
+            if sd.sigma(ring.mul(e, f)) != ring.mul(sd.sigma(e), sd.sigma(f)):
+                found.append(("sigma multiplicative", (i, j)))
+            leib = ring.add(ring.mul(sd.delta(e), f), ring.mul(sd.sigma(e), sd.delta(f)))
+            if sd.delta(ring.mul(e, f)) != leib:
+                found.append(("Leibniz", (i, j)))
+    if sd.delta(ring.one()) != ring.zero():
+        found.append(("delta(1) = 0", ring.one()))
+    if sd.q is not None:
+        q = sd.q
+        if not ring.is_central(q):
+            found.append(("q central", q))
+        if sd.sigma(q) != q:
+            found.append(("sigma(q) = q", q))
+        if sd.delta(q) != ring.zero():
+            found.append(("delta(q) = 0", q))
+        for i, e in enumerate(basis):
+            if sd.delta(sd.sigma(e)) != ring.mul(q, sd.sigma(sd.delta(e))):
+                found.append(("delta sigma = q sigma delta", i))
+    return found
+
+
+def primes_workload_instances(seed=1, theorem_c=True, cycles=0):
+    """The F_p Theorem-C instances (the char-0 ones when not theorem_c) of the benchmark's
+    primes workload at the seed, after it has run ``cycles`` whole cycles of verdicts on them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    workload = workloads.build("primes", seed)
+    for key in itertools.chain.from_iterable(workload.cycle(c) for c in range(cycles)):
+        workload.run(key)
+    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workload.instances.items())
+            if (inst.I is not None) == theorem_c]
+
+
+def perturbations(m, mod, entries):
+    """The matrix m with one entry (i, j) of entries moved by +1 or -1 (mod mod)."""
+    for (i, j), step in itertools.product(entries, (1, -1)):
+        rows = [list(row) for row in m]
+        rows[i][j] = la.fnorm(rows[i][j] + step, mod)
+        yield tuple(map(tuple, rows))
 
 
 def naive_verdict(A, sd, I, cap=None):

@@ -225,6 +225,54 @@ def test_decompose_refuses_a_negative_N(capsys):
     assert capsys.readouterr().err == "error: N must be >= 0, got -1\n"
 
 
+Q_DECOMPOSE = """sps-spec 1
+
+[ring]
+kind = finalg
+p = 0
+preset = tpoly 2
+D = 4
+
+[skew]
+sigma = 1 0; 0 1
+delta = 0 0; 0 0
+
+[filtration]
+levels = 1 0, 0 1 | 0 1 | -
+
+[elements]
+f = 1 + 1*t^1*x^1
+"""
+
+Z8_DECOMPOSE = """sps-spec 1
+
+[ring]
+kind = modp
+p = 2
+k = 3
+T = 2
+D = 4
+
+[skew]
+sigma_gen = 1*t^1
+delta_gen = 0
+
+[elements]
+f = 1 + 1*t^1*x^1
+"""
+
+
+def test_decompose_over_q_is_refused_and_over_z_mod_8_answers(tmp_path, capsys):
+    # over Q there is no p for x_N = (x+1)^(p^N) - 1: the Q decompose computed None**N and
+    # printed a TypeError traceback with exit 1, the code of a refuted property
+    (tmp_path / "q.spec").write_text(Q_DECOMPOSE)
+    (tmp_path / "z8.spec").write_text(Z8_DECOMPOSE)
+    assert main(["decompose", str(tmp_path / "q.spec"), "--N", "1", "f"]) == 2
+    assert capsys.readouterr() == ("", "error: p^N needs a base over Z/p^k, not over Q\n")
+    assert main(["decompose", str(tmp_path / "z8.spec"), "--N", "1", "f"]) == 0
+    assert capsys.readouterr().out == "s_0: 1 + 7*t^1 | 0\ns_1: 1*t^1 | 0\nround trip: True\n"
+
+
 def test_demo_command(capsys):
     assert main(["demo", "iwasawa"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,6 @@ import itertools
 import random
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
@@ -28,9 +27,9 @@ from skewseries.finalg import (
     automorphism,
     direct_sum,
     ideal_generated,
-    is_automorphism,
     is_sigma_prime,
     is_stable,
+    law_violations,
     minimal_primes_over,
     minimal_sigma_primes,
     prime_spectrum,
@@ -61,6 +60,7 @@ from helpers import (
     naive_verdict,
     perm_skew,
     permutation_group_algebra,
+    primes_workload_instances,
     random_basis,
     random_char0_instance,
     rebase_skew,
@@ -68,8 +68,6 @@ from helpers import (
     whole_spectrum_theorem_c,
 )
 from test_qscalars import cycles, q_instances
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def bg_instance(p):
@@ -466,7 +464,7 @@ def test_one_ideal_certificate_per_core(monkeypatch):
     assert sorted(map(id, evaluations)) == sorted({id(K) for K in cores})
 
 
-# The non-automorphisms of test_finalg.py::test_is_automorphism, on F_p[X]/(X^3) and Q[X]/(X^3).
+# The non-automorphisms of test_finalg.py::test_law_violations_of_sigma, on F_p[X]/(X^3) and Q[X]/(X^3).
 NON_AUTOMORPHISMS = {
     "not multiplicative": ((1, 0, 0), (0, 0, 1), (0, 1, 0)),  # swaps X and X^2
     "singular": ((1, 0, 0), (0, 1, 0), (0, 1, 0)),
@@ -481,10 +479,10 @@ def test_a_non_automorphism_is_refused_everywhere(sigma):
     # passed a second time with its proof for F_p^3, which proves nothing for A
     for p in (2, None):
         A, F = truncated_poly_algebra(p, 3), product_of_fields(p, 3)
-        for sigma in [sigma] + ([automorphism(F, sigma)] if is_automorphism(F, sigma) else []):
+        for sigma in [sigma] + ([] if list(law_violations(F, sigma)) else [automorphism(F, sigma)]):
             sd = SkewDerivation(A, sigma, la.map_sub(sigma, sigma, p))  # delta = 0 commutes with sigma
             X, zero = ideal_generated(A, [A.basis_vec(1)]), subspace(A, [])
-            assert not is_automorphism(A, sigma) and is_stable(X, sigma) and sd.commuting
+            assert list(law_violations(A, sigma)) and is_stable(X, sigma) and sd.commuting
             refusals = [(AlgebraError, lambda: sigma_orbit(X, sigma)),
                         (AlgebraError, lambda: is_sigma_prime(X, sigma)),
                         (AlgebraError, lambda: is_sigma_prime(zero, sigma)),
@@ -503,8 +501,8 @@ def test_a_non_automorphism_is_refused_everywhere(sigma):
 
 
 def test_one_automorphism_check_per_verdict(monkeypatch):
-    calls = []  # every proof goes through finalg.automorphism, which calls finalg's is_automorphism
-    counting(monkeypatch, finalg, "is_automorphism", calls)
+    calls = []  # every proof goes through finalg.automorphism, which calls finalg's law_violations
+    counting(monkeypatch, finalg, "law_violations", calls)
     A = permutation_group_algebra(2, S3)
     sd = conjugation_skew(A, A.basis_vec(1))
     I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
@@ -628,21 +626,6 @@ def test_theorem_c_flags_a_j_that_is_not_sigma_pm_stable_false(monkeypatch):
     J, M, flags = theorem_c_procedure(A, sd, radical(A))
     assert M == 1 and not is_stable(J, sd.sigma_matrix)
     assert flags["minimal sigma^(p^M)-prime"] is False
-
-
-def primes_workload_instances(seed=1, theorem_c=True, cycles=0):
-    """The F_p Theorem-C instances (the char-0 ones when not theorem_c) of the benchmark's
-    primes workload at the seed, after it has run ``cycles`` whole cycles of verdicts on them."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    workload = workloads.build("primes", seed)
-    for key in itertools.chain.from_iterable(workload.cycle(c) for c in range(cycles)):
-        workload.run(key)
-    return [(inst.A, inst.sd, inst.I) for _, inst in sorted(workload.instances.items())
-            if (inst.I is not None) == theorem_c]
 
 
 def cold_copy(A, sd, I):

@@ -4,7 +4,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,9 +21,9 @@ from skewseries.finalg import (
     ideal_generated,
     ideal_meet,
     induced_map,
-    is_automorphism,
     is_prime_fd,
     is_sigma_prime,
+    law_violations,
     matrix_algebra,
     minimal_primes_over,
     minimal_sigma_primes,
@@ -39,6 +38,7 @@ from skewseries.finalg import (
 from skewseries.skewder import SkewDerivation
 
 from helpers import (
+    dense_axiom_violations,
     dense_center,
     dense_quotient_algebra,
     fr_functional,
@@ -59,9 +59,11 @@ from helpers import (
     naive_validation_error,
     permutation_group,
     permutation_group_algebra,
+    perturbations,
     poly_prod,
     poly_quotient_algebra,
     poly_rem,
+    primes_workload_instances,
     random_basis,
     rebase,
     reference_spectrum,
@@ -152,7 +154,7 @@ def test_group_algebra_of_dim_56_ground_truth():
         return g[:6] + tuple(6 + (i - k) % 7 for i in range(7))
 
     sigma = tuple(A.basis_vec(index[invert_c7(g)]) for g in G)
-    assert is_automorphism(A, sigma)
+    assert list(law_violations(A, sigma)) == []
     primes = minimal_sigma_primes(A, sigma, subspace(A, []))
     assert [P.dim for P in primes] == [55, 50]
 
@@ -682,43 +684,28 @@ def test_sigma_orbit():
     assert sigma_orbit(I, ident) == [I]
     orbit = sigma_orbit(I, swap_matrix())
     assert len(orbit) == 2
-    assert is_automorphism(A, swap_matrix())
+    assert list(law_violations(A, swap_matrix())) == []
 
 
-def test_is_automorphism():
+def test_law_violations_of_sigma():
     A = truncated_poly_algebra(2, 3)
     # X -> X + X^2 is multiplicative: (X + X^2)^2 = X^2
-    assert is_automorphism(A, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
-    # swapping X and X^2 is invertible and fixes 1, but sigma(X)^2 = 0 != sigma(X^2)
-    assert not is_automorphism(A, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    assert not is_automorphism(A, ((1, 0, 0), (0, 1, 0), (0, 1, 0)))  # singular
-    assert not is_automorphism(A, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))  # moves 1
+    assert list(law_violations(A, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))) == []
+    # swapping X and X^2 is invertible and fixes 1, but sigma(X)^2 = 0 != sigma(X^2) and
+    # sigma(X^2)^2 = X^2 != sigma(X^4) = 0
+    assert list(law_violations(A, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))) == [
+        ("sigma multiplicative", (1, 1)), ("sigma multiplicative", (2, 2))]
+    assert next(law_violations(A, ((1, 0, 0), (0, 1, 0), (0, 1, 0)))) == ("sigma bijective", "matrix is singular")
+    assert next(law_violations(A, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))) == ("sigma(1) = 1", (1, 0, 0))  # moves 1
 
 
-def primes_workload_instances():
-    """(A, sigma, I) of every instance of the benchmark's primes workload at seed 1:
-    Theorem-C verdicts over F_p (I their minimal sigma-prime) and char-0 checks over Q (I None)."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return [(inst.A, inst.sd.sigma_matrix, inst.I) for inst in workloads.Primes(1).instances.values()]
-
-
-def perturbations(sigma, p, entries):
-    """sigma with one entry (i, j) of entries moved by +1 or -1."""
-    for (i, j), step in itertools.product(entries, (1, -1)):
-        rows = [list(row) for row in sigma]
-        rows[i][j] = la.fnorm(rows[i][j] + step, p)
-        yield tuple(map(tuple, rows))
-
-
-def test_sparse_is_automorphism_matches_dense():
+def test_the_sigma_laws_match_the_dense_loop():
     # every primes instance, its quotients by the radical and by I (unchecked
-    # constructions) with the induced sigma, and +-1 moves of single entries
+    # constructions) with the induced sigma, and +-1 moves of single entries: the sigma
+    # laws of the pass against the former dense loop on (sigma, 0), and against dense A.mul
     rng, seen = random.Random(19), {True: 0, False: 0}
-    for A, sigma, I in primes_workload_instances():
+    for A, sd, I in primes_workload_instances() + primes_workload_instances(theorem_c=False):
+        sigma = sd.sigma_matrix
         cases = [(A, sigma)]
         for K in {radical(A), I} - {None}:
             if K.dim and K.dim < A.dim:
@@ -727,8 +714,10 @@ def test_sparse_is_automorphism_matches_dense():
         for B, tau in cases:
             cells = list(itertools.product(range(B.dim), repeat=2))
             for candidate in [tau, *perturbations(tau, B.p, rng.sample(cells, min(len(cells), 12)))]:
+                found = list(law_violations(B, candidate))
+                assert found == dense_axiom_violations(SkewDerivation(B, candidate, (B.zero(),) * B.dim))
                 expected = naive_is_automorphism(B, candidate)
-                assert is_automorphism(B, candidate) == expected
+                assert (found == []) == expected
                 seen[expected] += 1
     assert min(seen.values()) > 50
 

@@ -135,4 +135,4 @@ def test_no_q_routine_returns_an_integral_fraction():
     for B in (A, rebase_skew(A, SkewDerivation.identity(A), random_basis(A, rng))[0]):
         for _ in range(20):
             a, b, c = vector(B.dim), vector(B.dim), rng.choice(SCALARS)
-            assert_canonical([B.mul(a, b), B.add(a, b), B.sub(a, b), B.smul(c, a), B.neg(a)])
+            assert_canonical([B.mul(a, b), B.add(a, b), B.sub(a, b), B.smul(c, a), B.sub(B.zero(), a)])

@@ -1,11 +1,22 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import skewseries.exactla as la
-from skewseries.finalg import ideal_generated, product_of_fields, subspace, truncated_poly_algebra
+from skewseries.finalg import (
+    ideal_generated,
+    induced_map,
+    product_of_fields,
+    quotient_algebra,
+    radical,
+    subspace,
+    truncated_poly_algebra,
+)
 from skewseries.series import SeriesRing
+from skewseries.sps import iwasawa_demo, tpow_demo
 from skewseries.skewder import (
     SkewDerivation,
     SkewDerivationError,
@@ -18,7 +29,14 @@ from skewseries.skewder import (
     trinomial_expand,
 )
 
-from helpers import cor36_instance, ddx_derivation, sigma_shift_power
+from helpers import (
+    cor36_instance,
+    ddx_derivation,
+    dense_axiom_violations,
+    perturbations,
+    primes_workload_instances,
+    sigma_shift_power,
+)
 from oracle import delta_n_oracle
 
 
@@ -45,6 +63,60 @@ def test_q_axioms_checked():
     R = SeriesRing(3, 4)
     sd = SkewDerivation.from_gen_images(R, R.gen(), R.zero(), q=R.one())
     assert check_skew_derivation(sd).valid
+
+
+def law_sweep():
+    """The pairs on which the law pass is compared with the dense loop: every seed-1 primes
+    instance and its quotients by its radical and by I, with the induced maps; the iwasawa and
+    tpow demo rings at T = 12; and a Z/8 series ring.  Each comes with +-1 moves of single
+    entries of sigma and of delta: of three random entries on an algebra, and of every entry of
+    the image of t on a series ring, where over Z/8 a moved t^c with 2c >= T breaks a law at
+    (1, 1) by 2 t^(c+1) only, which vanishes mod 2."""
+    rng, pairs = random.Random(31), []
+    for A, sd, I in primes_workload_instances() + primes_workload_instances(theorem_c=False):
+        pairs.append(sd)
+        for K in {radical(A), I} - {None}:
+            if 0 < K.dim < A.dim:
+                B, project, lift = quotient_algebra(A, K)
+                maps = (induced_map(A, m, K, B, project, lift) for m in (sd.sigma_matrix, sd.delta_matrix))
+                pairs.append(SkewDerivation(B, *maps))
+    R = SeriesRing(2, 12, k=3)
+    pairs += [iwasawa_demo(3, 12, 4).sd, tpow_demo(2, 12, 4).sd,
+              SkewDerivation.from_gen_images(R, R.element([0, 3, 2]), R.element([0, 0, 2, 1]))]
+    for sd in pairs:
+        ring, mod = sd.ring, sd.ring.scalar_mod
+        if isinstance(ring, SeriesRing):
+            entries = [(1, c) for c in range(ring.dim)]
+        else:
+            entries = rng.sample(list(itertools.product(range(ring.dim), repeat=2)), min(ring.dim ** 2, 3))
+        yield sd
+        for sigma in perturbations(sd.sigma_matrix, mod, entries):
+            yield SkewDerivation(ring, sigma, sd.delta_matrix, sd.q)
+        for delta in perturbations(sd.delta_matrix, mod, entries):
+            yield SkewDerivation(ring, sd.sigma_matrix, delta, sd.q)
+
+
+def test_the_law_pass_matches_the_dense_loop():
+    # check_skew_derivation, and so every verify report, against the former dense loop
+    seen, valid = collections.Counter(), 0
+    for sd in law_sweep():
+        report = check_skew_derivation(sd)
+        assert report.violations == dense_axiom_violations(sd)
+        seen.update(axiom for axiom, _ in report.violations)
+        valid += report.valid
+    assert valid > 30 and set(seen) == {"sigma bijective", "sigma(1) = 1", "sigma multiplicative",
+                                        "Leibniz", "delta(1) = 0"}
+
+
+def test_a_law_check_on_a_series_ring_makes_no_ring_product(monkeypatch):
+    # the pass sums over the basis products t^i t^j = t^(i+j); the dense loop made five
+    # SeriesRing.mul calls per basis pair, on each delta_n_product call of criterion 1
+    sd, calls = tpow_demo(2, 24, 4).sd, []
+    mul = SeriesRing.mul
+    monkeypatch.setattr(SeriesRing, "mul", lambda *args: calls.append(args) or mul(*args))
+    assert check_skew_derivation(sd).valid and calls == []
+    assert check_skew_derivation(SkewDerivation(sd.ring, sd.sigma_matrix, sd.delta_matrix, q=sd.ring.one())).valid
+    assert calls  # the q laws still multiply
 
 
 def test_pth_power():

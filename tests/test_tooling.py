@@ -60,7 +60,7 @@ def test_no_module_imports_dataclasses():
 
 # ``cat src/skewseries/*.py | wc -l`` at the last change that moved it, the figure ROADMAP's
 # design aim tracks: a change that grows the package raises it here, where a review sees it.
-LINE_CEILING = 2974
+LINE_CEILING = 2973
 
 
 def test_the_package_stays_within_its_line_ceiling():
@@ -209,12 +209,13 @@ UNREACHED = {
         "filtration.AdicFiltration.__repr__ filtration.ChainFiltration.__repr__ finalg.FinAlgebra.__repr__ "
         "finalg.IdealSubspace.__repr__ skewder.SkewDerivation.__repr__ coeffcore._Infinity.__repr__ "
         "coeffcore._Infinity.__reduce__ coeffcore._Infinity.__ge__ coeffcore._Infinity.__le__ "
-        "finalg.FinAlgebra.neg series.SeriesRing.neg sps.SPSRing.neg "
         "finalg.FinAlgebra.is_central series.SeriesRing.is_central series.SeriesRing.char"),
     "test-only constructors (tests call it; perfbench does not)": "skewder.SkewDerivation.identity",
     "read by perfbench/workloads.py through getattr": "sps.tpow_demo",
     "the matrix preset, which no shipped fixture uses": "finalg.matrix_algebra",
-    "refusals these runs never meet (a malformed spec, a char-0 q)": "cli.SpecError.__init__ core._rational_scalar",
+    "refusals these runs never meet (a malformed spec, a char-0 q), and the report of a broken "
+    "filtration or q law (the ring laws come from finalg.law_violations)": (
+        "cli.SpecError.__init__ core._rational_scalar skewder.AxiomReport.add"),
 }
 
 
@@ -264,7 +265,7 @@ def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
     workload, calls = workloads.build("primes", 1), []
     for module, name in ((exactla, "map_power"), (exactla, "compose"), (exactla, "preimage"),
                          (exactla, "rref"), (exactla, "left_kernel"), (core, "delta_pm_core"),
-                         (finalg, "is_automorphism")):
+                         (finalg, "law_violations")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, original=original, name=name, **kwargs: (
             calls.append(name) or original(*args, **kwargs)))
@@ -272,13 +273,13 @@ def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
         workload.run(key)
     assert collections.Counter(calls) == {
         "map_power": 48, "compose": 64, "preimage": 12, "rref": 186, "left_kernel": 99,
-        "delta_pm_core": 24, "is_automorphism": 25}
+        "delta_pm_core": 24, "law_violations": 25}
     calls.clear()
     for key in workload.cycle(1):
         workload.run(key)
     assert collections.Counter(calls) == {
         "map_power": 48, "compose": 64, "preimage": 12, "rref": 175, "left_kernel": 88,
-        "delta_pm_core": 24, "is_automorphism": 25}
+        "delta_pm_core": 24, "law_violations": 25}
 
 
 def retained_bytes_per_op(name, cycles, warm_ops=None):
