@@ -119,15 +119,10 @@ def qfactorial(n: int, q, ring):
     """Product of the partial geometric sums 1 + q + ... + q^(m-1), m <= n."""
     if not ring.is_central(q):
         raise ValueError("q must be central")
-    result = ring.one()
-    power = ring.one()
-    partial = ring.zero()
-    for _ in range(1, n + 1):
-        partial = ring.add(partial, power)
-        # partial now holds 1 + q + ... + q^(m-1) after m-1 updates of power
-        result_next = ring.mul(result, partial)
-        power = ring.mul(power, q)
-        result = result_next
+    result, power, partial = ring.one(), ring.one(), ring.zero()
+    for _ in range(n):  # partial: 1 + q + ... + q^(m-1) at step m, and power: q^m
+        partial, power = ring.add(partial, power), ring.mul(power, q)
+        result = ring.mul(result, partial)
     return result
 
 

@@ -184,27 +184,48 @@ def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) 
     return vec(r, p)
 
 
+def _reduce_and_store(stored: list, r: list, n: int, p):
+    """Reduce r in place against the stored (row, pivot)s, each 1 at its pivot and 0 at the pivots
+    stored before it, so one pass in storage order clears every pivot; a residue left among r's
+    first n entries is stored, scaled to 1 at its pivot (its first nonzero entry).  The pivot, or None."""
+    for s, c in stored:
+        if r[c] != 0:
+            r[: len(s)] = _minus(r, r[c], s, p)
+    pivot = next((c for c in range(n) if r[c] != 0), None)
+    if pivot is not None:
+        inv = 1 if p == 2 else finv(r[pivot], p)
+        stored.append((r if inv == 1 else _normed([inv * a for a in r], p), pivot))
+    return pivot
+
+
 def dependencies(vectors: Iterable[Vector], p) -> Iterator[Vector]:
     """For each v_j in the span of v_0..v_(j-1), the c with c[j] = 1 and sum_i c_i v_i = 0.
 
     Each vector is drawn only as the caller asks and reduced, as [v_j | e_j]
-    so its combination is carried along, against the rows stored so far.
-    A row with a residue left is stored, scaled to 1 at its pivot (its first
-    nonzero entry); each stored row is then zero at the pivots of the rows
-    stored before it, so one pass in storage order clears every pivot.
+    so its combination is carried along, against the rows stored so far
+    (``_reduce_and_store``).
     """
     stored = []  # (row with its combination as tail, pivot column)
     for j, v in enumerate(vectors):
-        n, r = len(v), _normed([*v, *[0] * j, 1], p)
-        for s, c in stored:
-            if r[c] != 0:
-                r[: len(s)] = _minus(r, r[c], s, p)
-        pivot = next((c for c in range(n) if r[c] != 0), None)
-        if pivot is None:
-            yield tuple(r[n:])
-        else:
-            inv = 1 if p == 2 else finv(r[pivot], p)
-            stored.append((r if inv == 1 else _normed([inv * a for a in r], p), pivot))
+        r = _normed([*v, *[0] * j, 1], p)
+        if _reduce_and_store(stored, r, len(v), p) is None:
+            yield tuple(r[len(v):])
+
+
+def greedy_generators(one: Vector, basis, times, p) -> tuple[int, ...]:
+    """The greedy S of an algebra with unit ``one``: each i, in order, with basis[i] outside the span W of
+    the words one s_1 ... s_r in the S found before it (times(w, s) is w basis[s]).  W is kept reduced by
+    ``_reduce_and_store``, and each new row's products with S, and W's with a new generator, are reduced
+    before the next basis[i], so W is the subalgebra S generates."""
+    n, S, stored, todo = len(one), [], [], [*((basis[i], i) for i in range(len(one) - 1, -1, -1)), (one, None)]
+    while todo and len(stored) < n:  # the products are taken before the next basis[i]
+        v, i = todo.pop()
+        if _reduce_and_store(stored, _normed(v, p), n, p) is not None:  # a new row of W
+            if i is not None:  # basis[i] is a generator, and W times it joins W
+                S.append(i)
+                todo += [(times(w, i), None) for w, _ in stored[:-1]]
+            todo += [(times(stored[-1][0], s), None) for s in S]
+    return tuple(S)
 
 
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:

@@ -127,10 +127,7 @@ def check_axioms(w, samples: int = 0, rng=None) -> AxiomReport:
         report.add("w(0) = infinity", ring.zero())
     pairs = list(itertools.product([v for v, _ in w.adapted_basis], repeat=2))
     if rng is not None:
-        pairs += [
-            (ring.random_element(rng), ring.random_element(rng))
-            for _ in range(samples)
-        ]
+        pairs += [(ring.random_element(rng), ring.random_element(rng)) for _ in range(samples)]
     for a, b in pairs:
         if w.value(ring.add(a, b)) < min(w.value(a), w.value(b)):
             report.add("w(x+y) >= min(w(x), w(y))", (a, b))
@@ -241,9 +238,7 @@ def quotient_filtration(w: ChainFiltration, I: IdealSubspace):
     """
     A = w.ring
     B, project, lift = quotient_algebra(A, I)
-    levels = []
-    for lvl in w.levels:
-        levels.append(la.span([project(v) for v in lvl], A.p))
+    levels = [la.span([project(v) for v in lvl], A.p) for lvl in w.levels]
     # Trim so the chain still ends at zero.
     while len(levels) > 1 and levels[-2] == levels[-1] == ():
         levels.pop()

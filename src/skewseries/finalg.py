@@ -32,27 +32,23 @@ class ImplementationError(RuntimeError):
 class FinAlgebra:
     """Associative unital algebra given by structure constants.
 
-    ``structure[i][j]`` is the coordinate vector of e_i * e_j.  ``p`` is a
-    prime for F_p coefficients or None for Q.  Associativity and the unit
-    law are checked on all basis triples at construction.  The arithmetic
-    runs on ``_pairs[i][j]``, the nonzero (k, c) of e_i * e_j, so it costs
-    O(nonzeros), not O(dim), per basis product (one pair in a group algebra).
-    Over F_p each c is lifted to (-p/2, p/2]; ``integral``: a checked construction
-    found these integers associative over Z (every check sum exactly 0).
+    ``structure[i][j]`` is the coordinate vector of e_i * e_j.  ``p`` is a prime for F_p
+    coefficients or None for Q.  The arithmetic runs on ``_pairs[i][j]``, the nonzero (k, c) of
+    e_i * e_j, so it costs O(nonzeros), not O(dim), per basis product (one pair in a group algebra).
+    Over F_p each c is lifted to (-p/2, p/2]; ``integral``: a checked construction found these
+    integers associative over Z.  ``generators``: basis indices generating A as a unital algebra,
+    found by a checked construction (every index otherwise).
     """
 
     def __init__(self, p, dim, structure, unit, check=True):
         self.p = p
         self.dim = dim
-        self.structure = tuple(
-            tuple(la.vec(entry, p) for entry in row) for row in structure
-        )
-        self._pairs = tuple(tuple(tuple((k, c - p if p and 2 * c > p else c)
-                                        for k, c in enumerate(entry) if c != 0)
-                                  for entry in row) for row in self.structure)
+        self.structure = tuple(tuple(la.vec(entry, p) for entry in row) for row in structure)
+        self._pairs = tuple(tuple(self._lifted(entry) for entry in row) for row in self.structure)
         self.unit = la.vec(unit, p)
         self._zero = la.zero_vec(dim, p)
         self._basis = tuple(self.basis_vec(i) for i in range(dim))
+        self.generators = range(dim)
         self.integral = check and self._validate()
         self._radical = None  # radical(self), kept by its first call
 
@@ -65,29 +61,53 @@ class FinAlgebra:
         """Modulus for coordinatewise scalar arithmetic (None over Q)."""
         return self.p
 
+    def _lifted(self, v) -> tuple:  # the nonzero (k, c) of v, each c an int in (-p/2, p/2] over F_p
+        p = self.p
+        return tuple((k, (int(c) - p if 2 * c > p else int(c)) if p else c) for k, c in enumerate(v) if c != 0)
+
     def _validate(self) -> bool:
-        """Associativity and the unit law; True when the lift is integral."""
-        n, P, p = self.dim, self._pairs, self.p
+        """Associativity and the unit law; True when the lift is integral.  Given the unit law, the
+        triples with a middle in S = ``exactla.greedy_generators`` prove all (Light's test: the a with
+        (xa)y = x(ay) for all x, y form a subspace closed under products), and on the lift, where S's
+        words span, once its unit is exact.  Else every triple is checked, in order."""
+        n, p = self.dim, self.p
         if n < 1:
             raise AlgebraError("dim must be >= 1")
         if p is not None and not is_prime(p):  # F_p must be a field: radicals and splits assume one
             raise AlgebraError(f"p = {p} is not prime")
-        integral = True
-        for i, j, k in itertools.product(range(n), repeat=3):
-            diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
+        u = self._lifted(self.unit)  # its products with each e_i, on the lift
+        products = [(self._combine((c, k, i) for k, c in u), self._combine((c, i, k) for k, c in u)) for i in range(n)]
+        unit_law = all(la.vec(x, p) == e == la.vec(y, p) for (x, y), e in zip(products, self._basis))
+        if unit_law:  # the unit, with ints over F_p; times(r, s) is r e_s
+            self.generators = la.greedy_generators([dict(u).get(k, 0) for k in range(n)], self._basis, lambda r, s: (
+                self._combine((c, k, s) for k, c in enumerate(r) if c)), p)
+            witness, integral = self._first_associator(self.generators)
+            if witness is None and (not integral or all(x == list(e) == y for (x, y), e in zip(products, self._basis))):
+                return integral
+        witness, integral = self._first_associator(range(n))
+        if witness is not None:
+            raise AlgebraError("structure constants not associative at ({},{},{})".format(*witness))
+        if not unit_law:
+            raise AlgebraError("unit vector is not a two-sided identity")
+        return integral
+
+    def _first_associator(self, middles) -> tuple:
+        """(the first (i, j, k), j in middles, with (e_i e_j) e_k - e_i (e_j e_k) not 0 mod p, or None;
+        True when every one is 0 on the lift, which is then integral for these triples)."""
+        n, P, p, integral = self.dim, self._pairs, self.p, True
+        for i, j, k in itertools.product(range(n), middles, range(n)):
+            diff = {}  # coordinate by coordinate
             for a, c in P[i][j]:
                 for t, s in P[a][k]:
                     diff[t] = diff.get(t, 0) + c * s
             for b, c in P[j][k]:
                 for t, s in P[i][b]:
                     diff[t] = diff.get(t, 0) - c * s
-            if any(diff.values()):  # not over Z: the lift is not integral
-                integral = False
+            if any(diff.values()):
                 if not p or any(x % p for x in diff.values()):
-                    raise AlgebraError(f"structure constants not associative at ({i},{j},{k})")
-        if any(self.mul(self.unit, e) != e or self.mul(e, self.unit) != e for e in self._basis):
-            raise AlgebraError("unit vector is not a two-sided identity")
-        return integral
+                    return (i, j, k), False
+                integral = False
+        return None, integral
 
     # -- element arithmetic ------------------------------------------------
 
@@ -130,10 +150,8 @@ class FinAlgebra:
         return la.vec(self._combine((ai * bj, i, j) for i, ai in enumerate(a) if ai != 0
                                     for j, bj in right), mod or self.p)
 
-    def is_central(self, z):
-        return all(
-            self.mul(z, e) == self.mul(e, z) for e in self.basis()
-        )
+    def is_central(self, z):  # z commutes with each e_s, s in generators (its commutant is a subalgebra)
+        return all(self.mul(z, self._basis[s]) == self.mul(self._basis[s], z) for s in self.generators)
 
     def random_element(self, rng):
         if self.p is not None:
@@ -183,16 +201,17 @@ class IdealSubspace:
         return all(self.contains(v) for v in other.basis)
 
     def is_ideal(self) -> bool:
-        """Closed under e_i v and v e_i for every basis vector v; evaluated once, as I never changes."""
+        """Closed under e_s v and v e_s for each basis vector v and s in A.generators: the a with aI <= I
+        (or Ia <= I) form a subalgebra, so it holds every a.  Evaluated once, as I never changes."""
         return self._closed_under_products
 
     @functools.cached_property
     def _closed_under_products(self) -> bool:
         A = self.parent
         terms = [[(j, c) for j, c in enumerate(v) if c != 0] for v in self.basis]
-        return all(self.contains(A._combine((c, i, j) for j, c in t))  # e_i v
-                   and self.contains(A._combine((c, j, i) for j, c in t))  # v e_i
-                   for t in terms for i in range(A.dim))
+        return all(self.contains(A._combine((c, s, j) for j, c in t))  # e_s v
+                   and self.contains(A._combine((c, j, s) for j, c in t))  # v e_s
+                   for t in terms for s in A.generators)
 
     def __eq__(self, other):
         return (isinstance(other, IdealSubspace) and self.parent is other.parent
@@ -211,15 +230,11 @@ def subspace(A: FinAlgebra, vectors) -> IdealSubspace:
 
 
 def ideal_generated(A: FinAlgebra, gens) -> IdealSubspace:
-    """Smallest two-sided ideal containing gens, by closure iteration."""
+    """Smallest two-sided ideal containing gens, by closure under e_s v and v e_s, s in A.generators."""
     current = la.span(list(gens), A.p)
     while True:
-        new_vecs = list(current)
-        for v in current:
-            for e in A.basis():
-                new_vecs.append(A.mul(e, v))
-                new_vecs.append(A.mul(v, e))
-        closed = la.span(new_vecs, A.p)
+        closed = la.span([*current, *(A.mul(x, y) for v in current for s in A.generators
+                                      for x, y in ((A._basis[s], v), (v, A._basis[s])))], A.p)
         if closed == current:
             return IdealSubspace(A, closed)
         current = closed
@@ -339,14 +354,9 @@ def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
 
 
 def center(A: FinAlgebra) -> tuple:
-    """rref basis of the center: row i of its system is e_i e_j - e_j e_i over all j, off the pairs."""
-    n = A.dim
-    rows = [[0] * (n * n) for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        for k, c in A._pairs[i][j]:
-            rows[i][j * n + k] += c
-            rows[j][i * n + k] -= c
-    return la.left_kernel(rows, A.p)
+    """rref basis of the center, the z commuting with each e_s: row i is e_i e_s - e_s e_i over A.generators."""
+    return la.left_kernel([[x - y for s in A.generators for x, y in zip(A._combine([(1, i, s)]), A._combine([(1, s, i)]))]
+                           for i in range(A.dim)], A.p)
 
 
 def central_idempotents(A: FinAlgebra) -> list:
@@ -451,9 +461,17 @@ def minimal_primes_over(A: FinAlgebra, I: IdealSubspace, spectrum=None) -> list[
 
 def law_violations(R, sigma, delta=None):
     """Each (axiom, witness) that (sigma, delta) breaks on R, in order: sigma bijective, sigma(1) = 1,
-    per basis pair (i, j) sigma multiplicative and, with a delta, Leibniz, then delta(1) = 0.  Both
-    sides are summed over nonzero entries only, of the basis products (R._pairs) and of the rows
-    of sigma and delta, and compared mod R.scalar_mod, or exactly over Q."""
+    per basis pair (i, j) sigma multiplicative and, with a delta, Leibniz, then delta(1) = 0.  The
+    pairs (i, s), s in R.generators, are walked first, and every pair only when they show a violation:
+    given sigma(1) = 1, the y with sigma(xy) = sigma(x)sigma(y) for all x form a subalgebra, as then,
+    given delta(1) = 0, do those with delta(xy) = delta(x)y + sigma(x)delta(y)."""
+    if next(_law_pass(R, sigma, delta, R.generators), None) is not None:
+        yield from _law_pass(R, sigma, delta, range(R.dim))
+
+
+def _law_pass(R, sigma, delta, middles):
+    """law_violations on the pairs (i, j), j in middles.  Both sides are summed over nonzero entries
+    only, of R._pairs and of the maps' rows, and compared mod R.scalar_mod, or exactly over Q."""
     mod, n, P, one = R.scalar_mod, R.dim, R._pairs, R.one()
     if not la.is_invertible(sigma, R.p):
         yield "sigma bijective", "matrix is singular"
@@ -464,7 +482,7 @@ def law_violations(R, sigma, delta=None):
     if delta is not None:
         d = [[(a, c) for a, c in enumerate(row) if c != 0] for row in delta]
         laws.append(("Leibniz", d, [(d, [[(j, 1)] for j in range(n)]), (s, d)]))
-    for i, j in itertools.product(range(n), repeat=2):
+    for i, j in itertools.product(range(n), middles):
         for axiom, m, products in laws:
             diff = {}  # m(e_i e_j) - sum left(e_i) right(e_j), coordinate by coordinate
             for k, c in P[i][j]:

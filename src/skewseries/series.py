@@ -62,6 +62,8 @@ class SeriesRing:
     def basis(self):
         return [self.monomial(1, n) for n in range(self.T)]
 
+    generators = property(lambda self: (1,) if self.T > 1 else ())  # t generates the ring, as an algebra
+
     @functools.cached_property
     def _pairs(self):
         """The nonzero (k, c) of each basis product, as on a FinAlgebra: t^i t^j = t^(i+j) below T."""

@@ -71,14 +71,11 @@ class SkewDerivation:
                 ring.mul(delta_gen, monomials[i - 1]),
                 ring.mul(sigma_gen, delta_rows[i - 1]),
             ))
-        if n == 1:
-            delta_rows = [ring.zero()]
         return cls(ring, tuple(sigma_rows), tuple(delta_rows[:n]), q=q)
 
     @classmethod
     def identity(cls, ring):
-        n = ring.dim
-        mod = ring.scalar_mod
+        n, mod = ring.dim, ring.scalar_mod
         return cls(ring, la.identity_map(n, mod), tuple(la.zero_vec(n, mod) for _ in range(n)))
 
     # -- map application ---------------------------------------------------
@@ -97,10 +94,8 @@ class SkewDerivation:
 
     @property
     def commuting(self) -> bool:
-        mod = self.ring.scalar_mod
-        return la.compose(self.sigma_matrix, self.delta_matrix, mod) == la.compose(
-            self.delta_matrix, self.sigma_matrix, mod
-        )
+        sigma, delta, mod = self.sigma_matrix, self.delta_matrix, self.ring.scalar_mod
+        return la.compose(sigma, delta, mod) == la.compose(delta, sigma, mod)
 
     def sigma_minus_id(self, n: int = 1):
         """The map sigma^n - id."""
@@ -128,9 +123,7 @@ def check_skew_derivation(sd: SkewDerivation) -> AxiomReport:
         if sd.delta(q) != ring.zero():
             report.add("delta(q) = 0", q)
         for i, e in enumerate(ring.basis()):
-            lhs = sd.delta(sd.sigma(e))
-            rhs = ring.mul(q, sd.sigma(sd.delta(e)))
-            if lhs != rhs:
+            if sd.delta(sd.sigma(e)) != ring.mul(q, sd.sigma(sd.delta(e))):
                 report.add("delta sigma = q sigma delta", i)
     return report
 
@@ -156,15 +149,34 @@ def require_skew_derivation(sd: SkewDerivation) -> None:
         raise SkewDerivationError(f"(sigma, delta) is not a skew derivation: {axiom}: witness {witness}")
 
 
+def require_pair(sd: SkewDerivation, q=None) -> None:
+    """Refuse sd unless it is a skew derivation with delta sigma = q sigma delta (q = 1 when None), proved
+    on the generators of sd.ring: ``law_violations`` checks the laws on the pairs (e_i, s), then d = delta
+    sigma - q sigma delta has d(1) = 0 and d(xy) = d(x)sigma(y) + sigma^2(x)d(y), so ker d is a subalgebra.
+    On a failure the full checks refuse in turn: sigma delta = delta sigma (q None), sigma an
+    automorphism, delta sigma = q sigma delta (q given), the laws."""
+    ring, sigma, delta, mod, c = sd.ring, sd.sigma_matrix, sd.delta_matrix, sd.ring.scalar_mod, 1 if q is None else q
+    if next(law_violations(ring, sigma, delta), None) is not None or any(
+            la.apply_map(delta, sigma[s], mod) != la.vscale(c, la.apply_map(sigma, delta[s], mod), mod)
+            for s in ring.generators):
+        if q is None:
+            require_commuting(sd)
+        automorphism(ring, sigma)
+        if q is not None and la.compose(sigma, delta, mod) != tuple(
+                la.vscale(q, v, mod) for v in la.compose(delta, sigma, mod)):
+            raise SkewDerivationError(f"requires delta sigma = q sigma delta, q = {q}")
+        require_skew_derivation(sd)
+
+
 def pth_power(sd: SkewDerivation, m: int) -> SkewDerivation:
     """The skew derivation (sigma^(p^m), delta^(p^m)) in characteristic p.  Unless sd is itself a
-    p-th power, it is checked first: p, then sigma delta = delta sigma, then sigma an automorphism
-    of sd.ring (``finalg.automorphism``).  A p-th power of a p-th power is read off, or added to,
-    the ladder they share, and the sigma of every rung carries the proof."""
+    p-th power, it is checked first: p, then ``require_pair``, refusing as sigma delta = delta sigma,
+    ``finalg.automorphism`` and the laws do.  A p-th power of a p-th power is read off, or added
+    to, the ladder they share, and the sigma of every rung carries the proof."""
     p = require_char_p(sd)
     if not isinstance(sd, _CommutingPair):
-        require_commuting(sd)
-        rung = (automorphism(sd.ring, sd.sigma_pow(1)), sd.delta_pow(1))
+        require_pair(sd)
+        rung = (Automorphism(sd.ring, sd.sigma_pow(1)), sd.delta_pow(1))
         sd = _CommutingPair(sd.ring, sd.q, [rung], 0, functools.cache(is_stable))
     ladder, level = sd.ladder, sd.level + m
     while len(ladder) <= level:  # each rung the p-th power of the one below

@@ -78,14 +78,10 @@ class SPSRing:
         return self.normalize([self.base.random_element(rng) for _ in range(self.D)])
 
     def add(self, f, g):
-        return self.normalize(
-            self.base.add(a, b) for a, b in zip(f, g, strict=True)
-        )
+        return self.normalize(self.base.add(a, b) for a, b in zip(f, g, strict=True))
 
     def sub(self, f, g):
-        return self.normalize(
-            self.base.sub(a, b) for a, b in zip(f, g, strict=True)
-        )
+        return self.normalize(self.base.sub(a, b) for a, b in zip(f, g, strict=True))
 
     # -- multiplication -----------------------------------------------------
 
@@ -237,10 +233,7 @@ def quotient_sps(S: SPSRing, I: IdealSubspace):
 
 def quotient_kernel_check(S: SPSRing, I: IdealSubspace, project_elem, f) -> bool:
     """f projects to zero iff every coefficient lies in I."""
-    Sbar_zero_check = project_elem(f)
-    coeffwise = all(I.contains(r) for r in f)
-    is_zero = all(all(c == 0 for c in r) for r in Sbar_zero_check)
-    return coeffwise == is_zero
+    return all(I.contains(r) for r in f) == all(all(c == 0 for c in r) for r in project_elem(f))
 
 
 # -- substitution and the crossed product decomposition ------------------------
@@ -329,5 +322,4 @@ def tpow_demo(p: int, T: int, D: int) -> SPSRing:
         raise SPSError("T and D must be >= 2")
     base = SeriesRing(p, T)
     sd = SkewDerivation.from_gen_images(base, base.gen(), base.monomial(1, p + 1))
-    u = AdicFiltration(base)
-    return SPSRing(base, sd, u, D)
+    return SPSRing(base, sd, AdicFiltration(base), D)

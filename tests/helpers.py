@@ -1,5 +1,6 @@
 """Shared constructions for the test suite."""
 
+import collections
 import functools
 import itertools
 import math
@@ -374,6 +375,71 @@ def naive_validation_error(A):
     if any(naive_mul(A, A.unit, e) != e or naive_mul(A, e, A.unit) != e for e in basis):
         return "unit vector is not a two-sided identity"
     return None
+
+
+def full_construction_check(A):
+    """(error message or None, integral) of the construction check on every basis triple, on A's
+    lifted pairs, in the order (i, j, k), then the unit law: the former loop, kept as the reference
+    Light's test on the generators is compared against.  A may be built unchecked."""
+    n, P, p, integral = A.dim, A._pairs, A.p, True
+    for i, j, k in itertools.product(range(n), repeat=3):
+        diff = collections.Counter()
+        for a, c in P[i][j]:
+            for t, s in P[a][k]:
+                diff[t] += c * s
+        for b, c in P[j][k]:
+            for t, s in P[i][b]:
+                diff[t] -= c * s
+        if any(diff.values()):
+            integral = False
+            if not p or any(x % p for x in diff.values()):
+                return f"structure constants not associative at ({i},{j},{k})", False
+    if any(A.mul(A.unit, e) != e or A.mul(e, A.unit) != e for e in A.basis()):
+        return "unit vector is not a two-sided identity", False
+    return None, integral
+
+
+def generated_subalgebra(A, S):
+    """rref basis of the unital subalgebra generated by the basis vectors e_s, s in S: the span of
+    1, grown by all products of its vectors with each e_s until it stops growing (A.mul and span)."""
+    W = la.span([A.unit], A.p)
+    while True:
+        grown = la.span([*W, *(A.mul(w, A.basis_vec(s)) for w in W for s in S)], A.p)
+        if grown == W:
+            return W
+        W = grown
+
+
+def greedy_generating_set(A):
+    """Each i, in order, whose e_i is outside the subalgebra the earlier ones generate, by
+    ``generated_subalgebra``: the reference for A.generators of a checked construction."""
+    S = []
+    for i in range(A.dim):
+        W = generated_subalgebra(A, S)
+        if la.span([*W, A.basis_vec(i)], A.p) != W:
+            S.append(i)
+    return tuple(S)
+
+
+def full_ideal_generated(A, gens):
+    """The smallest ideal holding gens, by closure under e v and v e for every basis vector e: the
+    reference ideal_generated, which closes under the generators only, is compared against."""
+    current = la.span(list(gens), A.p)
+    while True:
+        closed = la.span([*current, *(A.mul(x, y) for v in current for e in A.basis() for x, y in ((e, v), (v, e)))],
+                         A.p)
+        if closed == current:
+            return IdealSubspace(A, closed)
+        current = closed
+
+
+def full_is_ideal(I):
+    """I.is_ideal() by the former loop over every basis vector e_i, on the pairs: e_i v and v e_i
+    in I for each basis vector v of I.  The reference the check on A.generators is compared against."""
+    A = I.parent
+    return all(I.contains(A._combine((c, i, j) for j, c in enumerate(v) if c))
+               and I.contains(A._combine((c, j, i) for j, c in enumerate(v) if c))
+               for v in I.basis for i in range(A.dim))
 
 
 def naive_is_ideal(I):

@@ -154,6 +154,7 @@ delta_gen = 1*t^2
 """
 
 
+# sigma = id and delta = X d/dX, a derivation of F_p[X]/(X^3) (d/dX is one only for p = 3)
 LARGE_P_FINALG_SPEC = """sps-spec 1
 [ring]
 kind = finalg
@@ -161,7 +162,7 @@ p = 2147483647
 preset = tpoly 3
 [skew]
 sigma = 1 0 0; 0 1 0; 0 0 1
-delta = 0 0 0; 1 0 0; 0 2 0
+delta = 0 0 0; 0 1 0; 0 0 2
 [filtration]
 levels = 1 0 0, 0 1 0, 0 0 1 | 0 1 0, 0 0 1 | 0 0 1 | -
 [ideals]
@@ -187,10 +188,10 @@ def test_a_large_p_is_proved_prime_once_per_check(monkeypatch, tmp_path, capsys)
         (["gr", series, "--window", "0..2"],
          "degree 0/2: dim 1\ndegree 1/2: dim 1\ndegree 2/2: dim 2\ngraded iso: True\n"),
         (["core", finalg, "--ideal", "I"],
-         "ideal dim: 2\nchain: m=0:dim=0 m=1:dim=2 m=2:dim=2 m=3:dim=2 m=4:dim=2\nM: 1\ncore dim: 2\n"
+         "ideal dim: 2\nchain: m=0:dim=2 m=1:dim=2 m=2:dim=2 m=3:dim=2 m=4:dim=2\nM: 0\ncore dim: 2\n"
          "delta^(p^M)-stable: True\nis ideal: True\nsigma^(p^M)-prime: True\nsigma^(p^M)-stable: True\n"),
         (["theoremc", finalg, "--ideal", "I"],
-         "M: 1\nJ dim: 2\nJ basis: 0 1 0\nJ basis: 0 0 1\nI is the sigma-orbit intersection of J: True\n"
+         "M: 0\nJ dim: 2\nJ basis: 0 1 0\nJ basis: 0 0 1\nI is the sigma-orbit intersection of J: True\n"
          "delta^(p^M)(J) <= J: True\nminimal sigma^(p^M)-prime: True\n"),
     ):
         calls.clear()
@@ -357,6 +358,64 @@ def test_a_pair_that_is_no_skew_derivation_is_refused_not_multiplied(tmp_path, c
     assert captured.err == "error: (sigma, delta) is not a skew derivation: Leibniz: witness (0, 0)\n"
     assert main(["verify", str(spec)]) == 1
     assert capsys.readouterr().out.startswith("skew axioms: Leibniz: witness (0, 0)\ndelta(1) = 0: witness (1, 0)\n")
+
+
+@pytest.mark.parametrize("argv", [["gr", "--window", "0..2"], ["decompose", "--N", "0", "x"]])
+def test_the_other_commands_on_an_sps_ring_refuse_a_pair_that_is_no_skew_derivation(tmp_path, capsys, argv):
+    # gr and decompose read the same ring as mul, which is not associative, and refuse it as mul does
+    spec = tmp_path / "not_a_derivation.spec"
+    spec.write_text(NOT_A_DERIVATION)
+    assert main([argv[0], str(spec), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: (sigma, delta) is not a skew derivation: Leibniz: witness (0, 0)\n")
+
+
+SWAP_PAIR = """sps-spec 1
+
+[ring]
+kind = finalg
+p = 2
+preset = fields 2
+{D}
+[skew]
+sigma = 1 0; 0 1
+delta = 0 1; 1 0
+
+[ideals]
+I = 1 0
+
+[elements]
+f = 1*t^0
+"""
+
+
+@pytest.mark.parametrize("argv", [["core", "--ideal", "I"], ["theoremc", "--ideal", "I"], ["mul", "f", "f"]])
+def test_a_pair_that_breaks_only_leibniz_is_refused_by_a_verdict(tmp_path, capsys, argv):
+    # sigma = id commutes with delta and is an automorphism, and 0 and I are ideals, so only the
+    # Leibniz law catches this pair, which core and theoremc answered with exit 0 and every flag
+    # True; mul refuses it with no D too, where it printed the product in the base
+    spec = tmp_path / "swap.spec"
+    spec.write_text(SWAP_PAIR.format(D=""))
+    assert main([argv[0], str(spec), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: (sigma, delta) is not a skew derivation: Leibniz: witness (0, 0)\n")
+    assert main(["verify", str(spec)]) == 1
+    assert capsys.readouterr().out.startswith("skew axioms: Leibniz: witness (0, 0)\n")
+
+
+def test_verify_reports_the_compatibility_of_a_spec_with_D(tmp_path, capsys):
+    # D asks for an SPS ring, refused on an incompatible filtration; verify needs no such ring and
+    # prints the report it prints without D, where it used to exit 2 first; the others still refuse
+    spec = tmp_path / "swap.spec"
+    spec.write_text(SWAP_PAIR.format(D=""))
+    assert main(["verify", str(spec)]) == 1
+    report = capsys.readouterr().out
+    assert report.endswith("filtration axioms: valid\ncompatible: False\n")
+    spec.write_text(SWAP_PAIR.format(D="D = 3\n"))
+    assert main(["verify", str(spec)]) == 1
+    assert capsys.readouterr() == (report, "")
+    for argv in (["mul", "f", "f"], ["gr", "--window", "0..2"], ["decompose", "--N", "0", "f"],
+                 ["core", "--ideal", "I"], ["theoremc", "--ideal", "I"]):
+        assert main([argv[0], str(spec), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", "error: skew derivation is not compatible with the filtration\n")
 
 
 SINGULAR_SIGMA = """sps-spec 1

@@ -177,7 +177,13 @@ def test_delta_core_matches_naive_on_fixed_instances():
         ideals = [zero, radical(A), augmentation, ideal_generated(A, [A.one()])]
         cases.append((A, sd, ideals + minimal_primes_over(A, zero)))
     for A, sd, ideals in cases:
-        for pair in (sd, pth_power(sd, 1)):
+        if check_skew_derivation(sd).valid:
+            pairs = (sd, pth_power(sd, 1))
+        else:  # no p-th power of a non-derivation is taken: pth_power refuses it
+            pairs = (sd,)
+            with pytest.raises(SkewDerivationError, match=r"^\(sigma, delta\) is not a skew derivation: Leibniz"):
+                pth_power(sd, 1)
+        for pair in pairs:
             for I in ideals:
                 assert delta_core(A, pair, I) == naive_delta_core(A, pair, I)
 
@@ -500,53 +506,58 @@ def test_a_non_automorphism_is_refused_everywhere(sigma):
                     call()
 
 
-def test_one_automorphism_check_per_verdict(monkeypatch):
-    calls = []  # every proof goes through finalg.automorphism, which calls finalg's law_violations
-    counting(monkeypatch, finalg, "law_violations", calls)
-    A = permutation_group_algebra(2, S3)
-    sd = conjugation_skew(A, A.basis_vec(1))
-    I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
-    calls.clear()
-    assert theorem_c_procedure(A, sd, I)[0] is not None
-    assert len(calls) == 1
-    A, sd = perm_skew(5, [1, 2, 0, 4, 3], 2)
-    calls.clear()
-    assert char0_checks(A, sd)["sigma-primes preserved"]
-    assert len(calls) == 1
-    B, swap = swap_skew()
-    zero_delta = SkewDerivation(B, swap.sigma_matrix, tuple(la.zero_vec(2, 2) for _ in range(2)))
-    calls.clear()
-    assert prop39_check(B, zero_delta, subspace(B, []))
-    assert len(calls) == 1
-
-
-def test_one_commutation_check_per_verdict(monkeypatch):
-    # a pair made by pth_power commutes, as powers of commuting maps do, so
-    # only the verdict's input pair is ever composed both ways
-    calls = []
-    compose_both_ways = SkewDerivation.commuting.fget
-    monkeypatch.setattr(SkewDerivation, "commuting", property(lambda sd: calls.append(sd) or compose_both_ways(sd)))
+def pair_check_verdicts():
+    """(ring, verdict) for Theorem C in one round and in two, the core command, prop39 and the char-0
+    checks, each verdict true on a valid pair."""
     A = permutation_group_algebra(2, S3)
     sd = conjugation_skew(A, A.basis_vec(1))
     I = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))[0]
     A2, sd2 = cyclic_quiver_square_zero(4)  # J is found in a second round
     I2 = minimal_sigma_primes(A2, sd2.sigma_matrix, subspace(A2, []))[0]
-    for B, pair, ideal in ((A, sd, I), (A2, sd2, I2)):
-        calls.clear()
-        J, M, flags = theorem_c_procedure(B, pair, ideal)
-        assert J is not None and len(flags["reports"]) == 1 + (B is A2)
-        assert calls == [pair]
-        calls.clear()  # the core command: the chain's and the flags' pairs are powers of one checked copy
-        assert core_flags(B, pair, ideal)[0].conclusive
-        assert calls == [pair]
     B, swap = swap_skew()
-    calls.clear()
-    assert prop39_check(B, swap, subspace(B, []))
-    assert calls == [swap]
-    A, sd = perm_skew(5, [1, 2, 0, 4, 3], 2)
-    calls.clear()
-    assert char0_checks(A, sd)["sigma-primes preserved"]
+    Q, qsd = perm_skew(5, [1, 2, 0, 4, 3], 2)
+    return [(A, lambda: theorem_c_procedure(A, sd, I)[0] is not None),
+            (A2, lambda: len(theorem_c_procedure(A2, sd2, I2)[2]["reports"]) == 2),
+            (A2, lambda: core_flags(A2, sd2, I2)[0].conclusive),
+            (B, lambda: prop39_check(B, swap, subspace(B, []))),
+            (Q, lambda: char0_checks(Q, qsd)["sigma-primes preserved"])]
+
+
+def test_one_automorphism_check_per_verdict(monkeypatch):
+    # a verdict proves its pair once, sigma's laws with delta's, by one law pass on the pairs
+    # (e_i, s), s in A.generators; no later sigma proof walks a law
+    passes, laws = [], finalg._law_pass
+    monkeypatch.setattr(finalg, "_law_pass", lambda R, sigma, delta, middles: passes.append(
+        (R, delta is not None, tuple(middles))) or laws(R, sigma, delta, middles))
+    for ring, verdict in pair_check_verdicts():
+        passes.clear()
+        assert verdict()
+        assert passes == [(ring, True, tuple(ring.generators))] and len(ring.generators) < ring.dim
+
+
+def test_one_commutation_check_per_verdict(monkeypatch):
+    # sigma delta = delta sigma (delta sigma = q sigma delta over Q) is proved on the generators,
+    # once the laws hold, and a pair made by pth_power commutes, as powers of commuting maps do:
+    # no pair of a valid verdict is composed both ways
+    calls, compose, verdicts = [], la.compose, pair_check_verdicts()
+    compose_both_ways = SkewDerivation.commuting.fget
+    monkeypatch.setattr(SkewDerivation, "commuting", property(lambda sd: calls.append(sd) or compose_both_ways(sd)))
+    monkeypatch.setattr(la, "compose", lambda *args: (  # the full q law of a refusal
+        sys._getframe(1).f_code.co_name == "require_pair" and calls.append(args)) or compose(*args))
+    for _, verdict in verdicts:
+        assert verdict()
     assert calls == []
+    B, swap = swap_skew()  # a pair that does not commute is composed both ways, for the refusal
+    moved = SkewDerivation(B, swap.sigma_matrix, ((1, 0), (0, 0)))
+    with pytest.raises(CoreError, match="^requires sigma delta = delta sigma$"):
+        prop39_check(B, moved, subspace(B, []))
+    assert calls == [moved]
+    Q, qsd = perm_skew(5, [1, 2, 0, 4, 3], 2)  # over Q, the full q law for its refusal
+    moved = SkewDerivation(Q, qsd.sigma_matrix, ((1, 0, 0, 0, 0),) + ((0,) * 5,) * 4)
+    calls.clear()
+    with pytest.raises(CoreError, match="^requires delta sigma = q sigma delta, q = 1$"):
+        char0_checks(Q, moved)
+    assert calls == [(moved.sigma_matrix, moved.delta_matrix, None), (moved.delta_matrix, moved.sigma_matrix, None)]
 
 
 def theorem_c_cases():
@@ -890,25 +901,27 @@ def test_char0_checks_certify_on_the_sigma_fixed_centre(monkeypatch):
 
 def test_char0_checks_refuse_a_delta_moving_a_sigma_fixed_idempotent():
     # Q^2 with sigma = id and delta the swap (the Q analogue of a fields-2 spec over F_2):
-    # delta(e_0) = e_1, so delta is no sigma-derivation; the split reported two witnesses
+    # delta(e_0) = e_1, so delta is no sigma-derivation; the split reported two witnesses, and
+    # the pair check refuses it with the first law check_skew_derivation reports
     A = product_of_fields(None, 2)
     swap = SkewDerivation(A, la.identity_map(2, None), ((0, 1), (1, 0)))
-    assert not check_skew_derivation(swap).valid
-    message = ("delta is not a sigma-derivation: delta(z) is not in rad A, "
-               "for the sigma-fixed central z = (1, 0)")
+    assert check_skew_derivation(swap).violations[0] == ("Leibniz", (0, 0))
     with pytest.raises(CoreError) as raised:
         char0_checks(A, swap)
-    assert str(raised.value) == message
+    assert str(raised.value) == "(sigma, delta) is not a skew derivation: Leibniz: witness (0, 0)"
     assert naive_char0_checks(A, swap)["witnesses"] == [("sigma-prime", (0, 1)), ("sigma-prime", (1, 0))]
 
 
-def test_char0_checks_leave_the_sigma_prime_flag_undecided_off_the_radical():
+def test_char0_checks_refuse_the_pair_of_bad_char0_derivation_spec():
     # Q[X]/(X^2) with sigma = id and delta(X) = 1, the pair of bad_char0_derivation.spec:
-    # delta(N) is not in N = (X), so delta induces no map on A/N and the sigma-prime flag is None
+    # delta(X^2) = 0 != 2X, so it is no sigma-derivation and is refused, where delta(N) not in
+    # N = (X) once left the sigma-prime flag undecided
     A = truncated_poly_algebra(None, 2)
     sd = SkewDerivation(A, la.identity_map(2, None), ((0, 0), (1, 0)))
-    assert char0_checks(A, sd) == {"radical preserved": False, "sigma-primes preserved": None,
-                                   "witnesses": [("radical", (0, 1))]}
+    with pytest.raises(CoreError) as raised:
+        char0_checks(A, sd)
+    assert str(raised.value) == "(sigma, delta) is not a skew derivation: Leibniz: witness (1, 1)"
+    assert naive_char0_checks(A, sd)["witnesses"] == [("radical", (0, 1)), ("sigma-prime", (0, 1))]
 
 
 def char0_differential_cases():
@@ -942,36 +955,28 @@ def obeys_the_q_law(A, sd):
 
 def test_char0_checks_match_the_split_of_the_sigma_fixed_centre():
     # against the report the split of the sigma-fixed centre gave: the same dict on every
-    # instance; on a moved delta, a refusal when delta sigma != q sigma delta (two of them are
-    # sigma-derivations: on Q[X]/(X^2), sigma(X) = -X and delta(X) = 1 + 2X, and on Q[X]/(X^3),
-    # sigma(X) = 3X and delta(X) = 4X + X^2), None when delta(N) is not in N, else a refusal
-    # of a non-derivation whenever a minimal sigma-prime is not delta-stable (and maybe when
-    # all are: the certificate asks more), and otherwise the same dict
+    # instance and on each moved delta that is still a sigma-derivation; on a moved delta, a
+    # refusal when delta sigma != q sigma delta (two of them are sigma-derivations: on Q[X]/(X^2),
+    # sigma(X) = -X and delta(X) = 1 + 2X, and on Q[X]/(X^3), sigma(X) = 3X and delta(X) = 4X +
+    # X^2), else the refusal of a non-derivation, naming the first law it breaks: whatever the
+    # split reported for it, a None (delta(N) not in N), a failed flag or a passed one
     seen = collections.Counter()
     for A, sd, moved in char0_differential_cases():
-        expected = naive_char0_checks(A, sd)
+        expected, laws = naive_char0_checks(A, sd), check_skew_derivation(sd).violations
         if moved and not obeys_the_q_law(A, sd):
             with pytest.raises(CoreError, match=r"^requires delta sigma = q sigma delta, q = "):
                 char0_checks(A, sd)
-            seen["law", check_skew_derivation(sd).valid] += 1
-            continue
-        if not moved:
+            seen["law", not laws] += 1
+        elif laws:
+            with pytest.raises(CoreError) as raised:
+                char0_checks(A, sd)
+            assert str(raised.value) == "(sigma, delta) is not a skew derivation: {}: witness {}".format(*laws[0])
+            seen["refused", expected["sigma-primes preserved"] if expected["radical preserved"] else None] += 1
+        else:
             assert char0_checks(A, sd) == expected
             assert expected == {"radical preserved": True, "sigma-primes preserved": True, "witnesses": []}
-            continue
-        if not expected["radical preserved"]:
-            radical_only = [w for w in expected["witnesses"] if w[0] == "radical"]
-            expected = {**expected, "sigma-primes preserved": None, "witnesses": radical_only}
-        try:
-            report = char0_checks(A, sd)
-        except CoreError as exc:
-            assert expected["sigma-primes preserved"] is not None and not check_skew_derivation(sd).valid
-            assert str(exc).startswith("delta is not a sigma-derivation: ")
-            seen["refused", expected["sigma-primes preserved"]] += 1
-            continue
-        assert report == expected
-        seen[report["sigma-primes preserved"]] += 1
-    assert seen[None] and seen[True] and seen["refused", True] and seen["refused", False]
+            seen["valid", moved] += 1
+    assert seen["valid", False] and seen["refused", None] and seen["refused", True] and seen["refused", False]
     assert seen["law", False] and seen["law", True] == 2
     for seed in (1, 2, 3):  # warm, each algebra's radical kept by a cycle, against a cold copy
         for A, sd, _ in primes_workload_instances(seed, theorem_c=False, cycles=1):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -9,7 +10,7 @@ import pytest
 
 import skewseries.exactla as la
 from skewseries import finalg
-from skewseries.core import CoreError, char0_checks
+from skewseries.core import CoreError, char0_checks, theorem_c_procedure
 from skewseries.finalg import (
     AlgebraError,
     FinAlgebra,
@@ -39,6 +40,11 @@ from skewseries.skewder import SkewDerivation
 
 from helpers import (
     dense_axiom_violations,
+    full_construction_check,
+    full_ideal_generated,
+    full_is_ideal,
+    generated_subalgebra,
+    greedy_generating_set,
     dense_center,
     dense_quotient_algebra,
     fr_functional,
@@ -328,6 +334,92 @@ def test_is_ideal_matches_naive():
             verdicts.add(I.is_ideal())
             assert I.is_ideal() == naive_is_ideal(I)
     assert verdicts == {True, False}
+
+
+@functools.cache  # built once, read by several tests
+def generator_cases():
+    """Checked copies of radical_cases() (over F_2, F_3, F_5 and Q), of the algebras of the primes
+    benchmark at seeds 1 to 4, and of random-basis versions of radical_cases() of dim <= 6."""
+    rng = random.Random(37)
+    cases = list(radical_cases())
+    for seed in (1, 2, 3, 4):
+        cases += [A for A, _, _ in primes_workload_instances(seed) + primes_workload_instances(seed, theorem_c=False)]
+    cases += [rebase(A, random_basis(A, rng)) for A in radical_cases() if A.dim <= 6]
+    return [FinAlgebra(A.p, A.dim, A.structure, A.unit) for A in cases]
+
+
+def test_the_generators_are_the_greedy_ones_and_generate():
+    # against the greedy set of the tests' own closure (A.mul and span), and an unchecked
+    # algebra, a quotient or a direct sum, keeps every basis index
+    sizes = set()
+    for A in generator_cases():
+        assert A.generators == greedy_generating_set(A)
+        assert len(generated_subalgebra(A, A.generators)) == A.dim
+        sizes.add(len(A.generators) == A.dim - 1)
+    assert sizes == {True, False}  # some need every basis vector but one: F_p^n, for one
+    A = truncated_poly_algebra(3, 4)
+    assert A.generators == (1,) and direct_sum(A, A).generators == range(8)
+    assert quotient_algebra(A, radical(A))[0].generators == range(1)
+
+
+def test_light_s_test_matches_the_full_construction_check():
+    # a checked construction runs Light's test on the generators; the former loop on every triple
+    # is the reference: the same verdict, the same first witness, and the same integral flag, on
+    # the cases, with one structure constant or one unit coordinate moved by +-1
+    rng, seen = random.Random(43), collections.Counter()
+    cases = [(A.p, A.dim, A.structure, A.unit) for A in generator_cases()]
+    cases.append((5, 1, [[(2,)]], (3,)))  # F_5 in the basis 2: an associative lift whose unit -2 is not exact
+    for p, n, structure, unit in cases:
+        variants = [(structure, unit)] + [(structure, u) for u, in perturbations((unit,), p, [(0, rng.randrange(n))])]
+        for i, j in rng.sample(list(itertools.product(range(n), repeat=2)), min(n * n, 2) if n <= 6 else 0):
+            for moved in perturbations(structure[i], p, [(j, rng.randrange(n))]):
+                variants.append(([*structure[:i], moved, *structure[i + 1:]], unit))
+        for constants, one in variants:
+            expected, integral = full_construction_check(FinAlgebra(p, n, constants, one, check=False))
+            seen[expected and expected.split(" at ")[0], integral] += 1
+            if expected is None:
+                assert FinAlgebra(p, n, constants, one).integral == integral
+            else:
+                with pytest.raises(AlgebraError) as raised:
+                    FinAlgebra(p, n, constants, one)
+                assert str(raised.value) == expected
+    assert seen[None, True] and seen[None, False] and seen["unit vector is not a two-sided identity", False]
+    assert seen["structure constants not associative", False] > 100
+
+
+def test_ideals_and_centres_on_the_generators_match_the_full_loops():
+    # is_ideal reads e_s v and v e_s for s in A.generators, ideal_generated closes under them and the
+    # centre commutes with them; the references read every basis vector
+    rng, verdicts = random.Random(47), collections.Counter()
+    for A in generator_cases():
+        assert center(A) == dense_center(A)
+        N = radical(A)
+        candidates = [N, *(prime_spectrum(A, N) if A.p else []), ideal_product(N, N)]  # Q: no split
+        if A.dim <= 8:
+            x, y = A.random_element(rng), A.random_element(rng)
+            closure = full_ideal_generated(A, [x])
+            assert ideal_generated(A, [x]) == closure
+            candidates += [closure, subspace(A, [x]), subspace(A, [x, y]), subspace(A, [*N.basis, x])]
+        for I in candidates:
+            verdicts[I.is_ideal()] += 1
+            assert I.is_ideal() == full_is_ideal(I)
+    assert min(verdicts.values()) > 100
+
+
+def test_a_verdict_at_dim_56_proves_its_pair_on_n_times_s_pairs(monkeypatch):
+    # F_2[C_2^3 x C_7] is generated by 4 basis vectors: a Theorem-C verdict's one law pass visits
+    # 56 * 4 = 224 basis pairs, where a proof of sigma alone visited 56^2 = 3,136
+    A, G = group_algebra_of_dim_56()
+    index = {g: i for i, g in enumerate(G)}
+    sigma = tuple(A.basis_vec(index[g[:6] + tuple(6 + (i + 6 - g[6]) % 7 for i in range(7))]) for g in G)  # C_7 inverted
+    sd = SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(A.dim, 2), 2))
+    I = minimal_sigma_primes(A, sigma, subspace(A, []))[0]
+    pairs, laws = [], finalg._law_pass
+    monkeypatch.setattr(finalg, "_law_pass", lambda R, sigma, delta, middles: (
+        pairs.append(R.dim * len(middles)) or laws(R, sigma, delta, middles)))
+    J, M, flags = theorem_c_procedure(A, sd, I)
+    assert (J, M, flags["delta^(p^M)(J) <= J"]) == (I, 0, True)
+    assert len(A.generators) == 4 and pairs == [56 * 4]
 
 
 def test_construction_check_matches_the_dense_check():

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 import skewseries.exactla as la
+from skewseries.core import _rational_scalar
 from skewseries.finalg import (
+    AlgebraError,
+    FinAlgebra,
     ideal_generated,
     induced_map,
     product_of_fields,
@@ -26,11 +29,14 @@ from skewseries.skewder import (
     evaluate,
     lemma31_check,
     pth_power,
+    require_pair,
     trinomial_expand,
 )
 
 from helpers import (
     cor36_instance,
+    random_basis,
+    rebase_skew,
     ddx_derivation,
     dense_axiom_violations,
     perturbations,
@@ -38,6 +44,7 @@ from helpers import (
     sigma_shift_power,
 )
 from oracle import delta_n_oracle
+from test_qscalars import q_instances
 
 
 def test_check_valid_examples():
@@ -106,6 +113,64 @@ def test_the_law_pass_matches_the_dense_loop():
         valid += report.valid
     assert valid > 30 and set(seen) == {"sigma bijective", "sigma(1) = 1", "sigma multiplicative",
                                         "Leibniz", "delta(1) = 0"}
+
+
+def pair_sweep():
+    """(sd, q), q the scalar of delta sigma = q sigma delta over Q (None in characteristic p): the pairs
+    of the primes benchmark at seed 1, checked copies of its F_p ones in a random basis, the iwasawa
+    and tpow demo rings at T = 12, a Z/8 series ring, and ten Q pairs of test_qscalars with their
+    rational q, each also with +-1 moves of a random entry of sigma and of delta; and the primes
+    pairs of seeds 2 to 4 as they are."""
+    rng = random.Random(53)
+    pairs = [(sd, None if A.p else 1) for A, sd, _ in primes_workload_instances(1) + primes_workload_instances(1, False)]
+    for sd, _ in pairs[:19]:  # the F_p ones: a dense Q basis makes the reference slow
+        B, rebased = rebase_skew(sd.ring, sd, random_basis(sd.ring, rng))
+        C = FinAlgebra(B.p, B.dim, B.structure, B.unit)
+        pairs.append((SkewDerivation(C, rebased.sigma_matrix, rebased.delta_matrix), None))
+    R = SeriesRing(2, 12, k=3)
+    pairs += [(iwasawa_demo(3, 12, 4).sd, None), (tpow_demo(2, 12, 4).sd, None),
+              (SkewDerivation.from_gen_images(R, R.element([0, 3, 2]), R.element([0, 0, 2, 1])), None)]
+    pairs += [(sd, 1 if sd.q is None else _rational_scalar(A, sd.q)) for A, sd in rng.sample(q_instances(), 10)]
+    for sd, q in pairs:
+        ring, entries = sd.ring, [(rng.randrange(sd.ring.dim), rng.randrange(sd.ring.dim))]
+        yield sd, q
+        for sigma in perturbations(sd.sigma_matrix, ring.scalar_mod, entries):
+            yield SkewDerivation(ring, sigma, sd.delta_matrix, sd.q), q
+        for delta in perturbations(sd.delta_matrix, ring.scalar_mod, entries):
+            yield SkewDerivation(ring, sd.sigma_matrix, delta, sd.q), q
+    for seed in (2, 3, 4):
+        yield from ((sd, None if A.p else 1)
+                    for A, sd, _ in primes_workload_instances(seed) + primes_workload_instances(seed, False))
+
+
+def full_pair_refusal(sd, q):
+    """The refusal of require_pair from the full checks alone: the two maps composed both ways and
+    the dense loop on every pair, in its order (None when the pair passes)."""
+    mod, sigma, delta, c = sd.ring.scalar_mod, sd.sigma_matrix, sd.delta_matrix, 1 if q is None else q
+    commutes = la.compose(sigma, delta, mod) == tuple(la.vscale(c, v, mod) for v in la.compose(delta, sigma, mod))
+    laws = dense_axiom_violations(SkewDerivation(sd.ring, sigma, delta))  # no q laws
+    if q is None and not commutes:
+        return "requires sigma delta = delta sigma"
+    if any(axiom.startswith("sigma") for axiom, _ in laws):
+        return "sigma is not an algebra automorphism"
+    if not commutes:
+        return f"requires delta sigma = q sigma delta, q = {q}"
+    return "(sigma, delta) is not a skew derivation: {}: witness {}".format(*laws[0]) if laws else None
+
+
+def test_the_pair_check_on_the_generators_matches_the_full_checks():
+    # require_pair proves the laws on the pairs (e_i, s), s in the generators, and delta sigma =
+    # q sigma delta on the generators alone; the full checks are the reference
+    seen = collections.Counter()
+    for sd, q in pair_sweep():
+        try:
+            require_pair(sd, q)
+            refusal = None
+        except (SkewDerivationError, AlgebraError) as exc:
+            refusal = str(exc)
+        assert refusal == full_pair_refusal(sd, q)
+        seen[refusal and refusal.split(":")[0].split(", q =")[0]] += 1
+    assert seen[None] > 100 and min(seen.values()) > 10 and len(seen) == 5, seen
 
 
 def test_a_law_check_on_a_series_ring_makes_no_ring_product(monkeypatch):
