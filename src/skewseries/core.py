@@ -319,8 +319,8 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
     sigma = induced_map(A, sigma, N, C, project, lift) if N.dim else sigma
     Z = center(C)
-    for c in la.left_kernel([C.sub(la.apply_map(sigma, z, None), z) for z in Z], None):  # Z(C)^sigma
-        z = lift(la.apply_map(Z, c, None))
+    fixed = la.left_kernel([C.sub(s, z) for s, z in zip(la.compose(Z, sigma, None), Z)], None)  # Z(C)^sigma
+    for z in map(lift, la.compose(fixed, Z, None)):
         if not N.contains(sd.delta(z)):
             raise CoreError(f"delta is not a sigma-derivation: delta(z) is not in rad A, "
                             f"for the sigma-fixed central z = {z}")

@@ -82,8 +82,17 @@ def identity_map(n, p) -> Matrix:
 
 
 def compose(first: Matrix, then: Matrix, p) -> Matrix:
-    """Map sending v to then(first(v))."""
-    return tuple(apply_map(then, row, p) for row in first)
+    """Map sending v to then(first(v)), row by row (Gustavson): each row of ``then`` is read once as its
+    nonzero (k, x), and the image of each row of ``first`` is summed in one list and normalised once."""
+    rows, n, out = [[(k, x) for k, x in enumerate(r) if x] for r in then], len(then[0]) if then else 0, []
+    for v in first:
+        acc = [0] * n
+        for c, terms in zip(v, rows, strict=True):
+            if c:
+                for k, x in terms:
+                    acc[k] += c * x
+        out.append(vec(acc, p))
+    return tuple(out)
 
 
 def power(x, k: int, mul):
@@ -264,7 +273,7 @@ def subspace_intersection(a: Sequence[Vector], b: Sequence[Vector], p) -> tuple[
         return ()
     residues = [reduce_vector(b_basis, b_piv, v, p) for v in a]
     # already rref: a kernel vector's leading 1 at j gives a 1 at pivot j and 0 at the others'
-    return tuple(apply_map(a, c, p) for c in left_kernel(residues, p))
+    return compose(left_kernel(residues, p), a, p)
 
 
 def preimage(m: Matrix, target_basis: Sequence[Vector], p) -> tuple[Vector, ...]:

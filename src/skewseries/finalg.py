@@ -170,32 +170,45 @@ class FinAlgebra:
 
 
 class IdealSubspace:
-    """Two-sided ideal stored as an rref basis (canonical, hashable; never mutated)."""
+    """Two-sided ideal stored as an rref basis (canonical, hashable; never mutated).  ``pivots``,
+    ``functionals`` and the ``is_ideal`` certificate are slots, filled on first read."""
+    __slots__ = ("parent", "basis", "_pivots", "_functionals", "_ideal")
 
     def __init__(self, parent: FinAlgebra, basis: tuple):
         self.parent, self.basis = parent, basis
+        self._pivots = self._functionals = self._ideal = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
+    @property
     def pivots(self) -> tuple:
         """Pivot columns of the rref basis: each row's first nonzero entry."""
-        return tuple(next(c for c, x in enumerate(row) if x != 0) for row in self.basis)
+        if self._pivots is None:
+            self._pivots = tuple(next(c for c, x in enumerate(row) if x != 0) for row in self.basis)
+        return self._pivots
 
-    @functools.cached_property
+    @property
     def functionals(self) -> tuple:
-        """(f, column f of the basis) per free column f, for the functional
-        v -> v_f - sum_m v[pivot_m] basis[m][f]; together they vanish exactly on I."""
-        free = sorted(set(range(self.parent.dim)) - set(self.pivots))
-        return tuple((f, tuple(row[f] for row in self.basis)) for f in free)
+        """(f, the nonzero (pivot_m, basis[m][f])) per free column f, in order, for the functional v -> v_f -
+        sum v[pivot_m] basis[m][f]: its value is v's residue modulo I at f, so together they vanish exactly on I."""
+        if self._functionals is None:
+            at = list(zip(self.pivots, self.basis))
+            self._functionals = tuple((f, tuple((c, row[f]) for c, row in at if row[f] != 0))
+                                      for f in sorted(set(range(self.parent.dim)) - set(self.pivots)))
+        return self._functionals
 
     def contains(self, v) -> bool:
         """Every functional vanishes on v, mod p over F_p (v need not be reduced), exactly over Q."""
-        p, at_pivots = self.parent.p, [v[c] for c in self.pivots]
-        sums = (v[f] - sum(map(operator.mul, at_pivots, column)) for f, column in self.functionals)
-        return not any(s % p for s in sums) if p else not any(sums)
+        p = self.parent.p
+        for f, terms in self.functionals:
+            s = v[f]
+            for c, x in terms:
+                s -= v[c] * x
+            if s % p if p else s:
+                return False
+        return True
 
     def contains_ideal(self, other: "IdealSubspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -203,9 +216,10 @@ class IdealSubspace:
     def is_ideal(self) -> bool:
         """Closed under e_s v and v e_s for each basis vector v and s in A.generators: the a with aI <= I
         (or Ia <= I) form a subalgebra, so it holds every a.  Evaluated once, as I never changes."""
-        return self._closed_under_products
+        if self._ideal is None:
+            self._ideal = self._closed_under_products()
+        return self._ideal
 
-    @functools.cached_property
     def _closed_under_products(self) -> bool:
         A = self.parent
         terms = [[(j, c) for j, c in enumerate(v) if c != 0] for v in self.basis]
@@ -242,12 +256,12 @@ def ideal_generated(A: FinAlgebra, gens) -> IdealSubspace:
 
 def ideal_meet(ideals) -> IdealSubspace:
     """Intersection of a nonempty list of ideals (the first itself when alone): the common kernel
-    of all their ``functionals``, each the column 1 at f and -column[m] at pivot_m of one system."""
+    of all their ``functionals``, each the column 1 at f and -x at c, for its terms (c, x), of one system."""
     if len(ideals) == 1:
         return ideals[0]
     A = ideals[0].parent
     columns = [[int(c == f) - at.get(c, 0) for c in range(A.dim)]
-               for I in ideals for f, column in I.functionals for at in [dict(zip(I.pivots, column))]]
+               for I in ideals for f, terms in I.functionals for at in [dict(terms)]]
     return IdealSubspace(A, la.left_kernel(list(zip(*columns)) if columns else [()] * A.dim, A.p))
 
 
@@ -303,9 +317,8 @@ def radical(A: FinAlgebra) -> IdealSubspace:
         phi = dict(zip(I.pivots, ((tr // q) % p for tr in trs)))
         if any(phi.values()):  # else g_i = 0 on I_(i-1), which is the level again
             table = [tuple(sum(c * phi.get(k, 0) for k, c in prod) for prod in row) for row in P]
-            rows = [la.apply_map(table, x, p) for x in I.basis]
             # rref, as in subspace_intersection: rref kernel vectors combining an rref basis
-            I = IdealSubspace(A, tuple(la.apply_map(I.basis, c, p) for c in la.left_kernel(rows, p)))
+            I = IdealSubspace(A, la.compose(la.left_kernel(la.compose(I.basis, table, p), p), I.basis, p))
         q *= p
     A._radical = I
     return I
@@ -317,37 +330,27 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
     Returns (B, project, lift) where project maps an element of A to its
     coset coordinates and lift picks the canonical coset representative.
     """
-    p = A.p
-    basis, pivots = I.basis, I.pivots
-    free_cols = [c for c in range(A.dim) if c not in pivots]
-    qdim = len(free_cols)
-    if qdim == 0:
+    p, free = A.p, [f for f, _ in I.functionals]
+    if not free:
         raise AlgebraError("quotient by the whole algebra is the zero ring")
 
-    def project(v):
-        residue = la.reduce_vector(basis, pivots, v, p)
-        return tuple(residue[c] for c in free_cols)
+    def project(v):  # the functionals' values: v's residue modulo I at the free columns
+        return la.vec([v[f] - sum([v[c] * x for c, x in terms]) for f, terms in I.functionals], p)
 
-    def lift(coords):
-        v = [la.fnorm(0, p)] * A.dim
-        for c, col in zip(coords, free_cols, strict=True):
-            v[col] = la.fnorm(c, p)
-        return tuple(v)
+    def lift(coords):  # coords, in normal form as B's elements are, at the free columns
+        at = dict(zip(free, coords, strict=True))
+        return tuple(at.get(k, zero) for k, zero in enumerate(A.zero()))
 
-    images = [project(e) for e in A._basis]  # project is linear: one reduction per basis vector
-
-    def image(pairs):  # project(sum c e_k) over the (k, c) in pairs
-        return la.vec([sum(c * images[k][t] for k, c in pairs) for t in range(qdim)], p)
-
+    images = [project(e) for e in A._basis]  # project is linear: its matrix, one evaluation per basis vector
     # the free basis vectors e_a lift the quotient basis: products are e_a e_b
-    structure = [[image(A._pairs[a][b]) for b in free_cols] for a in free_cols]
-    B = FinAlgebra(p, qdim, structure, image(list(enumerate(A.unit))), check=False)
+    structure = [la.compose([A.structure[a][b] for b in free], images, p) for a in free]
+    B = FinAlgebra(p, len(free), structure, la.compose([A.unit], images, p)[0], check=False)
     return B, project, lift
 
 
 def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
     """Matrix of the map induced on A/I (requires m(I) <= I)."""
-    return tuple(project(la.apply_map(m, lift(v), A.p)) for v in B.basis())
+    return tuple(map(project, la.compose([lift(v) for v in B.basis()], m, A.p)))
 
 
 # -- semisimple structure ---------------------------------------------------
@@ -394,7 +397,7 @@ def _split_centre_fp(A: FinAlgebra, Z) -> list:
     """
     p, half = A.p, (A.p + 1) // 2
     frobenius_minus_id = [A.sub(la.power(z, p, A.mul), z) for z in Z]
-    F = [la.apply_map(Z, c, p) for c in la.left_kernel(frobenius_minus_id, p)]
+    F = la.compose(la.left_kernel(frobenius_minus_id, p), Z, p)
     idems = [A.one()]
     for f in F:
         todo, idems = idems, []
@@ -528,7 +531,7 @@ def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64) -> list[IdealSubspace]:
     sigma = automorphism(A, sigma)
     orbit, current = [I], I
     for _ in range(cap):
-        current = subspace(A, [la.apply_map(sigma, v, A.p) for v in current.basis])
+        current = subspace(A, la.compose(current.basis, sigma, A.p))
         if current == I:
             return orbit
         orbit.append(current)
@@ -537,7 +540,7 @@ def sigma_orbit(I: IdealSubspace, sigma, cap: int = 64) -> list[IdealSubspace]:
 
 def is_stable(I: IdealSubspace, m) -> bool:
     """m(I) <= I for the map m."""
-    return all(I.contains(la.apply_map(m, v, I.parent.p)) for v in I.basis)
+    return all(map(I.contains, la.compose(I.basis, m, I.parent.p)))
 
 
 def is_sigma_prime(I: IdealSubspace, sigma, spectrum=None, stable=None, orbits=()) -> bool:

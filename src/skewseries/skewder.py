@@ -156,9 +156,9 @@ def require_pair(sd: SkewDerivation, q=None) -> None:
     On a failure the full checks refuse in turn: sigma delta = delta sigma (q None), sigma an
     automorphism, delta sigma = q sigma delta (q given), the laws."""
     ring, sigma, delta, mod, c = sd.ring, sd.sigma_matrix, sd.delta_matrix, sd.ring.scalar_mod, 1 if q is None else q
-    if next(law_violations(ring, sigma, delta), None) is not None or any(
-            la.apply_map(delta, sigma[s], mod) != la.vscale(c, la.apply_map(sigma, delta[s], mod), mod)
-            for s in ring.generators):
+    sigma_S, delta_S = ([m[s] for s in ring.generators] for m in (sigma, delta))  # the images of each e_s
+    if next(law_violations(ring, sigma, delta), None) is not None or la.compose(sigma_S, delta, mod) != tuple(
+            la.vscale(c, v, mod) for v in la.compose(delta_S, sigma, mod)):
         if q is None:
             require_commuting(sd)
         automorphism(ring, sigma)

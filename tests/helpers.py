@@ -358,6 +358,12 @@ def naive_left_mult_matrix(A, a):
     return tuple(naive_mul(A, a, e) for e in A.basis())
 
 
+def dense_compose(first, then, p):
+    """then(first(v)) as one dense ``exactla.apply_map`` per row of first: the former compose, kept as
+    the reference the sparse row-by-row product is compared against."""
+    return tuple(la.apply_map(then, row, p) for row in first)
+
+
 def naive_contains(I, v):
     """v in I when its residue modulo the rref basis is zero: the reference
     for the membership by annihilating functionals."""

@@ -449,8 +449,8 @@ def test_one_ideal_certificate_per_core(monkeypatch):
     # (a core equal to I is I itself); the "is ideal" flag of core_flags reads
     # that certificate instead of evaluating it again
     evaluations, cores = [], []
-    certify = IdealSubspace._closed_under_products.func
-    monkeypatch.setattr(IdealSubspace._closed_under_products, "func",
+    certify = IdealSubspace._closed_under_products
+    monkeypatch.setattr(IdealSubspace, "_closed_under_products",
                         lambda I: evaluations.append(I) or certify(I))
     delta_core = core.delta_core
 
@@ -538,12 +538,13 @@ def test_one_automorphism_check_per_verdict(monkeypatch):
 def test_one_commutation_check_per_verdict(monkeypatch):
     # sigma delta = delta sigma (delta sigma = q sigma delta over Q) is proved on the generators,
     # once the laws hold, and a pair made by pth_power commutes, as powers of commuting maps do:
-    # no pair of a valid verdict is composed both ways
+    # no pair of a valid verdict is composed both ways as whole maps, only on the e_s, s in S
     calls, compose, verdicts = [], la.compose, pair_check_verdicts()
     compose_both_ways = SkewDerivation.commuting.fget
     monkeypatch.setattr(SkewDerivation, "commuting", property(lambda sd: calls.append(sd) or compose_both_ways(sd)))
-    monkeypatch.setattr(la, "compose", lambda *args: (  # the full q law of a refusal
-        sys._getframe(1).f_code.co_name == "require_pair" and calls.append(args)) or compose(*args))
+    monkeypatch.setattr(la, "compose", lambda *args: (  # the full q law of a refusal: every row of a map
+        sys._getframe(1).f_code.co_name == "require_pair" and len(args[0]) == len(args[1])
+        and calls.append(args)) or compose(*args))
     for _, verdict in verdicts:
         assert verdict()
     assert calls == []

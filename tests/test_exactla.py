@@ -5,7 +5,7 @@ import pytest
 
 import skewseries.exactla as la
 
-from helpers import list_dependencies, naive_left_kernel, naive_rref
+from helpers import dense_compose, list_dependencies, naive_left_kernel, naive_rref
 
 FIELDS = [2, 5, None]
 BIG_P = 2**31 - 1
@@ -193,6 +193,39 @@ def test_apply_map_matches_per_scalar_loop(p):
             for i, ri in enumerate(row):
                 expected[i] = la.fnorm(expected[i] + cj * ri, p)
         assert la.apply_map(m, v, p) == tuple(expected)
+
+
+def sparse_entry(rng, p, fractions):
+    """Zero half the time, else a random scalar: over Z/m mostly in normal form, sometimes shifted by
+    a multiple of m; over Q an int, or with ``fractions`` a Fraction."""
+    if rng.random() < 0.5:
+        return 0
+    if p is None:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if fractions else rng.randint(-4, 4)
+    return rng.randrange(p) + p * rng.choice((0, 0, 0, -1, 2))
+
+
+@pytest.mark.parametrize("p,fractions", [(2, False), (3, False), (2**8, False), (3**4, False),
+                                         (None, False), (None, True)])
+def test_compose_matches_one_apply_map_per_row(p, fractions):
+    # the sparse row-by-row product against the dense reference, on maps with half their
+    # entries zero, at n = 1, with no rows in first, and with every entry m - 1 (-1 over Q)
+    rng = random.Random(f"compose/{p}/{fractions}")
+    top = p - 1 if p else -1
+    cases = [((), ((1, 0),)), (((0,),), ((top,),)), (((top,),), ((top, 0, top),))]
+    cases += [(((top,) * n,) * 3, ((top,) * n,) * n) for n in (1, 7, 48)]
+    for _ in range(60):
+        k, n, m = rng.randint(0, 5), rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(tuple(tuple(tuple(sparse_entry(rng, p, fractions) for _ in range(cols)) for _ in range(rows))
+                           for rows, cols in ((k, n), (n, m))))
+    for first, then in cases:
+        composed = la.compose(first, then, p)
+        assert composed == dense_compose(first, then, p)
+        assert all(type(c) is int or c.denominator != 1 for row in composed for c in row)
+    with pytest.raises(ValueError):  # a row of first longer than then has rows
+        la.compose(((1, 0, 1),), ((1,), (1,)), p)
+    with pytest.raises(ValueError):
+        dense_compose(((1, 0, 1),), ((1,), (1,)), p)
 
 
 def test_finv_rejects_non_units():

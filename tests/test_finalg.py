@@ -325,6 +325,37 @@ def test_membership_by_functionals_matches_reduction():
     assert verdicts == {True, False}
 
 
+def test_sparse_functionals_match_the_references():
+    # the nonzero (pivot, coefficient) terms of each free column against reduce_vector membership,
+    # the quotient's projection by reduce_vector and the pairwise-intersection meet, on the zero
+    # ideal, the whole algebra, radicals, primes and random ideals and subspaces; lift places
+    # coordinates at the free columns, so project(lift(c)) = c and v - lift(project(v)) lies in I
+    rng = random.Random(41)
+    for A, candidates in ideal_candidates():
+        ideals = [I for I in candidates if I.is_ideal()]
+        for I in candidates:
+            assert len(I.functionals) == A.dim - I.dim
+            assert all(x != 0 for _, terms in I.functionals for _, x in terms)
+            inside = [la.apply_map(I.basis, A.random_element(rng)[: I.dim], A.p) if I.dim else A.zero()]
+            vectors = inside + random_elements(A, rng, 3)
+            for v in vectors + [unnormalised(v, A.p, rng) for v in vectors]:
+                assert I.contains(v) == naive_contains(I, v)
+            if I.dim == A.dim:
+                for quotient in (quotient_algebra, dense_quotient_algebra):
+                    with pytest.raises(AlgebraError, match="zero ring"):
+                        quotient(A, I)
+                continue
+            if I in ideals:
+                (B, project, lift), (_, dense_project, _) = quotient_algebra(A, I), dense_quotient_algebra(A, I)
+                for v in vectors + [unnormalised(v, A.p, rng) for v in vectors]:
+                    assert project(v) == dense_project(v)
+                    assert I.contains(A.sub(la.vec(v, A.p), lift(project(v))))
+                assert all(project(lift(c)) == c for c in B.basis() + [B.random_element(rng)])
+        for _ in range(4):
+            chosen = rng.sample(ideals, rng.randint(1, min(3, len(ideals))))
+            assert ideal_meet(chosen) == naive_meet(chosen)
+
+
 def test_is_ideal_matches_naive():
     # ideals and non-ideal subspaces: the closure read off the (k, c) pairs
     # against the loop through the dense product and reduction
