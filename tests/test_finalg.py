@@ -322,38 +322,8 @@ def test_membership_by_functionals_matches_reduction():
                 verdicts.add(I.contains(v))
                 assert I.contains(v) == naive_contains(I, v)
             assert len(I.functionals) == A.dim - I.dim
+            assert all(x != 0 for _, terms in I.functionals for _, x in terms)  # only nonzero terms
     assert verdicts == {True, False}
-
-
-def test_sparse_functionals_match_the_references():
-    # the nonzero (pivot, coefficient) terms of each free column against reduce_vector membership,
-    # the quotient's projection by reduce_vector and the pairwise-intersection meet, on the zero
-    # ideal, the whole algebra, radicals, primes and random ideals and subspaces; lift places
-    # coordinates at the free columns, so project(lift(c)) = c and v - lift(project(v)) lies in I
-    rng = random.Random(41)
-    for A, candidates in ideal_candidates():
-        ideals = [I for I in candidates if I.is_ideal()]
-        for I in candidates:
-            assert len(I.functionals) == A.dim - I.dim
-            assert all(x != 0 for _, terms in I.functionals for _, x in terms)
-            inside = [la.apply_map(I.basis, A.random_element(rng)[: I.dim], A.p) if I.dim else A.zero()]
-            vectors = inside + random_elements(A, rng, 3)
-            for v in vectors + [unnormalised(v, A.p, rng) for v in vectors]:
-                assert I.contains(v) == naive_contains(I, v)
-            if I.dim == A.dim:
-                for quotient in (quotient_algebra, dense_quotient_algebra):
-                    with pytest.raises(AlgebraError, match="zero ring"):
-                        quotient(A, I)
-                continue
-            if I in ideals:
-                (B, project, lift), (_, dense_project, _) = quotient_algebra(A, I), dense_quotient_algebra(A, I)
-                for v in vectors + [unnormalised(v, A.p, rng) for v in vectors]:
-                    assert project(v) == dense_project(v)
-                    assert I.contains(A.sub(la.vec(v, A.p), lift(project(v))))
-                assert all(project(lift(c)) == c for c in B.basis() + [B.random_element(rng)])
-        for _ in range(4):
-            chosen = rng.sample(ideals, rng.randint(1, min(3, len(ideals))))
-            assert ideal_meet(chosen) == naive_meet(chosen)
 
 
 def test_is_ideal_matches_naive():
@@ -647,15 +617,24 @@ def test_center_matches_naive():
 
 
 def test_quotient_from_projected_basis_vectors_matches_the_dense_one():
-    # one projection per basis vector, combined over the pairs, against one reduction per
-    # product e_a e_b; by 0, rad A, (rad A)^2 and each prime
+    # project, the functionals' values, once per basis vector and the products through that
+    # matrix, against one reduction per product e_a e_b; by 0, rad A, (rad A)^2 and each prime,
+    # on basis vectors and unnormalised random elements.  lift places coordinates at the free
+    # columns, so project(lift(c)) = c and v - lift(project(v)) lies in I; A itself is refused
+    rng = random.Random(43)
     for A in kernel_cases():
         N = radical(A)
         for I in dict.fromkeys([subspace(A, []), N, ideal_product(N, N), *reference_spectrum(A)]):
-            B, project, _ = quotient_algebra(A, I)
+            B, project, lift = quotient_algebra(A, I)
             D, dense_project, _ = dense_quotient_algebra(A, I)
             assert (B.structure, B.unit, B._pairs) == (D.structure, D.unit, D._pairs)
-            assert all(project(v) == dense_project(v) for v in A.basis())
+            for v in A.basis() + random_elements(A, rng, 3):
+                assert project(v) == dense_project(v)
+                assert I.contains(A.sub(la.vec(v, A.p), lift(project(v))))
+            assert all(project(lift(c)) == c for c in B.basis() + [B.random_element(rng)])
+        for quotient in (quotient_algebra, dense_quotient_algebra):
+            with pytest.raises(AlgebraError, match="zero ring"):
+                quotient(A, ideal_generated(A, [A.one()]))
 
 
 def test_central_idempotents_match_naive():
@@ -866,6 +845,11 @@ def test_ideal_meet_matches_pairwise_intersection():
         for ideals in lists:
             assert ideal_meet(ideals) == naive_meet(ideals)
         assert ideal_meet([V]) is V  # one ideal is its own meet
+    for A, candidates in ideal_candidates():  # random lists of ideals, 0 and A among them
+        ideals = [I for I in candidates if I.is_ideal()]
+        for _ in range(4):
+            chosen = rng.sample(ideals, rng.randint(1, min(3, len(ideals))))
+            assert ideal_meet(chosen) == naive_meet(chosen)
 
 
 def test_sigma_orbit_cap_over_q():
