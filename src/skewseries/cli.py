@@ -266,12 +266,10 @@ def build_context(spec: SpecFile, compatible=True) -> Context:  # False: verify 
             flat = parse_vectors(structure_text, p)
             if len(flat) != dim * dim or any(len(v) != dim for v in flat):
                 raise SpecError("structure must list dim*dim coordinate vectors", _line(structure_text))
-            structure = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
             units = _check_dim(unit_text, p, dim, "unit")
             if len(units) != 1:
                 raise SpecError("unit must be one vector", _line(unit_text))
-            unit = units[0]
-            base = FinAlgebra(p, dim, structure, unit)
+            base = FinAlgebra(p, dim, [flat[i * dim:(i + 1) * dim] for i in range(dim)], units[0])
         sigma_text = spec.get("skew", "sigma")
         delta_text = spec.get("skew", "delta")
         if sigma_text is not None or delta_text is not None:

@@ -200,14 +200,15 @@ class GradedAlgebra:
             raise FiltrationError("window does not cover the whole algebra")
         inverse = [la.solve([v for v, _ in flat], e, p) for e in A.basis()]  # e_k in the reps
 
-        def at_value(x, d):  # the coordinates of x in the reps at value d; those below d are 0 in F_d
+        def at_value(x, d):  # {k: c} of x in the reps at value d; those below d are 0 in F_d
             coords = list(zip(la.apply_map(inverse, x, p), (v for _, v in flat)))
             if any(c for c, v in coords if v < d):
                 raise FiltrationError("w(xy) < w(x) + w(y): the chain is not a ring filtration")
-            return tuple(c if v == d else la.fnorm(0, p) for c, v in coords)
+            return {k: c for k, (c, v) in enumerate(coords) if v == d}
 
-        structure = [[at_value(A.mul(a, b), i + j) for b, j in flat] for a, i in flat]
-        return FinAlgebra(p, A.dim, structure, at_value(A.one(), w.value(A.one())), check=False)
+        products = [[at_value(A.mul(a, b), i + j) for b, j in flat] for a, i in flat]
+        unit = at_value(A.one(), w.value(A.one()))
+        return FinAlgebra(p, A.dim, products, [unit.get(k, 0) for k in range(A.dim)], check=False)
 
 
 def assoc_graded(w, window) -> GradedAlgebra:

@@ -30,27 +30,29 @@ class ImplementationError(RuntimeError):
 
 
 class FinAlgebra:
-    """Associative unital algebra given by structure constants.
-
-    ``structure[i][j]`` is the coordinate vector of e_i * e_j.  ``p`` is a prime for F_p
-    coefficients or None for Q.  The arithmetic runs on ``_pairs[i][j]``, the nonzero (k, c) of
-    e_i * e_j, so it costs O(nonzeros), not O(dim), per basis product (one pair in a group algebra).
-    Over F_p each c is lifted to (-p/2, p/2]; ``integral``: a checked construction found these
-    integers associative over Z.  ``generators``: basis indices generating A as a unital algebra,
-    found by a checked construction (every index otherwise).
-    """
+    """Associative unital algebra given by its products: ``structure[i][j]`` is e_i * e_j, as its coordinate
+    vector or as a dict {k: c} of its nonzero coordinates (the form for a large algebra).  ``p`` is a prime
+    for F_p coefficients or None for Q.  The one stored form is ``_pairs[i][j]``, the nonzero (k, c) of
+    e_i * e_j in k order, so the arithmetic costs O(nonzeros) per basis product (one pair in a group
+    algebra) and memory grows with the nonzeros, not as dim^3; the ``structure`` attribute is a dense
+    view of it.  Over F_p each c is lifted to (-p/2, p/2]; ``integral``: a checked construction found these
+    integers associative over Z.  ``generators``: basis indices generating A as a unital algebra, found by
+    a checked construction (every index otherwise)."""
 
     def __init__(self, p, dim, structure, unit, check=True):
-        self.p = p
-        self.dim = dim
-        self.structure = tuple(tuple(la.vec(entry, p) for entry in row) for row in structure)
-        self._pairs = tuple(tuple(self._lifted(entry) for entry in row) for row in self.structure)
+        self.p, self.dim = p, dim
+        equal = {}  # equal products share one tuple: a group algebra has dim of them, not dim^2
+        self._pairs = tuple(tuple(equal.setdefault(t, t) for t in map(self._nonzeros, row)) for row in structure)
         self.unit = la.vec(unit, p)
         self._zero = la.zero_vec(dim, p)
         self._basis = tuple(self.basis_vec(i) for i in range(dim))
         self.generators = range(dim)
         self.integral = check and self._validate()
         self._radical = None  # radical(self), kept by its first call
+
+    @functools.cached_property
+    def structure(self) -> tuple:  # the dense view of _pairs: e_i * e_j as a coordinate vector in normal form
+        return tuple(tuple(la.vec(self._combine([(1, i, j)]), self.p) for j in range(self.dim)) for i in range(self.dim))
 
     @property
     def char(self) -> int:
@@ -61,9 +63,10 @@ class FinAlgebra:
         """Modulus for coordinatewise scalar arithmetic (None over Q)."""
         return self.p
 
-    def _lifted(self, v) -> tuple:  # the nonzero (k, c) of v, each c an int in (-p/2, p/2] over F_p
-        p = self.p
-        return tuple((k, (int(c) - p if 2 * c > p else int(c)) if p else c) for k, c in enumerate(v) if c != 0)
+    def _nonzeros(self, v) -> tuple:  # the nonzero (k, c) of v, a coordinate vector or a dict {k: c}, in k order
+        p, terms = self.p, v.items() if isinstance(v, dict) else enumerate(v)
+        normed = ((k, la.fnorm(c, None) if p is None else int(c) % p) for k, c in terms)
+        return tuple(sorted((k, c - p if p and 2 * c > p else c) for k, c in normed if c))
 
     def _validate(self) -> bool:
         """Associativity and the unit law; True when the lift is integral.  Given the unit law, the
@@ -75,7 +78,7 @@ class FinAlgebra:
             raise AlgebraError("dim must be >= 1")
         if p is not None and not is_prime(p):  # F_p must be a field: radicals and splits assume one
             raise AlgebraError(f"p = {p} is not prime")
-        u = self._lifted(self.unit)  # its products with each e_i, on the lift
+        u = self._nonzeros(self.unit)  # its products with each e_i, on the lift
         products = [(self._combine((c, k, i) for k, c in u), self._combine((c, i, k) for k, c in u)) for i in range(n)]
         unit_law = all(la.vec(x, p) == e == la.vec(y, p) for (x, y), e in zip(products, self._basis))
         if unit_law:  # the unit, with ints over F_p; times(r, s) is r e_s
@@ -341,10 +344,19 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
         at = dict(zip(free, coords, strict=True))
         return tuple(at.get(k, zero) for k, zero in enumerate(A.zero()))
 
-    images = [project(e) for e in A._basis]  # project is linear: its matrix, one evaluation per basis vector
-    # the free basis vectors e_a lift the quotient basis: products are e_a e_b
-    structure = [la.compose([A.structure[a][b] for b in free], images, p) for a in free]
-    B = FinAlgebra(p, len(free), structure, la.compose([A.unit], images, p)[0], check=False)
+    image = [[] for _ in A._basis]  # project(e_k) as its nonzero (t, x): functional t is 1 at f, -x at c
+    for t, (f, terms) in enumerate(I.functionals):
+        for c, x in [(f, -1), *terms]:
+            image[c].append((t, -x))
+
+    def product(a, b):  # the projected e_a e_b; the free basis vectors e_a lift the quotient basis
+        acc = {}
+        for k, c in A._pairs[a][b]:
+            for t, x in image[k]:
+                acc[t] = acc.get(t, 0) + c * x
+        return acc
+
+    B = FinAlgebra(p, len(free), [[product(a, b) for b in free] for a in free], project(A.unit), check=False)
     return B, project, lift
 
 
@@ -587,37 +599,26 @@ def minimal_sigma_primes(
 
 def truncated_poly_algebra(p, n: int) -> FinAlgebra:
     """F_p[X]/(X^n) (or Q[X]/(X^n) for p=None) with basis 1, X, ..., X^(n-1)."""
-    structure = [[[int(k == i + j) for k in range(n)] for j in range(n)] for i in range(n)]
-    return FinAlgebra(p, n, structure, [1] + [0] * (n - 1))
+    return FinAlgebra(p, n, [[{i + j: 1} if i + j < n else {} for j in range(n)] for i in range(n)], [1] + [0] * (n - 1))
 
 
 def product_of_fields(p, n: int) -> FinAlgebra:
     """F_p x ... x F_p (n factors), coordinatewise multiplication."""
-    structure = [[[int(k == i == j) for k in range(n)] for j in range(n)] for i in range(n)]
-    return FinAlgebra(p, n, structure, [1] * n)
+    return FinAlgebra(p, n, [[{i: 1} if i == j else {} for j in range(n)] for i in range(n)], [1] * n)
 
 
 def matrix_algebra(p, n: int) -> FinAlgebra:
     """Full n x n matrix algebra; basis e_{rc} ordered row-major."""
     cells = [divmod(a, n) for a in range(n * n)]  # (r, c) of each basis element
     # e_{r1 c1} e_{r2 c2} is e_{r1 c2} when c1 = r2, else 0
-    structure = [[[int(c1 == r2 and k == r1 * n + c2) for k in range(n * n)] for r2, c2 in cells]
-                 for r1, c1 in cells]
-    return FinAlgebra(p, n * n, structure, [int(r == c) for r, c in cells])
+    products = [[{r1 * n + c2: 1} if c1 == r2 else {} for r2, c2 in cells] for r1, c1 in cells]
+    return FinAlgebra(p, n * n, products, [int(r == c) for r, c in cells])
 
 
 def direct_sum(A: FinAlgebra, B: FinAlgebra) -> FinAlgebra:
     if A.p != B.p:
         raise AlgebraError("field mismatch")
-    n, dim = A.dim, A.dim + B.dim
-    zero = la.fnorm(0, A.p)
-
-    def product(i, j):  # e_i e_j in A + B
-        if i < n and j < n:
-            return A.structure[i][j] + (zero,) * B.dim
-        if i >= n and j >= n:
-            return (zero,) * n + B.structure[i - n][j - n]
-        return (zero,) * dim
-
-    structure = [[product(i, j) for j in range(dim)] for i in range(dim)]
-    return FinAlgebra(A.p, dim, structure, A.unit + B.unit, check=False)
+    n, m = A.dim, B.dim  # e_i e_j in A + B: A's products, B's shifted by n, and 0 across
+    products = [[*map(dict, row), *[{}] * m] for row in A._pairs]
+    products += [[*[{}] * n, *({k + n: c for k, c in prod} for prod in row)] for row in B._pairs]
+    return FinAlgebra(A.p, n + m, products, A.unit + B.unit, check=False)

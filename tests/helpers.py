@@ -160,6 +160,17 @@ def permutation_group_algebra(p, gens, check=True):
     return FinAlgebra(p, n, structure, basis_vec(identity), check=check)
 
 
+def iwasawa_group_algebra(k, check=True):
+    """(A, sd): A = F_2[C_2^k x C_7], built from its products, and the Iwasawa pair sigma = inversion
+    on C_7, delta = sigma - id.  Basis vector e_(7b + r) is the element (b, r), b in C_2^k a k-bit
+    int (the product XORs the bits) and r in C_7, so e_i e_j = e_(7(i//7 ^ j//7) + (i + j) % 7)."""
+    n = 7 << k
+    products = ([{7 * (i // 7 ^ j // 7) + (i + j) % 7: 1} for j in range(n)] for i in range(n))
+    A = FinAlgebra(2, n, products, [1] + [0] * (n - 1), check=check)
+    sigma = tuple(A.basis_vec(i - i % 7 + -i % 7) for i in range(n))
+    return A, SkewDerivation(A, sigma, la.map_sub(sigma, la.identity_map(n, 2), 2))
+
+
 def naive_sps_mul(S, f, g):
     """f g in S by the literal expansion sum_(i,j) r_i (x^i s_j) x^j.
 

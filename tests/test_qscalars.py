@@ -93,8 +93,8 @@ def test_q_results_match_the_fraction_reference(monkeypatch):
         m.setattr(la, "finv", fraction_finv)
         cases = q_instances()
         reference = [outcomes(A, sd) for A, sd in cases]
-    # the reference really ran on Fractions
-    assert all(type(c) is Fraction for A, _ in cases for row in A.structure for v in row for c in v)
+    # the reference really ran on Fractions: its stored products hold them
+    assert all(type(c) is Fraction for A, _ in cases for row in A._pairs for prod in row for _, c in prod)
     assert new == reference
     assert any(type(c) is Fraction and c.denominator != 1
                for result in new for P in result[1] or () for v in P for c in v)
