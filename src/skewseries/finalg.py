@@ -1,4 +1,4 @@
-"""Finite-dimensional associative unital algebras from structure constants.
+"""Finite-dimensional associative unital algebras, stored as their nonzero products.
 
 Algebras live over F_p or Q; elements are coordinate tuples; ideals are
 subspaces in reduced row echelon form (so equality is literal tuple

@@ -52,6 +52,7 @@ from skewseries.skewder import (
 from helpers import (
     cyclic_quiver_square_zero,
     ddx_derivation,
+    iwasawa_group_algebra,
     naive_core_chain,
     naive_delta_core,
     naive_char0_checks,
@@ -324,6 +325,20 @@ def delta_squared_is_delta():
     sd = SkewDerivation.from_gen_images(A, A.basis_vec(1), A.add(A.one(), A.basis_vec(1)))
     assert check_skew_derivation(sd).valid and sd.delta_pow(2) == sd.delta_matrix
     return A, sd, ideal_generated(A, [A.basis_vec(1)])
+
+
+def test_the_iwasawa_quotient_of_dim_56_built_from_its_products():
+    # F_2[C_2^3 x C_7] with sigma = inversion on C_7 and delta = sigma - id: rad F_2[P] (x) F_2[H] has
+    # dim |G| - |H| = 49; inversion swaps the two cubic factors of X^7 - 1, so the minimal sigma-primes
+    # have codimension 1 and 6; delta = sigma - id keeps each, so Theorem C returns it with M = 0
+    A, sd = iwasawa_group_algebra(3)
+    assert A.dim == 56 and radical(A).dim == 49
+    primes = minimal_sigma_primes(A, sd.sigma_matrix, subspace(A, []))
+    assert [P.dim for P in primes] == [55, 50]
+    for P in primes:
+        J, M, flags = theorem_c_procedure(A, sd, P)
+        assert (J, M) == (P, 0) and flags["inconclusive"] is False
+        assert [flags[k] for k in flags if k not in ("inconclusive", "reports")] == [True] * 3
 
 
 def test_stabilization_chain_matches_naive():

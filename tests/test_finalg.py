@@ -388,6 +388,65 @@ def test_light_s_test_matches_the_full_construction_check():
     assert seen["structure constants not associative", False] > 100
 
 
+def dense_and_dict_copies(A):
+    """Checked copies of A, built from the coordinate vectors of its products and from dicts of their
+    nonzero coordinates, the constructor's two input forms."""
+    dicts = [[{k: c for k, c in enumerate(v) if c} for v in row] for row in A.structure]
+    return FinAlgebra(A.p, A.dim, A.structure, A.unit), FinAlgebra(A.p, A.dim, dicts, A.unit)
+
+
+def dense_direct_sum(A, B):
+    """A + B from the dense structures, block by block: the former direct_sum, kept as the reference."""
+    zero, n, m = la.fnorm(0, A.p), A.dim, B.dim
+    rows = [[v + (zero,) * m for v in row] + [(zero,) * (n + m)] * m for row in A.structure]
+    rows += [[(zero,) * (n + m)] * n + [(zero,) * n + v for v in row] for row in B.structure]
+    return FinAlgebra(A.p, n + m, rows, A.unit + B.unit, check=False)
+
+
+def algebra_outcomes(A):
+    """The stored and derived forms of A, its checked flags, its radical and its prime spectrum
+    (or the refusal to split a centre over Q)."""
+    try:
+        spectrum = [P.basis for P in prime_spectrum(A)]
+    except AlgebraError as exc:
+        spectrum = str(exc)
+    return A._pairs, A.structure, A.unit, A.integral, A.generators, radical(A).basis, spectrum
+
+
+def verdict(A, sd, I):
+    """theorem_c_procedure on a copy of the pair and ideal for A: J's basis, M, the flags and the reports."""
+    J, M, flags = theorem_c_procedure(A, SkewDerivation(A, sd.sigma_matrix, sd.delta_matrix), subspace(A, I.basis))
+    return J.basis, M, [(k, v) for k, v in flags.items() if k != "reports"], [r.serialize() for r in flags["reports"]]
+
+
+def test_algebras_from_dicts_match_algebras_from_dense_vectors():
+    # the one stored form, reached both ways: each case rebuilt from its dense products and from dicts
+    # of their nonzeros; each quotient by the radical and by a prime, built from the projected pairs,
+    # against the former dense projection; direct sums built from the pairs against block by block;
+    # and a Theorem-C verdict on each seed-1 primes instance, on either copy
+    sizes = collections.Counter()
+    for A in generator_cases():
+        dense, dicts = dense_and_dict_copies(A)
+        assert algebra_outcomes(dense) == algebra_outcomes(dicts)
+        assert (dicts._pairs, dicts.integral, dicts.generators) == (A._pairs, A.integral, A.generators)
+    for A in radical_cases() + generator_cases():
+        N = radical(A)
+        for I in [N, *(reference_spectrum(A)[:1] if A.p else [])]:
+            if I.dim < A.dim:
+                sizes["quotient"] += 1
+                assert algebra_outcomes(quotient_algebra(A, I)[0]) == algebra_outcomes(dense_quotient_algebra(A, I)[0])
+    small = [A for A in radical_cases() if A.dim <= 6]
+    for A, B in zip(small, small[1:]):
+        if A.p == B.p:
+            sizes["direct sum"] += 1
+            assert algebra_outcomes(direct_sum(A, B)) == algebra_outcomes(dense_direct_sum(A, B))
+    for A, sd, I in primes_workload_instances(1):
+        sizes["verdict"] += 1
+        dense, dicts = dense_and_dict_copies(A)
+        assert verdict(dense, sd, I) == verdict(dicts, sd, I) == verdict(A, sd, I)
+    assert min(sizes.values()) >= 10, sizes
+
+
 def test_ideals_and_centres_on_the_generators_match_the_full_loops():
     # is_ideal reads e_s v and v e_s for s in A.generators, ideal_generated closes under them and the
     # centre commutes with them; the references read every basis vector
