@@ -13,6 +13,8 @@ from pathlib import Path
 
 import skewseries
 
+from helpers import iwasawa_group_algebra
+
 PACKAGE = Path(skewseries.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -80,8 +82,6 @@ def test_a_group_algebra_of_dim_112_is_built_from_its_products_in_little_memory(
     # F_2[C_2^4 x C_7], checked, from its 12,544 one-term products, with its Iwasawa pair: equal products
     # share one stored tuple, and building it peaked at 0.78 MB when this guard was added, where the
     # dense 112 x 112 x 112 cube the constructor used to keep holds about 12 MB on its own
-    from helpers import iwasawa_group_algebra
-
     iwasawa_group_algebra(1)  # first uses
     gc.collect()
     tracemalloc.start()
