@@ -317,7 +317,7 @@ def char0_checks(A: FinAlgebra, sd: SkewDerivation) -> dict:
     if witnesses:  # delta induces no map on A/N
         return report
     C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
-    sigma = induced_map(A, sigma, N, C, project, lift) if N.dim else sigma
+    sigma = induced_map(A, sigma, C, project, lift) if N.dim else sigma
     Z = center(C)
     fixed = la.left_kernel([C.sub(s, z) for s, z in zip(la.compose(Z, sigma, None), Z)], None)  # Z(C)^sigma
     for z in map(lift, la.compose(fixed, Z, None)):

@@ -13,7 +13,7 @@ accepts a prime-power modulus p^k.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple
 Matrix = tuple
@@ -193,43 +193,30 @@ def reduce_vector(basis: Sequence[Vector], pivots: Sequence[int], v: Vector, p) 
     return vec(r, p)
 
 
-def _reduce_and_store(stored: list, r: list, n: int, p):
-    """Reduce r in place against the stored (row, pivot)s, each 1 at its pivot and 0 at the pivots
-    stored before it, so one pass in storage order clears every pivot; a residue left among r's
-    first n entries is stored, scaled to 1 at its pivot (its first nonzero entry).  The pivot, or None."""
+def reduce_and_store(stored: list, v: Vector, p):
+    """Reduce v against the stored (row, pivot)s, each 1 at its pivot and 0 at the pivots stored before
+    it, so one pass in storage order clears every pivot; a nonzero residue is stored, scaled to 1 at
+    its pivot (its first nonzero entry).  The pivot, or None when v lies in the stored rows' span."""
+    r = _normed(v, p)
     for s, c in stored:
         if r[c] != 0:
-            r[: len(s)] = _minus(r, r[c], s, p)
-    pivot = next((c for c in range(n) if r[c] != 0), None)
+            r = _minus(r, r[c], s, p)
+    pivot = next((c for c, x in enumerate(r) if x != 0), None)
     if pivot is not None:
         inv = 1 if p == 2 else finv(r[pivot], p)
         stored.append((r if inv == 1 else _normed([inv * a for a in r], p), pivot))
     return pivot
 
 
-def dependencies(vectors: Iterable[Vector], p) -> Iterator[Vector]:
-    """For each v_j in the span of v_0..v_(j-1), the c with c[j] = 1 and sum_i c_i v_i = 0.
-
-    Each vector is drawn only as the caller asks and reduced, as [v_j | e_j]
-    so its combination is carried along, against the rows stored so far
-    (``_reduce_and_store``).
-    """
-    stored = []  # (row with its combination as tail, pivot column)
-    for j, v in enumerate(vectors):
-        r = _normed([*v, *[0] * j, 1], p)
-        if _reduce_and_store(stored, r, len(v), p) is None:
-            yield tuple(r[len(v):])
-
-
 def greedy_generators(one: Vector, basis, times, p) -> tuple[int, ...]:
     """The greedy S of an algebra with unit ``one``: each i, in order, with basis[i] outside the span W of
     the words one s_1 ... s_r in the S found before it (times(w, s) is w basis[s]).  W is kept reduced by
-    ``_reduce_and_store``, and each new row's products with S, and W's with a new generator, are reduced
+    ``reduce_and_store``, and each new row's products with S, and W's with a new generator, are reduced
     before the next basis[i], so W is the subalgebra S generates."""
     n, S, stored, todo = len(one), [], [], [*((basis[i], i) for i in range(len(one) - 1, -1, -1)), (one, None)]
     while todo and len(stored) < n:  # the products are taken before the next basis[i]
         v, i = todo.pop()
-        if _reduce_and_store(stored, _normed(v, p), n, p) is not None:  # a new row of W
+        if reduce_and_store(stored, v, p) is not None:  # a new row of W
             if i is not None:  # basis[i] is a generator, and W times it joins W
                 S.append(i)
                 todo += [(times(w, i), None) for w, _ in stored[:-1]]
@@ -238,18 +225,16 @@ def greedy_generators(one: Vector, basis, times, p) -> tuple[int, ...]:
 
 
 def left_kernel(rows: Sequence[Vector], p) -> tuple[Vector, ...]:
-    """Basis (rref) of {x : sum_j x_j rows[j] = 0}.
+    """Basis (rref) of {x : sum_j x_j rows[j] = 0}, read off one ``rref`` of the system's columns.
 
-    The dependencies, padded with zeros to len(rows), are independent (each
-    ends in its own 1) and as many as the kernel's dimension, so their rref
-    is the canonical basis of the kernel.  When every row is literally zero
-    (no rows included) the kernel is the whole space, whose rref basis is the
-    identity, and nothing is eliminated; a row that is zero only mod p is
-    reduced as usual, so the answer is the same either way.
+    Each column is written back to front, so each pivot sits at the last index it can go and a
+    reduced column R_i is 0 after its pivot c_i.  For each free index j, e_j - sum_i R_i[j] e_(c_i)
+    lies in the kernel, is 1 at j and 0 at the other free indices, and is nonzero only after j:
+    together these are the kernel's rref basis.  A zero system (no columns) has every index free.
     """
-    if all(map(is_zero_vec, rows)):
-        return identity_map(len(rows), p)
-    return span([c + (0,) * (len(rows) - len(c)) for c in dependencies(rows, p)], p)
+    n, (reduced, pivots) = len(rows), rref([col[::-1] for col in zip(*rows)], p)
+    at = {n - 1 - q: row[::-1] for q, row in zip(pivots, reduced)}  # pivot c_i: R_i, front to back
+    return tuple(vec([-at[i][j] if i in at else int(i == j) for i in range(n)], p) for j in range(n) if j not in at)
 
 
 def solve(rows: Sequence[Vector], v: Vector, p):

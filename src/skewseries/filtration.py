@@ -74,11 +74,11 @@ class ChainFiltration:
     @functools.cached_property
     def adapted_basis(self):
         """Basis vectors tagged with exact values, covering every level gap: from the deepest
-        level up, v in F_j is kept when it lies outside the span of everything before it
-        (F_(j+1) when level j starts), when ``dependencies`` yields no combination ending at v."""
-        tagged = [(v, j) for j in range(self.depth - 1, -1, -1) for v in self.level_basis(j)]
-        dependent = {len(c) - 1 for c in la.dependencies([v for v, _ in tagged], self.ring.p)}
-        return [pair for i, pair in enumerate(tagged) if i not in dependent]
+        level up, v in F_j is kept when it leaves a residue against the vectors kept before it
+        (which span F_(j+1) when level j starts), by ``reduce_and_store``."""
+        p, kept = self.ring.p, []
+        return [(v, j) for j in range(self.depth - 1, -1, -1) for v in self.level_basis(j)
+                if la.reduce_and_store(kept, v, p) is not None]
 
     def __repr__(self):
         return f"ChainFiltration(depth={self.depth} on {self.ring!r})"

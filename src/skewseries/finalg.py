@@ -360,8 +360,9 @@ def quotient_algebra(A: FinAlgebra, I: IdealSubspace):
     return B, project, lift
 
 
-def induced_map(A: FinAlgebra, m, I: IdealSubspace, B, project, lift):
-    """Matrix of the map induced on A/I (requires m(I) <= I)."""
+def induced_map(A: FinAlgebra, m, B, project, lift):
+    """Matrix of the map m induces on the quotient B = A/I that ``project`` and ``lift`` come from
+    (requires m(I) <= I)."""
     return tuple(map(project, la.compose([lift(v) for v in B.basis()], m, A.p)))
 
 

@@ -220,8 +220,8 @@ def quotient_sps(S: SPSRing, I: IdealSubspace):
     if not is_stable(I, S.sd.delta_matrix):
         raise SPSError("ideal is not stable under delta")
     wbar, B, project, lift = quotient_filtration(S.u, I)
-    sigma_bar = induced_map(base, S.sd.sigma_matrix, I, B, project, lift)
-    delta_bar = induced_map(base, S.sd.delta_matrix, I, B, project, lift)
+    sigma_bar = induced_map(base, S.sd.sigma_matrix, B, project, lift)
+    delta_bar = induced_map(base, S.sd.delta_matrix, B, project, lift)
     sd_bar = SkewDerivation(B, sigma_bar, delta_bar, q=S.sd.q)
     Sbar = SPSRing(B, sd_bar, wbar, S.D, check=False)
 

@@ -677,7 +677,7 @@ def naive_char0_checks(A, sd):
 def _sigma_primes_over_radical(A, sigma):
     N = radical(A)
     C, project, lift = quotient_algebra(A, N) if N.dim else (A, None, lambda v: v)
-    sigma_bar = induced_map(A, sigma, N, C, project, lift) if N.dim else sigma
+    sigma_bar = induced_map(A, sigma, C, project, lift) if N.dim else sigma
     idems, primes = naive_central_idempotents(C), []
     while idems:
         orbit = [idems[0]]
@@ -760,26 +760,6 @@ def dense_quotient_algebra(A, I):
     structure = [[project(A.structure[a][b]) for b in free_cols] for a in free_cols]
     B = FinAlgebra(p, qdim, structure, project(A.unit), check=False)
     return B, project, lift
-
-
-def list_dependencies(vectors, p):
-    """exactla.dependencies with every row operation r - f s written as (r + (p - f) s) mod p
-    and every pivot inverted, F_2 included: the reference the XOR rows are compared against."""
-    stored = []
-    for j, v in enumerate(vectors):
-        n, r = len(v), la._normed([*v, *[0] * j, 1], p)
-        for s, c in stored:
-            f = r[c]
-            if f != 0 and p is None:
-                r[: len(s)] = la._normed([a - f * b for a, b in zip(r, s)], p)
-            elif f != 0:
-                r[: len(s)] = [(a + (p - f) * b) % p for a, b in zip(r, s)]
-        pivot = next((c for c in range(n) if r[c] != 0), None)
-        if pivot is None:
-            yield tuple(r[n:])
-        else:
-            inv = la.finv(r[pivot], p)
-            stored.append((la._normed([inv * a for a in r], p), pivot))
 
 
 def whole_spectrum_theorem_c(A, sd, I, cap=None):

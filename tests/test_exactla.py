@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import skewseries.exactla as la
+from skewseries.finalg import ideal_meet, product_of_fields, subspace
 
-from helpers import dense_compose, list_dependencies, naive_left_kernel, naive_rref
+from helpers import dense_compose, naive_left_kernel, naive_rref
 
 FIELDS = [2, 5, None]
 BIG_P = 2**31 - 1
@@ -76,51 +77,73 @@ def test_left_kernel(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, None])
-def test_a_zero_system_matches_the_naive_kernel(monkeypatch, p):
+def test_a_zero_system_matches_the_naive_kernel(p):
     # literally zero rows (none, of length 0, or all-zero of any shape) have the whole space
-    # as kernel, the identity, with no elimination; rows zero only mod p, such as (2, 4) over
-    # F_2, are eliminated as before and reach the same basis
-    eliminated = []
-    dependencies = la.dependencies
-    monkeypatch.setattr(la, "dependencies", lambda rows, p: eliminated.append(rows) or dependencies(rows, p))
+    # as kernel, the identity, and so do rows zero only mod p, such as (2, 4) over F_2: the
+    # one read-off reaches it with no pivot
     zero = la.fnorm(0, p)
     literal = [[], [()], [()] * 3, [(Fraction(0), 0)] * 2]
     literal += [[(zero,) * ncols] * nrows for nrows in (1, 2, 5) for ncols in (1, 3, 4)]
     for rows in literal:
         assert la.left_kernel(rows, p) == naive_left_kernel(rows, p) == la.identity_map(len(rows), p)
-    assert eliminated == []
     if p is not None:
         for rows in ([(p, 2 * p)], [(2 * p, -p), (0, 0)], [(zero, zero, -p)] * 3, [(p,), (0,), (3 * p,)]):
             assert la.left_kernel(rows, p) == naive_left_kernel(rows, p) == la.identity_map(len(rows), p)
-            assert eliminated.pop() == rows
 
 
-@pytest.mark.parametrize("p", FIELDS)
-def test_dependencies_match_naive_left_kernel(p):
-    # each yielded c ends in 1 at its vector, kills its prefix, and the
-    # padded c span the kernel; cases with no rows, a zero row and n = 1
-    rng = random.Random(f"dependency/{p}")
-    zero, one = la.fnorm(0, p), la.fnorm(1, p)
-    cases = [random_matrix(rng, rng.randint(1, 7), rng.randint(1, 5), p) for _ in range(40)]
-    cases += [[], [(zero,)], [(one,), (zero,), (la.fnorm(3, p),)],
-              [(zero, zero), (one, zero), (zero, zero)]]
+def low_rank_rows(rng, n, c, p):
+    """n rows of length c in the span of a random number r <= min(n, c) of random rows, so the
+    kernel has dimension n - r; over F_p their entries are left unreduced, some negative."""
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if p is None else rng.randint(-p, 2 * p)
+
+    gens = [tuple(scalar() for _ in range(c)) for _ in range(rng.randint(0, min(n, c)))]
+    if not gens:
+        return [(0,) * c] * n
+    rows = []
+    for _ in range(n):
+        coeffs = [scalar() for _ in gens]
+        row = [sum(x * g[k] for x, g in zip(coeffs, gens)) for k in range(c)]
+        rows.append(tuple(row if p is None else [x + p * rng.randint(-1, 1) for x in row]))
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P, None])
+def test_left_kernel_reads_the_naive_kernel_off_its_columns(p):
+    # the read-off against rref([rows | I]) on tall systems (n up to 112, c <= 6), wide ones
+    # (c up to 3n), literal zero systems and rows zero only mod p; a read-off from columns taken
+    # front to back leaves each kernel vector's leading entry at a pivot, not at its free index.
+    # Over Q the tallest is 56: the naive reference takes 4 s on 112 rows there
+    rng = random.Random(f"read-off/{p}")
+    zero = la.fnorm(0, p)
+    cases = [low_rank_rows(rng, n, rng.randint(1, 6), p) for n in (1, 2, 7, 30, 56 if p is None else 112)]
+    cases += [low_rank_rows(rng, n, rng.randint(n, 3 * n), p) for n in (1, 2, 3, 5, 8, 12)]
+    cases += [[], [()], [()] * 4] + [[(zero,) * c] * n for n in (1, 3, 6) for c in (1, 2, 5)]
+    if p is not None:
+        cases += [[(p, 2 * p)], [(p, 2 * p), (1, 2)], [(p, 0), (-p, p), (3, 1 - p)]]
     for rows in cases:
-        found = list(la.dependencies(rows, p))
-        for c in found:
-            assert c[-1] == 1 and len(c) <= len(rows)
-            assert la.is_zero_vec(la.apply_map(rows[: len(c)], c, p))
-        padded = [c + (zero,) * (len(rows) - len(c)) for c in found]
-        assert len({len(c) for c in found}) == len(found) == len(rows) - rank(rows, p)
-        assert la.span(padded, p) == naive_left_kernel(rows, p)
+        kernel = la.left_kernel(rows, p)
+        assert kernel == naive_left_kernel(rows, p) == la.span(kernel, p)
+        assert len(kernel) == len(rows) - rank(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P, None])
+def test_the_meet_of_a_subspace_with_itself_is_the_subspace(p):
+    # ideal_meet's system stacks the functionals of I twice, so its kernel is I: on random rref
+    # subspaces of every dimension 0..n (functionals read only the basis, so no ideal is needed)
+    rng, n = random.Random(f"meet/{p}"), 9
+    A = product_of_fields(p, n)
+    for d in range(n + 1):
+        I = subspace(A, [A.random_element(rng) for _ in range(d)])
+        assert ideal_meet([I, I]) == I
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
 def test_one_pass_row_operations_match_the_list_reference(p):
-    # over F_p rref and dependencies do r - f s as (r + (p - f) s) mod p, over F_2 as r XOR s
-    # with no pivot inverse, and skip scaling by 1; reduce_vector subtracts a row with factor
-    # 1 once; against naive_rref, naive_left_kernel (which runs on naive_rref),
-    # list_dependencies and per_pivot_reduce on unreduced and negative entries,
-    # all-(p - 1) rows, no rows and n = 1
+    # over F_p rref does r - f s as (r + (p - f) s) mod p, over F_2 as r XOR s with no pivot
+    # inverse, and skips scaling by 1; reduce_vector subtracts a row with factor 1 once; against
+    # naive_rref, naive_left_kernel (which runs on naive_rref) and per_pivot_reduce on
+    # unreduced and negative entries, all-(p - 1) rows, no rows and n = 1
     rng = random.Random(f"one-pass/{p}")
     cases = [[tuple(rng.randint(-3 * p, 3 * p) for _ in range(ncols)) for _ in range(nrows)]
              for nrows, ncols in [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]]
@@ -129,7 +152,6 @@ def test_one_pass_row_operations_match_the_list_reference(p):
     for rows in cases:
         assert la.rref(rows, p) == naive_rref(rows, p)
         assert la.left_kernel(rows, p) == naive_left_kernel(rows, p)
-        assert list(la.dependencies(rows, p)) == list(list_dependencies(rows, p))
         basis, pivots = la.rref(rows[: len(rows) // 2], p)
         for v in rows:
             assert la.reduce_vector(basis, pivots, v, p) == per_pivot_reduce(basis, pivots, v, p)
@@ -147,19 +169,6 @@ def test_rref_combinations_of_an_rref_basis_are_rref(p):
         rows = random_matrix(rng, len(B), rng.randint(1, 4), p)
         combined = tuple(la.apply_map(B, c, p) for c in la.left_kernel(rows, p))
         assert combined == la.span(combined, p)
-
-
-def test_dependencies_draw_only_what_the_caller_asks():
-    drawn = []
-
-    def vectors():
-        for v in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-            drawn.append(v)
-            yield v
-
-    found = la.dependencies(vectors(), 3)
-    assert next(found) == (2, 2, 1) and len(drawn) == 3
-    assert next(found) == (1, 0, 0, 1) and len(drawn) == 4
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -252,8 +252,8 @@ def test_quotient_filtration_keeps_compatibility():
     from skewseries.finalg import induced_map
 
     wbar, B, project, lift = quotient_filtration(w, I)
-    sig = induced_map(A, sd.sigma_matrix, I, B, project, lift)
-    dlt = induced_map(A, sd.delta_matrix, I, B, project, lift)
+    sig = induced_map(A, sd.sigma_matrix, B, project, lift)
+    dlt = induced_map(A, sd.delta_matrix, B, project, lift)
     assert is_compatible(wbar, SkewDerivation(B, sig, dlt))
 
 

@@ -871,7 +871,7 @@ def test_the_sigma_laws_match_the_dense_loop():
         for K in {radical(A), I} - {None}:
             if K.dim and K.dim < A.dim:
                 B, project, lift = quotient_algebra(A, K)
-                cases.append((B, induced_map(A, sigma, K, B, project, lift)))
+                cases.append((B, induced_map(A, sigma, B, project, lift)))
         for B, tau in cases:
             cells = list(itertools.product(range(B.dim), repeat=2))
             for candidate in [tau, *perturbations(tau, B.p, rng.sample(cells, min(len(cells), 12)))]:

@@ -85,7 +85,7 @@ def law_sweep():
         for K in {radical(A), I} - {None}:
             if 0 < K.dim < A.dim:
                 B, project, lift = quotient_algebra(A, K)
-                maps = (induced_map(A, m, K, B, project, lift) for m in (sd.sigma_matrix, sd.delta_matrix))
+                maps = (induced_map(A, m, B, project, lift) for m in (sd.sigma_matrix, sd.delta_matrix))
                 pairs.append(SkewDerivation(B, *maps))
     R = SeriesRing(2, 12, k=3)
     pairs += [iwasawa_demo(3, 12, 4).sd, tpow_demo(2, 12, 4).sd,

@@ -297,7 +297,8 @@ def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
     # commutation on S, 43 in is_stable, 37 in sigma_orbit's steps, 12 in subspace_intersection, 12 in
     # char0_checks' Z(C)^sigma, 7 in _split_centre_fp, 4 in induced_map and, in the first cycle only,
     # 10 in radical; quotient_algebra projects its products from the pairs, with none.  apply_map is
-    # left to single vectors: 50 from _law_pass (sigma(1), delta(1)) and 42 from SkewDerivation.delta
+    # left to single vectors: 50 from _law_pass (sigma(1), delta(1)) and 42 from SkewDerivation.delta.
+    # Each left_kernel is exactly one rref of its columns, a zero system's included: 99 and 88 of them
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
@@ -315,13 +316,13 @@ def test_a_primes_cycle_makes_the_pinned_calls(monkeypatch):
     for key in workload.cycle(0):
         workload.run(key)
     assert collections.Counter(calls) == {
-        "map_power": 48, "compose": 189, "apply_map": 92, "preimage": 12, "rref": 186, "left_kernel": 99,
+        "map_power": 48, "compose": 189, "apply_map": 92, "preimage": 12, "rref": 227, "left_kernel": 99,
         "delta_pm_core": 24, "_law_pass": 25}
     calls.clear()
     for key in workload.cycle(1):
         workload.run(key)
     assert collections.Counter(calls) == {
-        "map_power": 48, "compose": 179, "apply_map": 92, "preimage": 12, "rref": 175, "left_kernel": 88,
+        "map_power": 48, "compose": 179, "apply_map": 92, "preimage": 12, "rref": 216, "left_kernel": 88,
         "delta_pm_core": 24, "_law_pass": 25}
 
 
