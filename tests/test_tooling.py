@@ -95,7 +95,7 @@ def test_a_group_algebra_of_dim_112_is_built_from_its_products_in_little_memory(
 
 # ``cat src/skewseries/*.py | wc -l`` at the last change that moved it, the figure ROADMAP's
 # design aim tracks: a change that grows the package raises it here, where a review sees it.
-LINE_CEILING = 3011
+LINE_CEILING = 2997
 
 
 def test_the_package_stays_within_its_line_ceiling():
