@@ -52,7 +52,7 @@ class SeriesRing:
     def element(self, coeffs):
         coeffs = list(coeffs)[: self.T]
         coeffs += [0] * (self.T - len(coeffs))
-        return tuple(c % self.modulus for c in coeffs)
+        return tuple([c % self.modulus for c in coeffs])  # from a list, for the reason given at exactla.vec
 
     def monomial(self, c: int, n: int):
         if n >= self.T:
@@ -70,26 +70,24 @@ class SeriesRing:
         return tuple(tuple(((i + j, 1),) if i + j < self.T else () for j in range(self.T))
                      for i in range(self.T))
 
+    # add, sub and smul build from a list, for the reason given at exactla.vec
     def add(self, a, b):
-        # from a list, for the reason given at exactla.vec
         return tuple([(x + y) % self.modulus for x, y in zip(a, b, strict=True)])
 
     def sub(self, a, b):
-        return tuple((x - y) % self.modulus for x, y in zip(a, b, strict=True))
+        return tuple([(x - y) % self.modulus for x, y in zip(a, b, strict=True)])
 
     def smul(self, c, a):
-        return tuple((c * x) % self.modulus for x in a)
+        return tuple([(c * x) % self.modulus for x in a])
 
-    def mul(self, a, b):
-        out = [0] * self.T
+    def mul(self, a, b, acc=None):  # with acc: a b added into that list unreduced, and the list returned
+        T, out = self.T, [0] * self.T if acc is None else acc
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0 or i + j >= self.T:
-                    continue
-                out[i + j] = (out[i + j] + x * y) % self.modulus
-        return tuple(out)
+            if x:
+                for j, y in enumerate(b[:T - i], i):  # the truncated convolution, skipping zeros
+                    if y:
+                        out[j] += x * y
+        return out if acc is not None else tuple([c % self.modulus for c in out])
 
     def is_central(self, a):
         return True

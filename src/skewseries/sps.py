@@ -91,9 +91,11 @@ class SPSRing:
         Coefficient k of x (sum c_k x^k) is sigma(c_(k-1)) + delta(c_k).
         Terms of x-degree >= D are dropped; they lie in the staircase
         ideal, which is stable under left multiplication by x and by R.
+        Every r_i (h_i)_k is added unreduced into one list per k, by the
+        base's ``mul`` with acc; ``element`` reduces each list once.
         """
         base, sd, zero = self.base, self.sd, self.base.zero()
-        out = [zero] * self.D
+        out = [[0] * base.dim for _ in range(self.D)]
         n = max((i + 1 for i, r in enumerate(f) if r != zero), default=0)
         h = g
         for i, r in enumerate(f[:n]):
@@ -109,8 +111,8 @@ class SPSRing:
             if r != zero:
                 for k, c in enumerate(h):
                     if c != zero:
-                        out[k] = base.add(out[k], base.mul(r, c))
-        return self.normalize(out)
+                        base.mul(r, c, acc=out[k])
+        return self.normalize([base.element(c) for c in out])
 
     def power(self, f, n: int):
         return la.power(f, n, self.mul) if n else self.one()

@@ -29,6 +29,7 @@ from skewseries.finalg import (
     subspace,
     truncated_poly_algebra,
 )
+from skewseries.series import SeriesRing
 from skewseries.skewder import SkewDerivation, SkewDerivationError, check_skew_derivation, pth_power
 
 
@@ -191,6 +192,44 @@ def naive_sps_mul(S, f, g):
         for i, r in enumerate(f):
             for k, c in rows[i].items():
                 out[k + j] = base.add(out[k + j], base.mul(r, c))
+    return S.normalize(out)
+
+
+def per_entry_series_mul(R, a, b):
+    """a b in a SeriesRing entry by entry, reduced at every step: the reference SeriesRing.mul
+    (one unreduced truncated convolution, reduced once) is compared against."""
+    out = [0] * R.T
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x != 0 and y != 0 and i + j < R.T:
+                out[i + j] = (out[i + j] + x * y) % R.modulus
+    return tuple(out)
+
+
+def per_term_sps_mul(S, f, g):
+    """f g in S by the recurrence of SPSRing.mul, with every term r_i (h_i)_k a reduced base product
+    added into its coefficient by a reduced base add: the reference SPSRing.mul, which sums each
+    coefficient unreduced and reduces it once, is compared against.  The base products are the
+    reference ones (``per_entry_series_mul``, ``naive_mul``), not the ring's."""
+    base, sd, zero = S.base, S.sd, S.base.zero()
+    base_mul = functools.partial(per_entry_series_mul if isinstance(base, SeriesRing) else naive_mul, base)
+    out = [zero] * S.D
+    n = max((i + 1 for i, r in enumerate(f) if r != zero), default=0)
+    h = g
+    for i, r in enumerate(f[:n]):
+        if i:  # h = x h: coefficient k is sigma(c_(k-1)) + delta(c_k)
+            step = [zero] * S.D
+            for k, c in enumerate(h):
+                if c == zero:
+                    continue
+                step[k] = base.add(step[k], sd.delta(c))
+                if k + 1 < S.D:
+                    step[k + 1] = sd.sigma(c)
+            h = step
+        if r != zero:
+            for k, c in enumerate(h):
+                if c != zero:
+                    out[k] = base.add(out[k], base_mul(r, c))
     return S.normalize(out)
 
 

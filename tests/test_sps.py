@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import skewseries.exactla as la
 from skewseries.cli import build_context, load_spec_file
 from skewseries.coeffcore import INFINITY
 from skewseries.filtration import AdicFiltration, ChainFiltration
@@ -24,7 +25,7 @@ from skewseries.sps import (
     tpow_demo,
 )
 
-from helpers import ddx_derivation, naive_sps_mul
+from helpers import ddx_derivation, naive_sps_mul, per_term_sps_mul
 
 
 def x_adic_chain(A, n):
@@ -114,6 +115,60 @@ def test_mul_matches_naive_expansion(name):
     x = S.x() if S.D > 1 else S.one()
     for f, g in ((S.one(), x), (x, S.one()), (S.zero(), x), (x, x)):
         assert S.mul(f, g) == naive_sps_mul(S, f, g)
+
+
+def series_pair_ring(p, k, T, D):
+    """S over (Z/p^k)[t]/(t^T) with sigma(t) = (1+t)^(p+1) - 1 and delta = sigma - id; at T = 1,
+    where there is no t, sigma = id and delta = 0."""
+    R = SeriesRing(p, T, k)
+    if T == 1:
+        return SPSRing(R, SkewDerivation.identity(R), AdicFiltration(R), D)
+    sigma_t = R.sub(la.power(R.add(R.one(), R.gen()), p + 1, R.mul), R.one())
+    return SPSRing(R, SkewDerivation.from_gen_images(R, sigma_t, R.sub(sigma_t, R.gen())), AdicFiltration(R), D)
+
+
+def fused_and_per_term_products(S, rng, tops):
+    """(S.mul, per_term_sps_mul) of: a random pair, f = 0, g = 0, and the pairs whose base entries
+    are all one of ``tops`` (m - 1 over Z/m).  Such an f is a representative, not a normal form;
+    the staircase ideal is two-sided, so its product is still the product of the class."""
+    f, g = S.random_element(rng), S.random_element(rng)
+    pairs = [(f, g), (S.zero(), g), (f, S.zero())]
+    pairs += [((tuple(c for _ in range(S.base.dim)),) * S.D,) * 2 for c in tops]
+    return [(S.mul(a, b), per_term_sps_mul(S, a, b)) for a, b in pairs]
+
+
+SIZES = (1, 2, 5, 12, 24)  # T and D: each below, at and above the other
+
+
+@pytest.mark.parametrize("T", SIZES)
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 8), (3, 4)])
+def test_fused_mul_matches_the_per_term_products_over_series_bases(p, k, T):
+    rng = random.Random(f"{p}^{k}/{T}")
+    for D in SIZES:
+        S = series_pair_ring(p, k, T, D)
+        for fused, per_term in fused_and_per_term_products(S, rng, [p**k - 1]):
+            assert fused == per_term
+
+
+@pytest.mark.parametrize("p", [2, 3, None])
+def test_fused_mul_matches_the_per_term_products_over_algebra_bases(p):
+    """F_p[X]/(X^n) and Q[X]/(X^n), sigma(X) = X + X^2 and delta(X) = X^2, under the X-adic chain and
+    under the one-level chain F_0 = A > 0.  The second is not compatible with this pair, so that
+    ring is built unchecked and the two products are compared as formulas; its top level is the
+    zero subspace, so ``ChainFiltration.reduce`` returns each coefficient as it is, and only the
+    base's ``element`` reduces the fused sums."""
+    rng = random.Random(f"algebra/{p}")
+    tops = [p - 1] if p else [Fraction(-7, 3)]
+    for n in (1, 2, 5):
+        A = truncated_poly_algebra(p, n)
+        X = A.basis_vec(1) if n > 1 else A.zero()
+        X2 = A.mul(X, X)
+        sd = SkewDerivation.from_gen_images(A, A.add(X, X2), X2)
+        for D in (1, 2, 5, 12):
+            for S in (SPSRing(A, sd, x_adic_chain(A, n), D),
+                      SPSRing(A, sd, ChainFiltration(A, [A.basis(), []]), D, check=False)):
+                for fused, per_term in fused_and_per_term_products(S, rng, tops):
+                    assert fused == per_term
 
 
 def test_unit_laws():
