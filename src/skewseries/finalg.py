@@ -142,15 +142,15 @@ class FinAlgebra:
 
     def _combine(self, terms, out=None):
         """sum c e_i e_j over the (c, i, j) in terms, unnormalised, added into out (a new list by default)."""
-        out = [0] * self.dim if out is None else out
+        out, P = [0] * self.dim if out is None else out, self._pairs
         for c, i, j in terms:
-            for k, s in self._pairs[i][j]:
+            for k, s in P[i][j]:
                 out[k] += c * s
         return out
 
     def mul(self, a, b, mod=None, acc=None):  # mod: a multiple of p to reduce by, for a product on the lift
-        right = [(j, bj) for j, bj in enumerate(b) if bj != 0]  # acc: as at SeriesRing.mul
-        out = self._combine(((ai * bj, i, j) for i, ai in enumerate(a) if ai != 0 for j, bj in right), acc)
+        right = [(j, bj) for j, bj in enumerate(b) if bj]  # acc: as at SeriesRing.mul
+        out = self._combine(((ai * bj, i, j) for i, ai in enumerate(a) if ai for j, bj in right), acc)
         return out if acc is not None else la.vec(out, mod or self.p)
 
     def is_central(self, z):  # z commutes with each e_s, s in generators (its commutant is a subalgebra)
