@@ -133,7 +133,7 @@ def fused_and_per_term_products(S, rng, tops):
     the staircase ideal is two-sided, so its product is still the product of the class."""
     f, g = S.random_element(rng), S.random_element(rng)
     pairs = [(f, g), (S.zero(), g), (f, S.zero())]
-    pairs += [((tuple(c for _ in range(S.base.dim)),) * S.D,) * 2 for c in tops]
+    pairs += [(((c,) * S.base.dim,) * S.D,) * 2 for c in tops]
     return [(S.mul(a, b), per_term_sps_mul(S, a, b)) for a, b in pairs]
 
 
